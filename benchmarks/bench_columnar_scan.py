@@ -1,25 +1,25 @@
-"""Columnar stamp-kernel benchmark: column kernels vs the object path.
+"""Columnar stamp-kernel benchmark: column kernels vs object predicates.
 
 Measures the tentpole claim of the columnar sidecar: on segments that
 survive zone-map pruning, running the range-shaped predicates as tight
 integer loops over the stamp columns (with Elements materialized only
 for survivors) beats evaluating the same predicates per Python object.
 
-The comparison is apples-to-apples: one store, built once with its
-column sidecar, queried twice -- ``REPRO_COLUMNAR`` flipped at query
-time selects the kernel or the object loop over identical data.  The
-workload scatters valid times widely so zone maps cannot prune (every
-segment survives and must be examined row-by-row -- the regime the
-sidecar exists for) while few rows actually match, which is where late
-materialization pays.
+The comparison is apples-to-apples: one store, queried twice -- once
+through ``operators.scan(spec)`` (the kernel), once through the
+reference that evaluates the same predicate on every ``Element``
+(``operators.timeslice_full_scan`` / ``NaiveExecutor``, the suite's
+oracles).  The workload scatters valid times widely so zone maps cannot
+prune (every segment survives and must be examined row-by-row -- the
+regime the sidecar exists for) while few rows actually match, which is
+where late materialization pays.
 
 1. a point timeslice runs >= 5x faster on the columns than on the
    objects at 100k elements;
-2. a valid-time overlap window (via the declared-bounds window operator)
-   runs >= 3x faster;
+2. a valid-time overlap window runs >= 3x faster;
 3. rebuilding the current-state view from the live bitmap is no slower
    than the object scan (>= 1x);
-4. both paths return element-for-element identical answers.
+4. kernel and reference return element-for-element identical answers.
 
 Run directly::
 
@@ -36,7 +36,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
 from typing import Any, Dict, List, Optional
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -49,24 +48,12 @@ from repro.chronos.interval import Interval
 from repro.chronos.timestamp import Timestamp
 from repro.observability import metrics
 from repro.observability.timing import best_of
-from repro.query import operators
+from repro.query import NaiveExecutor, Scan, ValidOverlap, operators
 from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
+from repro.storage.columnar import ScanSpec
 from repro.storage.memory import MemoryEngine
 from repro.workloads.base import seeded
-
-
-@contextmanager
-def columnar_env(value: str):
-    old = os.environ.get("REPRO_COLUMNAR")
-    os.environ["REPRO_COLUMNAR"] = value
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_COLUMNAR", None)
-        else:
-            os.environ["REPRO_COLUMNAR"] = old
 
 
 def build_events(count, offset_of, specializations=(), segment_size=None):
@@ -81,15 +68,13 @@ def build_events(count, offset_of, specializations=(), segment_size=None):
     return relation, clock
 
 
-def compare(label: str, run) -> Dict[str, Any]:
-    """Time *run* on the column kernels and on the object path."""
-    with columnar_env("1"):
-        columnar_ms = best_of(lambda: run()[0])
-        columnar_rows, stats = run()
-    assert stats is None or stats.columnar, f"{label}: kernel did not engage"
-    with columnar_env("0"):
-        object_ms = best_of(lambda: run()[0])
-        object_rows, _stats = run()
+def compare(label: str, run, reference) -> Dict[str, Any]:
+    """Time *run* (column kernels) against *reference* (the same
+    predicate evaluated per ``Element`` object)."""
+    columnar_ms = best_of(lambda: run()[0])
+    columnar_rows, stats = run()
+    object_ms = best_of(reference)
+    object_rows = reference()
     identical = [repr(e) for e in columnar_rows] == [repr(e) for e in object_rows]
     data = {
         "matches": len(columnar_rows),
@@ -112,24 +97,24 @@ def compare(label: str, run) -> Dict[str, Any]:
 def bench_timeslice(relation, probe) -> Dict[str, Any]:
     def run():
         stats = operators.SegmentStats()
-        rows, _examined = operators.timeslice_segment_pruned(relation, probe, stats)
+        rows, _examined = operators.scan(relation, ScanSpec.of(probe), stats)
         return rows, stats
 
-    return compare("timeslice", run)
+    return compare(
+        "timeslice", run, lambda: operators.timeslice_full_scan(relation, probe)[0]
+    )
 
 
 def bench_overlap(relation, window) -> Dict[str, Any]:
-    # The overlap kernel is wired through the declared-bounds window
-    # operator; unbounded sides make it a full-range pass, so the
-    # kernel-vs-object comparison still covers every row.
+    # No declared bounds: the spec keeps the full transaction-time
+    # range, so the kernel-vs-object comparison covers every row.
     def run():
         stats = operators.SegmentStats()
-        rows, _examined = operators.overlap_bounded_window(
-            relation, window, None, None, stats=stats
-        )
+        rows, _examined = operators.scan(relation, ScanSpec.of(window), stats)
         return rows, stats
 
-    return compare("overlap", run)
+    query = ValidOverlap(Scan(relation), window)
+    return compare("overlap", run, lambda: NaiveExecutor().run(query))
 
 
 def bench_current_rebuild(relation) -> Dict[str, Any]:
@@ -139,7 +124,17 @@ def bench_current_rebuild(relation) -> Dict[str, Any]:
         store.invalidate_view()
         return list(relation.engine.current()), None
 
-    return compare("current rebuild", run)
+    def reference():
+        # The same surrogate -> position view, built by probing
+        # ``is_current`` on every historical object, then read back.
+        elements = store.elements_list()
+        view = {}
+        for position, element in enumerate(elements):
+            if element.is_current:
+                view[element.element_surrogate] = position
+        return [elements[position] for position in view.values()]
+
+    return compare("current rebuild", run, reference)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -168,20 +163,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     # covers every probe (nothing prunes), few rows match any probe.
     rng = seeded(500)
     span = 10 * count
-    with columnar_env("1"):
-        relation, clock = build_events(
-            count, lambda i: rng.randint(-span // 2, span // 2), segment_size=segment_size
-        )
-        for element in relation.all_elements()[::10]:
-            relation.delete(element.element_surrogate)
-    assert relation.engine.transaction_index.store.columns is not None
+    relation, clock = build_events(
+        count, lambda i: rng.randint(-span // 2, span // 2), segment_size=segment_size
+    )
+    for element in relation.all_elements()[::10]:
+        relation.delete(element.element_surrogate)
 
     # Probe an actual stored valid time so the timeslice materializes
     # real survivors (late materialization, not just an empty scan).
     probe = relation.all_elements()[count // 2 + 1].vt
     window = Interval(Timestamp(10 * (count // 2)), Timestamp(10 * (count // 2) + 500))
 
-    print(f"columnar kernels vs object path, {count} elements:")
+    print(f"columnar kernels vs object predicates, {count} elements:")
     timeslice = bench_timeslice(relation, probe)
     overlap = bench_overlap(relation, window)
     current = bench_current_rebuild(relation)
@@ -209,7 +202,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"FAIL: {name} {results[name]:.1f}x below the {target:.0f}x target")
             failed = True
     if results["paths_identical"] != 1.0:
-        print("FAIL: columnar and object paths disagree")
+        print("FAIL: kernel and reference answers disagree")
         failed = True
 
     if args.emit_json is not None:

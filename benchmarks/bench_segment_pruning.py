@@ -1,4 +1,4 @@
-"""Segment pruning benchmark: zone maps, the current-state view, parallel scans.
+"""Segment pruning benchmark: zone maps and the current-state view.
 
 Measures the tentpole claims of the segmented transaction-time store:
 
@@ -9,9 +9,7 @@ Measures the tentpole claims of the segmented transaction-time store:
    index where zone maps alone do the pruning;
 2. ``current()`` examines exactly the live elements (the materialized
    view), not the whole history -- with 90% of history closed, the
-   history/examined ratio is 10x;
-3. parallel segment execution (``REPRO_PARALLEL=1``) returns results
-   byte-identical to the sequential path.
+   history/examined ratio is 10x.
 
 Run directly::
 
@@ -28,7 +26,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
 from typing import Any, Dict, List, Optional
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -40,7 +37,7 @@ from repro.chronos.clock import SimulatedWallClock
 from repro.chronos.timestamp import Timestamp
 from repro.observability import metrics
 from repro.observability.timing import best_of
-from repro.query import NaiveExecutor, Planner, Rollback, Scan, ValidTimeslice
+from repro.query import NaiveExecutor, Planner, Scan, ValidTimeslice
 from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
 from repro.storage.memory import MemoryEngine
@@ -56,19 +53,6 @@ def build_events(count, specializations, offset_of, vt_index=True, segment_size=
         clock.advance_to(Timestamp(10 * i))
         relation.insert("o", Timestamp(10 * i + offset_of(i)), {})
     return relation, clock
-
-
-@contextmanager
-def parallel_env(value: str):
-    old = os.environ.get("REPRO_PARALLEL")
-    os.environ["REPRO_PARALLEL"] = value
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_PARALLEL", None)
-        else:
-            os.environ["REPRO_PARALLEL"] = old
 
 
 def run_timeslice(relation, probe) -> Dict[str, Any]:
@@ -136,11 +120,7 @@ def bench_timeslices(count: int, segment_size: Optional[int]) -> Dict[str, Any]:
     )
     pruned_data = run_timeslice(plain, probe)
     describe("zone-map only", pruned_data)
-    # columnar-scan with the stamp sidecar (the default); the object
-    # fallback (REPRO_COLUMNAR=0) plans the same scan as segment-pruned.
-    assert pruned_data["strategy"] in ("columnar-scan", "segment-pruned-scan"), (
-        pruned_data["strategy"]
-    )
+    assert pruned_data["strategy"] == "columnar-scan", pruned_data["strategy"]
     del plain
 
     return {
@@ -181,32 +161,6 @@ def bench_current(count: int, segment_size: Optional[int]) -> Dict[str, Any]:
     }
 
 
-def bench_parallel_identity(count: int, segment_size: Optional[int]) -> bool:
-    print(f"parallel identity, {count} elements:")
-    relation, clock = build_events(
-        count, [], lambda i: 0, vt_index=False, segment_size=segment_size
-    )
-    clock.advance_to(Timestamp(10 * count + 10))
-    for element in relation.all_elements()[: count // 4]:
-        relation.delete(element.element_surrogate)
-
-    identical = True
-    for label, query in (
-        ("timeslice", ValidTimeslice(Scan(relation), Timestamp(10 * (count // 2)))),
-        ("rollback", Rollback(Scan(relation), Timestamp(10 * (count // 3)))),
-    ):
-        with parallel_env("0"):
-            sequential = [
-                repr(e) for e in Planner(relation).plan(query).execute()
-            ]
-        with parallel_env("1"):
-            parallel = [repr(e) for e in Planner(relation).plan(query).execute()]
-        same = parallel == sequential
-        identical = identical and same
-        print(f"  {label}: {len(parallel)} rows, identical={same}")
-    return identical
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -234,7 +188,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     slices = bench_timeslices(count, segment_size)
     current = bench_current(count, segment_size)
-    identical = bench_parallel_identity(count, segment_size)
 
     results: Dict[str, Any] = {
         "count": count,
@@ -244,7 +197,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "bounded_window_ratio": slices["bounded"]["ratio"],
         "sequential_ratio": slices["sequential"]["ratio"],
         "current_history_ratio": current["history_ratio"],
-        "parallel_identical": 1.0 if identical else 0.0,
     }
 
     failed = False
@@ -257,9 +209,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"FAIL: current() examined {current['examined_current']} != "
             f"live {current['live']} -- view is not O(live)"
         )
-        failed = True
-    if not identical:
-        print("FAIL: parallel execution changed results")
         failed = True
 
     if args.emit_json is not None:

@@ -7,13 +7,14 @@ Measures the tentpole claims of the two-tier storage engine:
    the store retains >= 4x less Python heap than the flat in-memory
    store holding the same elements (tracemalloc, steady cold state).
 2. **Timeslice latency**: the stamp kernels running over lazily-decoded
-   cold columns keep the columnar sidecar's speedup over the object
-   path -- demotion must not give back what PR 5 won.
+   cold columns keep the columnar sidecar's speedup over evaluating the
+   predicate on every decoded ``Element`` (the reference full scan) --
+   demotion must not give back what PR 5 won.
 3. **Bisect latency**: transaction-time cuts on cold segments answer
    from the compressed delta blocks (at most one block decoded per
    probe), keeping the bitemporal kernels' speedup as well.
-4. **Identity ledger**: tiered kernel, tiered object path, and the flat
-   reference store return element-for-element identical answers.
+4. **Identity ledger**: tiered kernel, tiered reference scan, and the
+   flat store return element-for-element identical answers.
 
 The workload closes ~90% of elements while their segments are still
 hot (so compression sees realistic mostly-dead history and the live
@@ -37,7 +38,6 @@ import gc
 import os
 import sys
 import tracemalloc
-from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Tuple
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -48,27 +48,15 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 from repro.chronos.clock import SimulatedWallClock
 from repro.chronos.timestamp import Timestamp
 from repro.observability.timing import best_of
-from repro.query import operators
+from repro.query import BitemporalSlice, NaiveExecutor, Scan, operators
 from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
+from repro.storage.columnar import ScanSpec
 from repro.storage.memory import MemoryEngine
 from repro.workloads.base import seeded
 
 SEGMENT = 4096
 CLOSE_FRACTION = 0.9
-
-
-@contextmanager
-def columnar_env(value: str):
-    old = os.environ.get("REPRO_COLUMNAR")
-    os.environ["REPRO_COLUMNAR"] = value
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_COLUMNAR", None)
-        else:
-            os.environ["REPRO_COLUMNAR"] = old
 
 
 def build_relation(count: int, tier_dir: Optional[str]) -> Tuple[TemporalRelation, Any]:
@@ -125,21 +113,27 @@ def measured_build(count: int, tier_dir: Optional[str]) -> Tuple[TemporalRelatio
     return relation, resident
 
 
-def compare(label: str, tiered_run, flat_run, object_repeats: int = 5) -> Dict[str, Any]:
-    """Time *tiered_run* on kernels and on the object path; check both
-    against the flat store's answer."""
-    with columnar_env("1"):
-        kernel_ms = best_of(lambda: tiered_run()[0])
-        kernel_rows, stats = tiered_run()
-    assert stats is None or stats.columnar, f"{label}: kernel did not engage"
-    assert stats is None or stats.cold_segments, f"{label}: no cold segments served"
-    with columnar_env("0"):
-        # The object path re-decodes every cold segment per run (the
-        # answer set exceeds the tier cache), so each repeat does the
-        # same deterministic decode work -- few repeats are stable.
-        object_ms = best_of(lambda: tiered_run()[0], repeats=object_repeats)
-        object_rows, _stats = tiered_run()
-        flat_rows, _stats = flat_run()
+def compare(
+    label: str, tiered_relation, flat_relation, spec, reference, object_repeats: int = 5
+) -> Dict[str, Any]:
+    """Time *spec* on the tiered relation's kernels against *reference*
+    (the same predicate on every decoded object of that relation); check
+    both against the flat store's answer."""
+
+    def tiered_run():
+        stats = operators.SegmentStats()
+        rows, _examined = operators.scan(tiered_relation, spec, stats)
+        return rows, stats
+
+    kernel_ms = best_of(lambda: tiered_run()[0])
+    kernel_rows, stats = tiered_run()
+    assert stats.cold_segments, f"{label}: no cold segments served"
+    # The reference re-decodes every cold segment per run (the scan
+    # exceeds the tier cache), so each repeat does the same
+    # deterministic decode work -- few repeats are stable.
+    object_ms = best_of(reference, repeats=object_repeats)
+    object_rows = reference()
+    flat_rows, _examined = operators.scan(flat_relation, spec)
     ledger = [repr(e) for e in kernel_rows]
     identical = ledger == [repr(e) for e in object_rows] and ledger == [
         repr(e) for e in flat_rows
@@ -180,9 +174,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     import tempfile
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-tier-") as tier_dir:
-        with columnar_env("1"):
-            flat_relation, flat_resident = measured_build(count, tier_dir=None)
-            tiered_relation, tiered_resident = measured_build(count, tier_dir)
+        flat_relation, flat_resident = measured_build(count, tier_dir=None)
+        tiered_relation, tiered_resident = measured_build(count, tier_dir)
         store = tiered_relation.engine.transaction_index.store
         assert store.cold_base > 0, "nothing demoted -- bench is vacuous"
         footprint_ratio = flat_resident / max(tiered_resident, 1)
@@ -200,33 +193,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         probe = live[len(live) // 2].vt
         as_of = Timestamp(5 * count)
 
-        def tiered_timeslice():
-            stats = operators.SegmentStats()
-            rows, _examined = operators.timeslice_segment_pruned(
-                tiered_relation, probe, stats
-            )
-            return rows, stats
-
-        def flat_timeslice():
-            rows, _examined = operators.timeslice_segment_pruned(flat_relation, probe)
-            return rows, None
-
-        def tiered_bisect():
-            stats = operators.SegmentStats()
-            rows, _examined = operators.bitemporal_prefix(
-                tiered_relation, probe, as_of, stats
-            )
-            return rows, stats
-
-        def flat_bisect():
-            rows, _examined = operators.bitemporal_prefix(flat_relation, probe, as_of)
-            return rows, None
-
         object_repeats = 5 if args.quick else 2
+        slice_query = BitemporalSlice(Scan(tiered_relation), probe, as_of)
         timeslice = compare(
-            "timeslice", tiered_timeslice, flat_timeslice, object_repeats
+            "timeslice",
+            tiered_relation,
+            flat_relation,
+            ScanSpec.of(probe),
+            lambda: operators.timeslice_full_scan(tiered_relation, probe)[0],
+            object_repeats,
         )
-        bisect = compare("bisect", tiered_bisect, flat_bisect, object_repeats)
+        bisect = compare(
+            "bisect",
+            tiered_relation,
+            flat_relation,
+            ScanSpec.of(probe, as_of),
+            lambda: NaiveExecutor().run(slice_query),
+            object_repeats,
+        )
 
     results: Dict[str, Any] = {
         "count": count,

@@ -98,6 +98,24 @@ class OffsetRegion:
         except ValueError:
             return None
 
+    def tt_window(
+        self, vt_first: Optional[int], vt_last: Optional[int]
+    ) -> Tuple[Optional[int], Optional[int]]:
+        """The inclusive transaction-time window that can hold an element
+        whose valid time lies in ``[vt_first, vt_last]`` (microseconds;
+        ``None`` is unbounded, in the arguments and in the result).
+
+        ``lower <= vt - tt <= upper`` rearranges to
+        ``vt - upper <= tt <= vt - lower``; on the integer time-line an
+        open endpoint excludes exactly one microsecond.
+        """
+        tt_lo = tt_hi = None
+        if vt_first is not None and self.upper is not None:
+            tt_lo = vt_first - self.upper.offset + (0 if self.upper.closed else 1)
+        if vt_last is not None and self.lower is not None:
+            tt_hi = vt_last - self.lower.offset - (0 if self.lower.closed else 1)
+        return tt_lo, tt_hi
+
     @property
     def is_point(self) -> bool:
         """True for degenerate (single-offset) regions."""

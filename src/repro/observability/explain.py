@@ -46,9 +46,9 @@ class ExplainReport:
     #: segment-at-a-time (point lookups, engine-index delegation, naive).
     segments_scanned: Optional[int] = None
     segments_pruned: Optional[int] = None
-    #: Columnar accounting; None unless the stamp-column kernels ran
-    #: (positions the kernels tested vs Element objects materialized --
-    #: the late-materialization ratio).
+    #: Columnar accounting, alongside the zone-map counts: positions the
+    #: kernel tested vs Element objects materialized -- the
+    #: late-materialization ratio.
     columnar_positions_examined: Optional[int] = None
     columnar_elements_materialized: Optional[int] = None
     #: Tiered-storage accounting; None unless some scanned segments were
@@ -189,12 +189,9 @@ def explain_query(
                 operator_span.annotate(
                     segments_scanned=plan.segment_stats.scanned,
                     segments_pruned=plan.segment_stats.pruned,
+                    columnar_positions=plan.segment_stats.positions_examined,
+                    columnar_materialized=plan.segment_stats.materialized,
                 )
-                if plan.segment_stats.columnar:
-                    operator_span.annotate(
-                        columnar_positions=plan.segment_stats.positions_examined,
-                        columnar_materialized=plan.segment_stats.materialized,
-                    )
                 if plan.segment_stats.cold_segments:
                     operator_span.annotate(
                         tier_cold_segments=plan.segment_stats.cold_segments
@@ -222,9 +219,8 @@ def explain_query(
     if plan.segment_stats is not None:
         report.segments_scanned = plan.segment_stats.scanned
         report.segments_pruned = plan.segment_stats.pruned
-        if plan.segment_stats.columnar:
-            report.columnar_positions_examined = plan.segment_stats.positions_examined
-            report.columnar_elements_materialized = plan.segment_stats.materialized
+        report.columnar_positions_examined = plan.segment_stats.positions_examined
+        report.columnar_elements_materialized = plan.segment_stats.materialized
         if plan.segment_stats.cold_segments:
             report.tier_cold_segments = plan.segment_stats.cold_segments
     if plan.shard_stats is not None:

@@ -82,12 +82,7 @@ RESULT_OVERHEAD = 64
 #: one mid-process (the differential suites do) never serves a plan
 #: compiled for the other mode -- and never lets a cached answer mask a
 #: divergence between the two code paths under test.
-_ENV_TOGGLES = (
-    "REPRO_COLUMNAR",
-    "REPRO_TIERED",
-    "REPRO_PARALLEL",
-    "REPRO_SEGMENT_SIZE",
-)
+_ENV_TOGGLES = ("REPRO_TIERED", "REPRO_SEGMENT_SIZE")
 
 
 def caching_enabled() -> bool:
@@ -129,8 +124,8 @@ def _env_key() -> Tuple[Optional[str], ...]:
 class LRUCache:
     """An LRU map bounded by entry count and (optionally) bytes.
 
-    Thread-safe (planner thunks may run from the server's reader pool
-    or parallel-segment workers).  Hits, misses, and evictions feed the
+    Thread-safe (planner thunks may run from the server's reader
+    pool).  Hits, misses, and evictions feed the
     ``cache.*`` counters both in aggregate and per layer; the byte
     gauge is per layer (``cache.bytes.<layer>``).
     """

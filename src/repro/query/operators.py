@@ -6,66 +6,37 @@ alongside wall-clock time.  Operators that exploit structure only apply
 when the relation's declared specializations license them; the planner
 is responsible for that reasoning.
 
-Operators whose candidate set is a transaction-time range (prefixes,
-bounded windows, bitemporal slices) run segment-at-a-time over the
-engine's :class:`~repro.storage.segments.SegmentedStore`: the declared
-offsets tighten the range first, then each sealed segment's zone map is
-consulted and segments that cannot contain a match are skipped without
-touching an element.  Callers pass a :class:`SegmentStats` to receive
-the scanned/pruned counts ``explain()`` reports; work across surviving
-segments is distributed by
-:func:`~repro.storage.segments.parallel_map_segments`.
+Every read whose candidate set is a transaction-time range -- rollback
+prefixes, degenerate points and ticks, bounded windows, bitemporal
+slices, undeclared full-range passes -- is one
+:class:`~repro.storage.columnar.ScanSpec` executed by :func:`scan`: the
+planner derives the window from the declared offset region, ``scan``
+bisects it on the engine's
+:class:`~repro.storage.segments.SegmentedStore`, consults each sealed
+segment's zone map, runs the column kernel on the survivors and
+materializes elements last.  Callers pass a :class:`SegmentStats` to
+receive the scanned/pruned counts ``explain()`` reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.chronos.interval import Interval
-from repro.chronos.timestamp import TimePoint, Timestamp
+from repro.chronos.timestamp import FOREVER, TimePoint, Timestamp
 from repro.relation.element import Element
 from repro.relation.temporal_relation import TemporalRelation
-from repro.storage.columnar import (
-    StampColumns,
-    columnar_enabled,
-    positions_bitemporal,
-    positions_live,
-    positions_overlapping,
-    positions_stored_at,
-    positions_valid_at,
-)
+from repro.storage.columnar import ScanSpec, decode_point, encode_point, positions
 from repro.storage.indexes import TransactionTimeIndex
-from repro.storage.segments import (
-    NEG_SENTINEL,
-    POS_SENTINEL,
-    SegmentedStore,
-    ZoneMap,
-    parallel_map_segments,
-)
 
 Result = Tuple[List[Element], int]
-
-#: A column kernel: positions surviving the predicate within [lo, hi).
-Kernel = Callable[[StampColumns, int, int], List[int]]
 
 
 def _tt_index(relation: TemporalRelation) -> Optional[TransactionTimeIndex]:
     # Any engine exposing a transaction_index (memory, logfile mirror)
     # gets the specialized transaction-order strategies.
     return getattr(relation.engine, "transaction_index", None)
-
-
-def _sharded_engine(relation: TemporalRelation):
-    """The relation's :class:`~repro.storage.sharded.ShardedEngine`, or None.
-
-    Duck-typed on the ``is_sharded`` flag so this module never imports
-    the sharded engine (which lazily imports relations back).
-    """
-    engine = relation.engine
-    if getattr(engine, "is_sharded", False):
-        return engine
-    return None
 
 
 @dataclass
@@ -81,65 +52,57 @@ class ShardStats:
     pruned: int = 0
 
 
-def _scatter_gather(
-    engine,
-    relation: TemporalRelation,
-    per_shard: Callable[[TemporalRelation, Optional[SegmentStats]], Result],
-    match,
-    stats: Optional[SegmentStats] = None,
-    descending: bool = False,
-) -> Result:
-    """Run one operator scatter-gather over the routed shards.
+@dataclass
+class SegmentStats:
+    """Zone-map accounting for one operator execution.
 
-    The specialization the planner licensed globally holds on every
-    shard (orderings survive tt-subsequences), so *per_shard* is the
-    same specialized operator recursing into a per-shard relation view.
-    Envelope routing first drops shards the probe cannot touch; the
-    surviving shards run through ``parallel_map_segments`` and the
-    gather merges by the globally unique ``tt_start`` -- ascending, or
-    descending for operators whose single-store output walks backwards.
-    Per-shard segment statistics accumulate into *stats* via private
-    locals, so counts stay exact with parallelism on.
+    ``scanned`` + ``pruned`` is the number of segments the candidate
+    transaction-time range overlapped; ``pruned`` of them were skipped
+    on zone-map evidence alone.  ``positions_examined`` /
+    ``materialized`` record how many column rows the kernel tested
+    versus how many ``Element`` objects were actually built for the
+    answer -- the late-materialization ratio ``explain()`` surfaces.
     """
+
+    scanned: int = 0
+    pruned: int = 0
+    positions_examined: int = 0
+    materialized: int = 0
+    #: Work units served from the cold tier (compressed segment files)
+    #: rather than in-memory state -- the tiered-storage accounting.
+    cold_segments: int = 0
+
+
+def _scatter_gather(
+    relation: TemporalRelation,
+    spec: ScanSpec,
+    per_shard: Callable[[TemporalRelation], Result],
+    descending: bool = False,
+) -> Optional[Result]:
+    """Run *per_shard* over the shards *spec* can touch; ``None`` when
+    the relation is not sharded.
+
+    Duck-typed on the ``is_sharded`` flag so this module never imports
+    the sharded engine (which lazily imports relations back).  The
+    specialization the planner licensed globally holds on every shard
+    (orderings survive tt-subsequences), so *per_shard* is the same
+    operator recursing into a per-shard relation view.  Envelope routing
+    first drops shards ``spec.may_match`` rejects; the gather merges by
+    the globally unique ``tt_start`` -- ascending, or descending for
+    operators whose single-store output walks backwards.
+    """
+    engine = relation.engine
+    if not getattr(engine, "is_sharded", False):
+        return None
     views = engine.subrelations(relation.schema)
-    routed = engine.route_shards(match)
-
-    def work(index: int) -> Tuple[List[Element], int, Optional[SegmentStats]]:
-        local = SegmentStats() if stats is not None else None
-        results, examined = per_shard(views[index], local)
-        return results, examined, local
-
     merged: List[Element] = []
     examined_total = 0
-    for results, examined, local in parallel_map_segments(work, routed, threshold=1):
+    for index in engine.route_shards(spec.may_match):
+        results, examined = per_shard(views[index])
         merged.extend(results)
         examined_total += examined
-        if stats is not None and local is not None:
-            stats.scanned += local.scanned
-            stats.pruned += local.pruned
-            if local.columnar:
-                stats.columnar = True
-            stats.positions_examined += local.positions_examined
-            stats.materialized += local.materialized
-            stats.cold_segments += local.cold_segments
     merged.sort(key=lambda element: element.tt_start.microseconds, reverse=descending)
     return merged, examined_total
-
-
-def columnar_active(relation: TemporalRelation) -> bool:
-    """Will the segment-shaped operators run on column kernels here?
-
-    True only when the engine's store carries the stamp sidecar *and*
-    ``REPRO_COLUMNAR`` is on right now -- the same dynamic check
-    :func:`_scan_segments` makes, so the planner's advertised strategy
-    matches what actually executes.
-    """
-    index = _tt_index(relation)
-    return (
-        index is not None
-        and index.store.columns is not None
-        and columnar_enabled()
-    )
 
 
 def tiered_active(relation: TemporalRelation) -> bool:
@@ -152,125 +115,93 @@ def tiered_active(relation: TemporalRelation) -> bool:
     return index is not None and index.store.cold_base > 0
 
 
-@dataclass
-class SegmentStats:
-    """Zone-map accounting for one operator execution.
-
-    ``scanned`` + ``pruned`` is the number of segments the candidate
-    transaction-time range overlapped; ``pruned`` of them were skipped
-    on zone-map evidence alone.
-
-    When the columnar path ran, ``columnar`` is set and
-    ``positions_examined`` / ``materialized`` record how many column
-    rows the kernels tested versus how many ``Element`` objects were
-    actually built for the answer -- the late-materialization ratio
-    ``explain()`` surfaces.
-    """
-
-    scanned: int = 0
-    pruned: int = 0
-    columnar: bool = False
-    positions_examined: int = 0
-    materialized: int = 0
-    #: Work units served from the cold tier (compressed segment files)
-    #: rather than in-memory state -- the tiered-storage accounting.
-    cold_segments: int = 0
+def _engine_read(engine, spec: ScanSpec) -> Iterable[Element]:
+    """*spec* answered by an engine's own read paths (no tt index)."""
+    as_of = None if spec.as_of is None else decode_point(spec.as_of)
+    if spec.vt_lo is None:
+        return engine.as_of(FOREVER if as_of is None else as_of)
+    if spec.vt_hi == spec.vt_lo + 1:
+        return engine.valid_at(Timestamp(spec.vt_lo, "microsecond"), as_of)
+    window = Interval(decode_point(spec.vt_lo), decode_point(spec.vt_hi))
+    return engine.valid_overlapping(window, as_of)
 
 
-def _scan_segments(
-    store: SegmentedStore,
-    start: int,
-    stop: int,
-    element_match: Callable[[Element], bool],
-    zone_match: Callable[[ZoneMap], bool],
-    stats: Optional[SegmentStats],
-    kernel: Optional[Kernel] = None,
+def scan(
+    relation: TemporalRelation,
+    spec: ScanSpec,
+    stats: Optional[SegmentStats] = None,
 ) -> Result:
-    """Filter positions ``[start, stop)`` segment-at-a-time.
+    """Execute *spec*: the one range-shaped access path.
 
-    Sealed segments overlapping the range are kept only when
-    *zone_match* accepts their zone map (zone maps summarise the whole
-    segment, so rejecting one is valid even when the range clips it);
-    the mutable head is always scanned.  Surviving segments run through
-    :func:`parallel_map_segments` and results concatenate in position
-    order, so output order and the examined count are identical with
-    parallelism on or off.
+    Three storage shapes, once each:
 
-    When a *kernel* is supplied and the store carries stamp columns
-    (and ``REPRO_COLUMNAR`` is on), each work unit runs the kernel over
-    the columns and hands back a **position list**; the surviving
-    ``Element`` objects are materialized only after the merge.  The
-    kernel must encode exactly the predicate *element_match* evaluates
-    on objects -- the differential suite holds the two paths to
-    byte-identical answers.
+    * **sharded** -- route by envelope, recurse per shard, tt-merge;
+    * **tt-indexed** :class:`~repro.storage.segments.SegmentedStore` --
+      binary search turns the spec's transaction-time window into a
+      position range; sealed segments overlapping it are kept only when
+      ``spec.may_match`` accepts their zone map (zone maps summarise the
+      whole segment, so rejecting one is valid even when the range clips
+      it) and the mutable head is always scanned; each surviving unit
+      runs the column kernel and hands back a position list, and the
+      ``Element`` objects are materialized only for those positions, in
+      position (= tt) order;
+    * **no tt index** (SQLite) -- delegate to the engine's ``as_of`` /
+      ``valid_at`` / ``valid_overlapping`` and keep the window.
     """
+    # Every shard adds to the same *stats*, so the counts simply sum.
+    gathered = _scatter_gather(relation, spec, lambda view: scan(view, spec, stats))
+    if gathered is not None:
+        return gathered
+    index = _tt_index(relation)
+    if index is None:
+        results = [
+            element
+            for element in _engine_read(relation.engine, spec)
+            if spec.tt_lo <= element.tt_start.microseconds <= spec.tt_hi
+        ]
+        return results, len(results)
+    store = index.store
+    start = store.position_left(spec.tt_lo)
+    stop = store.position_right(spec.tt_hi)
     if stop <= start:
         return [], 0
     size = store.segment_size
-    head_start = store.head_start
-    units: List[Tuple[int, int]] = []
+    # A unit is (lo, hi, whole): whole units -- a sealed segment or the
+    # head the window did not clip -- recur across queries, so the
+    # kernel may answer them from a cached sorted projection.
+    units: List[Tuple[int, int, bool]] = []
     pruned = 0
-    first = start // size
-    for ordinal in range(first, store.sealed_count):
+    for ordinal in range(start // size, store.sealed_count):
         seg_lo = ordinal * size
         if seg_lo >= stop:
             break
-        lo = max(start, seg_lo)
-        hi = min(stop, seg_lo + size)
-        if zone_match(store.zone_of(ordinal)):
-            units.append((lo, hi))
+        if spec.may_match(store.zone_of(ordinal)):
+            lo, hi = max(start, seg_lo), min(stop, seg_lo + size)
+            units.append((lo, hi, hi - lo == size))
         else:
             pruned += 1
-    if stop > head_start:
-        lo = max(start, head_start)
-        if lo < stop:
-            units.append((lo, stop))
-    cold_base = store.cold_base
+    head_lo = max(start, store.head_start)
+    if head_lo < stop:
+        units.append((head_lo, stop, head_lo == store.head_start and stop == len(store)))
+    matches: List[Element] = []
+    examined = 0
+    for lo, hi, whole in units:
+        # Hot units run on the store's sidecar; a cold unit gets its
+        # segment's lazily-decoded column set, in segment-local
+        # coordinates (units never span the cold/hot boundary).
+        columns, base = store.kernel_view(lo, hi)
+        matches.extend(
+            store.fetch_elements(base, positions(columns, lo - base, hi - base, spec, whole))
+        )
+        examined += hi - lo
     if stats is not None:
         stats.scanned += len(units)
         stats.pruned += pruned
-        if cold_base:
-            stats.cold_segments += sum(1 for lo, _hi in units if lo < cold_base)
-
-    if kernel is not None and store.columns is not None and columnar_enabled():
-
-        def column_work(unit: Tuple[int, int]) -> Tuple[int, List[int], int]:
-            lo, hi = unit
-            # Hot units run on the store's sidecar; a cold unit gets its
-            # segment's lazily-decoded column set, in segment-local
-            # coordinates (units never span the cold/hot boundary).
-            columns, base = store.kernel_view(lo, hi)
-            return base, kernel(columns, lo - base, hi - base), hi - lo
-
-        matches: List[Element] = []
-        examined = 0
-        materialized = 0
-        for base, positions, touched in parallel_map_segments(column_work, units):
-            # Late materialization: objects are fetched only for the
-            # positions the kernel kept, in position (= tt) order.
-            matches.extend(store.fetch_elements(base, positions))
-            examined += touched
-            materialized += len(positions)
-        if stats is not None:
-            stats.columnar = True
-            stats.positions_examined += examined
-            stats.materialized += materialized
-        return matches, examined
-
-    def work(unit: Tuple[int, int]) -> Result:
-        lo, hi = unit
-        kept = []
-        for element in store.elements_range(lo, hi):
-            if element_match(element):
-                kept.append(element)
-        return kept, hi - lo
-
-    object_matches: List[Element] = []
-    object_examined = 0
-    for kept, touched in parallel_map_segments(work, units):
-        object_matches.extend(kept)
-        object_examined += touched
-    return object_matches, object_examined
+        stats.positions_examined += examined
+        stats.materialized += len(matches)
+        cold_base = store.cold_base
+        stats.cold_segments += sum(1 for lo, _hi, _whole in units if lo < cold_base)
+    return matches, examined
 
 
 # -- baseline -------------------------------------------------------------------
@@ -297,260 +228,6 @@ def rollback_full_scan(relation: TemporalRelation, tt: TimePoint) -> Result:
     return matches, examined
 
 
-# -- transaction-time access -------------------------------------------------------
-
-
-def rollback_prefix(
-    relation: TemporalRelation,
-    tt: TimePoint,
-    stats: Optional[SegmentStats] = None,
-) -> Result:
-    """Rollback via the append-ordered index: binary search bounds the
-    candidate prefix, then zone maps skip fully-dead segments (every
-    element closed at or before *tt* -- e.g. vacuum-bait history runs)."""
-    sharded = _sharded_engine(relation)
-    if sharded is not None:
-        if isinstance(tt, Timestamp):
-            tt_micro = tt.microseconds
-        elif tt.is_positive:  # FOREVER: the current state
-            tt_micro = POS_SENTINEL
-        else:  # NEGATIVE_INFINITY: empty prefix
-            return [], 0
-        return _scatter_gather(
-            sharded,
-            relation,
-            lambda view, local: rollback_prefix(view, tt, stats=local),
-            lambda envelope: envelope.alive_at(tt_micro),
-            stats,
-        )
-    index = _tt_index(relation)
-    if index is None:
-        results = list(relation.engine.as_of(tt))
-        return results, len(results)
-    store = index.store
-    if isinstance(tt, Timestamp):
-        stop = store.position_right(tt.microseconds)
-        tt_micro = tt.microseconds
-        zone_match: Callable[[ZoneMap], bool] = lambda zone: zone.alive_at(tt_micro)
-        kernel: Kernel = lambda columns, lo, hi: positions_stored_at(
-            columns, lo, hi, tt_micro
-        )
-    elif tt.is_positive:  # FOREVER: the current state
-        stop = len(store)
-        zone_match = lambda zone: zone.live > 0
-        kernel = positions_live
-    else:  # NEGATIVE_INFINITY: empty prefix
-        return [], 0
-    return _scan_segments(
-        store,
-        0,
-        stop,
-        lambda element: element.stored_during(tt),
-        zone_match,
-        stats,
-        kernel=kernel,
-    )
-
-
-def timeslice_degenerate(relation: TemporalRelation, vt: Timestamp) -> Result:
-    """Degenerate relations: ``vt = tt``, so a valid timeslice is a point
-    lookup on the transaction-time index (Section 3.1's remark that a
-    degenerate relation "can be advantageously treated as a rollback
-    relation")."""
-    sharded = _sharded_engine(relation)
-    if sharded is not None:
-        target = vt.microseconds
-        return _scatter_gather(
-            sharded,
-            relation,
-            lambda view, local: timeslice_degenerate(view, vt),
-            lambda envelope: (
-                envelope.live > 0
-                and envelope.tt_lo <= target <= envelope.tt_hi
-                and envelope.may_contain_vt(target, target)
-            ),
-        )
-    index = _tt_index(relation)
-    if index is None:
-        raise ValueError("degenerate timeslice requires the in-memory tt index")
-    matches = []
-    examined = 0
-    for element in index.window(vt, vt):
-        examined += 1
-        if element.is_current and element.valid_at(vt):
-            matches.append(element)
-    return matches, examined
-
-
-def timeslice_degenerate_granular(
-    relation: TemporalRelation, vt: Timestamp, granularity
-) -> Result:
-    """Granularity-relative degenerate relations: ``floor(vt) = floor(tt)``.
-
-    An element valid at *vt* has its transaction time inside the same
-    granularity tick, so the scan covers exactly one tick of the
-    transaction-time index.
-    """
-    sharded = _sharded_engine(relation)
-    if sharded is not None:
-        tick_lo = vt.floor_to(granularity).microseconds
-        tick_hi = tick_lo + granularity.microseconds - 1
-        target = vt.microseconds
-        return _scatter_gather(
-            sharded,
-            relation,
-            lambda view, local: timeslice_degenerate_granular(view, vt, granularity),
-            lambda envelope: (
-                envelope.live > 0
-                and not (envelope.tt_hi < tick_lo or envelope.tt_lo > tick_hi)
-                and envelope.may_contain_vt(target, target)
-            ),
-        )
-    index = _tt_index(relation)
-    if index is None:
-        raise ValueError("degenerate timeslice requires the in-memory tt index")
-    tick_start = vt.floor_to(granularity)
-    tick_last = Timestamp(
-        tick_start.microseconds + granularity.microseconds - 1, "microsecond"
-    )
-    matches = []
-    examined = 0
-    for element in index.window(tick_start, tick_last):
-        examined += 1
-        if element.is_current and element.valid_at(vt):
-            matches.append(element)
-    return matches, examined
-
-
-def timeslice_bounded_window(
-    relation: TemporalRelation,
-    vt: Timestamp,
-    lower_offset: Optional[int],
-    upper_offset: Optional[int],
-    stats: Optional[SegmentStats] = None,
-) -> Result:
-    """Scan only the transaction window allowed by the declared bounds.
-
-    With declared offsets ``lower <= vt - tt <= upper`` (microseconds,
-    either side may be None for unbounded), an element valid at ``vt``
-    must satisfy ``vt - upper <= tt <= vt - lower``.  The declared
-    window bounds the segment range first; zone maps then skip
-    segments with no live element or no valid time covering *vt*.
-    """
-    sharded = _sharded_engine(relation)
-    if sharded is not None:
-        target = vt.microseconds
-        win_lo = NEG_SENTINEL if upper_offset is None else target - upper_offset
-        win_hi = POS_SENTINEL if lower_offset is None else target - lower_offset
-        return _scatter_gather(
-            sharded,
-            relation,
-            lambda view, local: timeslice_bounded_window(
-                view, vt, lower_offset, upper_offset, stats=local
-            ),
-            lambda envelope: (
-                envelope.live > 0
-                and not (envelope.tt_hi < win_lo or envelope.tt_lo > win_hi)
-                and envelope.may_contain_vt(target, target)
-            ),
-            stats,
-        )
-    index = _tt_index(relation)
-    if index is None:
-        raise ValueError("bounded-window timeslice requires the in-memory tt index")
-    store = index.store
-    start = (
-        0
-        if upper_offset is None
-        else store.position_left(vt.microseconds - upper_offset)
-    )
-    stop = (
-        len(store)
-        if lower_offset is None
-        else store.position_right(vt.microseconds - lower_offset)
-    )
-    target = vt.microseconds
-    return _scan_segments(
-        store,
-        start,
-        stop,
-        lambda element: element.is_current and element.valid_at(vt),
-        lambda zone: zone.live > 0 and zone.may_contain_vt(target, target),
-        stats,
-        kernel=lambda columns, lo, hi: positions_valid_at(columns, lo, hi, target),
-    )
-
-
-def overlap_bounded_window(
-    relation: TemporalRelation,
-    window: Interval,
-    lower_offset: Optional[int],
-    upper_offset: Optional[int],
-    stats: Optional[SegmentStats] = None,
-) -> Result:
-    """Window variant of :func:`timeslice_bounded_window` for event
-    relations: an element with valid time in ``[a, b)`` must have been
-    stored in ``[a - upper, b - lower)``.  Zone maps additionally skip
-    segments whose valid-time coverage misses the window."""
-    sharded = _sharded_engine(relation)
-    if sharded is not None:
-        w_start = window.start
-        w_end = window.end
-        if not (isinstance(w_start, Timestamp) and isinstance(w_end, Timestamp)):
-            results = list(relation.engine.valid_overlapping(window))
-            return results, len(results)
-        vt_first = w_start.microseconds
-        vt_last = w_end.microseconds - 1  # the window is half-open
-        win_lo = NEG_SENTINEL if upper_offset is None else vt_first - upper_offset
-        win_hi = POS_SENTINEL if lower_offset is None else w_end.microseconds - lower_offset
-        return _scatter_gather(
-            sharded,
-            relation,
-            lambda view, local: overlap_bounded_window(
-                view, window, lower_offset, upper_offset, stats=local
-            ),
-            lambda envelope: (
-                envelope.live > 0
-                and not (envelope.tt_hi < win_lo or envelope.tt_lo > win_hi)
-                and envelope.may_contain_vt(vt_first, vt_last)
-            ),
-            stats,
-        )
-    index = _tt_index(relation)
-    if index is None:
-        raise ValueError("bounded-window overlap requires the in-memory tt index")
-    start = window.start
-    end = window.end
-    if not (isinstance(start, Timestamp) and isinstance(end, Timestamp)):
-        results = list(relation.engine.valid_overlapping(window))
-        return results, len(results)
-    store = index.store
-    first = (
-        0
-        if upper_offset is None
-        else store.position_left(start.microseconds - upper_offset)
-    )
-    stop = (
-        len(store)
-        if lower_offset is None
-        else store.position_right(end.microseconds - lower_offset)
-    )
-    vt_lo = start.microseconds
-    vt_hi = end.microseconds - 1  # the window is half-open
-    win_hi = end.microseconds  # kernels keep the exclusive endpoint
-    return _scan_segments(
-        store,
-        first,
-        stop,
-        lambda element: element.is_current and window.contains_point(element.vt),  # type: ignore[arg-type]
-        lambda zone: zone.live > 0 and zone.may_contain_vt(vt_lo, vt_hi),
-        stats,
-        kernel=lambda columns, lo, hi: positions_overlapping(
-            columns, lo, hi, vt_lo, win_hi
-        ),
-    )
-
-
 # -- monotone valid-time access ------------------------------------------------------
 
 
@@ -561,17 +238,13 @@ def timeslice_monotone_events(
     valid times are sorted along the transaction order, so the matching
     run is found by binary search -- "valid time can be approximated
     with transaction time" (Section 3.2)."""
-    sharded = _sharded_engine(relation)
-    if sharded is not None:
-        target = vt.microseconds
-        return _scatter_gather(
-            sharded,
-            relation,
-            lambda view, local: timeslice_monotone_events(view, vt, descending),
-            lambda envelope: (
-                envelope.live > 0 and envelope.may_contain_vt(target, target)
-            ),
-        )
+    gathered = _scatter_gather(
+        relation,
+        ScanSpec.of(vt),
+        lambda view: timeslice_monotone_events(view, vt, descending),
+    )
+    if gathered is not None:
+        return gathered
     index = _tt_index(relation)
     if index is None:
         raise ValueError("monotone timeslice requires the in-memory tt index")
@@ -610,20 +283,16 @@ def timeslice_sequential_intervals(relation: TemporalRelation, vt: Timestamp) ->
     """Sequential interval relations: intervals are disjoint and ordered,
     so at most one (current) interval contains the point; binary search
     for the last interval starting at or before it."""
-    sharded = _sharded_engine(relation)
-    if sharded is not None:
-        target = vt.microseconds
-        # Single-store output walks backwards from the insertion point,
-        # so the gather preserves the descending-tt discipline.
-        return _scatter_gather(
-            sharded,
-            relation,
-            lambda view, local: timeslice_sequential_intervals(view, vt),
-            lambda envelope: (
-                envelope.live > 0 and envelope.may_contain_vt(target, target)
-            ),
-            descending=True,
-        )
+    # Single-store output walks backwards from the insertion point, so
+    # the gather preserves the descending-tt discipline.
+    gathered = _scatter_gather(
+        relation,
+        ScanSpec.of(vt),
+        lambda view: timeslice_sequential_intervals(view, vt),
+        descending=True,
+    )
+    if gathered is not None:
+        return gathered
     index = _tt_index(relation)
     if index is None:
         raise ValueError("sequential timeslice requires the in-memory tt index")
@@ -632,8 +301,7 @@ def timeslice_sequential_intervals(relation: TemporalRelation, vt: Timestamp) ->
         return [], 0
 
     def start_of(position: int) -> int:
-        start = index.element_at(position).vt.start  # type: ignore[union-attr]
-        return start.microseconds if isinstance(start, Timestamp) else -(2**62)
+        return encode_point(index.element_at(position).vt.start)  # type: ignore[union-attr]
 
     low, high = 0, size
     target = vt.microseconds
@@ -659,43 +327,6 @@ def timeslice_sequential_intervals(relation: TemporalRelation, vt: Timestamp) ->
             continue
         break
     return matches, examined
-
-
-def timeslice_segment_pruned(
-    relation: TemporalRelation,
-    vt: Timestamp,
-    stats: Optional[SegmentStats] = None,
-) -> Result:
-    """Timeslice for undeclared relations without a valid-time index:
-    still a full transaction-range pass, but whole segments drop out on
-    zone-map evidence (no live elements, or valid-time coverage that
-    misses *vt*) before any element is examined."""
-    sharded = _sharded_engine(relation)
-    if sharded is not None:
-        target = vt.microseconds
-        return _scatter_gather(
-            sharded,
-            relation,
-            lambda view, local: timeslice_segment_pruned(view, vt, stats=local),
-            lambda envelope: (
-                envelope.live > 0 and envelope.may_contain_vt(target, target)
-            ),
-            stats,
-        )
-    index = _tt_index(relation)
-    if index is None:
-        raise ValueError("segment-pruned timeslice requires a transaction index")
-    store = index.store
-    target = vt.microseconds
-    return _scan_segments(
-        store,
-        0,
-        len(store),
-        lambda element: element.is_current and element.valid_at(vt),
-        lambda zone: zone.live > 0 and zone.may_contain_vt(target, target),
-        stats,
-        kernel=lambda columns, lo, hi: positions_valid_at(columns, lo, hi, target),
-    )
 
 
 # -- engine-delegated access ------------------------------------------------------------
@@ -798,65 +429,3 @@ def merge_join_intervals(
             if r_interval.end > l_interval.start and condition(l_element, r_element):  # type: ignore[union-attr]
                 pairs.append((l_element, r_element))
     return pairs, examined
-
-
-def bitemporal_prefix(
-    relation: TemporalRelation,
-    vt: Timestamp,
-    tt: TimePoint,
-    stats: Optional[SegmentStats] = None,
-) -> Result:
-    """Bitemporal slice: tt-prefix via binary search, then vt filter.
-
-    Zone maps prune segments that were entirely dead at *tt* or whose
-    valid-time coverage misses *vt*.
-    """
-    sharded = _sharded_engine(relation)
-    if sharded is not None:
-        target = vt.microseconds
-        if isinstance(tt, Timestamp):
-            tt_micro = tt.microseconds
-        elif tt.is_positive:  # FOREVER: limit state = current state
-            tt_micro = POS_SENTINEL
-        else:
-            return [], 0
-        return _scatter_gather(
-            sharded,
-            relation,
-            lambda view, local: bitemporal_prefix(view, vt, tt, stats=local),
-            lambda envelope: (
-                envelope.alive_at(tt_micro)
-                and envelope.may_contain_vt(target, target)
-            ),
-            stats,
-        )
-    index = _tt_index(relation)
-    if index is None:
-        results = list(relation.engine.valid_at(vt, as_of_tt=tt))
-        return results, len(results)
-    store = index.store
-    target = vt.microseconds
-    if isinstance(tt, Timestamp):
-        stop = store.position_right(tt.microseconds)
-        tt_micro = tt.microseconds
-        zone_match: Callable[[ZoneMap], bool] = lambda zone: (
-            zone.alive_at(tt_micro) and zone.may_contain_vt(target, target)
-        )
-        kernel: Kernel = lambda columns, lo, hi: positions_bitemporal(
-            columns, lo, hi, tt_micro, target
-        )
-    elif tt.is_positive:  # FOREVER: limit state = current state
-        stop = len(store)
-        zone_match = lambda zone: zone.live > 0 and zone.may_contain_vt(target, target)
-        kernel = lambda columns, lo, hi: positions_valid_at(columns, lo, hi, target)
-    else:
-        return [], 0
-    return _scan_segments(
-        store,
-        0,
-        stop,
-        lambda element: element.stored_during(tt) and element.valid_at(vt),
-        zone_match,
-        stats,
-        kernel=kernel,
-    )

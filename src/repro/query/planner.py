@@ -3,26 +3,37 @@
 This is the operational payoff of the paper (Section 1): declared
 temporal specializations license cheaper access paths.
 
+A specialization is a region of offsets ``d = vt - tt`` (Section 3.1,
+Figure 1), so a query need only look at the transaction-time window
+that region allows.  The planner *computes* that window from
+:meth:`Planner.declared_offset_region` with the algebra in
+:mod:`repro.core.taxonomy.regions` and hands
+:func:`repro.query.operators.scan` one
+:class:`~repro.storage.columnar.ScanSpec`; the strategy names are labels
+over the derived window, not separate code paths.
+
 Rules, in preference order, for a valid timeslice:
 
-1. *degenerate* (exact) -- timeslice becomes a point lookup on the
-   transaction-time index (Section 3.1: treat the relation as a
-   rollback relation);
+1. *degenerate* (exact) -- the point region ``[0, 0]``: the window is
+   the probe itself, a point lookup on the transaction-time index
+   (Section 3.1: treat the relation as a rollback relation);
+   granularity-relative degenerate -- the one tick containing the probe;
 2. event relation declared *non-decreasing* / *sequential* (or
    *non-increasing*) -- binary search along the transaction order
    (Section 3.2: "valid time can be approximated with transaction
    time");
 3. interval relation declared *sequential* -- intervals are disjoint
    and ordered; binary search;
-4. declared bounded types -- scan only the transaction-time window the
-   offset region permits (one- or two-sided);
-5. the engine's own valid-time index;
-6. full scan.
+4. any declared bounded region -- the window the region permits (one- or
+   two-sided);
+5. no declaration -- the full range: the engine's own valid-time index
+   when it has one, otherwise a zone-pruned columnar pass.
 
-Rollback queries always use the append-order binary search (uniqueness
-and monotonicity of transaction time need no declaration).  Any tree
-shape the rules do not cover falls back to the reference executor, so
-planning never changes results -- property-tested in the suite.
+Rollback and bitemporal queries always bisect the append order
+(uniqueness and monotonicity of transaction time need no declaration).
+Any tree shape the rules do not cover falls back to the reference
+executor, so planning never changes results -- property-tested in the
+suite.
 """
 
 from __future__ import annotations
@@ -45,6 +56,7 @@ from repro.query import ast, operators
 from repro.query import cache as _query_cache
 from repro.query.executor import NaiveExecutor
 from repro.relation.temporal_relation import TemporalRelation
+from repro.storage.columnar import NEG_SENTINEL, POS_SENTINEL, ScanSpec
 
 
 @dataclass
@@ -56,8 +68,9 @@ class PlannedQuery:
     -- the audit trail ``explain`` renders.
 
     ``segment_stats`` is present for pruning-capable strategies (the
-    operator fills it in during execution); it resets on each execute so
-    re-running a plan (e.g. benchmark repetitions) reports one run.
+    operator fills it in during execution); each execute starts a fresh
+    one, so re-running a plan (benchmark repetitions, a plan-cache hit)
+    reports one run.
     """
 
     strategy: str
@@ -77,11 +90,7 @@ class PlannedQuery:
 
     def execute(self) -> list:
         if self.segment_stats is not None:
-            self.segment_stats.scanned = 0
-            self.segment_stats.pruned = 0
-            self.segment_stats.columnar = False
-            self.segment_stats.positions_examined = 0
-            self.segment_stats.materialized = 0
+            self.segment_stats = operators.SegmentStats()
         if not _metrics.enabled():
             results, examined = self._thunk()
             self.examined = examined
@@ -96,13 +105,12 @@ class PlannedQuery:
         if self.segment_stats is not None:
             registry.counter("query.segments_scanned").inc(self.segment_stats.scanned)
             registry.counter("query.segments_pruned").inc(self.segment_stats.pruned)
-            if self.segment_stats.columnar:
-                registry.counter("query.columnar_positions_examined").inc(
-                    self.segment_stats.positions_examined
-                )
-                registry.counter("query.columnar_elements_materialized").inc(
-                    self.segment_stats.materialized
-                )
+            registry.counter("query.columnar_positions_examined").inc(
+                self.segment_stats.positions_examined
+            )
+            registry.counter("query.columnar_elements_materialized").inc(
+                self.segment_stats.materialized
+            )
             if self.segment_stats.cold_segments:
                 registry.counter("query.tier_cold_segments").inc(
                     self.segment_stats.cold_segments
@@ -235,7 +243,7 @@ class Planner:
 
         A cached plan is keyed on (fingerprint, relation version,
         engine epoch, env toggles): any mutation -- or a mode flip like
-        ``REPRO_COLUMNAR`` -- changes the key and re-plans.  Plans are
+        ``REPRO_TIERED`` -- changes the key and re-plans.  Plans are
         safe to share across planner instances: thunks close over the
         relation, and ``execute()`` resets per-run accounting.
         """
@@ -317,11 +325,8 @@ class Planner:
                 explanation="no applicable rule; reference executor",
                 _thunk=lambda: _run_naive(query),
             )
-        if plan.segment_stats is not None and operators.columnar_active(self.relation):
-            decisions.append(
-                "columnar: stamp-column kernel with late materialization "
-                "(REPRO_COLUMNAR=0 selects the object path)"
-            )
+        if plan.segment_stats is not None:
+            decisions.append("columnar: stamp-column kernel with late materialization")
         if plan.segment_stats is not None and operators.tiered_active(self.relation):
             decisions.append(
                 "tiered: cold segments served from compressed segment files "
@@ -364,54 +369,35 @@ class Planner:
             decisions.append(
                 "rollback query: transaction-time monotonicity needs no declaration"
             )
-            stats = operators.SegmentStats() if self._has_memory_index else None
-            return PlannedQuery(
-                strategy="rollback-prefix",
-                explanation=(
-                    "transaction times are append-ordered; binary search + prefix, "
-                    "zone maps skip dead segments"
-                ),
-                _thunk=lambda: operators.rollback_prefix(
-                    self.relation, query.tt, stats=stats
-                ),
-                segment_stats=stats,
+            return self._scan_plan(
+                "rollback-prefix",
+                "transaction times are append-ordered; binary search + prefix, "
+                "zone maps skip dead segments",
+                ScanSpec.of(as_of=query.tt),
             )
         if isinstance(query, ast.BitemporalSlice) and self._is_scan(query.child):
             decisions.append("bitemporal slice: tt prefix is free, vt filters the prefix")
-            stats = operators.SegmentStats() if self._has_memory_index else None
-            return PlannedQuery(
-                strategy="bitemporal-prefix",
-                explanation=(
-                    "tt-prefix by binary search, vt filter on the prefix; zone maps "
-                    "skip segments dead at tt or outside vt"
-                ),
-                _thunk=lambda: operators.bitemporal_prefix(
-                    self.relation, query.vt, query.tt, stats=stats
-                ),
-                segment_stats=stats,
+            return self._scan_plan(
+                "bitemporal-prefix",
+                "tt-prefix by binary search, vt filter on the prefix; zone maps "
+                "skip segments dead at tt or outside vt",
+                self._windowed(ScanSpec.of(query.vt, query.tt)),
             )
         if isinstance(query, ast.ValidTimeslice) and self._is_scan(query.child):
             return self._plan_timeslice(query.vt, decisions)
         if isinstance(query, ast.ValidOverlap) and self._is_scan(query.child):
             if self._has_memory_index and self.relation.schema.is_event:
-                region = self.declared_offset_region()
-                if region is not None and region.line_count > 0:
-                    lower = None if region.lower is None else region.lower.offset
-                    upper = None if region.upper is None else region.upper.offset
+                spec = ScanSpec.of(query.window)
+                windowed = self._windowed(spec)
+                if windowed != spec:
                     decisions.append(
                         "bounded-tt-window-overlap: declared offset region prunes the scan"
                     )
-                    stats = operators.SegmentStats()
-                    return PlannedQuery(
-                        strategy="bounded-tt-window-overlap",
-                        explanation=(
-                            "declared bounds confine the window's matches to a "
-                            "transaction-time range; zone maps skip segments inside it"
-                        ),
-                        _thunk=lambda: operators.overlap_bounded_window(
-                            self.relation, query.window, lower, upper, stats=stats
-                        ),
-                        segment_stats=stats,
+                    return self._scan_plan(
+                        "bounded-tt-window-overlap",
+                        "declared bounds confine the window's matches to a "
+                        "transaction-time range; zone maps skip segments inside it",
+                        windowed,
                     )
                 decisions.append(
                     "bounded-tt-window-overlap: pruned -- no bounded region declared"
@@ -516,35 +502,71 @@ class Planner:
         decisions.append("merge-join: pruned -- mixed event/interval inputs")
         return None
 
+    def _windowed(self, spec: ScanSpec) -> ScanSpec:
+        """*spec* with its tt window narrowed to what the declarations
+        allow for its valid-time window -- Figure 1 used as code.
+
+        An element with offset ``d = vt - tt`` inside the declared region
+        and valid time inside the spec's window has ``tt`` inside
+        :meth:`OffsetRegion.tt_window`; a granularity-relative degenerate
+        declaration (``floor(vt) = floor(tt)``, no fixed region) confines
+        it to the ticks the window touches.  No declaration, an interval
+        relation, or an unbounded valid-time side leaves the full range.
+        """
+        if spec.vt_lo is None or not self.relation.schema.is_event:
+            return spec
+        first = spec.vt_lo if spec.vt_lo > NEG_SENTINEL else None
+        last = spec.vt_hi - 1 if spec.vt_hi < POS_SENTINEL else None
+        region = self.declared_offset_region()
+        if region is not None:
+            spec = spec.narrowed(*region.tt_window(first, last))
+        degenerate = self._declared_degenerate()
+        if degenerate is not None and degenerate.granularity is not None:
+            tick = degenerate.granularity.microseconds
+            spec = spec.narrowed(
+                None if first is None else first - first % tick,
+                None if last is None else last - last % tick + tick - 1,
+            )
+        return spec
+
+    def _scan_plan(self, strategy: str, explanation: str, spec: ScanSpec) -> PlannedQuery:
+        """A plan that runs *spec* through :func:`operators.scan`."""
+        # The thunk reads the plan's stats at call time: execute() swaps
+        # in a fresh SegmentStats per run.
+        plan = PlannedQuery(
+            strategy=strategy,
+            explanation=explanation,
+            _thunk=lambda: operators.scan(self.relation, spec, plan.segment_stats),
+            segment_stats=operators.SegmentStats() if self._has_memory_index else None,
+        )
+        return plan
+
     def _plan_timeslice(self, vt: Timestamp, decisions: List[str]) -> PlannedQuery:
         is_event = self.relation.schema.is_event
         if self._has_memory_index:
+            spec = ScanSpec.of(vt)
+            windowed = self._windowed(spec)
             degenerate = self._declared_degenerate()
             if degenerate is not None and is_event:
                 if degenerate.granularity is None:
                     decisions.append("degenerate: declared -- timeslice is a tt point lookup")
-                    return PlannedQuery(
-                        strategy="degenerate-rollback",
-                        explanation="vt = tt declared; timeslice is a tt-index point lookup",
-                        _thunk=lambda: operators.timeslice_degenerate(self.relation, vt),
+                    return self._scan_plan(
+                        "degenerate-rollback",
+                        "vt = tt declared; timeslice is a tt-index point lookup",
+                        windowed,
                     )
-                granularity = degenerate.granularity
+                tick = degenerate.granularity.name.lower()
                 decisions.append(
-                    f"degenerate({granularity.name.lower()}): declared -- "
-                    "timeslice scans one tt tick"
+                    f"degenerate({tick}): declared -- timeslice scans one tt tick"
                 )
-                return PlannedQuery(
-                    strategy="degenerate-tick-window",
-                    explanation=(
-                        f"vt = tt within one {granularity.name.lower()} declared; "
-                        "timeslice scans a single granularity tick of the tt index"
-                    ),
-                    _thunk=lambda: operators.timeslice_degenerate_granular(
-                        self.relation, vt, granularity
-                    ),
+                return self._scan_plan(
+                    "degenerate-tick-window",
+                    f"vt = tt within one {tick} declared; timeslice scans a "
+                    "single granularity tick of the tt index",
+                    windowed,
                 )
             decisions.append("degenerate: pruned -- not declared (or not an event relation)")
-            if self._specialized_timeslice_available(is_event):
+            if self._specialized_timeslice_available(is_event, windowed != spec):
                 count = self.relation_statistics().get(
                     "elements", len(self.relation.engine)
                 )
@@ -593,60 +615,29 @@ class Planner:
                     explanation="sequential intervals are disjoint and ordered; binary search",
                     _thunk=lambda: operators.timeslice_sequential_intervals(self.relation, vt),
                 )
-            region = self.declared_offset_region()
-            if region is not None and region.line_count > 0 and is_event:
-                lower = None if region.lower is None else region.lower.offset
-                upper = None if region.upper is None else region.upper.offset
-                sides = ("one" if region.line_count == 1 else "two") + "-sided"
+            if windowed != spec:
+                bounded = (windowed.tt_lo > NEG_SENTINEL) + (windowed.tt_hi < POS_SENTINEL)
+                sides = ("one" if bounded == 1 else "two") + "-sided"
                 decisions.append(
                     f"bounded-tt-window: declared offset region prunes to a {sides} window"
                 )
-                stats = operators.SegmentStats()
-                return PlannedQuery(
-                    strategy="bounded-tt-window",
-                    explanation=(
-                        f"declared bounds confine matches to a {sides} "
-                        "transaction-time window; zone maps skip segments inside it"
-                    ),
-                    _thunk=lambda: operators.timeslice_bounded_window(
-                        self.relation, vt, lower, upper, stats=stats
-                    ),
-                    segment_stats=stats,
+                return self._scan_plan(
+                    "bounded-tt-window",
+                    f"declared bounds confine matches to a {sides} "
+                    "transaction-time window; zone maps skip segments inside it",
+                    windowed,
                 )
             decisions.append("bounded-tt-window: pruned -- no bounded region declared")
             if not getattr(self.relation.engine, "has_vt_index", False):
-                if operators.columnar_active(self.relation):
-                    decisions.append(
-                        "columnar-scan: no valid-time index; zone maps prune, "
-                        "then the timeslice kernel runs on the stamp columns"
-                    )
-                    stats = operators.SegmentStats()
-                    return PlannedQuery(
-                        strategy="columnar-scan",
-                        explanation=(
-                            "no valid-time index available; zone-map pruning, then "
-                            "column kernels with late element materialization"
-                        ),
-                        _thunk=lambda: operators.timeslice_segment_pruned(
-                            self.relation, vt, stats=stats
-                        ),
-                        segment_stats=stats,
-                    )
                 decisions.append(
-                    "segment-pruned-scan: no valid-time index; zone maps prune "
-                    "the full transaction range"
+                    "columnar-scan: no valid-time index; zone maps prune, "
+                    "then the timeslice kernel runs on the stamp columns"
                 )
-                stats = operators.SegmentStats()
-                return PlannedQuery(
-                    strategy="segment-pruned-scan",
-                    explanation=(
-                        "no valid-time index available; full transaction range "
-                        "with zone-map segment pruning"
-                    ),
-                    _thunk=lambda: operators.timeslice_segment_pruned(
-                        self.relation, vt, stats=stats
-                    ),
-                    segment_stats=stats,
+                return self._scan_plan(
+                    "columnar-scan",
+                    "no valid-time index available; zone-map pruning, then "
+                    "column kernels with late element materialization",
+                    spec,
                 )
         else:
             decisions.append(
@@ -658,19 +649,16 @@ class Planner:
             _thunk=lambda: operators.timeslice_engine_index(self.relation, vt),
         )
 
-    def _specialized_timeslice_available(self, is_event: bool) -> bool:
+    def _specialized_timeslice_available(self, is_event: bool, narrowed: bool) -> bool:
         """Would a non-degenerate specialized timeslice strategy fire?
 
         Consulted by the small-relation rule: setup cost only matters
         when there is a setup to skip.
         """
         if is_event:
-            if self._has(
+            return narrowed or self._has(
                 GloballySequential, GloballyNonDecreasing, GloballyNonIncreasing
-            ):
-                return True
-            region = self.declared_offset_region()
-            return region is not None and region.line_count > 0
+            )
         return self._has(IntervalGloballySequential)
 
     @staticmethod

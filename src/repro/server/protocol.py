@@ -24,11 +24,8 @@ from repro.chronos.interval import Interval
 from repro.chronos.timestamp import Timestamp
 from repro.relation.element import Element, ValidTime
 from repro.relation.schema import TemporalSchema
-from repro.storage.logfile import _encode_element, _encode_point
-
-#: Wire coordinates at or beyond these are the WAL's infinity sentinels.
-POS_SENTINEL = 2**62
-NEG_SENTINEL = -(2**62)
+from repro.storage.columnar import decode_point, encode_point
+from repro.storage.logfile import _encode_element
 
 
 class ProtocolError(ValueError):
@@ -46,7 +43,7 @@ def element_to_json(element: Element) -> Dict[str, Any]:
     rectangle.)
     """
     record = _encode_element(element)
-    record["tt_stop"] = _encode_point(element.tt_stop)
+    record["tt_stop"] = encode_point(element.tt_stop)
     return record
 
 
@@ -100,9 +97,9 @@ def _jsonify_value(value: Any) -> Any:
     if isinstance(value, Timestamp):
         return value.microseconds
     if isinstance(value, Interval):
-        return [_encode_point(value.start), _encode_point(value.end)]
+        return [encode_point(value.start), encode_point(value.end)]
     if hasattr(value, "is_positive"):  # a time sentinel
-        return POS_SENTINEL if value.is_positive else NEG_SENTINEL
+        return encode_point(value)
     return value
 
 
@@ -127,15 +124,9 @@ def decode_valid_time(raw: Any, schema: TemporalSchema) -> ValidTime:
 
 
 def _decode_endpoint(raw: Any) -> Any:
-    from repro.chronos.timestamp import FOREVER, NEGATIVE_INFINITY
-
     if not isinstance(raw, int) or isinstance(raw, bool):
         raise ProtocolError(f"interval endpoint must be a microsecond integer, got {raw!r}")
-    if raw >= POS_SENTINEL:
-        return FOREVER
-    if raw <= NEG_SENTINEL:
-        return NEGATIVE_INFINITY
-    return Timestamp(raw, "microsecond")
+    return decode_point(raw)
 
 
 def decode_attributes(

@@ -22,8 +22,7 @@ implements the representations the paper names:
   standard-library ``sqlite3``;
 * :mod:`repro.storage.segments` -- the segmented transaction-time store
   shared by the engines: sealed ~4k-element segments with zone maps for
-  pruning, a materialized current-state view, and thread-pool parallel
-  segment scans;
+  pruning and a materialized current-state view;
 * :mod:`repro.storage.wal` -- the framed, checksummed write-ahead-log
   record layout used by :class:`~repro.storage.logfile.LogFileEngine`,
   with torn-tail recovery (``.corrupt`` quarantine + truncation);
@@ -38,13 +37,7 @@ from repro.storage.indexes import BoundedWindow, TransactionTimeIndex, ValidTime
 from repro.storage.interval_tree import IntervalTree
 from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
-from repro.storage.segments import (
-    Segment,
-    SegmentedStore,
-    ZoneMap,
-    parallel_enabled,
-    parallel_map_segments,
-)
+from repro.storage.segments import Segment, SegmentedStore, ZoneMap
 from repro.storage.sharded import (
     HashPartitioner,
     RangePartitioner,
@@ -71,8 +64,6 @@ __all__ = [
     "Segment",
     "SegmentedStore",
     "ZoneMap",
-    "parallel_enabled",
-    "parallel_map_segments",
     "HashPartitioner",
     "RangePartitioner",
     "ShardedEngine",

@@ -21,50 +21,129 @@ Encoding, shared with the zone maps and the storage codecs:
   for events and half-open containment for intervals -- one predicate
   serves both stamp shapes, with no per-row kind flag.
 
-The kernels below take a column set and a position range and return a
-**position list**; callers materialize the surviving ``Element`` objects
-only afterwards (late materialization).  The object path must remain
-available and byte-identical: ``REPRO_COLUMNAR=0`` disables kernel use
-at query time, and stores built under it never carry columns at all.
+A query against the columns is a :class:`ScanSpec` -- the one record
+every range-shaped read is stated in -- and :func:`positions` is the one
+kernel entry: it takes a column set, a position range and a spec and
+returns a **position list**; callers materialize the surviving
+``Element`` objects only afterwards (late materialization).  The object
+predicates survive only in the reference operators and
+``NaiveExecutor``, the oracles the differential suites compare against.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.chronos.interval import Interval
-from repro.chronos.timestamp import Timestamp
+from repro.chronos.timestamp import FOREVER, NEGATIVE_INFINITY, TimePoint, Timestamp
 
 if TYPE_CHECKING:
     from repro.relation.element import Element
 
-#: Sentinel microsecond coordinates for unbounded endpoints (identical
-#: to the zone-map / SQLite / log-file convention; both fit in int64).
+#: Sentinel microsecond coordinates for unbounded endpoints.  The one
+#: definition: zone maps, shard envelopes, the SQLite / log-file codecs
+#: and the wire protocol all import these (both fit in int64).
 POS_SENTINEL = 2**62
 NEG_SENTINEL = -(2**62)
 
-_COLUMNAR_ENV = "REPRO_COLUMNAR"
 
-
-def columnar_enabled() -> bool:
-    """Column kernels are on unless ``REPRO_COLUMNAR=0``.
-
-    Checked both when a store is built (whether to maintain columns at
-    all) and at query time (whether an operator may use them), so
-    flipping the variable between queries deterministically selects the
-    object path -- the property the differential suite exploits.
-    """
-    return os.environ.get(_COLUMNAR_ENV, "1") != "0"
-
-
-def _point(value: object) -> int:
+def encode_point(point: object) -> int:
     """A time point as a sentinel-encoded microsecond coordinate."""
-    if isinstance(value, Timestamp):
-        return value.microseconds
-    return POS_SENTINEL if value.is_positive else NEG_SENTINEL  # type: ignore[attr-defined]
+    if isinstance(point, Timestamp):
+        return point.microseconds
+    return POS_SENTINEL if point.is_positive else NEG_SENTINEL  # type: ignore[attr-defined]
+
+
+def decode_point(coordinate: int) -> TimePoint:
+    """Inverse of :func:`encode_point` (microsecond granularity)."""
+    if coordinate >= POS_SENTINEL:
+        return FOREVER
+    if coordinate <= NEG_SENTINEL:
+        return NEGATIVE_INFINITY
+    return Timestamp(coordinate, "microsecond")
+
+
+@dataclass(frozen=True)
+class ScanSpec:
+    """One range-shaped read, in integer microseconds.
+
+    The paper's operational claim (Section 3.1, Figure 1) as a record: a
+    specialization is a region of offsets ``vt - tt``, so a query need
+    only look at the transaction-time window that region allows.  The
+    planner derives ``[tt_lo, tt_hi]`` (inclusive, on ``tt_start``) from
+    the declared region; the remaining fields are the predicate proper:
+
+    * ``as_of`` -- ``None`` keeps *live* rows (the current state); an
+      integer keeps rows whose existence interval contains it (a
+      rollback);
+    * ``[vt_lo, vt_hi)`` -- ``None`` applies no valid-time predicate;
+      otherwise rows whose valid time intersects the half-open window.
+      A timeslice at ``t`` is the unit window ``[t, t+1)``, which under
+      the unit-interval event encoding means ``vt == t`` for events and
+      half-open containment for intervals.
+
+    :meth:`of` is the single place a ``TimePoint`` becomes an int.
+    """
+
+    tt_lo: int = NEG_SENTINEL
+    tt_hi: int = POS_SENTINEL
+    as_of: Optional[int] = None
+    vt_lo: Optional[int] = None
+    vt_hi: Optional[int] = None
+
+    @classmethod
+    def of(
+        cls,
+        vt: Union[Timestamp, Interval, None] = None,
+        as_of: Optional[TimePoint] = None,
+    ) -> "ScanSpec":
+        """The spec for a valid-time point / window (or none), against
+        the current state or the rollback state at *as_of*.
+
+        ``as_of=FOREVER`` is the limit state, i.e. the current one;
+        ``NEGATIVE_INFINITY`` leaves an empty transaction-time window.
+        """
+        if vt is None:
+            vt_lo = vt_hi = None
+        elif isinstance(vt, Interval):
+            vt_lo, vt_hi = encode_point(vt.start), encode_point(vt.end)
+        else:
+            vt_lo = vt.microseconds
+            vt_hi = vt_lo + 1
+        if as_of is None or as_of is FOREVER:
+            return cls(vt_lo=vt_lo, vt_hi=vt_hi)
+        stamp = encode_point(as_of)
+        return cls(tt_hi=stamp, as_of=stamp, vt_lo=vt_lo, vt_hi=vt_hi)
+
+    def narrowed(self, tt_lo: Optional[int], tt_hi: Optional[int]) -> "ScanSpec":
+        """This spec with its transaction-time window intersected with
+        ``[tt_lo, tt_hi]`` (``None`` leaves that side alone)."""
+        return ScanSpec(
+            self.tt_lo if tt_lo is None else max(self.tt_lo, tt_lo),
+            self.tt_hi if tt_hi is None else min(self.tt_hi, tt_hi),
+            self.as_of,
+            self.vt_lo,
+            self.vt_hi,
+        )
+
+    def may_match(self, summary) -> bool:
+        """Could any row under *summary* satisfy this spec?
+
+        *summary* is a ``ZoneMap`` or a ``ShardEnvelope`` -- both carry
+        ``tt_lo`` / ``tt_hi`` / ``live`` and answer ``alive_at`` /
+        ``may_contain_vt``.  Conservative: False proves no match.
+        """
+        if summary.tt_hi < self.tt_lo or summary.tt_lo > self.tt_hi:
+            return False
+        if self.as_of is None:
+            if summary.live <= 0:
+                return False
+        elif not summary.alive_at(self.as_of):
+            return False
+        return self.vt_lo is None or summary.may_contain_vt(self.vt_lo, self.vt_hi - 1)
 
 
 class StampColumns:
@@ -108,15 +187,15 @@ class StampColumns:
     def append(self, element: "Element") -> None:
         vt = element.vt
         if isinstance(vt, Interval):
-            vt_lo = _point(vt.start)
-            vt_hi = _point(vt.end)
+            vt_lo = encode_point(vt.start)
+            vt_hi = encode_point(vt.end)
             if vt_hi != vt_lo + 1:
                 self.unit_only = False
         else:
             vt_lo = vt.microseconds
             vt_hi = vt_lo + 1  # the unit-interval event encoding
         self.tt_start.append(element.tt_start.microseconds)
-        self.tt_stop.append(_point(element.tt_stop))
+        self.tt_stop.append(encode_point(element.tt_stop))
         self.vt_start.append(vt_lo)
         self.vt_stop.append(vt_hi)
         self.live.append(1 if element.is_current else 0)
@@ -129,8 +208,8 @@ class StampColumns:
         """Re-encode the row at *position* (a close or in-place swap)."""
         vt = element.vt
         if isinstance(vt, Interval):
-            vt_lo = _point(vt.start)
-            vt_hi = _point(vt.end)
+            vt_lo = encode_point(vt.start)
+            vt_hi = encode_point(vt.end)
             if vt_hi != vt_lo + 1:
                 self.unit_only = False
         else:
@@ -141,7 +220,7 @@ class StampColumns:
             # a genuine in-place swap; the sorted projections are stale.
             self._sorted_cache.clear()
         self.tt_start[position] = element.tt_start.microseconds
-        self.tt_stop[position] = _point(element.tt_stop)
+        self.tt_stop[position] = encode_point(element.tt_stop)
         self.vt_start[position] = vt_lo
         self.vt_stop[position] = vt_hi
         self.live[position] = 1 if element.is_current else 0
@@ -205,99 +284,73 @@ class StampColumns:
         return 4 * 8 * len(self.live) + len(self.live)
 
 
-# -- position-list kernels ------------------------------------------------------------
+# -- the position-list kernel ----------------------------------------------------------
 #
-# Each kernel is one tight integer loop over the columns for positions
-# [lo, hi), returning the surviving positions.  Locals are bound once;
-# the loop body is index arithmetic and int comparisons only -- no
-# attribute access, no isinstance, no method dispatch.
+# One tight integer loop over the columns for positions [lo, hi),
+# returning the surviving positions.  Locals are bound once; each loop
+# body is index arithmetic and int comparisons only -- no attribute
+# access, no isinstance, no method dispatch.  The two predicates are
+# each stated once and composed:
+#
+# * existence -- the live bit, or ``tt_start <= as_of < tt_stop``;
+# * valid time -- ``vt_start < vt_hi and vt_stop > vt_lo``.
 #
 # Two bisect fast paths cut the loops short entirely:
 #
 # * ``tt_start`` is globally sorted (append order IS transaction order),
-#   so the rows with ``tt_start <= tt`` are a bisectable prefix of any
+#   so the rows with ``tt_start <= as_of`` are a bisectable prefix of any
 #   position range -- the transaction-time half of a predicate never
 #   needs a full pass;
-# * on an event store (``unit_only``), a range's rows sorted by
-#   ``vt_start`` turn the valid-time predicates into binary searches
-#   over a cached sorted projection (:meth:`StampColumns.sorted_starts`):
-#   a timeslice is the run of rows with ``vt_start == vt``, an overlap
-#   window ``[a, b)`` is the run with ``a <= vt_start < b``.
+# * on an event store (``unit_only``), a whole segment's rows sorted by
+#   ``vt_start`` turn the valid-time predicate on live rows into a binary
+#   search over a cached sorted projection
+#   (:meth:`StampColumns.sorted_starts`): a unit row ``[v, v+1)``
+#   intersects ``[vt_lo, vt_hi)`` iff ``vt_lo <= v < vt_hi``.
 
 
-def positions_valid_at(columns: StampColumns, lo: int, hi: int, vt: int) -> List[int]:
-    """Live rows whose valid time contains *vt* (timeslice predicate)."""
-    live = columns.live
-    if columns.unit_only:
-        starts, order = columns.sorted_starts(lo, hi)
-        left = bisect_left(starts, vt)
-        right = bisect_right(starts, vt, left)
-        # Matches come back in valid-time order; answers are in
-        # position (= transaction) order, so re-sort the survivors.
-        return sorted(i for i in order[left:right] if live[i])
-    vt_lo = columns.vt_start
-    vt_hi = columns.vt_stop
-    return [i for i in range(lo, hi) if live[i] and vt_lo[i] <= vt < vt_hi[i]]
-
-
-def positions_overlapping(
-    columns: StampColumns, lo: int, hi: int, win_lo: int, win_hi: int
+def positions(
+    columns: StampColumns, lo: int, hi: int, spec: ScanSpec, whole: bool = False
 ) -> List[int]:
-    """Live rows whose valid time intersects the half-open window
-    ``[win_lo, win_hi)`` (overlap predicate)."""
-    live = columns.live
-    if columns.unit_only:
-        # A unit row [v, v+1) intersects [win_lo, win_hi) iff
-        # win_lo <= v < win_hi (integer coordinates).
-        starts, order = columns.sorted_starts(lo, hi)
-        left = bisect_left(starts, win_lo)
-        right = bisect_left(starts, win_hi, left)
-        return sorted(i for i in order[left:right] if live[i])
-    vt_lo = columns.vt_start
-    vt_hi = columns.vt_stop
-    return [i for i in range(lo, hi) if live[i] and vt_lo[i] < win_hi and vt_hi[i] > win_lo]
+    """Positions in ``[lo, hi)`` whose rows satisfy *spec*'s predicate.
 
-
-def positions_stored_at(columns: StampColumns, lo: int, hi: int, tt: int) -> List[int]:
-    """Rows whose existence interval contains *tt* (rollback predicate)."""
-    # tt_start is sorted: rows with tt_start <= tt are a prefix.  The
-    # cut runs through the column set so cold segments can answer it
+    The caller has already confined ``[lo, hi)`` to the spec's
+    transaction-time window; this applies existence and valid time.
+    *whole* says ``[lo, hi)`` is an entire sealed segment (or the entire
+    head) rather than a range the window clipped: only those ranges
+    recur across queries, so only they are worth a cached sorted
+    projection -- a clipped range takes the plain pass.
+    """
+    as_of = spec.as_of
+    win_lo = spec.vt_lo
+    win_hi = spec.vt_hi
+    if as_of is None:
+        live = columns.live
+        if win_lo is None:
+            return [i for i in range(lo, hi) if live[i]]
+        if whole and columns.unit_only:
+            starts, order = columns.sorted_starts(lo, hi)
+            left = bisect_left(starts, win_lo)
+            right = bisect_left(starts, win_hi, left)
+            # Matches come back in valid-time order; answers are in
+            # position (= transaction) order, so re-sort the survivors.
+            return sorted(i for i in order[left:right] if live[i])
+        vt_start = columns.vt_start
+        vt_stop = columns.vt_stop
+        return [
+            i for i in range(lo, hi) if live[i] and vt_start[i] < win_hi and vt_stop[i] > win_lo
+        ]
+    # The cut runs through the column set so cold segments can answer it
     # from the compressed delta blocks without decoding tt_start.
-    cut = columns.cut_tt_right(tt, lo, hi)
-    if cut <= lo:
+    hi = columns.cut_tt_right(as_of, lo, hi)
+    if hi <= lo:
         return []
-    tt_hi = columns.tt_stop
-    return [i for i in range(lo, cut) if tt < tt_hi[i]]
-
-
-def positions_bitemporal(
-    columns: StampColumns, lo: int, hi: int, tt: int, vt: int
-) -> List[int]:
-    """Rows stored during *tt* whose valid time contains *vt*."""
-    cut = columns.cut_tt_right(tt, lo, hi)
-    if cut <= lo:
-        return []
-    tt_hi = columns.tt_stop
-    vt_lo = columns.vt_start
-    vt_hi = columns.vt_stop
+    tt_stop = columns.tt_stop
+    if win_lo is None:
+        return [i for i in range(lo, hi) if as_of < tt_stop[i]]
+    vt_start = columns.vt_start
+    vt_stop = columns.vt_stop
     return [
         i
-        for i in range(lo, cut)
-        if tt < tt_hi[i] and vt_lo[i] <= vt < vt_hi[i]
+        for i in range(lo, hi)
+        if as_of < tt_stop[i] and vt_start[i] < win_hi and vt_stop[i] > win_lo
     ]
-
-
-def positions_live(columns: StampColumns, lo: int, hi: int) -> List[int]:
-    """Live rows (the current-state feed and FOREVER-rollback predicate)."""
-    live = columns.live
-    return [i for i in range(lo, hi) if live[i]]
-
-
-def positions_live_valid_at(
-    columns: StampColumns, lo: int, hi: int, vt: int
-) -> List[int]:
-    """Alias shape for the bitemporal slice at ``tt = FOREVER``: the
-    limit state equals the current state, so this is the timeslice
-    kernel -- kept as its own name so call sites read like the paper's
-    operator taxonomy."""
-    return positions_valid_at(columns, lo, hi, vt)

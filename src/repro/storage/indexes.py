@@ -33,7 +33,7 @@ class TransactionTimeIndex:
     Backed by a :class:`~repro.storage.segments.SegmentedStore`, so the
     same structure serves both the classic prefix/window binary searches
     and the segment-at-a-time consumers (zone-map pruning, the
-    materialized current-state view, parallel scans).
+    materialized current-state view).
     """
 
     def __init__(

@@ -21,20 +21,10 @@ from __future__ import annotations
 from typing import Generic, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.chronos.interval import Interval
-from repro.chronos.timestamp import TimePoint, Timestamp
+from repro.chronos.timestamp import TimePoint
+from repro.storage.columnar import encode_point
 
 Payload = TypeVar("Payload")
-
-#: Sentinel coordinates for unbounded endpoints.
-_NEG = -(2**62)
-_POS = 2**62
-
-
-def _coord(point: TimePoint) -> int:
-    if isinstance(point, Timestamp):
-        return point.microseconds
-    return _POS if point.is_positive else _NEG
-
 
 def _insort_by_start(items: List[Tuple[int, int, "Payload"]], item: Tuple[int, int, "Payload"]) -> None:
     """Insert keeping ascending start order, after equal starts (the
@@ -93,7 +83,7 @@ class IntervalTree(Generic[Payload]):
         self.rebuilds = 0
 
     def add(self, interval: Interval, payload: Payload) -> None:
-        item = (_coord(interval.start), _coord(interval.end), payload)
+        item = (encode_point(interval.start), encode_point(interval.end), payload)
         self._items.append(item)
         if self._root is not None and not self._dirty:
             self._insert(item)
@@ -112,7 +102,7 @@ class IntervalTree(Generic[Payload]):
     def stab(self, point: TimePoint) -> Iterator[Payload]:
         """Payloads of intervals containing *point* (half-open)."""
         self._ensure_built()
-        coordinate = _coord(point)
+        coordinate = encode_point(point)
         node = self._root
         while node is not None:
             if coordinate < node.center:
@@ -135,7 +125,7 @@ class IntervalTree(Generic[Payload]):
     def overlapping(self, window: Interval) -> Iterator[Payload]:
         """Payloads of intervals sharing at least a point with *window*."""
         self._ensure_built()
-        low, high = _coord(window.start), _coord(window.end)
+        low, high = encode_point(window.start), encode_point(window.end)
         seen: set = set()
         stack = [self._root]
         while stack:

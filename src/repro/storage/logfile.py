@@ -37,32 +37,15 @@ import os
 from typing import IO, Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.chronos.interval import Interval
-from repro.chronos.timestamp import FOREVER, NEGATIVE_INFINITY, TimePoint, Timestamp
+from repro.chronos.timestamp import TimePoint, Timestamp
 from repro.observability import metrics as _metrics
 from repro.relation.element import Element
 from repro.storage import wal
 from repro.storage.backlog import Backlog, Operation, OperationKind
 from repro.storage.base import StorageEngine
+from repro.storage.columnar import decode_point, encode_point
 from repro.storage.memory import MemoryEngine
 from repro.storage.wal import RecoveryReport, recover_file
-
-_POS = 2**62
-_NEG = -(2**62)
-
-
-def _encode_point(point: Any) -> int:
-    if isinstance(point, Timestamp):
-        return point.microseconds
-    return _POS if point.is_positive else _NEG
-
-
-def _decode_point(coordinate: int) -> Any:
-    if coordinate >= _POS:
-        return FOREVER
-    if coordinate <= _NEG:
-        return NEGATIVE_INFINITY
-    return Timestamp(coordinate, "microsecond")
-
 
 def _encode_element(element: Element) -> Dict[str, Any]:
     record: Dict[str, Any] = {
@@ -74,7 +57,7 @@ def _encode_element(element: Element) -> Dict[str, Any]:
         "user_times": {k: v.microseconds for k, v in element.user_times.items()},
     }
     if isinstance(element.vt, Interval):
-        record["vt"] = [_encode_point(element.vt.start), _encode_point(element.vt.end)]
+        record["vt"] = [encode_point(element.vt.start), encode_point(element.vt.end)]
     else:
         record["vt"] = element.vt.microseconds
     return record
@@ -83,7 +66,7 @@ def _encode_element(element: Element) -> Dict[str, Any]:
 def _decode_element(record: Dict[str, Any]) -> Element:
     raw_vt = record["vt"]
     if isinstance(raw_vt, list):
-        vt: Any = Interval(_decode_point(raw_vt[0]), _decode_point(raw_vt[1]))
+        vt: Any = Interval(decode_point(raw_vt[0]), decode_point(raw_vt[1]))
     else:
         vt = Timestamp(raw_vt, "microsecond")
     return Element(

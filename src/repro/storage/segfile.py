@@ -44,6 +44,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import FOREVER, NEGATIVE_INFINITY, Timestamp
 from repro.relation.element import Element
+from repro.storage.columnar import NEG_SENTINEL, POS_SENTINEL
 
 MAGIC = b"%REPRO-SEG1\n"
 TRAILER_MAGIC = b"SEG1END\n"
@@ -54,9 +55,6 @@ DELTA_BLOCK = 256
 
 #: The stamp columns every segment file carries, in payload order.
 COLUMN_NAMES = ("tt_start", "tt_stop", "vt_start", "vt_stop", "live")
-
-_POS = 2**62
-_NEG = -(2**62)
 
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
@@ -348,15 +346,15 @@ def _decode_ts(raw: Any) -> Timestamp:
 def _encode_point(point: Any) -> Any:
     if isinstance(point, Timestamp):
         return _encode_ts(point)
-    return _POS if point.is_positive else _NEG
+    return POS_SENTINEL if point.is_positive else NEG_SENTINEL
 
 
 def _decode_point(raw: Any) -> Any:
     if isinstance(raw, list):
         return _decode_ts(raw)
-    if raw >= _POS:
+    if raw >= POS_SENTINEL:
         return FOREVER
-    if raw <= _NEG:
+    if raw <= NEG_SENTINEL:
         return NEGATIVE_INFINITY
     return Timestamp(raw, "microsecond")
 

@@ -15,59 +15,30 @@ whole segments inside that window.  The physical operators in
 :mod:`repro.query.operators` report how many segments they scanned and
 pruned, surfaced by ``explain``.
 
-Three further facilities live here because every consumer shares them:
-
-* the **materialized current-state view** -- an insertion-ordered map
-  of live elements maintained incrementally on append/close (and
-  rebuilt lazily after it is invalidated, e.g. by vacuum), making
-  ``current()`` O(live) instead of O(history);
-* :func:`parallel_map_segments` -- a thread-pool map over independent
-  segment work units, used by full-scan-shaped operators once the
-  segment count crosses a threshold (``REPRO_PARALLEL=0`` disables it;
-  results are combined in submission order so answers are
-  byte-identical to the sequential path);
-* the shared microsecond sentinels for unbounded time-stamp endpoints.
+One further facility lives here because every consumer shares it: the
+**materialized current-state view** -- an insertion-ordered map of live
+elements maintained incrementally on append/close (and rebuilt lazily
+after it is invalidated, e.g. by vacuum), making ``current()`` O(live)
+instead of O(history).
 """
 
 from __future__ import annotations
 
 import bisect
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, TypeVar
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.chronos.interval import Interval
-from repro.chronos.timestamp import Timestamp
 from repro.relation.element import Element
-from repro.storage.columnar import StampColumns, columnar_enabled
+from repro.storage.columnar import NEG_SENTINEL, POS_SENTINEL, StampColumns, encode_point
 from repro.storage.segfile import SegmentFileError
 from repro.storage.tiered import TierManager, tiered_enabled
-
-#: Sentinel microsecond coordinates for unbounded endpoints (the same
-#: convention the SQLite and log-file codecs use).
-POS_SENTINEL = 2**62
-NEG_SENTINEL = -(2**62)
 
 #: Elements per sealed segment unless overridden (constructor argument
 #: or the ``REPRO_SEGMENT_SIZE`` environment variable).
 DEFAULT_SEGMENT_SIZE = 4096
 
-#: Run segment work units on threads once there are more than this many
-#: (sequential below it -- thread dispatch costs more than it saves).
-DEFAULT_PARALLEL_THRESHOLD = 8
-
-_PARALLEL_ENV = "REPRO_PARALLEL"
 _SEGMENT_SIZE_ENV = "REPRO_SEGMENT_SIZE"
-
-T = TypeVar("T")
-U = TypeVar("U")
-
-
-def _encode_stop(point: object) -> int:
-    """``tt_stop`` as a microsecond coordinate (FOREVER -> +sentinel)."""
-    if isinstance(point, Timestamp):
-        return point.microseconds
-    return POS_SENTINEL if point.is_positive else NEG_SENTINEL  # type: ignore[attr-defined]
 
 
 def configured_segment_size() -> int:
@@ -81,42 +52,6 @@ def configured_segment_size() -> int:
         if value >= 2:
             return value
     return DEFAULT_SEGMENT_SIZE
-
-
-def parallel_enabled() -> bool:
-    """Parallel segment scans are on unless ``REPRO_PARALLEL=0``."""
-    return os.environ.get(_PARALLEL_ENV, "1") != "0"
-
-
-_EXECUTOR: Optional[ThreadPoolExecutor] = None
-
-
-def _executor() -> ThreadPoolExecutor:
-    global _EXECUTOR
-    if _EXECUTOR is None:
-        workers = min(8, os.cpu_count() or 2)
-        _EXECUTOR = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-segment"
-        )
-    return _EXECUTOR
-
-
-def parallel_map_segments(
-    work: Callable[[T], U],
-    units: Sequence[T],
-    threshold: int = DEFAULT_PARALLEL_THRESHOLD,
-) -> List[U]:
-    """Map *work* over independent segment work units.
-
-    Sequential when parallelism is disabled or there are at most
-    *threshold* units; otherwise the shared thread pool runs them
-    concurrently.  Results come back in input order either way, so the
-    two paths are indistinguishable to the caller -- the property the
-    differential suite asserts.
-    """
-    if len(units) <= threshold or not parallel_enabled():
-        return [work(unit) for unit in units]
-    return list(_executor().map(work, units))
 
 
 class ZoneMap:
@@ -270,11 +205,9 @@ class SegmentedStore:
         self._live_total = 0
         #: The columnar stamp sidecar (``repro.storage.columnar``): four
         #: int64 stamp columns plus a live bitmap, maintained row-for-row
-        #: with ``_elements`` (head segment included).  ``None`` when the
-        #: store was built under ``REPRO_COLUMNAR=0``; operators check
-        #: both this and the env flag at query time, so the object path
-        #: stays the behavioural reference.
-        self.columns: Optional[StampColumns] = StampColumns() if columnar_enabled() else None
+        #: with ``_elements`` (head segment included; cold rows live in
+        #: their segment files instead).
+        self.columns = StampColumns()
 
     # -- mutation -----------------------------------------------------------------
 
@@ -288,8 +221,7 @@ class SegmentedStore:
         position = len(self._elements)
         self._tts.append(tt)
         self._elements.append(element)
-        if self.columns is not None:
-            self.columns.append(element)
+        self.columns.append(element)
         if element.is_current:
             self._live_total += 1
             if self._view_valid:
@@ -326,8 +258,7 @@ class SegmentedStore:
         base = len(self._elements)
         self._tts.extend(tts)
         self._elements.extend(batch)
-        if self.columns is not None:
-            self.columns.extend(batch)
+        self.columns.extend(batch)
         live = 0
         if self._view_valid:
             view = self._current
@@ -357,8 +288,7 @@ class SegmentedStore:
         else:
             old = self._elements[position]  # type: ignore[assignment]
             self._elements[position] = element
-            if self.columns is not None:
-                self.columns.rewrite(position - cold_base, element)
+            self.columns.rewrite(position - cold_base, element)
         self.mutations += 1
         was_live = old.is_current
         is_live = element.is_current
@@ -368,7 +298,7 @@ class SegmentedStore:
             if was_live and not is_live:
                 zone.live -= 1
                 zone.max_closed_tt_stop = max(
-                    zone.max_closed_tt_stop, _encode_stop(element.tt_stop)
+                    zone.max_closed_tt_stop, encode_point(element.tt_stop)
                 )
             elif is_live and not was_live:
                 zone.live += 1
@@ -413,24 +343,14 @@ class SegmentedStore:
     def _segment_column_lists(self, start: int, stop: int) -> Dict[str, Sequence[int]]:
         """The stamp-column rows for hot positions ``[start, stop)``."""
         columns = self.columns
-        if columns is not None:
-            lo = start - self.cold_base
-            hi = stop - self.cold_base
-            return {
-                "tt_start": columns.tt_start[lo:hi],
-                "tt_stop": columns.tt_stop[lo:hi],
-                "vt_start": columns.vt_start[lo:hi],
-                "vt_stop": columns.vt_stop[lo:hi],
-                "live": list(columns.live[lo:hi]),
-            }
-        staging = StampColumns()
-        staging.extend(self._elements[start:stop])  # type: ignore[arg-type]
+        lo = start - self.cold_base
+        hi = stop - self.cold_base
         return {
-            "tt_start": staging.tt_start,
-            "tt_stop": staging.tt_stop,
-            "vt_start": staging.vt_start,
-            "vt_stop": staging.vt_stop,
-            "live": list(staging.live),
+            "tt_start": columns.tt_start[lo:hi],
+            "tt_stop": columns.tt_stop[lo:hi],
+            "vt_start": columns.vt_start[lo:hi],
+            "vt_stop": columns.vt_stop[lo:hi],
+            "live": list(columns.live[lo:hi]),
         }
 
     def _demote_prefix(self, through: int) -> None:
@@ -469,8 +389,7 @@ class SegmentedStore:
                 break
             for position in range(start, stop):
                 self._elements[position] = None
-            if self.columns is not None:
-                self.columns = self.columns.without_prefix(size)
+            self.columns = self.columns.without_prefix(size)
             self._cold += 1
         tiering.publish_gauges(len(self._zones) - self._cold + 1)
 
@@ -516,23 +435,22 @@ class SegmentedStore:
             for ordinal in range(self._cold):
                 rehydrated.extend(tiering.elements(ordinal))
             self._elements[:cold_base] = rehydrated  # type: ignore[assignment]
-            if self.columns is not None:
-                prefix = StampColumns()
-                prefix.extend(rehydrated)
-                hot = self.columns
-                merged = StampColumns()
-                merged.tt_start = prefix.tt_start + hot.tt_start
-                merged.tt_stop = prefix.tt_stop + hot.tt_stop
-                merged.vt_start = prefix.vt_start + hot.vt_start
-                merged.vt_stop = prefix.vt_stop + hot.vt_stop
-                merged.live = prefix.live + hot.live
-                merged.unit_only = prefix.unit_only and hot.unit_only
-                for (lo, hi), (starts, order) in hot._sorted_cache.items():
-                    merged._sorted_cache[(lo + cold_base, hi + cold_base)] = (
-                        starts,
-                        [position + cold_base for position in order],
-                    )
-                self.columns = merged
+            prefix = StampColumns()
+            prefix.extend(rehydrated)
+            hot = self.columns
+            merged = StampColumns()
+            merged.tt_start = prefix.tt_start + hot.tt_start
+            merged.tt_stop = prefix.tt_stop + hot.tt_stop
+            merged.vt_start = prefix.vt_start + hot.vt_start
+            merged.vt_stop = prefix.vt_stop + hot.vt_stop
+            merged.live = prefix.live + hot.live
+            merged.unit_only = prefix.unit_only and hot.unit_only
+            for (lo, hi), (starts, order) in hot._sorted_cache.items():
+                merged._sorted_cache[(lo + cold_base, hi + cold_base)] = (
+                    starts,
+                    [position + cold_base for position in order],
+                )
+            self.columns = merged
             self._cold = 0
         self.tiering = None
         return tiering
@@ -549,8 +467,8 @@ class SegmentedStore:
             element = elements[position]
             vt = element.vt
             if isinstance(vt, Interval):
-                lo = _encode_stop(vt.start)
-                hi = _encode_stop(vt.end)
+                lo = encode_point(vt.start)
+                hi = encode_point(vt.end)
                 vt_sorted = False  # the sorted flag covers event runs only
             else:
                 lo = hi = vt.microseconds
@@ -564,7 +482,7 @@ class SegmentedStore:
             if element.is_current:
                 live += 1
             else:
-                stop_micro = _encode_stop(element.tt_stop)
+                stop_micro = encode_point(element.tt_stop)
                 if stop_micro > max_closed:
                     max_closed = stop_micro
         return ZoneMap(
@@ -726,20 +644,14 @@ class SegmentedStore:
                     for local in tiering.live_locals(ordinal):  # type: ignore[union-attr]
                         element = tiering.element_at(ordinal, local)  # type: ignore[union-attr]
                         current[element.element_surrogate] = start + local
-            if self.columns is not None and columnar_enabled():
-                # Current-state feed kernel: walk the live bitmap and
-                # materialize only the survivors' surrogates, instead of
-                # probing ``is_current`` on every historical object.
-                elements = self._elements
-                for row, alive in enumerate(self.columns.live):
-                    if alive:
-                        position = cold_base + row
-                        current[elements[position].element_surrogate] = position  # type: ignore[union-attr]
-            else:
-                for position in range(cold_base, len(self._elements)):
-                    element = self._elements[position]
-                    if element.is_current:  # type: ignore[union-attr]
-                        current[element.element_surrogate] = position  # type: ignore[union-attr]
+            # Current-state feed kernel: walk the live bitmap and
+            # materialize only the survivors' surrogates, instead of
+            # probing ``is_current`` on every historical object.
+            elements = self._elements
+            for row, alive in enumerate(self.columns.live):
+                if alive:
+                    position = cold_base + row
+                    current[elements[position].element_surrogate] = position  # type: ignore[union-attr]
             self._current = current
             self._view_valid = True
         return self._current

@@ -23,8 +23,7 @@ Routed/pruned counts surface in ``explain()`` and in the
 The gather side merges per-shard streams by the globally unique
 ``tt_start`` coordinate (the transaction clock guarantees uniqueness),
 which makes merged full scans, rollbacks, and current-state reads
-byte-identical to the single-store order -- the same re-merge discipline
-``parallel_map_segments`` established for parallel segment scans.
+byte-identical to the single-store order.
 
 Durable sharding adds a crash-safe :meth:`ShardedEngine.rebalance` /
 :meth:`ShardedEngine.split`: moving a hash bucket (or a range boundary)
@@ -64,7 +63,7 @@ from repro.storage import wal
 from repro.storage.base import StorageEngine
 from repro.storage.logfile import LogFileEngine, _encode_element
 from repro.storage.memory import MemoryEngine
-from repro.storage.segments import NEG_SENTINEL, POS_SENTINEL, parallel_map_segments
+from repro.storage.columnar import NEG_SENTINEL, POS_SENTINEL, ScanSpec, encode_point
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.relation.schema import TemporalSchema
@@ -96,16 +95,9 @@ def shard_file_name(index: int) -> str:
     return f"shard-{index:03d}.log"
 
 
-def _encode_point(point: Any) -> int:
-    """A time point as a microsecond coordinate (sentinels for infinities)."""
-    if isinstance(point, Timestamp):
-        return point.microseconds
-    return POS_SENTINEL if point.is_positive else NEG_SENTINEL
-
-
 def _vt_bounds(vt: Union[Timestamp, Interval]) -> Tuple[int, int]:
     if isinstance(vt, Interval):
-        return _encode_point(vt.start), _encode_point(vt.end)
+        return encode_point(vt.start), encode_point(vt.end)
     return vt.microseconds, vt.microseconds
 
 
@@ -207,7 +199,7 @@ class RangePartitioner:
 
     def shard_of(self, element: Element) -> int:
         vt = element.vt
-        key = _encode_point(vt.start) if isinstance(vt, Interval) else vt.microseconds
+        key = encode_point(vt.start) if isinstance(vt, Interval) else vt.microseconds
         return bisect_right(self.boundaries, key)
 
     def moved(self, boundary: int, new_value: int) -> "RangePartitioner":
@@ -558,44 +550,22 @@ class ShardedEngine(StorageEngine):
         return self._merge(self._shards[index].current() for index in routed)
 
     def as_of(self, tt: TimePoint) -> Iterator[Element]:
-        tt_micro = _encode_point(tt)
-        routed = self.route_shards(lambda envelope: envelope.alive_at(tt_micro))
+        routed = self.route_shards(ScanSpec.of(as_of=tt).may_match)
         return self._merge(self._shards[index].as_of(tt) for index in routed)
 
     def valid_at(
         self, vt: Timestamp, as_of_tt: Optional[TimePoint] = None
     ) -> Iterator[Element]:
-        point = vt.microseconds
-        match = self._slice_match(point, point, as_of_tt)
+        match = ScanSpec.of(vt, as_of_tt).may_match
         return iter(self._scatter_sorted(lambda shard: shard.valid_at(vt, as_of_tt), match))
 
     def valid_overlapping(
         self, window: Interval, as_of_tt: Optional[TimePoint] = None
     ) -> Iterator[Element]:
-        lo = _encode_point(window.start)
-        hi = _encode_point(window.end)
-        match = self._slice_match(lo, hi, as_of_tt)
+        match = ScanSpec.of(window, as_of_tt).may_match
         return iter(
             self._scatter_sorted(lambda shard: shard.valid_overlapping(window, as_of_tt), match)
         )
-
-    @staticmethod
-    def _slice_match(
-        vt_lo: int, vt_hi: int, as_of_tt: Optional[TimePoint]
-    ) -> Callable[[ShardEnvelope], bool]:
-        """Envelope predicate for a valid-time slice, current or rolled back."""
-        if as_of_tt is None:
-
-            def match(envelope: ShardEnvelope) -> bool:
-                return envelope.live > 0 and envelope.may_contain_vt(vt_lo, vt_hi)
-
-        else:
-            tt_micro = _encode_point(as_of_tt)
-
-            def match(envelope: ShardEnvelope) -> bool:
-                return envelope.alive_at(tt_micro) and envelope.may_contain_vt(vt_lo, vt_hi)
-
-        return match
 
     def _scatter_sorted(
         self,
@@ -608,13 +578,9 @@ class ShardedEngine(StorageEngine):
         so the gather sorts by the globally unique ``tt_start`` -- one
         deterministic order regardless of partitioning.
         """
-        routed = self.route_shards(match)
-        shards = self._shards
         results: List[Element] = []
-        for sub in parallel_map_segments(
-            lambda index: list(read(shards[index])), routed, threshold=1
-        ):
-            results.extend(sub)
+        for index in self.route_shards(match):
+            results.extend(read(self._shards[index]))
         results.sort(key=_tt_key)
         return results
 
@@ -702,7 +668,7 @@ class ShardedEngine(StorageEngine):
                 if element.is_current:
                     live += 1
                 else:
-                    max_closed = max(max_closed, _encode_point(element.tt_stop))
+                    max_closed = max(max_closed, encode_point(element.tt_stop))
             return ShardEnvelope(count, live, tt_lo, tt_hi, vt_lo, vt_hi, max_closed)
         store = index.store
         tt_lo = store.element_at(0).tt_start.microseconds
@@ -719,7 +685,7 @@ class ShardedEngine(StorageEngine):
             vt_lo = min(vt_lo, lo)
             vt_hi = max(vt_hi, hi)
             if not element.is_current:
-                max_closed = max(max_closed, _encode_point(element.tt_stop))
+                max_closed = max(max_closed, encode_point(element.tt_stop))
         return ShardEnvelope(count, live, tt_lo, tt_hi, vt_lo, vt_hi, max_closed)
 
     # -- per-shard planner views ------------------------------------------------------

@@ -11,9 +11,10 @@ from __future__ import annotations
 import bisect
 from typing import Dict, List
 
-from repro.chronos.timestamp import TimePoint, Timestamp
+from repro.chronos.timestamp import TimePoint
 from repro.relation.element import Element
 from repro.storage.backlog import Backlog, OperationKind
+from repro.storage.columnar import encode_point
 
 
 class SnapshotCache:
@@ -78,10 +79,7 @@ class SnapshotCache:
     def state_at(self, tt: TimePoint) -> Dict[int, Element]:
         """The historical state at *tt*: nearest snapshot + short replay."""
         self.refresh()
-        coordinate = tt.microseconds if isinstance(tt, Timestamp) else (
-            2**62 if tt.is_positive else -(2**62)
-        )
-        position = bisect.bisect_right(self._snapshot_tts, coordinate) - 1
+        position = bisect.bisect_right(self._snapshot_tts, encode_point(tt)) - 1
         if position < 0:
             state: Dict[int, Element] = {}
             start_op = 0

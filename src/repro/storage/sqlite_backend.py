@@ -14,36 +14,16 @@ or None.
 from __future__ import annotations
 
 import json
-import os
 import sqlite3
 import time
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Optional, Tuple, TypeVar
 
 from repro.chronos.interval import Interval
-from repro.chronos.timestamp import FOREVER, NEGATIVE_INFINITY, TimePoint, Timestamp
+from repro.chronos.timestamp import FOREVER, TimePoint, Timestamp
 from repro.observability import metrics as _metrics
 from repro.relation.element import Element
 from repro.storage.base import StorageEngine
-from repro.storage.segments import parallel_enabled, parallel_map_segments
-
-#: Sentinel microsecond coordinates for unbounded valid-time endpoints.
-_NEG = -(2**62)
-_POS = 2**62
-
-
-def _encode_point(point: TimePoint) -> int:
-    if isinstance(point, Timestamp):
-        return point.microseconds
-    return _POS if point.is_positive else _NEG
-
-
-def _decode_point(coordinate: int) -> TimePoint:
-    if coordinate >= _POS:
-        return FOREVER
-    if coordinate <= _NEG:
-        return NEGATIVE_INFINITY
-    return Timestamp(coordinate, "microsecond")
-
+from repro.storage.columnar import decode_point, encode_point
 
 _T = TypeVar("_T")
 
@@ -60,12 +40,12 @@ def _is_busy(error: sqlite3.OperationalError) -> bool:
 def _with_busy_retry(operation: Callable[[], _T]) -> _T:
     """Run *operation*, retrying SQLITE_BUSY/LOCKED with backoff.
 
-    Parallel segment readers open extra connections against the same
-    file, so writers (and the readers themselves) can observe transient
-    lock contention that sqlite3's own busy timeout does not always
-    absorb -- notably immediate "database is locked" on connect-time
-    schema reads.  Retries are bounded; a held lock still surfaces as
-    the original ``OperationalError`` after the schedule is exhausted.
+    Other connections to the same file (another process, a second
+    engine) can cause transient lock contention that sqlite3's own busy
+    timeout does not always absorb -- notably immediate "database is
+    locked" on connect-time schema reads.  Retries are bounded; a held
+    lock still surfaces as the original ``OperationalError`` after the
+    schedule is exhausted.
     """
     for attempt in range(_BUSY_ATTEMPTS):
         try:
@@ -99,22 +79,7 @@ class SQLiteEngine(StorageEngine):
         CREATE INDEX IF NOT EXISTS elements_vt_start ON elements (vt_start);
     """
 
-    #: Parallelize range reads once the table holds this many rows
-    #: (file-backed engines only; sqlite3 connections are not shareable
-    #: across threads, so each worker opens its own read-only one).
-    DEFAULT_PARALLEL_ROW_THRESHOLD = 8192
-
-    def __init__(
-        self,
-        path: str = ":memory:",
-        parallel_row_threshold: Optional[int] = None,
-    ) -> None:
-        self._path = path
-        self._parallel_row_threshold = (
-            parallel_row_threshold
-            if parallel_row_threshold is not None
-            else self.DEFAULT_PARALLEL_ROW_THRESHOLD
-        )
+    def __init__(self, path: str = ":memory:") -> None:
         self._connection = sqlite3.connect(path)
         self._connection.executescript(self._SCHEMA)
         self._connection.commit()
@@ -144,14 +109,14 @@ class SQLiteEngine(StorageEngine):
     def _encode(element: Element) -> Tuple[Any, ...]:
         vt = element.vt
         if isinstance(vt, Interval):
-            kind, vt_start, vt_end = "interval", _encode_point(vt.start), _encode_point(vt.end)
+            kind, vt_start, vt_end = "interval", encode_point(vt.start), encode_point(vt.end)
         else:
             kind, vt_start, vt_end = "event", vt.microseconds, None
         return (
             element.element_surrogate,
             json.dumps(element.object_surrogate),
             element.tt_start.microseconds,
-            None if element.tt_stop is FOREVER else _encode_point(element.tt_stop),
+            None if element.tt_stop is FOREVER else encode_point(element.tt_stop),
             kind,
             vt_start,
             vt_end,
@@ -241,68 +206,7 @@ class SQLiteEngine(StorageEngine):
             counter.inc()
             yield self._decode(row)
 
-    # -- parallel range reads -----------------------------------------------------
-
-    def _partition_tt(self) -> Optional[List[Tuple[int, int]]]:
-        """Disjoint ascending ``tt_start`` half-open ranges covering the
-        table, or None when a parallel read is not worthwhile (in-memory
-        database, small table, or ``REPRO_PARALLEL=0``)."""
-        if self._path == ":memory:" or not parallel_enabled():
-            return None
-        count, lo, hi = self._connection.execute(
-            "SELECT COUNT(*), MIN(tt_start), MAX(tt_start) FROM elements"
-        ).fetchone()
-        if count < self._parallel_row_threshold or lo is None or hi <= lo:
-            return None
-        workers = min(4, os.cpu_count() or 2)
-        span = hi + 1 - lo
-        edges = [lo + (span * i) // workers for i in range(workers)] + [hi + 1]
-        return [
-            (edges[i], edges[i + 1])
-            for i in range(workers)
-            if edges[i] < edges[i + 1]
-        ]
-
-    def _parallel_rows(
-        self,
-        where: str,
-        params: Tuple[Any, ...],
-        ranges: List[Tuple[int, int]],
-    ) -> List[Tuple[Any, ...]]:
-        """Fetch ``WHERE where`` rows chunk-by-chunk on worker threads.
-
-        Each worker opens its own read-only connection (URI mode); chunk
-        ranges are disjoint and ascending, so concatenating the per-chunk
-        ``ORDER BY tt_start`` results reproduces the sequential order
-        exactly.
-        """
-        sql = (
-            "SELECT * FROM elements WHERE "
-            + where
-            + " AND tt_start >= ? AND tt_start < ? ORDER BY tt_start"
-        )
-        uri = f"file:{self._path}?mode=ro"
-
-        def fetch(tt_range: Tuple[int, int]) -> List[Tuple[Any, ...]]:
-            def read() -> List[Tuple[Any, ...]]:
-                connection = sqlite3.connect(uri, uri=True)
-                try:
-                    return connection.execute(sql, params + tt_range).fetchall()
-                finally:
-                    connection.close()
-
-            return _with_busy_retry(read)
-
-        if _metrics.enabled():
-            _metrics.registry().counter("storage.sqlite.parallel_reads").inc()
-        chunks = parallel_map_segments(fetch, ranges, threshold=0)
-        return [row for chunk in chunks for row in chunk]
-
     def scan(self) -> Iterator[Element]:
-        ranges = self._partition_tt()
-        if ranges is not None:
-            yield from self._emit(self._parallel_rows("1=1", (), ranges))
-            return
         cursor = self._connection.execute("SELECT * FROM elements ORDER BY tt_start")
         yield from self._emit(cursor)
 
@@ -323,14 +227,10 @@ class SQLiteEngine(StorageEngine):
             if tt.is_positive:
                 yield from self.current()
             return
-        where = "tt_start <= ? AND (tt_stop IS NULL OR tt_stop > ?)"
-        params = (tt.microseconds, tt.microseconds)
-        ranges = self._partition_tt()
-        if ranges is not None:
-            yield from self._emit(self._parallel_rows(where, params, ranges))
-            return
         cursor = self._connection.execute(
-            f"SELECT * FROM elements WHERE {where} ORDER BY tt_start", params
+            "SELECT * FROM elements WHERE tt_start <= ?"
+            " AND (tt_stop IS NULL OR tt_stop > ?) ORDER BY tt_start",
+            (tt.microseconds, tt.microseconds),
         )
         yield from self._emit(cursor)
 
@@ -356,8 +256,8 @@ class SQLiteEngine(StorageEngine):
         if as_of_tt is not None:
             yield from super().valid_overlapping(window, as_of_tt)
             return
-        low = _encode_point(window.start)
-        high = _encode_point(window.end)
+        low = encode_point(window.start)
+        high = encode_point(window.end)
         cursor = self._connection.execute(
             "SELECT * FROM elements WHERE tt_stop IS NULL AND ("
             " (vt_kind = 'event' AND vt_start >= ? AND vt_start < ?) OR"
@@ -384,7 +284,7 @@ class SQLiteEngine(StorageEngine):
             user_times,
         ) = row
         if vt_kind == "interval":
-            vt: Any = Interval(_decode_point(vt_start), _decode_point(vt_end))
+            vt: Any = Interval(decode_point(vt_start), decode_point(vt_end))
         else:
             vt = Timestamp(vt_start, "microsecond")
         return Element(

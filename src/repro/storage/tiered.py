@@ -13,7 +13,7 @@ view).  Cold segments are served through this manager:
   never decode ``tt_start`` at all, because the transaction-time bisect
   runs on the compressed delta form via the file's block index;
 * **elements** materialize late -- per position for kernel survivors,
-  per segment for object-path scans;
+  per segment for full scans;
 * a small **pin/LRU cache** keeps the most recently touched cold
   segments' decoded state in memory (``REPRO_TIER_CACHE`` segments);
   eviction drops decoded arrays and closes the mapping, which is what
@@ -45,7 +45,7 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
 
 from repro.observability import metrics as _metrics
-from repro.storage.columnar import StampColumns, _point
+from repro.storage.columnar import StampColumns, encode_point
 from repro.storage.segfile import (
     COLUMN_NAMES,
     SegmentFileError,
@@ -107,12 +107,12 @@ def _element_cell(element: "Element", name: str) -> int:
     if name == "tt_start":
         return element.tt_start.microseconds
     if name == "tt_stop":
-        return _point(element.tt_stop)
+        return encode_point(element.tt_stop)
     if name == "live":
         return 1 if element.is_current else 0
     vt = element.vt
     if isinstance(vt, Interval):
-        return _point(vt.start) if name == "vt_start" else _point(vt.end)
+        return encode_point(vt.start) if name == "vt_start" else encode_point(vt.end)
     return vt.microseconds if name == "vt_start" else vt.microseconds + 1
 
 
@@ -252,7 +252,7 @@ class TieredSegment:
         return element
 
     def elements(self) -> List["Element"]:
-        """The whole segment materialized (object-path scans)."""
+        """The whole segment materialized (full scans, rehydration)."""
         self._manager._touch(self)
         rows = self._elements
         if rows is None or any(row is None for row in rows):
@@ -283,9 +283,9 @@ class TieredSegment:
 class TierManager:
     """Owns a tier directory and every demoted segment in it.
 
-    Thread-safe: concurrent readers (parallel segment scans, the
-    server's reader pool) may materialize and decode under the manager
-    lock while a single writer demotes or patches.
+    Thread-safe: concurrent readers (the server's reader pool) may
+    materialize and decode under the manager lock while a single writer
+    demotes or patches.
     """
 
     def __init__(
@@ -558,8 +558,8 @@ class TierManager:
 
 
 def _columns_from_elements(elements: Sequence["Element"]) -> Dict[str, List[int]]:
-    """Stamp-column arrays derived from element objects (demotion path
-    when the store carries no sidecar, and compaction rewrites)."""
+    """Stamp-column arrays derived from element objects (compaction
+    rewrites)."""
     staging = StampColumns()
     staging.extend(elements)
     return {

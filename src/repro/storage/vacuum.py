@@ -122,8 +122,6 @@ def vacuum_engine(engine: StorageEngine, horizon: Timestamp) -> "tuple[StorageEn
         and old_store.mutations == epoch
         and old_store.cold_base == 0
         and new_store.cold_base == 0
-        and old_store.columns is not None
-        and new_store.columns is not None
     ):
         # Flat stores: sorted-vt projections for position ranges wholly
         # inside the unchanged prefix describe identical rows in the new

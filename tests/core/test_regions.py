@@ -107,6 +107,46 @@ class TestIntersection:
         assert retro.intersection(predictive) == Degenerate().region()
 
 
+class TestTransactionWindow:
+    """``tt_window``: the scan window a region allows for a valid time."""
+
+    def test_two_sided_window_is_vt_minus_the_bounds(self):
+        region = OffsetRegion(Bound(-30), Bound(5))
+        assert region.tt_window(100, 100) == (95, 130)
+        assert region.tt_window(100, 139) == (95, 169)
+
+    def test_point_region_is_the_probe_itself(self):
+        assert Degenerate().region().tt_window(250, 250) == (250, 250)
+
+    def test_unbounded_sides_stay_unbounded(self):
+        assert OffsetRegion(None, Bound(0)).tt_window(100, 100) == (100, None)
+        assert OffsetRegion(Bound(0), None).tt_window(100, 100) == (None, 100)
+        assert OffsetRegion(None, None).tt_window(100, 100) == (None, None)
+        assert OffsetRegion(Bound(-30), Bound(5)).tt_window(None, 100) == (None, 130)
+
+    def test_open_bounds_exclude_one_microsecond(self):
+        region = OffsetRegion(Bound(-30, closed=False), Bound(5, closed=False))
+        assert region.tt_window(100, 100) == (96, 129)
+
+    @given(
+        st.integers(-50, 50),
+        st.integers(0, 50),
+        st.booleans(),
+        st.booleans(),
+        st.integers(-200, 200),
+        st.integers(-200, 200),
+    )
+    def test_window_holds_exactly_the_compliant_stamps(
+        self, low, width, low_closed, high_closed, vt, tt
+    ):
+        try:
+            region = OffsetRegion(Bound(low, low_closed), Bound(low + width, high_closed))
+        except ValueError:
+            return  # empty region
+        tt_lo, tt_hi = region.tt_window(vt, vt)
+        assert region.contains(vt - tt) == (tt_lo <= tt <= tt_hi)
+
+
 class TestCompletenessEnumeration:
     """The mechanical re-derivation of the Section 3.1 count."""
 

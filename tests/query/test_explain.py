@@ -23,7 +23,6 @@ from repro.query import (
 from repro.query.planner import Planner
 from repro.relation.schema import TemporalSchema, ValidTimeKind
 from repro.relation.temporal_relation import TemporalRelation
-from repro.storage.columnar import columnar_enabled
 from repro.storage.memory import MemoryEngine
 
 
@@ -245,28 +244,21 @@ class TestSegmentPruning:
         assert report.segments_scanned is not None
         assert "segments  :" in report.render()
 
-    def test_segment_pruned_scan_without_vt_index(self):
+    def test_columnar_scan_without_vt_index(self):
         relation, _clock = build_segmented([], [0] * 64, vt_index=False)
         report = relation.explain(ValidTimeslice(Scan(relation), Timestamp(0)))
-        # The columnar sidecar renames the strategy; counts are identical
-        # on both paths (the REPRO_COLUMNAR=0 CI leg runs the other arm).
-        expected = "columnar-scan" if columnar_enabled() else "segment-pruned-scan"
-        assert_report_shape(report, expected)
+        assert_report_shape(report, "columnar-scan")
         assert report.segments_scanned == 1
         assert report.segments_pruned == 7
         assert report.returned == 1
         # Only segment 0's elements were touched.
         assert report.examined == 8
-        if columnar_enabled():
-            assert report.columnar_positions_examined == 8
-            assert report.columnar_elements_materialized == 1
-            assert (
-                "columnar  : 8 positions examined, 1 elements materialized"
-                in report.render()
-            )
-        else:
-            assert report.columnar_positions_examined is None
-            assert "columnar  :" not in report.render()
+        assert report.columnar_positions_examined == 8
+        assert report.columnar_elements_materialized == 1
+        assert (
+            "columnar  : 8 positions examined, 1 elements materialized"
+            in report.render()
+        )
 
     def test_non_pruning_strategy_reports_no_counts(self):
         relation, _clock = build_segmented([], [0] * 64)

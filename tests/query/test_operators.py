@@ -1,14 +1,16 @@
 """Direct unit tests for the physical operators."""
 
-import pytest
-
 from repro.chronos.clock import SimulatedWallClock
 from repro.chronos.interval import Interval
-from repro.chronos.timestamp import Timestamp
+from repro.chronos.timestamp import FOREVER, NEGATIVE_INFINITY, Timestamp
 from repro.query import operators
 from repro.relation.schema import TemporalSchema, ValidTimeKind
 from repro.relation.temporal_relation import TemporalRelation
+from repro.storage.columnar import ScanSpec
 from repro.storage.sqlite_backend import SQLiteEngine
+
+#: One second in the spec's microsecond coordinates.
+S = Timestamp(1).microseconds
 
 
 def build_events(offsets, engine=None, specializations=()):
@@ -35,65 +37,85 @@ class TestFullScans:
         assert len(results) == 10
 
 
-class TestRollbackPrefix:
+class TestScanRollback:
     def test_prefix_examines_only_prefix(self):
         relation = build_events([0] * 100)
-        results, examined = operators.rollback_prefix(relation, Timestamp(95))
+        results, examined = operators.scan(relation, ScanSpec.of(as_of=Timestamp(95)))
         assert len(results) == 10
         assert examined == 10
 
-    def test_falls_back_without_memory_index(self):
+    def test_forever_is_the_current_state(self):
+        relation = build_events([0] * 10)
+        relation.delete(relation.all_elements()[4].element_surrogate)
+        results, examined = operators.scan(relation, ScanSpec.of(as_of=FOREVER))
+        assert len(results) == 9
+        assert examined == 10
+
+    def test_negative_infinity_is_an_empty_window(self):
+        relation = build_events([0] * 10)
+        assert operators.scan(relation, ScanSpec.of(as_of=NEGATIVE_INFINITY)) == ([], 0)
+
+    def test_delegates_without_memory_index(self):
         relation = build_events([0] * 10, engine=SQLiteEngine())
-        results, examined = operators.rollback_prefix(relation, Timestamp(95))
-        assert len(results) == 10
+        results, examined = operators.scan(relation, ScanSpec.of(as_of=Timestamp(95)))
+        assert len(results) == examined == 10
 
 
-class TestDegenerateOperator:
+class TestScanPointWindow:
+    """The degenerate shape: the tt window is the probe itself."""
+
     def test_point_lookup(self):
         relation = build_events([0] * 50, specializations=["degenerate"])
-        results, examined = operators.timeslice_degenerate(relation, Timestamp(250))
+        spec = ScanSpec.of(Timestamp(250)).narrowed(250 * S, 250 * S)
+        results, examined = operators.scan(relation, spec)
         assert len(results) == 1
         assert examined == 1
 
-    def test_requires_memory_index(self):
+    def test_delegation_keeps_the_window(self):
         relation = build_events([0] * 5, engine=SQLiteEngine(), specializations=["degenerate"])
-        with pytest.raises(ValueError, match="tt index"):
-            operators.timeslice_degenerate(relation, Timestamp(0))
+        hit = ScanSpec.of(Timestamp(20)).narrowed(20 * S, 20 * S)
+        results, _examined = operators.scan(relation, hit)
+        assert [e.vt for e in results] == [Timestamp(20)]
+        miss = ScanSpec.of(Timestamp(20)).narrowed(30 * S, 40 * S)
+        assert operators.scan(relation, miss) == ([], 0)
 
 
-class TestBoundedWindowOperator:
+class TestScanBoundedWindow:
     def test_two_sided(self):
         relation = build_events([3] * 200, specializations=["strongly bounded(5s, 5s)"])
-        results, examined = operators.timeslice_bounded_window(
-            relation, Timestamp(503), lower_offset=-5_000_000, upper_offset=5_000_000
-        )
+        spec = ScanSpec.of(Timestamp(503)).narrowed(498 * S, 508 * S)
+        results, examined = operators.scan(relation, spec)
         assert len(results) == 1
         assert examined <= 2
 
-    def test_one_sided_lower_none(self):
-        """Retroactive side only: scan the prefix below vt - lower."""
+    def test_lower_side_only(self):
+        """Retroactive side only: scan the suffix from vt on."""
         relation = build_events([-3] * 50)
-        results, examined = operators.timeslice_bounded_window(
-            relation, Timestamp(247), lower_offset=None, upper_offset=0
-        )
+        spec = ScanSpec.of(Timestamp(247)).narrowed(247 * S, None)
+        results, examined = operators.scan(relation, spec)
         assert len(results) == 1
         # Elements with tt >= vt: positions 25..49 (suffix scan).
         assert examined == 25
 
-    def test_one_sided_upper_none(self):
+    def test_upper_side_only(self):
         relation = build_events([3] * 50)
-        results, examined = operators.timeslice_bounded_window(
-            relation, Timestamp(253), lower_offset=0, upper_offset=None
-        )
+        spec = ScanSpec.of(Timestamp(253)).narrowed(None, 253 * S)
+        results, examined = operators.scan(relation, spec)
         assert len(results) == 1
         assert examined == 26  # prefix through vt
 
-    def test_unbounded_both_scans_all(self):
+    def test_full_range_scans_all(self):
         relation = build_events([0] * 10)
-        _results, examined = operators.timeslice_bounded_window(
-            relation, Timestamp(50), None, None
-        )
+        _results, examined = operators.scan(relation, ScanSpec.of(Timestamp(50)))
         assert examined == 10
+
+    def test_overlap_window(self):
+        relation = build_events([3] * 50)
+        window = Interval(Timestamp(100), Timestamp(140))
+        spec = ScanSpec.of(window).narrowed(95 * S, 145 * S)
+        results, examined = operators.scan(relation, spec)
+        assert [e.vt for e in results] == [Timestamp(v) for v in (103, 113, 123, 133)]
+        assert examined == 5  # tt 100..140
 
 
 class TestMonotoneOperators:
@@ -173,13 +195,13 @@ class TestSequentialIntervalOperator:
         assert results == [] and examined == 0
 
 
-class TestBitemporalOperator:
+class TestScanBitemporal:
     def test_prefix_and_filter(self):
         relation = build_events([0] * 20)
         victim = relation.all_elements()[3]
         relation.delete(victim.element_surrogate)
-        results, examined = operators.bitemporal_prefix(
-            relation, vt=victim.vt, tt=Timestamp(100)
+        results, examined = operators.scan(
+            relation, ScanSpec.of(victim.vt, as_of=Timestamp(100))
         )
         assert [e.element_surrogate for e in results] == [victim.element_surrogate]
         assert examined <= 11

@@ -29,9 +29,10 @@ from repro.query import (
     ValidOverlap,
     ValidTimeslice,
 )
+from repro.core.taxonomy.regions import enumerate_regions
 from repro.relation.schema import TemporalSchema, ValidTimeKind
 from repro.relation.temporal_relation import TemporalRelation
-from tests.strategies import EVENT_DECLARATIONS, compliant_vt_ticks
+from tests.strategies import EVENT_DECLARATIONS, compliant_vt_ticks, region_declarations
 
 pytestmark = pytest.mark.slow
 
@@ -159,6 +160,49 @@ def test_overlap_and_current_match_naive(workload):
     window = Interval(vt, Timestamp(vt.ticks + width))
     assert_plan_agrees(relation, ValidOverlap(Scan(relation), window))
     assert_plan_agrees(relation, CurrentState(Scan(relation)), "current")
+
+
+@pytest.mark.parametrize("name", sorted(enumerate_regions()))
+@given(data=st.data())
+def test_every_figure1_region_narrows_the_scan(name, data):
+    """The window is derived, not hand-written per strategy: for every
+    Section 3.1 region -- including the ones no operator was ever
+    written for -- with drawn bounds and a compliant workload, the
+    planned timeslice and overlap equal ``NaiveExecutor``, and the plan
+    never examines more elements than the derived transaction-time
+    window ``[vt - upper, vt - lower]`` holds."""
+    specialization, (low, high) = data.draw(region_declarations(name))
+    count = data.draw(st.integers(min_value=Planner.SMALL_RELATION_THRESHOLD, max_value=30))
+    schema = TemporalSchema(name="r", time_varying=("v",), specializations=[specialization])
+    relation = TemporalRelation(schema, clock=SimulatedWallClock(start=0))
+    relation.append_many(
+        [
+            ("obj", Timestamp(i + data.draw(st.integers(min_value=low, max_value=high))), {"v": i})
+            for i in range(count)
+        ]
+    )
+    region = specialization.region()
+    probe = data.draw(st.integers(min_value=low - 5, max_value=count + high + 5))
+    width = data.draw(st.integers(min_value=1, max_value=40))
+    second = Timestamp(1).microseconds
+    window = Interval(Timestamp(probe), Timestamp(probe + width))
+    queries = [
+        (ValidTimeslice(Scan(relation), Timestamp(probe)), probe * second, probe * second),
+        (ValidOverlap(Scan(relation), window), probe * second, (probe + width) * second - 1),
+    ]
+    for query, vt_first, vt_last in queries:
+        plan = Planner(relation).plan(query)
+        assert surrogates(plan.execute()) == surrogates(NaiveExecutor().run(query))
+        tt_lo, tt_hi = region.tt_window(vt_first, vt_last)
+        in_window = sum(
+            1
+            for element in relation.all_elements()
+            if (tt_lo is None or tt_lo <= element.tt_start.microseconds)
+            and (tt_hi is None or element.tt_start.microseconds <= tt_hi)
+        )
+        assert plan.examined <= in_window, (plan.strategy, plan.examined, in_window)
+        if region.line_count:
+            assert plan.strategy.startswith("bounded-tt-window"), plan.strategy
 
 
 @st.composite

@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chronos.clock import LogicalClock, SimulatedWallClock
+from repro.chronos.clock import LogicalClock
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import Timestamp
 from repro.query import Planner, Scan, ValidOverlap, ValidTimeslice, tql
@@ -37,7 +37,6 @@ from repro.server.protocol import elements_to_json
 from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
 from repro.storage.sharded import HashPartitioner, ShardedEngine
-from repro.storage.single_stamp import SingleStampEngine
 from repro.storage.sqlite_backend import SQLiteEngine
 from repro.storage.vacuum import vacuum_relation
 from tests.strategies import OBJECTS, SMALL_TICKS
@@ -303,20 +302,6 @@ class TestMutationCount:
             self._exercise(make_relation(engine))
         finally:
             engine.close()
-
-    def test_single_stamp_counts_deletes_len_does_not(self):
-        schema = TemporalSchema(name="d", specializations=["degenerate"])
-        clock = SimulatedWallClock(start=0)
-        relation = TemporalRelation(schema, clock=clock, engine=SingleStampEngine())
-        for i in range(3):
-            clock.advance_to(Timestamp(10 * i))
-            relation.insert("o", Timestamp(10 * i), {})
-        engine = relation.engine
-        before_len, before_count = len(engine), engine.mutation_count()
-        clock.advance_to(Timestamp(100))
-        relation.delete(relation.current()[0].element_surrogate)
-        assert len(engine) == before_len  # deletes patch in place
-        assert engine.mutation_count() > before_count
 
 
 # -- the cache-on/cache-off differential --------------------------------------------

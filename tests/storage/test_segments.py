@@ -1,13 +1,8 @@
-"""The segmented store: sealing, zone maps, the current-state view,
-parallel segment scans -- and the differential property that none of it
-ever changes an answer.
+"""The segmented store: sealing, zone maps, the current-state view --
+and the differential property that none of it ever changes an answer.
 """
 
 from __future__ import annotations
-
-import os
-import threading
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,34 +13,15 @@ from repro.chronos.timestamp import FOREVER, Timestamp
 from repro.query import NaiveExecutor, Rollback, Scan, ValidTimeslice, operators
 from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
+from repro.storage.columnar import ScanSpec
 from repro.storage.memory import MemoryEngine
 from repro.storage.segments import (
     DEFAULT_SEGMENT_SIZE,
     SegmentedStore,
     configured_segment_size,
-    parallel_enabled,
-    parallel_map_segments,
 )
-from repro.storage.sqlite_backend import SQLiteEngine
 from repro.storage.vacuum import vacuum_relation
 from tests.strategies import OBJECTS, SMALL_TICKS, insert_rows, json_safe_attributes
-
-
-@contextmanager
-def parallel_env(value):
-    """Temporarily pin REPRO_PARALLEL ('0'/'1' or None to unset)."""
-    old = os.environ.get("REPRO_PARALLEL")
-    if value is None:
-        os.environ.pop("REPRO_PARALLEL", None)
-    else:
-        os.environ["REPRO_PARALLEL"] = value
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_PARALLEL", None)
-        else:
-            os.environ["REPRO_PARALLEL"] = old
 
 
 def build_relation(segment_size=None, count=0, vt_index=True):
@@ -203,90 +179,6 @@ class TestCurrentStateView:
         )
 
 
-class TestParallelMap:
-    def test_preserves_order_and_uses_pool(self):
-        seen_threads = set()
-
-        def work(n):
-            seen_threads.add(threading.current_thread().name)
-            return n * n
-
-        with parallel_env("1"):
-            assert parallel_enabled()
-            result = parallel_map_segments(work, list(range(40)), threshold=4)
-        assert result == [n * n for n in range(40)]
-        assert any("repro-segment" in name for name in seen_threads)
-
-    def test_disabled_runs_sequential(self):
-        seen_threads = set()
-
-        def work(n):
-            seen_threads.add(threading.current_thread().name)
-            return n + 1
-
-        with parallel_env("0"):
-            assert not parallel_enabled()
-            result = parallel_map_segments(work, list(range(40)), threshold=4)
-        assert result == list(range(1, 41))
-        assert all("repro-segment" not in name for name in seen_threads)
-
-    def test_below_threshold_stays_sequential(self):
-        seen_threads = set()
-
-        def work(n):
-            seen_threads.add(threading.current_thread().name)
-            return n
-
-        with parallel_env("1"):
-            parallel_map_segments(work, [1, 2, 3], threshold=8)
-        assert all("repro-segment" not in name for name in seen_threads)
-
-
-class TestSQLiteParallelReads:
-    def build(self, tmp_path, threshold=1):
-        schema = TemporalSchema(name="r", time_varying=("reading",))
-        clock = SimulatedWallClock(start=0)
-        engine = SQLiteEngine(
-            str(tmp_path / "r.db"), parallel_row_threshold=threshold
-        )
-        relation = TemporalRelation(schema, clock=clock, keep_backlog=False, engine=engine)
-        relation.append_many(
-            [("o", Timestamp(i), {"reading": i}) for i in range(60)]
-        )
-        clock.advance_to(Timestamp(500))
-        for element in relation.all_elements()[:10]:
-            relation.delete(element.element_surrogate)
-        return relation
-
-    def test_parallel_scan_matches_sequential(self, tmp_path):
-        relation = self.build(tmp_path)
-        with parallel_env("0"):
-            sequential = [repr(e) for e in relation.engine.scan()]
-        with parallel_env("1"):
-            parallel = [repr(e) for e in relation.engine.scan()]
-        assert parallel == sequential
-        assert len(parallel) == 60
-
-    def test_parallel_as_of_matches_sequential(self, tmp_path):
-        relation = self.build(tmp_path)
-        probe = Timestamp(30)
-        with parallel_env("0"):
-            sequential = [repr(e) for e in relation.engine.as_of(probe)]
-        with parallel_env("1"):
-            parallel = [repr(e) for e in relation.engine.as_of(probe)]
-        assert parallel == sequential
-
-    def test_memory_database_never_parallelizes(self):
-        engine = SQLiteEngine(parallel_row_threshold=1)
-        schema = TemporalSchema(name="r", time_varying=("reading",))
-        clock = SimulatedWallClock(start=0)
-        relation = TemporalRelation(schema, clock=clock, keep_backlog=False, engine=engine)
-        relation.append_many([("o", Timestamp(i), {"reading": i}) for i in range(20)])
-        with parallel_env("1"):
-            assert engine._partition_tt() is None
-            assert len(list(engine.scan())) == 20
-
-
 # -- the differential property -----------------------------------------------------
 
 
@@ -317,10 +209,11 @@ def segment_workloads(draw):
     return ops, probes
 
 
-def replay(ops, segment_size):
+def replay(ops, segment_size, engine=None):
     schema = TemporalSchema(name="r", time_varying=("reading",))
     clock = SimulatedWallClock(start=0)
-    engine = MemoryEngine(segment_size=segment_size)
+    if engine is None:
+        engine = MemoryEngine(segment_size=segment_size)
     relation = TemporalRelation(schema, clock=clock, keep_backlog=False, engine=engine)
     tick = 0
     for op in ops:
@@ -364,41 +257,33 @@ def all_answers(relation, probes):
                 Interval(Timestamp(lo), Timestamp(hi))
             )
         ),
-        "rollback_op": signature(operators.rollback_prefix(relation, c)[0]),
-        "bitemporal_op": signature(
-            operators.bitemporal_prefix(relation, b, c)[0]
-        ),
-        "pruned_timeslice_op": signature(
-            operators.timeslice_segment_pruned(relation, b)[0]
-        ),
+        "rollback_op": signature(operators.scan(relation, ScanSpec.of(as_of=c))[0]),
+        "bitemporal_op": signature(operators.scan(relation, ScanSpec.of(b, c))[0]),
+        "timeslice_op": signature(operators.scan(relation, ScanSpec.of(b))[0]),
     }
 
 
 @settings(deadline=None)
 @given(segment_workloads())
 def test_segmented_engines_match_flat_scan(workload):
-    """Byte-identical answers across segment sizes, parallelism on and off.
+    """Byte-identical answers across segment sizes.
 
     The reference is a store whose segment size exceeds any workload
-    (never seals -- the seed's flat scan), run sequentially; tiny
-    segment sizes force many sealed segments so zone-map pruning and
-    (with >8 work units) the thread pool genuinely engage.
+    (never seals -- the seed's flat scan); tiny segment sizes force many
+    sealed segments so zone-map pruning genuinely engages.
     """
     ops, probes = workload
-    with parallel_env("0"):
-        reference = all_answers(replay(ops, 100_000), probes)
-        # The planner's naive executor agrees on the shared shapes.
-        flat = replay(ops, 100_000)
-        naive = NaiveExecutor()
-        assert sorted(signature(naive.run(Rollback(Scan(flat), Timestamp(probes[2]))))) == sorted(
-            reference["rollback_op"]
-        )
-        assert sorted(
-            signature(naive.run(ValidTimeslice(Scan(flat), Timestamp(probes[1]))))
-        ) == sorted(reference["pruned_timeslice_op"])
+    flat = replay(ops, 100_000)
+    reference = all_answers(flat, probes)
+    # The planner's naive executor agrees on the shared shapes.
+    naive = NaiveExecutor()
+    assert sorted(signature(naive.run(Rollback(Scan(flat), Timestamp(probes[2]))))) == sorted(
+        reference["rollback_op"]
+    )
+    assert sorted(
+        signature(naive.run(ValidTimeslice(Scan(flat), Timestamp(probes[1]))))
+    ) == sorted(reference["timeslice_op"])
     for segment_size in (2, 5):
-        for parallel in ("0", "1"):
-            with parallel_env(parallel):
-                assert all_answers(replay(ops, segment_size), probes) == reference, (
-                    f"divergence at segment_size={segment_size} parallel={parallel}"
-                )
+        assert all_answers(replay(ops, segment_size), probes) == reference, (
+            f"divergence at segment_size={segment_size}"
+        )

@@ -37,12 +37,7 @@ from repro.storage.segfile import (
 from repro.storage.sharded import ShardedEngine
 from repro.storage.tiered import TierManager, _columns_from_elements, tiered_enabled
 from repro.storage.vacuum import vacuum_engine
-from tests.storage.test_segments import (
-    all_answers,
-    parallel_env,
-    replay,
-    segment_workloads,
-)
+from tests.storage.test_segments import all_answers, replay, segment_workloads
 
 
 @contextmanager
@@ -188,12 +183,11 @@ def test_tiered_engines_match_flat_scan(workload):
     cache (evictions force reopen+decode) vs REPRO_TIERED=0 (forced off
     even though a segment size is set)."""
     ops, probes = workload
-    with parallel_env("0"):
-        with tiered_env("0"):
-            reference = all_answers(replay(ops, 100_000), probes)
-            flat_small = all_answers(replay(ops, 4), probes)
-        with tiered_env("1", cache="1"):
-            tiered = all_answers(replay(ops, 4), probes)
+    with tiered_env("0"):
+        reference = all_answers(replay(ops, 100_000), probes)
+        flat_small = all_answers(replay(ops, 4), probes)
+    with tiered_env("1", cache="1"):
+        tiered = all_answers(replay(ops, 4), probes)
     assert flat_small == reference
     assert tiered == reference
 
@@ -204,13 +198,12 @@ def test_tiered_compact_preserves_answers(workload):
     """Explicit compaction (demote everything + fold patches) between
     the workload and the probes changes no answer."""
     ops, probes = workload
-    with parallel_env("0"):
-        with tiered_env("0"):
-            reference = all_answers(replay(ops, 100_000), probes)
-        with tiered_env("1", cache="2"):
-            relation = replay(ops, 4)
-            relation.engine.transaction_index.store.compact()
-            compacted = all_answers(relation, probes)
+    with tiered_env("0"):
+        reference = all_answers(replay(ops, 100_000), probes)
+    with tiered_env("1", cache="2"):
+        relation = replay(ops, 4)
+        relation.engine.transaction_index.store.compact()
+        compacted = all_answers(relation, probes)
     assert compacted == reference
 
 
@@ -280,8 +273,6 @@ class TestVacuumTiering:
             for i in range(48):
                 engine.append(make_element(i))
             store = engine.transaction_index.store
-            if store.columns is None:  # REPRO_COLUMNAR=0 leg: nothing to carry
-                return
             store.columns.sorted_starts(0, 8)
             store.columns.sorted_starts(40, 48)
             engine.close_element(44, ts(1000))
@@ -502,6 +493,33 @@ class TestTieredObservability:
             assert report.tier_cold_segments
             assert any("tiered" in line for line in report.decisions)
             assert "compressed cold storage" in report.render()
+
+    def test_reexecuted_plan_reports_one_runs_cold_segments(self, monkeypatch):
+        """A plan served again (the plan cache hands the same object
+        back) must report one execution's cold segments, not a running
+        total -- ``query.tier_cold_segments`` is fed from this count."""
+        from repro.query import Planner, Rollback, Scan
+
+        # Every execute must really scan (a result-cache hit reports 0).
+        monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
+        with tiered_env("1", segment_size="8"):
+            schema = TemporalSchema(name="r", time_varying=("reading",))
+            clock = SimulatedWallClock(start=0)
+            relation = TemporalRelation(
+                schema, clock=clock, keep_backlog=False, engine=MemoryEngine()
+            )
+            for i in range(64):
+                clock.advance_to(Timestamp(i))
+                relation.insert(f"o{i}", Timestamp(i), {"reading": i})
+            assert relation.engine.transaction_index.store.cold_base > 0
+            plan = Planner(relation).plan(Rollback(Scan(relation), Timestamp(60)))
+            assert plan.strategy == "rollback-prefix"
+            cold = []
+            for _ in range(3):
+                plan.execute()
+                cold.append(plan.segment_stats.cold_segments)
+        assert cold[0] > 0
+        assert cold == [cold[0]] * 3
 
     def test_statistics_expose_tier_counters(self, tmp_path):
         engine = MemoryEngine(segment_size=4, tier_dir=str(tmp_path))

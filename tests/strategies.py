@@ -197,6 +197,35 @@ def compliant_vt_ticks(draw, names, count):
 
 
 @st.composite
+def region_declarations(draw, name):
+    """The Section 3.1 region *name* as a declared specialization with
+    drawn bounds, plus the inclusive tick range its offsets may take.
+
+    Bounds are whole seconds: a line below ``vt = tt`` sits at
+    ``-far`` (or ``-near`` when it bounds from above), a line above it
+    at ``+near`` (``+far`` from above), with ``0 < near < far`` -- so
+    two same-kind lines never cross.  Every two-bound isolated-event
+    constructor takes the smaller magnitude first (``strongly bounded``
+    gets ``far`` twice).  Unbounded sides are capped at 50 ticks for the
+    workload only.
+    """
+    from repro.chronos.duration import Duration
+    from repro.core.taxonomy import regions
+    from repro.core.taxonomy.registry import REGISTRY
+
+    shape = regions.enumerate_regions()[name]
+    near = draw(st.integers(min_value=1, max_value=10))
+    far = near + draw(st.integers(min_value=1, max_value=20))
+    below, on, above = regions.LINE_KIND_BELOW, regions.LINE_KIND_ON, regions.LINE_KIND_ABOVE
+    lower = {None: None, below: -far, on: 0, above: near}[shape.lower_kind]
+    upper = {None: None, below: -near, on: 0, above: far}[shape.upper_kind]
+    magnitudes = sorted(abs(offset) for offset in (lower, upper) if offset)
+    specialization = REGISTRY[name]([Duration(m, "second") for m in magnitudes])
+    assert regions.shape_of(specialization.region()) == shape
+    return specialization, (-50 if lower is None else lower, 50 if upper is None else upper)
+
+
+@st.composite
 def specialization_declarations(draw):
     """One of the event declaration tuples the planner exploits."""
     return draw(st.sampled_from(EVENT_DECLARATIONS))

@@ -26,7 +26,6 @@ class TestTopLevelExports:
             "repro.storage",
             "repro.storage.vacuum",
             "repro.storage.logfile",
-            "repro.storage.single_stamp",
             "repro.query",
             "repro.query.tql",
             "repro.query.temporal_ops",
