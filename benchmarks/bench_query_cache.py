@@ -13,17 +13,23 @@ lookup, not a scan.  Three surfaces are measured:
   :class:`~repro.server.app.TemporalServer` with the response cache on
   vs off (``cache_entries=0``), reporting mean and p99 latency.
 
-Repeated library queries must be >= 10x faster cached, the answers must
-be identical to the uncached path, and the server's hot-read p99 must
-improve.
+Gates (``benchmarks/thresholds.json``, always applied): repeated TQL
+must be >= 10x faster cached, the answers must be identical to the
+uncached path, and a cached timeslice and a cached server read must each
+cost no more than an absolute bound (``timeslice_cached_ms``,
+``server_cached_mean_ms``).  The last two used to be cached/uncached
+ratios; every time the *uncached* path got faster (the pool dispatch
+going, then pinned reads joining the scan contract) the ratio shrank and
+the gate punished the improvement, so they bound the cached path itself.
+The ratios are still printed.
 
 Run directly::
 
     PYTHONPATH=src python benchmarks/bench_query_cache.py           # full (120k)
     PYTHONPATH=src python benchmarks/bench_query_cache.py --quick   # CI smoke (40k)
 
-The script exits non-zero when a claim fails; ``--emit-json`` also
-gates the results against ``benchmarks/thresholds.json``.
+The script exits non-zero when a gate fails; ``--emit-json`` also writes
+``BENCH_query_cache.json``.
 """
 
 from __future__ import annotations
@@ -180,8 +186,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         const=REPO_ROOT,
         default=None,
         metavar="DIR",
-        help="write BENCH_query_cache.json and gate the results against "
-        "benchmarks/thresholds.json",
+        help="also write BENCH_query_cache.json",
     )
     args = parser.parse_args(argv)
     count = 40_000 if args.quick else 120_000
@@ -205,37 +210,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         .format(**results)
     )
 
-    failed = False
-    for metric, target in (("tql_speedup", 10.0), ("timeslice_speedup", 10.0)):
-        if results[metric] < target * 0.8:  # same 20% noise margin as CI
-            print(f"FAIL: {metric} {results[metric]:.1f}x below the {target:.0f}x target")
-            failed = True
-    if results["results_identical"] != 1.0:
-        print("FAIL: cached answers diverged from the uncached path")
-        failed = True
-    if results["server_bodies_identical"] != 1.0:
-        print("FAIL: cached server bodies diverged from the uncached path")
-        failed = True
-    if results["server_hot_read_speedup"] < 1.0:
-        print(
-            "FAIL: server hot reads slower with the response cache "
-            f"({results['server_hot_read_speedup']:.2f}x)"
-        )
-        failed = True
+    from report import check_thresholds, write_bench_json
 
     if args.emit_json is not None:
-        from report import check_thresholds, write_bench_json
-
         write_bench_json(
             "query_cache",
             results,
             parameters={"quick": args.quick, "count": count},
             directory=args.emit_json,
         )
-        benchmark = "query_cache_quick" if args.quick else "query_cache"
-        for line in check_thresholds(results, benchmark):
-            print(f"FAIL: {line}")
-            failed = True
+    failed = False
+    for line in check_thresholds(results, "query_cache_quick" if args.quick else "query_cache"):
+        print(f"FAIL: {line}")
+        failed = True
 
     if not failed:
         print("all query-cache targets met")

@@ -98,6 +98,13 @@ class OffsetRegion:
         except ValueError:
             return None
 
+    def hull(self, other: "OffsetRegion") -> "OffsetRegion":
+        """The smallest region containing both."""
+        return OffsetRegion(
+            other.lower if _lower_geq(self.lower, other.lower) else self.lower,
+            other.upper if _upper_leq(self.upper, other.upper) else self.upper,
+        )
+
     def tt_window(
         self, vt_first: Optional[int], vt_last: Optional[int]
     ) -> Tuple[Optional[int], Optional[int]]:

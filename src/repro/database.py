@@ -8,7 +8,7 @@ produces whole-database design reports.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.chronos.clock import LogicalClock, TransactionClock
 from repro.design.advisor import Advisor
@@ -67,11 +67,14 @@ class TemporalDatabase:
 
     # -- querying -----------------------------------------------------------------------
 
-    def execute(self, statement: str, use_planner: bool = True) -> tql.Rows:
-        """Run one TQL statement, resolving the relation by name."""
-        parsed = tql.parse(statement)
+    def execute(
+        self, statement: Union[str, tql.ParsedQuery], use_planner: bool = True
+    ) -> tql.Rows:
+        """Run one TQL statement (text, or already parsed), resolving the
+        relation by name."""
+        parsed = tql.parse(statement) if isinstance(statement, str) else statement
         relation = self.relation(parsed.relation_name)
-        return tql.execute(statement, relation, use_planner=use_planner)
+        return tql.execute(parsed, relation, use_planner=use_planner)
 
     # -- design -------------------------------------------------------------------------
 

@@ -10,11 +10,11 @@ Every read whose candidate set is a transaction-time range -- rollback
 prefixes, degenerate points and ticks, bounded windows, bitemporal
 slices, undeclared full-range passes -- is one
 :class:`~repro.storage.columnar.ScanSpec` executed by :func:`scan`: the
-planner derives the window from the declared offset region, ``scan``
-bisects it on the engine's
-:class:`~repro.storage.segments.SegmentedStore`, consults each sealed
-segment's zone map, runs the column kernel on the survivors and
-materializes elements last.  Callers pass a :class:`SegmentStats` to
+window is derived from the declared offset region
+(:func:`repro.query.planner.windowed`), and the engine's
+:class:`~repro.storage.segments.SegmentedStore` bisects it, consults
+each sealed segment's zone map, runs the column kernel on the survivors
+and materializes elements last.  Callers pass a :class:`SegmentStats` to
 receive the scanned/pruned counts ``explain()`` reports.
 """
 
@@ -27,7 +27,7 @@ from repro.chronos.interval import Interval
 from repro.chronos.timestamp import FOREVER, TimePoint, Timestamp
 from repro.relation.element import Element
 from repro.relation.temporal_relation import TemporalRelation
-from repro.storage.columnar import ScanSpec, decode_point, encode_point, positions
+from repro.storage.columnar import ScanSpec, decode_point, encode_point
 from repro.storage.indexes import TransactionTimeIndex
 
 Result = Tuple[List[Element], int]
@@ -136,15 +136,9 @@ def scan(
     Three storage shapes, once each:
 
     * **sharded** -- route by envelope, recurse per shard, tt-merge;
-    * **tt-indexed** :class:`~repro.storage.segments.SegmentedStore` --
-      binary search turns the spec's transaction-time window into a
-      position range; sealed segments overlapping it are kept only when
-      ``spec.may_match`` accepts their zone map (zone maps summarise the
-      whole segment, so rejecting one is valid even when the range clips
-      it) and the mutable head is always scanned; each surviving unit
-      runs the column kernel and hands back a position list, and the
-      ``Element`` objects are materialized only for those positions, in
-      position (= tt) order;
+    * **tt-indexed** -- :meth:`SegmentedStore.select
+      <repro.storage.segments.SegmentedStore.select>`: bisect the
+      window, zone-prune, run the column kernel, materialize last;
     * **no tt index** (SQLite) -- delegate to the engine's ``as_of`` /
       ``valid_at`` / ``valid_overlapping`` and keep the window.
     """
@@ -153,55 +147,14 @@ def scan(
     if gathered is not None:
         return gathered
     index = _tt_index(relation)
-    if index is None:
-        results = [
-            element
-            for element in _engine_read(relation.engine, spec)
-            if spec.tt_lo <= element.tt_start.microseconds <= spec.tt_hi
-        ]
-        return results, len(results)
-    store = index.store
-    start = store.position_left(spec.tt_lo)
-    stop = store.position_right(spec.tt_hi)
-    if stop <= start:
-        return [], 0
-    size = store.segment_size
-    # A unit is (lo, hi, whole): whole units -- a sealed segment or the
-    # head the window did not clip -- recur across queries, so the
-    # kernel may answer them from a cached sorted projection.
-    units: List[Tuple[int, int, bool]] = []
-    pruned = 0
-    for ordinal in range(start // size, store.sealed_count):
-        seg_lo = ordinal * size
-        if seg_lo >= stop:
-            break
-        if spec.may_match(store.zone_of(ordinal)):
-            lo, hi = max(start, seg_lo), min(stop, seg_lo + size)
-            units.append((lo, hi, hi - lo == size))
-        else:
-            pruned += 1
-    head_lo = max(start, store.head_start)
-    if head_lo < stop:
-        units.append((head_lo, stop, head_lo == store.head_start and stop == len(store)))
-    matches: List[Element] = []
-    examined = 0
-    for lo, hi, whole in units:
-        # Hot units run on the store's sidecar; a cold unit gets its
-        # segment's lazily-decoded column set, in segment-local
-        # coordinates (units never span the cold/hot boundary).
-        columns, base = store.kernel_view(lo, hi)
-        matches.extend(
-            store.fetch_elements(base, positions(columns, lo - base, hi - base, spec, whole))
-        )
-        examined += hi - lo
-    if stats is not None:
-        stats.scanned += len(units)
-        stats.pruned += pruned
-        stats.positions_examined += examined
-        stats.materialized += len(matches)
-        cold_base = store.cold_base
-        stats.cold_segments += sum(1 for lo, _hi, _whole in units if lo < cold_base)
-    return matches, examined
+    if index is not None:
+        return index.store.select(spec, stats)
+    results = [
+        element
+        for element in _engine_read(relation.engine, spec)
+        if spec.tt_lo <= element.tt_start.microseconds <= spec.tt_hi
+    ]
+    return results, len(results)
 
 
 # -- baseline -------------------------------------------------------------------

@@ -5,12 +5,13 @@ temporal specializations license cheaper access paths.
 
 A specialization is a region of offsets ``d = vt - tt`` (Section 3.1,
 Figure 1), so a query need only look at the transaction-time window
-that region allows.  The planner *computes* that window from
-:meth:`Planner.declared_offset_region` with the algebra in
-:mod:`repro.core.taxonomy.regions` and hands
+that region allows.  :func:`windowed` *computes* that window from the
+schema's declared offset region with the algebra in
+:mod:`repro.core.taxonomy.regions` -- for the planner, which hands
 :func:`repro.query.operators.scan` one
-:class:`~repro.storage.columnar.ScanSpec`; the strategy names are labels
-over the derived window, not separate code paths.
+:class:`~repro.storage.columnar.ScanSpec` (the strategy names are labels
+over the derived window, not separate code paths), and for the
+relation's own pinned read methods alike.
 
 Rules, in preference order, for a valid timeslice:
 
@@ -42,21 +43,53 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from repro.chronos.timestamp import Timestamp
-from repro.core.taxonomy.base import Specialization, TimeReference
+from repro.core.constraints import EnforcementMode
 from repro.observability import metrics as _metrics
 from repro.core.taxonomy.event_inter import (
     GloballyNonDecreasing,
     GloballyNonIncreasing,
     GloballySequential,
 )
-from repro.core.taxonomy.event_isolated import Degenerate, EventSpecialization
 from repro.core.taxonomy.interval_inter import IntervalGloballySequential
-from repro.core.taxonomy.regions import OffsetRegion
 from repro.query import ast, operators
 from repro.query import cache as _query_cache
 from repro.query.executor import NaiveExecutor
+from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
 from repro.storage.columnar import NEG_SENTINEL, POS_SENTINEL, ScanSpec
+
+
+def windowed(schema: TemporalSchema, spec: ScanSpec) -> ScanSpec:
+    """*spec* with its tt window narrowed to what *schema*'s declarations
+    allow for its valid-time window -- Figure 1 used as code.
+
+    An element with offset ``d = vt - tt`` inside the declared region
+    and valid time inside the spec's window has ``tt`` inside
+    :meth:`OffsetRegion.tt_window`; a granularity-relative degenerate
+    declaration (``floor(vt) = floor(tt)``, no fixed region) confines
+    it to the ticks the window touches.  No declaration, declarations
+    recorded rather than enforced, an interval relation, or an unbounded
+    valid-time side leaves the full range.  Schema-static: thread-safe.
+    """
+    if (
+        spec.vt_lo is None
+        or not schema.is_event
+        or schema.enforcement is not EnforcementMode.REJECT
+    ):
+        return spec
+    first = spec.vt_lo if spec.vt_lo > NEG_SENTINEL else None
+    last = spec.vt_hi - 1 if spec.vt_hi < POS_SENTINEL else None
+    region = schema.declared_offset_region
+    if region is not None:
+        spec = spec.narrowed(*region.tt_window(first, last))
+    degenerate = schema.declared_degenerate
+    if degenerate is not None and degenerate.granularity is not None:
+        tick = degenerate.granularity.microseconds
+        spec = spec.narrowed(
+            None if first is None else first - first % tick,
+            None if last is None else last - last % tick + tick - 1,
+        )
+    return spec
 
 
 @dataclass
@@ -123,26 +156,8 @@ class Planner:
 
     def __init__(self, relation: TemporalRelation) -> None:
         self.relation = relation
-        self._specs = list(relation.schema.specializations)
-        # Declared-semantics metadata is schema-static; the relation
-        # statistics refresh at most once per relation version (a whole
-        # append_many batch bumps the version once, so batched ingestion
-        # costs one refresh per batch, not per element).
-        self._region_cache: Optional[OffsetRegion] = None
-        self._region_computed = False
-        self._stats_cache: Optional[dict] = None
-        self._stats_key: Optional[Tuple[int, Tuple[int, int]]] = None
 
     # -- declared-semantics predicates --------------------------------------------
-
-    def _insertion_specs(self) -> List[Specialization]:
-        """Specializations relative to insertion time (the ones that
-        constrain where a fact's stamps lie when it is stored)."""
-        found = []
-        for spec in self._specs:
-            if getattr(spec, "time_reference", TimeReference.INSERTION) is TimeReference.INSERTION:
-                found.append(spec)
-        return found
 
     def _has(self, *classes: type) -> bool:
         """Is one of *classes* declared (per relation, not per partition)?
@@ -151,73 +166,21 @@ class Planner:
         only the global forms do -- so PerPartition wrappers are
         deliberately not unwrapped here.
         """
-        return any(isinstance(spec, classes) for spec in self._insertion_specs())
-
-    def _declared_degenerate(self) -> Optional[Degenerate]:
-        for spec in self._insertion_specs():
-            if isinstance(spec, Degenerate):
-                return spec
-        return None
-
-    def declared_offset_region(self) -> Optional[OffsetRegion]:
-        """The intersection of the declared Figure 1 regions.
-
-        Calendric-specific bounds have no fixed region; such
-        specializations simply contribute nothing (sound: the window
-        only ever shrinks from other declarations).
-
-        Specializations are immutable after schema construction, so the
-        intersection is computed once per planner and cached.
-        """
-        if self._region_computed:
-            return self._region_cache
-        self._region_cache = self._compute_offset_region()
-        self._region_computed = True
-        return self._region_cache
+        return any(
+            isinstance(spec, classes)
+            for spec in self.relation.schema.insertion_specializations
+        )
 
     def relation_statistics(self) -> dict:
-        """The relation's planner-visible metadata, cached per epoch.
+        """The relation's planner-visible metadata.
 
-        Repeated planning between mutations reuses the cached snapshot.
-        The cache key is the relation version *and* the storage epoch
-        (engine identity + its store's mutation counter), so changes
-        that bypass the relation's own mutators -- a vacuum swapping the
-        engine out, a bulk ``extend()`` straight into the engine --
-        still invalidate it and a later query re-plans against fresh
-        counts.
+        :meth:`TemporalRelation.statistics` caches it per relation
+        version *and* storage epoch, so changes that bypass the
+        relation's own mutators -- a vacuum swapping the engine out, a
+        bulk ``extend()`` straight into the engine -- still refresh it
+        and a later query re-plans against fresh counts.
         """
-        key = (self.relation.version, self._engine_epoch())
-        if self._stats_cache is None or self._stats_key != key:
-            self._stats_cache = self.relation.statistics()
-            self._stats_key = key
-        return self._stats_cache
-
-    def _engine_epoch(self) -> Tuple[int, int]:
-        """Identity of the engine plus its monotone mutation counter.
-
-        Every engine implements :meth:`StorageEngine.mutation_count`
-        (deletes and rebalances advance it even though they preserve
-        ``len()``), so there is deliberately no element-count fallback:
-        it was delete-blind and could serve stale cached state after an
-        in-place delete.
-        """
-        engine = self.relation.engine
-        return (id(engine), engine.mutation_count())
-
-    def _compute_offset_region(self) -> Optional[OffsetRegion]:
-        region: Optional[OffsetRegion] = None
-        for spec in self._insertion_specs():
-            if not isinstance(spec, EventSpecialization):
-                continue
-            try:
-                spec_region = spec.region()
-            except (TypeError, NotImplementedError):
-                continue
-            region = spec_region if region is None else region.intersection(spec_region)
-            if region is None:
-                # Contradictory declarations; fall back to no window.
-                return None
-        return region
+        return self.relation.statistics()
 
     #: Below this many stored elements, specialized-strategy setup
     #: (binary-search bracketing, window arithmetic) costs more than it
@@ -381,15 +344,15 @@ class Planner:
                 "bitemporal-prefix",
                 "tt-prefix by binary search, vt filter on the prefix; zone maps "
                 "skip segments dead at tt or outside vt",
-                self._windowed(ScanSpec.of(query.vt, query.tt)),
+                windowed(self.relation.schema, ScanSpec.of(query.vt, query.tt)),
             )
         if isinstance(query, ast.ValidTimeslice) and self._is_scan(query.child):
             return self._plan_timeslice(query.vt, decisions)
         if isinstance(query, ast.ValidOverlap) and self._is_scan(query.child):
             if self._has_memory_index and self.relation.schema.is_event:
                 spec = ScanSpec.of(query.window)
-                windowed = self._windowed(spec)
-                if windowed != spec:
+                narrowed = windowed(self.relation.schema, spec)
+                if narrowed != spec:
                     decisions.append(
                         "bounded-tt-window-overlap: declared offset region prunes the scan"
                     )
@@ -397,7 +360,7 @@ class Planner:
                         "bounded-tt-window-overlap",
                         "declared bounds confine the window's matches to a "
                         "transaction-time range; zone maps skip segments inside it",
-                        windowed,
+                        narrowed,
                     )
                 decisions.append(
                     "bounded-tt-window-overlap: pruned -- no bounded region declared"
@@ -465,9 +428,7 @@ class Planner:
                 )
             return any(
                 isinstance(spec, ordered_types)
-                and getattr(spec, "time_reference", TimeReference.INSERTION)
-                is TimeReference.INSERTION
-                for spec in relation.schema.specializations
+                for spec in relation.schema.insertion_specializations
             )
 
         if not (declared_ordered(left_relation) and declared_ordered(right_relation)):
@@ -502,33 +463,6 @@ class Planner:
         decisions.append("merge-join: pruned -- mixed event/interval inputs")
         return None
 
-    def _windowed(self, spec: ScanSpec) -> ScanSpec:
-        """*spec* with its tt window narrowed to what the declarations
-        allow for its valid-time window -- Figure 1 used as code.
-
-        An element with offset ``d = vt - tt`` inside the declared region
-        and valid time inside the spec's window has ``tt`` inside
-        :meth:`OffsetRegion.tt_window`; a granularity-relative degenerate
-        declaration (``floor(vt) = floor(tt)``, no fixed region) confines
-        it to the ticks the window touches.  No declaration, an interval
-        relation, or an unbounded valid-time side leaves the full range.
-        """
-        if spec.vt_lo is None or not self.relation.schema.is_event:
-            return spec
-        first = spec.vt_lo if spec.vt_lo > NEG_SENTINEL else None
-        last = spec.vt_hi - 1 if spec.vt_hi < POS_SENTINEL else None
-        region = self.declared_offset_region()
-        if region is not None:
-            spec = spec.narrowed(*region.tt_window(first, last))
-        degenerate = self._declared_degenerate()
-        if degenerate is not None and degenerate.granularity is not None:
-            tick = degenerate.granularity.microseconds
-            spec = spec.narrowed(
-                None if first is None else first - first % tick,
-                None if last is None else last - last % tick + tick - 1,
-            )
-        return spec
-
     def _scan_plan(self, strategy: str, explanation: str, spec: ScanSpec) -> PlannedQuery:
         """A plan that runs *spec* through :func:`operators.scan`."""
         # The thunk reads the plan's stats at call time: execute() swaps
@@ -545,15 +479,15 @@ class Planner:
         is_event = self.relation.schema.is_event
         if self._has_memory_index:
             spec = ScanSpec.of(vt)
-            windowed = self._windowed(spec)
-            degenerate = self._declared_degenerate()
+            narrowed = windowed(self.relation.schema, spec)
+            degenerate = self.relation.schema.declared_degenerate
             if degenerate is not None and is_event:
                 if degenerate.granularity is None:
                     decisions.append("degenerate: declared -- timeslice is a tt point lookup")
                     return self._scan_plan(
                         "degenerate-rollback",
                         "vt = tt declared; timeslice is a tt-index point lookup",
-                        windowed,
+                        narrowed,
                     )
                 tick = degenerate.granularity.name.lower()
                 decisions.append(
@@ -563,10 +497,10 @@ class Planner:
                     "degenerate-tick-window",
                     f"vt = tt within one {tick} declared; timeslice scans a "
                     "single granularity tick of the tt index",
-                    windowed,
+                    narrowed,
                 )
             decisions.append("degenerate: pruned -- not declared (or not an event relation)")
-            if self._specialized_timeslice_available(is_event, windowed != spec):
+            if self._specialized_timeslice_available(is_event, narrowed != spec):
                 count = self.relation_statistics().get(
                     "elements", len(self.relation.engine)
                 )
@@ -615,8 +549,8 @@ class Planner:
                     explanation="sequential intervals are disjoint and ordered; binary search",
                     _thunk=lambda: operators.timeslice_sequential_intervals(self.relation, vt),
                 )
-            if windowed != spec:
-                bounded = (windowed.tt_lo > NEG_SENTINEL) + (windowed.tt_hi < POS_SENTINEL)
+            if narrowed != spec:
+                bounded = (narrowed.tt_lo > NEG_SENTINEL) + (narrowed.tt_hi < POS_SENTINEL)
                 sides = ("one" if bounded == 1 else "two") + "-sided"
                 decisions.append(
                     f"bounded-tt-window: declared offset region prunes to a {sides} window"
@@ -625,7 +559,7 @@ class Planner:
                     "bounded-tt-window",
                     f"declared bounds confine matches to a {sides} "
                     "transaction-time window; zone maps skip segments inside it",
-                    windowed,
+                    narrowed,
                 )
             decisions.append("bounded-tt-window: pruned -- no bounded region declared")
             if not getattr(self.relation.engine, "has_vt_index", False):

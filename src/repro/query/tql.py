@@ -377,15 +377,16 @@ def explain(text: str, relation: TemporalRelation) -> str:
 
 
 def execute(
-    text: str, relation: TemporalRelation, use_planner: bool = True
+    statement: Union[str, ParsedQuery], relation: TemporalRelation, use_planner: bool = True
 ) -> Rows:
-    """Parse, compile, and run one TQL statement against *relation*.
+    """Compile and run one TQL statement (text, or what :func:`parse`
+    made of it) against *relation*.
 
     The temporal core (slice/rollback/current) is executed through the
     planner so declared specializations apply; WHERE and SELECT are
     evaluated on the (typically tiny) core result.
     """
-    parsed = parse(text)
+    parsed = parse(statement) if isinstance(statement, str) else statement
     core = compile_query(
         ParsedQuery(
             relation_name=parsed.relation_name,

@@ -10,15 +10,19 @@ paper's central design artifact.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.chronos.duration import CalendricDuration, Duration
 from repro.chronos.granularity import Granularity, GranularityLike, as_granularity
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import Timestamp
 from repro.core.constraints import EnforcementMode
-from repro.core.taxonomy.base import Specialization
+from repro.core.taxonomy.base import Specialization, TimeReference
+from repro.core.taxonomy.event_isolated import Degenerate, EventSpecialization
+from repro.core.taxonomy.regions import OffsetRegion
 from repro.core.taxonomy.registry import parse
 from repro.relation.errors import SchemaError
 
@@ -75,6 +79,22 @@ class TemporalSchema:
         for spec in self.specializations:
             resolved.append(parse(spec) if isinstance(spec, str) else spec)
         self.specializations = tuple(resolved)
+        # Declarations are immutable from here on, so what they license
+        # is derived once -- the planner and lock-free reader threads
+        # both only read it.
+        #: Specializations relative to insertion time (the ones that
+        #: constrain where a fact's stamps lie when it is stored).
+        self.insertion_specializations: Tuple[Specialization, ...] = tuple(
+            spec
+            for spec in resolved
+            if getattr(spec, "time_reference", TimeReference.INSERTION) is TimeReference.INSERTION
+        )
+        self.declared_degenerate: Optional[Degenerate] = next(
+            (s for s in self.insertion_specializations if isinstance(s, Degenerate)), None
+        )
+        #: The intersection of the declared Figure 1 regions, or None
+        #: without one (nothing declared, or contradictory declarations).
+        self.declared_offset_region = _declared_region(self.insertion_specializations)
         # Attribute-name -> role, resolved once; the per-update hot path
         # (split_attributes) does a single dict probe per attribute
         # instead of three tuple scans.
@@ -166,3 +186,44 @@ class TemporalSchema:
 
     def specialization_names(self) -> List[str]:
         return [spec.name for spec in self.specializations]
+
+
+def _declared_region(specializations: Sequence[Specialization]) -> Optional[OffsetRegion]:
+    region: Optional[OffsetRegion] = None
+    for spec in specializations:
+        spec_region = _conservative_region(spec) if isinstance(spec, EventSpecialization) else None
+        if spec_region is None:
+            continue
+        region = spec_region if region is None else region.intersection(spec_region)
+        if region is None:
+            return None
+    return region
+
+
+def _conservative_region(spec: EventSpecialization) -> Optional[OffsetRegion]:
+    """*spec*'s Figure 1 region; None when it has none (granularity-
+    relative degenerate).
+
+    A calendric bound's offset varies with the anchor date, so it has no
+    exact region: a month is 28 to 31 days, and the hull of the regions
+    at those two lengths contains every offset the declaration admits
+    (each endpoint is monotone in its bound) -- all a scan window needs.
+    """
+    try:
+        return spec.region()
+    except (TypeError, NotImplementedError):
+        pass
+    calendric = {
+        name: bound for name, bound in vars(spec).items() if isinstance(bound, CalendricDuration)
+    }
+    hull: Optional[OffsetRegion] = None
+    for days in (28, 31) if calendric else ():
+        fixed = copy.copy(spec)
+        for name, bound in calendric.items():
+            setattr(fixed, name, Duration(bound.months * days, "day"))
+        try:
+            region = fixed.region()
+        except ValueError:  # bounds cross at this month length: admits nothing
+            continue
+        hull = region if hull is None else hull.hull(region)
+    return hull

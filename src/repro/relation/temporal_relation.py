@@ -60,6 +60,7 @@ from repro.relation.schema import TemporalSchema
 from repro.relation.surrogate import SurrogateGenerator
 from repro.storage.backlog import Backlog
 from repro.storage.base import StorageEngine
+from repro.storage.columnar import ScanSpec
 from repro.storage.memory import MemoryEngine
 
 #: One staged insertion: ``(object_surrogate, vt)`` or
@@ -110,7 +111,8 @@ class TemporalRelation:
         self._query_cache: Optional["RelationQueryCache"] = None
         # ``adopt_existing=False`` builds a read-only view over storage
         # someone else governs (the sharded engine's per-shard planner
-        # views): no clock/surrogate re-seeding, and crucially no
+        # views): no clock/surrogate re-seeding, no ``REPRO_VIEWS``
+        # view (nothing would ever feed it a delta), and crucially no
         # constraint re-observation -- regularity-style specializations
         # need not hold on a shard's tt-subsequence even though the
         # ordering specializations always do.
@@ -120,7 +122,7 @@ class TemporalRelation:
         # view, so the whole suite exercises delta emission and the
         # view-invalidation seams (the CI fast-matrix leg). Namespaced
         # so it never collides with a caller's own registrations.
-        if os.environ.get("REPRO_VIEWS"):
+        if adopt_existing and os.environ.get("REPRO_VIEWS"):
             self.views.register_current(name="__env_current__")
 
     def _adopt_existing(self) -> None:
@@ -451,17 +453,37 @@ class TemporalRelation:
         return sum(1 for _ in self.engine.current())
 
     def as_of(self, tt: TimePoint) -> List[Element]:
-        """Rollback: the historical state at transaction time *tt*."""
+        """Rollback: the historical state at transaction time *tt* (the
+        engine's prefix read: no valid-time window for declarations to
+        narrow)."""
         return list(self.engine.as_of(tt))
 
     def valid_at(self, vt: Timestamp, as_of_tt: Optional[TimePoint] = None) -> List[Element]:
-        """Valid timeslice (optionally combined with rollback)."""
-        return list(self.engine.valid_at(vt, as_of_tt))
+        """Valid timeslice (optionally combined with rollback).
+
+        With *as_of_tt* the read is a :class:`ScanSpec` confined to the
+        transaction-time window the declared specializations allow.
+        """
+        if as_of_tt is None:
+            return list(self.engine.valid_at(vt))
+        return self._scan(ScanSpec.of(vt, as_of_tt))
 
     def valid_overlapping(
         self, window: Interval, as_of_tt: Optional[TimePoint] = None
     ) -> List[Element]:
-        return list(self.engine.valid_overlapping(window, as_of_tt))
+        if as_of_tt is None:
+            return list(self.engine.valid_overlapping(window))
+        return self._scan(ScanSpec.of(window, as_of_tt))
+
+    def _scan(self, spec: ScanSpec) -> List[Element]:
+        """Run *spec* through the scan contract, narrowed by declaration
+        exactly as the planner narrows it.  Lock-free beside the single
+        writer when the spec is pinned at or below the published epoch
+        (the server's reader pool relies on this)."""
+        # Imported here: both modules import this one.
+        from repro.query import operators, planner
+
+        return operators.scan(self, planner.windowed(self.schema, spec))[0]
 
     def lifeline(self, object_surrogate: Hashable) -> Lifeline:
         """One object's full history (its per-surrogate partition)."""

@@ -913,12 +913,10 @@ class TemporalServer:
 
     async def _handle_query(self, request: Request) -> Response:
         statement = protocol.StatementRequest.from_json(request.json())
-        target: Optional[str] = None
-        if self._response_cache is not None:
-            try:
-                target = _tql.parse(statement.tql).relation_name
-            except TQLError:
-                pass  # let execute() report the parse error uncached
+        # Parsed once: the AST names the relation for the cache key and
+        # is what execute() runs (a TQLError here is the request's 400).
+        parsed = _tql.parse(statement.tql)
+        target = parsed.relation_name
         # The planner's strategy surface (current-state views, vt
         # indexes, columnar kernels) is not pinned-safe, so TQL runs
         # serialized with the writer -- and chooses exactly the
@@ -928,12 +926,12 @@ class TemporalServer:
             # pins while holding it, so reading outside could store a
             # post-write body under a pre-write pin's key.
             key = None
-            if target is not None and target in self._pins:
+            if target in self._pins:
                 key = self._cache_key(target, "query", self._pins[target], statement.tql)
                 cached = self._cache_get(key)
                 if cached is not None:
                     return cached
-            rows = self.database.execute(statement.tql)
+            rows = self.database.execute(parsed)
         if _metrics.enabled():
             _metrics.registry().counter("server.rows_served").inc(len(rows))
         response = Response.json({"rows": protocol.rows_to_json(rows), "count": len(rows)})

@@ -33,7 +33,7 @@ implements the representations the paper names:
 
 from repro.storage.backlog import Backlog, Operation, OperationKind
 from repro.storage.base import StorageEngine
-from repro.storage.indexes import BoundedWindow, TransactionTimeIndex, ValidTimeEventIndex
+from repro.storage.indexes import TransactionTimeIndex, ValidTimeEventIndex
 from repro.storage.interval_tree import IntervalTree
 from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
@@ -55,7 +55,6 @@ __all__ = [
     "Operation",
     "OperationKind",
     "StorageEngine",
-    "BoundedWindow",
     "TransactionTimeIndex",
     "ValidTimeEventIndex",
     "IntervalTree",

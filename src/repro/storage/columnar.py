@@ -162,6 +162,7 @@ class StampColumns:
         "vt_stop",
         "live",
         "unit_only",
+        "base",
         "_sorted_cache",
     )
 
@@ -179,6 +180,10 @@ class StampColumns:
         #: True while every row is a unit interval ``[v, v+1)`` -- i.e.
         #: an event relation.  Gates the sorted-valid-time bisect path.
         self.unit_only = True
+        #: Store position of row 0.  Demotion trims the cold prefix into
+        #: a *new* column set carrying its own base, so a reader thread
+        #: holding either object pairs rows with positions consistently.
+        self.base = 0
         self._sorted_cache: Dict[Tuple[int, int], Tuple[array, List[int]]] = {}
 
     def __len__(self) -> int:
@@ -249,7 +254,10 @@ class StampColumns:
         trimmed.vt_stop = self.vt_stop[count:]
         trimmed.live = self.live[count:]
         trimmed.unit_only = self.unit_only
-        for (lo, hi), (starts, order) in self._sorted_cache.items():
+        trimmed.base = self.base + count
+        # A snapshot: reader threads insert projections while the writer
+        # demotes.
+        for (lo, hi), (starts, order) in self._sorted_cache.copy().items():
             if lo >= count:
                 trimmed._sorted_cache[(lo - count, hi - count)] = (
                     starts,
@@ -302,10 +310,10 @@ class StampColumns:
 #   position range -- the transaction-time half of a predicate never
 #   needs a full pass;
 # * on an event store (``unit_only``), a whole segment's rows sorted by
-#   ``vt_start`` turn the valid-time predicate on live rows into a binary
-#   search over a cached sorted projection
-#   (:meth:`StampColumns.sorted_starts`): a unit row ``[v, v+1)``
-#   intersects ``[vt_lo, vt_hi)`` iff ``vt_lo <= v < vt_hi``.
+#   ``vt_start`` turn the valid-time predicate into a binary search over
+#   a cached sorted projection (:meth:`StampColumns.sorted_starts`): a
+#   unit row ``[v, v+1)`` intersects ``[vt_lo, vt_hi)`` iff
+#   ``vt_lo <= v < vt_hi``; existence is then tested on the few hits.
 
 
 def positions(
@@ -323,34 +331,40 @@ def positions(
     as_of = spec.as_of
     win_lo = spec.vt_lo
     win_hi = spec.vt_hi
+    cut = hi
+    if as_of is not None:
+        # The cut runs through the column set so cold segments can answer
+        # it from the compressed delta blocks without decoding tt_start.
+        cut = columns.cut_tt_right(as_of, lo, hi)
+        if cut <= lo:
+            return []
+    if whole and win_lo is not None and columns.unit_only:
+        starts, order = columns.sorted_starts(lo, hi)
+        left = bisect_left(starts, win_lo)
+        hits = order[left : bisect_left(starts, win_hi, left)]
+        # Matches come back in valid-time order; answers are in
+        # position (= transaction) order, so re-sort the survivors.
+        if as_of is None:
+            live = columns.live
+            return sorted(i for i in hits if live[i])
+        tt_stop = columns.tt_stop
+        return sorted(i for i in hits if i < cut and as_of < tt_stop[i])
     if as_of is None:
         live = columns.live
         if win_lo is None:
             return [i for i in range(lo, hi) if live[i]]
-        if whole and columns.unit_only:
-            starts, order = columns.sorted_starts(lo, hi)
-            left = bisect_left(starts, win_lo)
-            right = bisect_left(starts, win_hi, left)
-            # Matches come back in valid-time order; answers are in
-            # position (= transaction) order, so re-sort the survivors.
-            return sorted(i for i in order[left:right] if live[i])
         vt_start = columns.vt_start
         vt_stop = columns.vt_stop
         return [
             i for i in range(lo, hi) if live[i] and vt_start[i] < win_hi and vt_stop[i] > win_lo
         ]
-    # The cut runs through the column set so cold segments can answer it
-    # from the compressed delta blocks without decoding tt_start.
-    hi = columns.cut_tt_right(as_of, lo, hi)
-    if hi <= lo:
-        return []
     tt_stop = columns.tt_stop
     if win_lo is None:
-        return [i for i in range(lo, hi) if as_of < tt_stop[i]]
+        return [i for i in range(lo, cut) if as_of < tt_stop[i]]
     vt_start = columns.vt_start
     vt_stop = columns.vt_stop
     return [
         i
-        for i in range(lo, hi)
+        for i in range(lo, cut)
         if as_of < tt_stop[i] and vt_start[i] < win_hi and vt_stop[i] > win_lo
     ]

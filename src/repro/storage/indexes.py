@@ -9,18 +9,14 @@
   *sequential* (Section 3.2), insertions arrive already sorted and the
   index degenerates to an append -- the "valid time can be approximated
   with transaction time" payoff.
-* :class:`BoundedWindow` -- for relations with bounded specializations,
-  converts a valid-time point into the only transaction-time window
-  that can contain matching elements (benchmark E8).
 """
 
 from __future__ import annotations
 
 import bisect
 from operator import itemgetter
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
-from repro.chronos.duration import CalendricDuration, Duration
 from repro.chronos.timestamp import TimePoint, Timestamp
 from repro.relation.element import Element
 from repro.storage.segments import SegmentedStore
@@ -64,23 +60,13 @@ class TransactionTimeIndex:
         """Swap in a closed version of the element at *position*."""
         self._store.replace(position, element)
 
-    def position_of_tt(self, tt: Timestamp) -> int:
-        """Index of the first element with ``tt_start > tt``."""
-        return self._store.position_right(tt.microseconds)
-
     def prefix_through(self, tt: TimePoint) -> Iterator[Element]:
         """Elements inserted at or before *tt* (rollback candidates)."""
         if isinstance(tt, Timestamp):
-            yield from self._store.elements_range(0, self.position_of_tt(tt))
+            yield from self._store.elements_range(0, self._store.position_right(tt.microseconds))
         elif tt.is_positive:  # FOREVER
             yield from self._store
         # NEGATIVE_INFINITY: empty prefix
-
-    def window(self, low: Timestamp, high: Timestamp) -> Iterator[Element]:
-        """Elements with ``low <= tt_start <= high``."""
-        start = self._store.position_left(low.microseconds)
-        stop = self._store.position_right(high.microseconds)
-        yield from self._store.elements_range(start, stop)
 
     def __len__(self) -> int:
         return len(self._store)
@@ -174,64 +160,3 @@ class ValidTimeEventIndex:
 
     def __len__(self) -> int:
         return len(self._elements)
-
-
-class BoundedWindow:
-    """Valid-time point -> transaction-time window, via declared bounds.
-
-    For a relation declared with ``tt - past <= vt <= tt + future``
-    (strongly bounded, or one-sidedly with an infinite bound), an
-    element valid at ``v`` must have been stored within
-    ``v - future <= tt <= v + past``.  Scanning only that window of the
-    transaction-time index replaces a full scan.
-
-    Calendric bounds are widened conservatively (a month is at most 31
-    days) so the window never excludes a matching element.
-    """
-
-    #: Upper bounds, in days, of one calendric month/year.
-    _MAX_MONTH_DAYS = 31
-
-    def __init__(self, past_bound: Optional[object], future_bound: Optional[object]) -> None:
-        self.past_micro = self._widen(past_bound)
-        self.future_micro = self._widen(future_bound)
-
-    @classmethod
-    def _widen(cls, bound: Optional[object]) -> Optional[int]:
-        if bound is None:
-            return None
-        if isinstance(bound, Duration):
-            return bound.microseconds
-        if isinstance(bound, CalendricDuration):
-            days = bound.months * cls._MAX_MONTH_DAYS
-            return Duration(days, "day").microseconds
-        raise TypeError(f"unsupported bound {bound!r}")
-
-    @property
-    def is_two_sided(self) -> bool:
-        return self.past_micro is not None and self.future_micro is not None
-
-    def tt_window_for(self, vt: Timestamp) -> Tuple[Optional[Timestamp], Optional[Timestamp]]:
-        """The inclusive [low, high] transaction window for *vt*.
-
-        None on a side means unbounded there.
-        """
-        low = None
-        high = None
-        if self.future_micro is not None:
-            low = Timestamp(vt.microseconds - self.future_micro, "microsecond")
-        if self.past_micro is not None:
-            high = Timestamp(vt.microseconds + self.past_micro, "microsecond")
-        return low, high
-
-    def scan(self, index: TransactionTimeIndex, vt: Timestamp) -> Iterator[Element]:
-        """The candidate elements for a valid timeslice at *vt*."""
-        low, high = self.tt_window_for(vt)
-        if low is None and high is None:
-            yield from index
-        elif low is None:
-            yield from index.prefix_through(high)
-        else:
-            if high is None:
-                high = Timestamp(2**62, "microsecond")
-            yield from index.window(low, high)

@@ -15,6 +15,7 @@ from repro.chronos.timestamp import TimePoint, Timestamp
 from repro.observability import metrics as _metrics
 from repro.relation.element import Element
 from repro.storage.base import StorageEngine
+from repro.storage.columnar import ScanSpec
 from repro.storage.indexes import TransactionTimeIndex, ValidTimeEventIndex
 from repro.storage.interval_tree import IntervalTree
 from repro.storage.tiered import TierManager
@@ -23,11 +24,11 @@ from repro.storage.tiered import TierManager
 class MemoryEngine(StorageEngine):
     """Append-ordered in-memory storage with secondary indexes."""
 
-    #: Epoch-pinned reads (rollback / AS-OF prefix scans over the
-    #: append-only store) are safe from other threads while a single
-    #: writer mutates: list appends and element replacement are atomic
-    #: under the GIL, and the pinned predicate excludes anything the
-    #: writer adds or closes after the pin.  Only the *pinned* read
+    #: Epoch-pinned reads (rollback prefixes and ``as_of`` scan specs
+    #: over the append-only store) are safe from other threads while a
+    #: single writer mutates: list appends and element replacement are
+    #: atomic under the GIL, and the pinned predicate excludes anything
+    #: the writer adds or closes after the pin.  Only the *pinned* read
     #: paths carry this guarantee -- current-view iteration and the
     #: valid-time indexes do not.
     supports_concurrent_reads = True
@@ -206,13 +207,19 @@ class MemoryEngine(StorageEngine):
             if element.stored_during(tt)
         )
 
+    def _kernel_read(self, spec: ScanSpec) -> List[Element]:
+        """A read the valid-time indexes cannot serve (a rollback state,
+        or indexing off): the column kernel over the whole tt range --
+        :meth:`TemporalRelation.valid_at` narrows by declaration first."""
+        if _metrics.enabled():
+            _metrics.registry().counter("storage.memory.vt_index_misses").inc()
+        return self._tt_index.store.select(spec)[0]
+
     def valid_at(
         self, vt: Timestamp, as_of_tt: Optional[TimePoint] = None
     ) -> Iterator[Element]:
         if as_of_tt is not None or not self._maintain_vt_index:
-            if _metrics.enabled():
-                _metrics.registry().counter("storage.memory.vt_index_misses").inc()
-            yield from super().valid_at(vt, as_of_tt)
+            yield from self._kernel_read(ScanSpec.of(vt, as_of_tt))
             return
         if _metrics.enabled():
             _metrics.registry().counter("storage.memory.vt_index_hits").inc()
@@ -244,9 +251,7 @@ class MemoryEngine(StorageEngine):
         self, window: Interval, as_of_tt: Optional[TimePoint] = None
     ) -> Iterator[Element]:
         if as_of_tt is not None or not self._maintain_vt_index:
-            if _metrics.enabled():
-                _metrics.registry().counter("storage.memory.vt_index_misses").inc()
-            yield from super().valid_overlapping(window, as_of_tt)
+            yield from self._kernel_read(ScanSpec.of(window, as_of_tt))
             return
         if _metrics.enabled():
             _metrics.registry().counter("storage.memory.vt_index_hits").inc()

@@ -26,11 +26,18 @@ from __future__ import annotations
 
 import bisect
 import os
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.chronos.interval import Interval
 from repro.relation.element import Element
-from repro.storage.columnar import NEG_SENTINEL, POS_SENTINEL, StampColumns, encode_point
+from repro.storage.columnar import (
+    NEG_SENTINEL,
+    POS_SENTINEL,
+    ScanSpec,
+    StampColumns,
+    encode_point,
+    positions,
+)
 from repro.storage.segfile import SegmentFileError
 from repro.storage.tiered import TierManager, tiered_enabled
 
@@ -296,10 +303,13 @@ class SegmentedStore:
         if ordinal < len(self._zones):
             zone = self._zones[ordinal]
             if was_live and not is_live:
-                zone.live -= 1
+                # Stop first, live count second: a pinned reader thread
+                # testing ``alive_at`` between the two writes must never
+                # see neither.
                 zone.max_closed_tt_stop = max(
                     zone.max_closed_tt_stop, encode_point(element.tt_stop)
                 )
+                zone.live -= 1
             elif is_live and not was_live:
                 zone.live += 1
         if was_live and not is_live:
@@ -338,7 +348,7 @@ class SegmentedStore:
     @property
     def cold_base(self) -> int:
         """First hot position (cold segments are always a prefix)."""
-        return self._cold * self.segment_size
+        return self.columns.base
 
     def _segment_column_lists(self, start: int, stop: int) -> Dict[str, Sequence[int]]:
         """The stamp-column rows for hot positions ``[start, stop)``."""
@@ -543,10 +553,13 @@ class SegmentedStore:
     # -- element access ------------------------------------------------------------
 
     def element_at(self, position: int) -> Element:
-        if position < self.cold_base:
-            size = self.segment_size
-            return self.tiering.element_at(position // size, position % size)  # type: ignore[union-attr]
-        return self._elements[position]  # type: ignore[return-value]
+        element = self._elements[position]
+        if element is None:
+            # Cold, however far a concurrent demotion has got: the segment
+            # file is registered before its slots are cleared.
+            ordinal, local = divmod(position, self.segment_size)
+            return self.tiering.element_at(ordinal, local)  # type: ignore[union-attr]
+        return element
 
     def elements_list(self) -> List[Element]:
         """The backing list (read-only by convention; no copy).
@@ -582,26 +595,87 @@ class SegmentedStore:
     def fetch_elements(self, base: int, positions: Sequence[int]) -> List[Element]:
         """Materialize kernel survivors: *positions* are local to *base*
         (the pairing :meth:`kernel_view` hands out)."""
-        if base >= self.cold_base:
-            elements = self._elements
-            return [elements[base + position] for position in positions]  # type: ignore[misc]
-        tiering = self.tiering
-        ordinal = base // self.segment_size
-        return [tiering.element_at(ordinal, position) for position in positions]  # type: ignore[union-attr]
+        elements = self._elements
+        fetched = [elements[base + local] for local in positions]
+        if self.tiering is not None:  # only then can a slot be a (None) cold row
+            for index, element in enumerate(fetched):
+                if element is None:
+                    fetched[index] = self.element_at(base + positions[index])
+        return fetched  # type: ignore[return-value]
 
     def kernel_view(self, lo: int, hi: int):
         """The column set and base offset covering unit ``[lo, hi)``.
 
-        Hot units share the store's sidecar (rows are position minus
-        ``cold_base``); a cold unit gets its segment's lazily-decoded
-        column set (rows are segment-local).  Units never span the
-        cold/hot boundary: operators clip to segment bounds and the
-        boundary is always a segment boundary.
+        Hot units share the store's sidecar (rows are position minus its
+        ``base``, read from the one object so the pair stays consistent
+        while a demotion swaps it under a reader thread); a cold unit
+        gets its segment's lazily-decoded column set (rows are
+        segment-local).  Units never span the cold/hot boundary: both
+        are clipped to segment bounds.
         """
-        if lo >= self.cold_base:
-            return self.columns, self.cold_base
+        columns = self.columns
+        if lo >= columns.base:
+            return columns, columns.base
         ordinal = lo // self.segment_size
         return self.tiering.columns(ordinal), ordinal * self.segment_size  # type: ignore[union-attr]
+
+    def select(self, spec: ScanSpec, stats=None) -> Tuple[List[Element], int]:
+        """The elements satisfying *spec*, in tt order, and how many rows
+        were examined -- the one range-shaped read of a tt-indexed store.
+
+        Binary search turns the spec's transaction-time window into a
+        position range; sealed segments overlapping it are kept only
+        when ``spec.may_match`` accepts their zone map (a zone map
+        summarises the whole segment, so rejecting one is valid even
+        when the range clips it) and the head is always scanned; each
+        surviving unit runs the column kernel, and elements materialize
+        only for the positions it returns.  *stats* (a ``SegmentStats``)
+        receives the scanned/pruned counts.
+
+        Safe on a reader thread beside the single writer when the spec
+        is pinned at or below the published epoch: nothing past the
+        pin's position is read, and the sealed count is read once, so a
+        segment sealing meanwhile is scanned as the head it was.
+        """
+        start = self.position_left(spec.tt_lo)
+        stop = self.position_right(spec.tt_hi)
+        if stop <= start:
+            return [], 0
+        size = self.segment_size
+        sealed = len(self._zones)
+        # A unit is (lo, hi, whole): whole units -- a sealed segment or the
+        # head the window did not clip -- recur across queries, so the
+        # kernel may answer them from a cached sorted projection.
+        units: List[Tuple[int, int, bool]] = []
+        pruned = 0
+        for ordinal in range(start // size, sealed):
+            seg_lo = ordinal * size
+            if seg_lo >= stop:
+                break
+            if spec.may_match(self._zones[ordinal]):
+                lo, hi = max(start, seg_lo), min(stop, seg_lo + size)
+                units.append((lo, hi, hi - lo == size))
+            else:
+                pruned += 1
+        head_lo = max(start, sealed * size)
+        if head_lo < stop:
+            units.append((head_lo, stop, head_lo == sealed * size and stop == len(self)))
+        matches: List[Element] = []
+        examined = 0
+        for lo, hi, whole in units:
+            columns, base = self.kernel_view(lo, hi)
+            matches.extend(
+                self.fetch_elements(base, positions(columns, lo - base, hi - base, spec, whole))
+            )
+            examined += hi - lo
+        if stats is not None:
+            stats.scanned += len(units)
+            stats.pruned += pruned
+            stats.positions_examined += examined
+            stats.materialized += len(matches)
+            cold_base = self.cold_base
+            stats.cold_segments += sum(1 for lo, _hi, _whole in units if lo < cold_base)
+        return matches, examined
 
     def __len__(self) -> int:
         return len(self._elements)

@@ -217,11 +217,15 @@ class TieredSegment:
         return self._columns
 
     def _decode_column(self, name: str):
-        reader = self.reader()
-        values = reader.column(name)
-        self._manager._note_decode(reader.payload_bytes(name))
-        for local, element in self.patches.items():
-            values[local] = _element_cell(element, name)
+        # Kernels decode lazily, after ``columns()`` returned: locked (and
+        # back on the LRU) so no other reader's eviction closes the mapping.
+        with self._manager._lock:
+            self._manager._touch(self)
+            reader = self.reader()
+            values = reader.column(name)
+            self._manager._note_decode(reader.payload_bytes(name))
+            for local, element in self.patches.items():
+                values[local] = _element_cell(element, name)
         if name == "live":
             # Item-wise copy: bytearray(array('q')) would reinterpret
             # the raw 8-byte buffer instead of the 0/1 items.
@@ -229,9 +233,10 @@ class TieredSegment:
         return values
 
     def bisect_tt_right(self, tt: int) -> int:
-        reader = self.reader()
-        self._manager._note_decode(0)
-        return reader.bisect_right("tt_start", tt)
+        with self._manager._lock:  # as for _decode_column
+            self._manager._touch(self)
+            self._manager._note_decode(0)
+            return self.reader().bisect_right("tt_start", tt)
 
     # -- elements -------------------------------------------------------------------
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.chronos.timestamp import Timestamp
-from repro.query.planner import Planner
 from repro.relation.temporal_relation import TemporalRelation
 from repro.storage.base import StorageEngine
 from repro.storage.memory import MemoryEngine
@@ -178,7 +177,7 @@ def tt_horizon_for_valid_floor(
     timeslices* at or above the floor; rollback queries below the
     horizon are of course forfeited -- that is the point of vacuuming.
     """
-    region = Planner(relation).declared_offset_region()
+    region = relation.schema.declared_offset_region
     if region is None or region.upper is None:
         return None
     return Timestamp(valid_floor.microseconds - region.upper.offset, "microsecond")

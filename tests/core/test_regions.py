@@ -3,8 +3,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.chronos.duration import CalendricDuration
+from repro.chronos.timestamp import Timestamp
 from repro.core.taxonomy import EVENT_ISOLATED_LATTICE
-from repro.core.taxonomy.event_isolated import Degenerate
+from repro.core.taxonomy.event_isolated import (
+    Degenerate,
+    DelayedRetroactive,
+    DelayedStronglyRetroactivelyBounded,
+    StronglyRetroactivelyBounded,
+)
 from repro.core.taxonomy.regions import (
     LINE_KIND_ABOVE,
     LINE_KIND_BELOW,
@@ -145,6 +152,41 @@ class TestTransactionWindow:
             return  # empty region
         tt_lo, tt_hi = region.tt_window(vt, vt)
         assert region.contains(vt - tt) == (tt_lo <= tt <= tt_hi)
+
+
+class TestCalendricBounds:
+    """A calendric bound has no fixed region (a month is 28 to 31 days);
+    the schema's declared region widens it conservatively, so calendric
+    declarations share the one window derivation."""
+
+    @staticmethod
+    def declared(specialization) -> OffsetRegion:
+        from repro.relation.schema import TemporalSchema
+
+        return TemporalSchema(name="r", specializations=[specialization]).declared_offset_region
+
+    def test_calendric_widened_conservatively(self):
+        day = Timestamp(1, "day").microseconds
+        month = CalendricDuration(months=1)
+        bounded = self.declared(StronglyRetroactivelyBounded(month))
+        assert bounded.tt_window(0, 0) == (0, 31 * day)
+        delayed = self.declared(DelayedRetroactive(month))
+        assert delayed.tt_window(0, 0) == (28 * day, None)
+
+    def test_hull_is_the_smallest_region_containing_both(self):
+        one, other = OffsetRegion(Bound(-31), Bound(-5, closed=False)), OffsetRegion(Bound(-28), None)
+        assert one.hull(other) == other.hull(one) == OffsetRegion(Bound(-31), None)
+        assert one.hull(one) == one
+
+    @given(st.integers(0, 4 * 366), st.integers(1, 30))
+    def test_every_calendric_offset_lies_in_the_widened_region(self, days, months):
+        """Soundness over four years of anchor dates (a leap February
+        included): ``tt - n months`` never leaves the declared region."""
+        span = CalendricDuration(months=months)
+        region = self.declared(DelayedStronglyRetroactivelyBounded(span, span))
+        tt = Timestamp(Timestamp.from_date(2023, 1, 1).microseconds + days * 86_400 * 10**6, "microsecond")
+        vt = tt - span
+        assert region.contains(vt.microseconds - tt.microseconds)
 
 
 class TestCompletenessEnumeration:

@@ -97,14 +97,13 @@ class TestStrategySelection:
         assert plan.strategy == "engine-index"
 
     def test_sequential_intervals_use_binary_search(self):
+        from repro.core.taxonomy import IntervalGloballySequential
+
         schema = TemporalSchema(
             name="weeks",
             valid_time_kind=ValidTimeKind.INTERVAL,
-            specializations=[],
+            specializations=[IntervalGloballySequential()],
         )
-        from repro.core.taxonomy import IntervalGloballySequential
-
-        schema.specializations = (IntervalGloballySequential(),)
         clock = SimulatedWallClock(start=0)
         relation = TemporalRelation(schema, clock=clock)
         for week in range(20):

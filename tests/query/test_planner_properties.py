@@ -13,6 +13,8 @@ chosen the strategy the declaration licenses.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,7 +30,9 @@ from repro.query import (
     Scan,
     ValidOverlap,
     ValidTimeslice,
+    operators,
 )
+from repro.core.constraints import EnforcementMode
 from repro.core.taxonomy.regions import enumerate_regions
 from repro.relation.schema import TemporalSchema, ValidTimeKind
 from repro.relation.temporal_relation import TemporalRelation
@@ -71,6 +75,34 @@ def expected_timeslice_strategy(declared: str, relation) -> str:
 
 def surrogates(elements) -> list:
     return sorted(e.element_surrogate for e in elements)
+
+
+@contextmanager
+def scan_calls():
+    """Every ``operators.scan`` made inside the block, as ``(spec,
+    examined)`` -- how much a relation read method looked at."""
+    calls = []
+    real = operators.scan
+
+    def recording(relation, spec, stats=None):
+        results, examined = real(relation, spec, stats)
+        calls.append((spec, examined))
+        return results, examined
+
+    operators.scan = recording
+    try:
+        yield calls
+    finally:
+        operators.scan = real
+
+
+def count_in_window(relation, tt_lo, tt_hi) -> int:
+    return sum(
+        1
+        for element in relation.all_elements()
+        if (tt_lo is None or tt_lo <= element.tt_start.microseconds)
+        and (tt_hi is None or element.tt_start.microseconds <= tt_hi)
+    )
 
 
 def assert_plan_agrees(relation, query, expect_strategy=None) -> None:
@@ -190,19 +222,105 @@ def test_every_figure1_region_narrows_the_scan(name, data):
         (ValidTimeslice(Scan(relation), Timestamp(probe)), probe * second, probe * second),
         (ValidOverlap(Scan(relation), window), probe * second, (probe + width) * second - 1),
     ]
+    stored = relation.all_elements()
+    pins = [relation.pin_epoch().as_of, stored[count // 2].tt_start]
     for query, vt_first, vt_last in queries:
         plan = Planner(relation).plan(query)
         assert surrogates(plan.execute()) == surrogates(NaiveExecutor().run(query))
-        tt_lo, tt_hi = region.tt_window(vt_first, vt_last)
-        in_window = sum(
-            1
-            for element in relation.all_elements()
-            if (tt_lo is None or tt_lo <= element.tt_start.microseconds)
-            and (tt_hi is None or element.tt_start.microseconds <= tt_hi)
-        )
+        in_window = count_in_window(relation, *region.tt_window(vt_first, vt_last))
         assert plan.examined <= in_window, (plan.strategy, plan.examined, in_window)
         if region.line_count:
             assert plan.strategy.startswith("bounded-tt-window"), plan.strategy
+        # The relation's own pinned read derives the same window.
+        for as_of in pins:
+            at_tt = [element for element in stored if element.stored_during(as_of)]
+            with scan_calls() as calls:
+                if isinstance(query, ValidTimeslice):
+                    pinned = relation.valid_at(query.vt, as_of)
+                    listed = [element for element in at_tt if element.valid_at(query.vt)]
+                else:
+                    pinned = relation.valid_overlapping(query.window, as_of)
+                    listed = [e for e in at_tt if query.window.contains_point(e.vt)]
+            assert [e.element_surrogate for e in pinned] == [e.element_surrogate for e in listed]
+            assert sum(examined for _spec, examined in calls) <= in_window
+
+
+def test_pinned_timeslice_examines_the_declared_window_not_the_prefix():
+    """The served shape (``GET .../timeslice`` always passes the pin): on
+    the paper's monitoring relation, delayed 30 s and bounded 55 s, a
+    reading valid at ``v`` was stored in ``[v + 30 s, v + 55 s]`` -- the
+    pinned read looks at the rows stamped inside those 25 s and nothing
+    else, however long the prefix under the pin is."""
+    from repro.workloads.monitoring import generate_monitoring
+
+    relation = generate_monitoring(sensors=4, samples_per_sensor=500).relation
+    stored = relation.all_elements()
+    assert len(stored) == 2000
+    second = Timestamp(1).microseconds
+    pin = relation.pin_epoch().as_of
+    for target in (stored[3], stored[1000], stored[-1]):
+        vt = target.vt.microseconds
+        with scan_calls() as calls:
+            answer = relation.valid_at(target.vt, as_of_tt=pin)
+        assert target in answer
+        assert answer == [e for e in stored if e.is_current and e.vt == target.vt]
+        [(spec, examined)] = calls
+        # (the newest reading's window is also cut at the pin itself)
+        assert spec.tt_lo == vt + 30 * second
+        assert spec.tt_hi == min(vt + 55 * second, pin.microseconds)
+        assert examined == count_in_window(relation, spec.tt_lo, spec.tt_hi)
+        assert 1 <= examined <= 4  # one reading per sensor per minute, not 2000
+
+
+def test_calendric_declarations_narrow_like_any_other():
+    """Calendric bounds join the one window derivation (widened as
+    ``tests/core/test_regions.py`` checks).  A fact stored on 1 March and
+    valid from 1 February is exactly one month back -- 28 days, the
+    edge of both declarations -- and must sit inside the scanned window."""
+    from repro.chronos.duration import CalendricDuration
+    from repro.core.taxonomy import DelayedRetroactive, StronglyRetroactivelyBounded
+
+    month = CalendricDuration(months=1)
+    schema = TemporalSchema(
+        name="r",
+        time_varying=("v",),
+        specializations=[StronglyRetroactivelyBounded(month), DelayedRetroactive(month)],
+    )
+    clock = SimulatedWallClock(start=Timestamp.from_date(2026, 1, 1).microseconds // 10**6)
+    relation = TemporalRelation(schema, clock=clock)
+    for month_number in range(2, 12):
+        clock.advance_to(Timestamp.from_date(2026, month_number, 1))
+        relation.insert("o", Timestamp.from_date(2026, month_number - 1, 1), {"v": month_number})
+    probe = Timestamp.from_date(2026, 2, 1)
+    query = ValidTimeslice(Scan(relation), probe)
+    plan = Planner(relation).plan(query)
+    assert plan.strategy == "bounded-tt-window"
+    assert surrogates(plan.execute()) == surrogates(NaiveExecutor().run(query))
+    assert plan.examined == 1 < len(relation)
+    assert len(relation.valid_at(probe, as_of_tt=relation.pin_epoch().as_of)) == 1
+
+
+def test_recorded_declarations_license_no_narrowing():
+    """RECORD mode stores violating elements, so the declared region says
+    nothing about where a match may lie."""
+    schema = TemporalSchema(
+        name="r",
+        time_varying=("v",),
+        specializations=["degenerate"],
+        enforcement=EnforcementMode.RECORD,
+    )
+    clock = SimulatedWallClock(start=0)
+    relation = TemporalRelation(schema, clock=clock)
+    for i in range(20):
+        clock.advance_to(Timestamp(10 * i))
+        relation.insert("o", Timestamp(10 * i + (7 if i == 12 else 0)), {"v": i})
+    violator = Timestamp(127)  # stored at 120: not degenerate, recorded anyway
+    pin = relation.pin_epoch().as_of
+    assert [e.vt for e in relation.valid_at(violator, as_of_tt=pin)] == [violator]
+    query = ValidTimeslice(Scan(relation), violator)
+    assert surrogates(Planner(relation).plan(query).execute()) == surrogates(
+        NaiveExecutor().run(query)
+    )
 
 
 @st.composite
@@ -212,9 +330,11 @@ def sequential_interval_workloads(draw):
 
     count = draw(st.integers(min_value=1, max_value=15))
     schema = TemporalSchema(
-        name="weeks", valid_time_kind=ValidTimeKind.INTERVAL, time_varying=("v",)
+        name="weeks",
+        valid_time_kind=ValidTimeKind.INTERVAL,
+        time_varying=("v",),
+        specializations=[IntervalGloballySequential()],
     )
-    schema.specializations = (IntervalGloballySequential(),)
     clock = SimulatedWallClock(start=0)
     relation = TemporalRelation(schema, clock=clock)
     if draw(st.booleans()):

@@ -156,6 +156,35 @@ def test_tql_and_explain() -> None:
     asyncio.run(scenario())
 
 
+def test_a_tql_request_is_parsed_once(monkeypatch) -> None:
+    """The handler's AST names the relation for the cache key and is what
+    the database and ``tql.execute`` run -- nobody re-parses the text."""
+    from repro.query import tql
+
+    parsed = []
+    real = tql.parse
+
+    def counting(text):
+        parsed.append(text)
+        return real(text)
+
+    monkeypatch.setattr(tql, "parse", counting)
+
+    async def scenario() -> None:
+        async with running_server() as server:
+            async with connected_client(server) as client:
+                await client.create_relation({"name": "r", "time_varying": ["v"]})
+                await client.bulk("r", [["a", 0, {"v": 1}], ["b", MICRO, {"v": 2}]])
+                rows = await client.query("SELECT v FROM r VALID AT 1s")
+                assert [row["v"] for row in rows.json()["rows"]] == [2]
+                assert parsed == ["SELECT v FROM r VALID AT 1s"]
+                assert (await client.query("SELECT v FROM nowhere")).status == 400
+                assert (await client.query("VALID AT 1s FROM r")).status == 400
+                assert len(parsed) == 3
+
+    asyncio.run(scenario())
+
+
 def test_protocol_errors_are_clean_http() -> None:
     async def scenario() -> None:
         async with running_server() as server:

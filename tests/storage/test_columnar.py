@@ -138,6 +138,31 @@ class TestStampColumnEncoding:
         assert positions(columns, 1, 5, spec, whole=True) == [1, 3, 4]
         assert list(columns._sorted_cache) == [(1, 5)]
 
+    def test_whole_as_of_ranges_bisect_the_projection_too(self):
+        relation, clock = build_events([5, 0, 5, 3, 5, 0])  # tt 0, 10, .. 50
+        clock.advance_to(Timestamp(1000))
+        relation.delete(relation.all_elements()[2].element_surrogate)
+        columns = relation.engine.transaction_index.store.columns
+        everything = Interval(Timestamp(0), Timestamp(60))
+        cases = {
+            # Row 2 was closed at 1000: after as_of, so still stored then...
+            Timestamp(999): [0, 1, 2, 3, 4, 5],
+            # ...and gone from the close on (half-open existence).
+            Timestamp(1000): [0, 1, 3, 4, 5],
+            # Rows stored after as_of are cut by position, not by vt.
+            Timestamp(25): [0, 1, 2],
+            Timestamp(0): [0],
+        }
+        for as_of, expected in cases.items():
+            spec = ScanSpec.of(everything, as_of)
+            assert positions(columns, 0, 6, spec) == expected
+            assert positions(columns, 0, 6, spec, whole=True) == expected
+        assert list(columns._sorted_cache) == [(0, 6)]
+        # A narrower window bisects inside the same projection.
+        point = ScanSpec.of(Timestamp(25), Timestamp(999))  # row 2's valid time
+        assert positions(columns, 0, 6, point, whole=True) == [2]
+        assert positions(columns, 0, 6, ScanSpec.of(Timestamp(25), Timestamp(1000)), whole=True) == []
+
     def test_memory_bytes_tracks_row_count(self):
         columns = StampColumns()
         assert columns.memory_bytes() == 0
@@ -331,16 +356,46 @@ def kernel_and_oracle(relation, probes):
     }
 
 
+def pinned_and_listed(relation, probes):
+    """The relation's pinned read methods beside a plain-list filter, at
+    transaction times before the first stamp, mid-history, at the epoch
+    pin, and at and just before the last logical delete."""
+    stored = relation.all_elements()
+    vt = Timestamp(probes[1])
+    lo, hi = sorted((probes[0], probes[1] + 1))
+    window = Interval(Timestamp(lo), Timestamp(hi + (lo == hi)))
+    points = {"before_first": Timestamp(0), "pin": relation.pin_epoch().as_of}
+    if stored:
+        points["mid_history"] = stored[len(stored) // 2].tt_start
+    closes = [e.tt_stop for e in stored if not e.is_current]
+    if closes:
+        points["last_delete"] = max(closes)
+        points["before_last_delete"] = Timestamp(max(closes).microseconds - 1, "microsecond")
+    cases = {}
+    for name, as_of in points.items():
+        at_tt = [e for e in stored if e.stored_during(as_of)]
+        cases[f"valid_at@{name}"] = (
+            signature(relation.valid_at(vt, as_of)),
+            signature(e for e in at_tt if e.valid_at(vt)),
+        )
+        cases[f"valid_overlapping@{name}"] = (
+            signature(relation.valid_overlapping(window, as_of)),
+            signature(e for e in at_tt if window.contains_point(e.vt)),
+        )
+    return cases
+
+
 @settings(deadline=None)
 @given(segment_workloads())
 def test_kernel_matches_naive_executor(workload):
     """Element-for-element identical answers, in transaction order: the
     column kernel behind ``scan(spec)`` versus ``NaiveExecutor``'s object
-    predicates (snapshot reducibility's oracle), on a never-sealing flat
-    store, tiny and default segment sizes, the compressed cold tier with
-    a one-segment decode cache, and a 3-shard scatter-gather -- after the
-    same randomized interleaving of appends, batches, logical deletes,
-    and vacuums."""
+    predicates (snapshot reducibility's oracle) -- and the relation's
+    pinned ``valid_at`` / ``valid_overlapping`` versus a plain-list
+    filter -- on a never-sealing flat store, tiny and default segment
+    sizes, the compressed cold tier with a one-segment decode cache, and
+    a 3-shard scatter-gather -- after the same randomized interleaving
+    of appends, batches, logical deletes, and vacuums."""
     ops, probes = workload
     with tiered_env("0"):
         topologies = {
@@ -355,3 +410,5 @@ def test_kernel_matches_naive_executor(workload):
         for topology, relation in topologies.items():
             for shape, (kernel, oracle) in kernel_and_oracle(relation, probes).items():
                 assert kernel == oracle, f"divergence on {topology} / {shape}"
+            for shape, (pinned, listed) in pinned_and_listed(relation, probes).items():
+                assert pinned == listed, f"divergence on {topology} / {shape}"

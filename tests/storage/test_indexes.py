@@ -3,11 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.chronos.duration import CalendricDuration, Duration
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import FOREVER, NEGATIVE_INFINITY, Timestamp
 from repro.relation.element import Element
-from repro.storage.indexes import BoundedWindow, TransactionTimeIndex, ValidTimeEventIndex
+from repro.storage.indexes import TransactionTimeIndex, ValidTimeEventIndex
 from repro.storage.interval_tree import IntervalTree
 from repro.storage.memory import MemoryEngine
 
@@ -39,13 +38,6 @@ class TestTransactionTimeIndex:
         assert [e.element_surrogate for e in index.prefix_through(Timestamp(9))] == []
         assert len(list(index.prefix_through(FOREVER))) == 3
         assert list(index.prefix_through(NEGATIVE_INFINITY)) == []
-
-    def test_window(self):
-        index = TransactionTimeIndex()
-        for surrogate, tt in enumerate(range(0, 100, 10), start=1):
-            index.append(event_element(surrogate, tt, 0))
-        window = [e.tt_start.ticks for e in index.window(Timestamp(25), Timestamp(55))]
-        assert window == [30, 40, 50]
 
     def test_rejects_non_increasing(self):
         index = TransactionTimeIndex()
@@ -93,48 +85,6 @@ class TestValidTimeEventIndex:
         low, high = Timestamp(-20), Timestamp(20)
         expected = sorted(i + 1 for i, vt in enumerate(valid_times) if -20 <= vt < 20)
         assert sorted(e.element_surrogate for e in index.between(low, high)) == expected
-
-
-class TestBoundedWindow:
-    def test_two_sided(self):
-        window = BoundedWindow(Duration(5), Duration(10))
-        low, high = window.tt_window_for(Timestamp(100))
-        assert low == Timestamp(90) and high == Timestamp(105)
-        assert window.is_two_sided
-
-    def test_one_sided(self):
-        retroactive_only = BoundedWindow(Duration(5), None)
-        low, high = retroactive_only.tt_window_for(Timestamp(100))
-        assert low is None and high == Timestamp(105)
-
-    def test_calendric_widened_conservatively(self):
-        window = BoundedWindow(CalendricDuration(months=1), Duration(0))
-        low, high = window.tt_window_for(Timestamp(0, "day"))
-        assert high == Timestamp(31, "day")
-
-    def test_scan_restricts_candidates(self):
-        index = TransactionTimeIndex()
-        for surrogate, tt in enumerate(range(0, 1000, 10), start=1):
-            index.append(event_element(surrogate, tt, tt - 3))
-        window = BoundedWindow(Duration(5), Duration(0))
-        candidates = list(window.scan(index, Timestamp(497)))
-        # Only elements with 497 <= tt <= 502 qualify.
-        assert [e.tt_start.ticks for e in candidates] == [500]
-
-    @given(st.integers(0, 980))
-    def test_scan_never_misses_matches(self, probe):
-        """Soundness: every element valid at v is inside the window."""
-        index = TransactionTimeIndex()
-        elements = []
-        for surrogate, tt in enumerate(range(0, 1000, 7), start=1):
-            element = event_element(surrogate, tt, tt - (surrogate % 6))
-            index.append(element)
-            elements.append(element)
-        window = BoundedWindow(Duration(5), Duration(0))
-        vt = Timestamp(probe)
-        expected = {e.element_surrogate for e in elements if e.vt == vt}
-        got = {e.element_surrogate for e in window.scan(index, vt) if e.vt == vt}
-        assert got == expected
 
 
 class TestIntervalTree:
