@@ -284,6 +284,10 @@ class StampColumns:
             order = sorted(range(lo, hi), key=vt_start.__getitem__)
             starts = array("q", [vt_start[i] for i in order])
             cached = (starts, order)
+            # The head grows between reads: its earlier, shorter
+            # projection can never be asked for again.
+            for stale in [old for old in list(self._sorted_cache) if old[0] == lo and old[1] < hi]:
+                self._sorted_cache.pop(stale, None)
             self._sorted_cache[key] = cached
         return cached
 

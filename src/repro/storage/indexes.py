@@ -4,21 +4,24 @@
   ``tt_start`` order, so rollback candidates form a prefix found by
   binary search (no B-tree needed; this is the paper's observation that
   append-only relations make transaction-time access cheap).
-* :class:`ValidTimeEventIndex` -- a sorted secondary index on event
-  valid times.  When the relation is declared *non-decreasing* or
-  *sequential* (Section 3.2), insertions arrive already sorted and the
-  index degenerates to an append -- the "valid time can be approximated
-  with transaction time" payoff.
+* :class:`ValidTimeEventIndex` -- a sorted projection of event valid
+  times onto store positions.  When the relation is declared
+  *non-decreasing* or *sequential* (Section 3.2), insertions arrive
+  already sorted and the index degenerates to an append -- the "valid
+  time can be approximated with transaction time" payoff; otherwise bulk
+  writers leave an unsorted tail that the first reader settles.
 """
 
 from __future__ import annotations
 
-import bisect
-from operator import itemgetter
-from typing import Iterator, List, Optional, Sequence
+from array import array
+from bisect import bisect_left, bisect_right
+from typing import Iterator, Optional, Sequence
 
 from repro.chronos.timestamp import TimePoint, Timestamp
+from repro.observability import metrics as _metrics
 from repro.relation.element import Element
+from repro.storage.columnar import NEG_SENTINEL
 from repro.storage.segments import SegmentedStore
 from repro.storage.tiered import TierManager
 
@@ -79,84 +82,114 @@ class TransactionTimeIndex:
 
 
 class ValidTimeEventIndex:
-    """Sorted index over event valid times.
+    """Sorted projection of event valid times onto store positions.
 
-    Tracks whether every insertion arrived in non-decreasing valid-time
-    order; for declared sequential/non-decreasing relations this stays
-    true and each insertion is a pure append.  ``appended_in_order`` is
-    exposed so benchmarks can verify the claimed behaviour.
+    Two parallel ``array('q')`` runs ordered by ``(vt, position)`` plus an
+    unsorted *tail*.  Writers never merge: a bulk :meth:`extend` appends
+    its keys and positions to the tail (or straight to the run when the
+    batch arrives in order -- the declared non-decreasing / sequential
+    case), and the first reader after it settles the tail once.  A
+    relation whose declarations route every read through the
+    transaction-time window therefore never pays for this index at all.
+    Single-row :meth:`add` stays eager: an append when in order, a
+    ``bisect`` + ``insert`` otherwise.
+
+    ``appended_in_order`` / ``inserted_out_of_order`` count rows by how
+    they arrived (at or after every earlier key, or not) so benchmarks
+    can verify the claimed degenerate-to-append behaviour.
     """
 
     def __init__(self) -> None:
-        self._keys: List[int] = []
-        self._elements: List[Element] = []
+        self._keys = array("q")
+        self._positions = array("q")
+        self._tail_keys = array("q")
+        self._tail_positions = array("q")
+        self._max = NEG_SENTINEL  # over the run and the tail
         self.appended_in_order = 0
         self.inserted_out_of_order = 0
 
-    def add(self, element: Element) -> None:
-        key = element.vt.microseconds  # type: ignore[union-attr]
-        if not self._keys or key >= self._keys[-1]:
+    def add(self, key: int, position: int) -> None:
+        """Index one row eagerly (*position* exceeds every stored one)."""
+        if self._tail_keys:
+            self._settle()
+        if key >= self._max:
+            self._max = key
             self._keys.append(key)
-            self._elements.append(element)
+            self._positions.append(position)
             self.appended_in_order += 1
             return
-        position = bisect.bisect_right(self._keys, key)
-        self._keys.insert(position, key)
-        self._elements.insert(position, element)
+        at = bisect_right(self._keys, key)
+        self._keys.insert(at, key)
+        self._positions.insert(at, position)
         self.inserted_out_of_order += 1
 
-    def extend(self, batch: Sequence[Element]) -> None:
-        """Index a whole batch in one pass.
-
-        Sorted batches arriving at or after the current maximum key (the
-        declared non-decreasing / sequential case) degenerate to two
-        list extends; anything else is one merge of the existing sorted
-        run with the sorted batch -- O(n + k) instead of the O(k·n)
-        worst case of k repeated ``insert`` calls.
-        """
-        if not batch:
+    def extend(self, keys: Sequence[int], positions: Sequence[int]) -> None:
+        """Index a batch (ascending *positions* past every stored one) in
+        O(batch): no pass over the rows already indexed."""
+        if not keys:
             return
-        keys = [element.vt._micro for element in batch]  # type: ignore[union-attr]
         ordered = sorted(keys)
-        if keys == ordered:
-            if not self._keys or keys[0] >= self._keys[-1]:
+        if ordered[0] >= self._max and ordered == list(keys):
+            self.appended_in_order += len(keys)
+            self._max = ordered[-1]
+            if not self._tail_keys:
                 self._keys.extend(keys)
-                self._elements.extend(batch)
-                self.appended_in_order += len(batch)
+                self._positions.extend(positions)
                 return
-            keyed = list(zip(keys, batch))
         else:
-            # Stable, and never compares elements: ties keep batch order.
-            keyed = sorted(zip(keys, batch), key=itemgetter(0))
-        if not self._keys:
-            self._keys = ordered
-            self._elements = [element for _key, element in keyed]
-            self.inserted_out_of_order += len(batch)
+            self.inserted_out_of_order += len(keys)
+            self._max = max(self._max, ordered[-1])
+        self._tail_keys.extend(keys)
+        self._tail_positions.extend(positions)
+
+    def _settle(self) -> None:
+        """Fold the tail into the sorted run: an append when it lands at
+        or after the run's maximum, otherwise one in-place merge."""
+        # Tail positions ascend, so sorting the pairs is (vt, position)
+        # order and later rows follow stored ones among equal keys.
+        pairs = sorted(zip(self._tail_keys, self._tail_positions))
+        tail_keys, tail_positions = (array("q", column) for column in zip(*pairs))
+        self._tail_keys = array("q")
+        self._tail_positions = array("q")
+        if _metrics.enabled():
+            registry = _metrics.registry()
+            registry.counter("storage.memory.vt_index_settles").inc()
+            registry.counter("storage.memory.vt_index_settled_rows").inc(len(pairs))
+        keys = self._keys
+        if not keys or tail_keys[0] >= keys[-1]:
+            keys.extend(tail_keys)
+            self._positions.extend(tail_positions)
             return
-        # Stable sort of two concatenated sorted runs is a single merge
-        # pass for timsort, and keeps existing elements first among equal
-        # keys -- matching the bisect_right behaviour of repeated single
-        # inserts.
-        merged = list(zip(self._keys, self._elements))
-        merged.extend(keyed)
-        merged.sort(key=itemgetter(0))
-        self._keys = [key for key, _element in merged]
-        self._elements = [element for _key, element in merged]
-        self.inserted_out_of_order += len(batch)
+        # Grow both columns once, then walk the tail from the back: each
+        # row bisects the not-yet-placed run prefix and shifts the slice
+        # above its cut into final place (a memmove; every run row moves
+        # at most once), so nothing is done per row of the existing run.
+        positions = self._positions
+        unplaced = len(keys)
+        keys.extend(tail_keys)
+        positions.extend(tail_positions)
+        with memoryview(keys) as key_view, memoryview(positions) as position_view:
+            for shift in range(len(tail_keys) - 1, -1, -1):
+                key = tail_keys[shift]
+                cut = bisect_right(keys, key, 0, unplaced)
+                if cut < unplaced:
+                    key_view[cut + shift + 1 : unplaced + shift + 1] = key_view[cut:unplaced]
+                    position_view[cut + shift + 1 : unplaced + shift + 1] = position_view[cut:unplaced]
+                    unplaced = cut
+                key_view[cut + shift] = key
+                position_view[cut + shift] = tail_positions[shift]
 
-    def at(self, vt: Timestamp) -> Iterator[Element]:
-        """All elements with exactly this valid time."""
-        key = vt.microseconds
-        position = bisect.bisect_left(self._keys, key)
-        while position < len(self._keys) and self._keys[position] == key:
-            yield self._elements[position]
-            position += 1
+    def at(self, key: int) -> array:
+        """Positions of the rows with exactly this valid time, ascending."""
+        return self.between(key, key + 1)
 
-    def between(self, low: Timestamp, high: Timestamp) -> Iterator[Element]:
-        """Elements with ``low <= vt < high`` (half-open, like intervals)."""
-        start = bisect.bisect_left(self._keys, low.microseconds)
-        stop = bisect.bisect_left(self._keys, high.microseconds)
-        yield from self._elements[start:stop]
+    def between(self, low: int, high: int) -> array:
+        """Positions of the rows with ``low <= vt < high`` (half-open,
+        like intervals), in ``(vt, position)`` order."""
+        if self._tail_keys:
+            self._settle()
+        start = bisect_left(self._keys, low)
+        return self._positions[start : bisect_left(self._keys, high, start)]
 
     def __len__(self) -> int:
-        return len(self._elements)
+        return len(self._keys) + len(self._tail_keys)

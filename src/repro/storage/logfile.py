@@ -8,9 +8,10 @@ updates happen (or export post hoc), ship it, replay it elsewhere.
 Two formats are understood everywhere:
 
 * **v1** (written by default) -- the framed, checksummed WAL of
-  :mod:`repro.storage.wal`: length-prefixed CRC32-guarded JSON records
-  plus per-batch commit markers, so replay is all-or-nothing per batch
-  and a torn tail is recoverable instead of fatal.
+  :mod:`repro.storage.wal`: length-prefixed CRC32-guarded JSON frames,
+  a bulk batch in one frame and single operations under a commit
+  marker, so replay is all-or-nothing per batch and a torn tail is
+  recoverable instead of fatal.
 * **v0** (legacy, still read and writable) -- bare JSON lines
   ``{"op": "insert"|"delete", "tt": micro, "surrogate": n, ...}`` with
   insert lines carrying the full element payload.
@@ -23,8 +24,8 @@ SQLite engine).
 write-ahead log on disk, mirrored by a
 :class:`~repro.storage.memory.MemoryEngine` that serves every read.
 Single appends flush and fsync per operation (each acknowledged update
-is durable); :meth:`LogFileEngine.extend` buffers the whole batch under
-one commit marker and fsyncs once -- the batched-ingestion durability
+is durable); :meth:`LogFileEngine.extend` writes the whole batch as one
+frame and fsyncs once -- the batched-ingestion durability
 amortization.  Re-opening an existing log runs torn-tail recovery
 first (:func:`repro.storage.wal.recover_file`), then replays exactly
 the committed prefix.
@@ -321,15 +322,16 @@ class LogFileEngine(StorageEngine):
 
     * :meth:`append` / :meth:`close_element` write one committed batch
       and flush+fsync per operation;
-    * :meth:`extend` frames the whole batch under a single commit
-      marker, writes it in one call, and fsyncs once -- the per-batch
-      amortization batched ingestion relies on, with all-or-nothing
-      crash semantics to match.
+    * :meth:`extend` encodes the whole batch as one frame (one length,
+      one CRC32, itself the commit), writes it in one call, and fsyncs
+      once -- the per-batch amortization batched ingestion relies on,
+      all-or-nothing across a crash by construction.
 
     Re-opening an existing log first runs torn-tail recovery
     (:attr:`last_recovery` reports what it did), then replays the
-    committed prefix into the mirror.  Legacy v0 JSON-lines logs are
-    detected and kept in their own format; new logs are v1.
+    committed prefix into the mirror, runs of insertions in bulk.
+    Legacy v0 JSON-lines logs are detected and kept in their own
+    format; new logs are v1.
     """
 
     #: Reads are served by the memory mirror, so epoch-pinned reads are
@@ -369,13 +371,20 @@ class LogFileEngine(StorageEngine):
         batches, report = recover_file(self._path)
         self.last_recovery = report
         self._format = report.format
+        # Runs of consecutive insertions replay through one bulk extend
+        # (every batch here is committed, so a run may span batches);
+        # deletions apply in order between the runs.
+        run: List[Element] = []
         for batch in batches:
-            operations = [_decode_record(record) for record in batch]
-            for operation in operations:
+            for record in batch:
+                operation = _decode_record(record)
                 if operation.kind is OperationKind.INSERT:
-                    self._mirror.append(operation.element)  # type: ignore[arg-type]
+                    run.append(operation.element)  # type: ignore[arg-type]
                 else:
+                    self._mirror.extend(run)
+                    run = []
                     self._mirror.close_element(operation.element_surrogate, operation.tt)
+        self._mirror.extend(run)
 
     # -- log writing --------------------------------------------------------------
 
@@ -397,6 +406,11 @@ class LogFileEngine(StorageEngine):
                 json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
                 for record in records
             )
+        if len(records) > 1:
+            try:
+                return wal.frame_record({"op": wal.BATCH_OP, "ops": records})
+            except ValueError:
+                pass  # too large for one frame: per-record frames under a marker
         framed = b"".join(wal.frame_record(record) for record in records)
         return framed + wal.commit_marker(len(records))
 

@@ -8,6 +8,7 @@ operators the planner chooses among.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.chronos.interval import Interval
@@ -15,7 +16,7 @@ from repro.chronos.timestamp import TimePoint, Timestamp
 from repro.observability import metrics as _metrics
 from repro.relation.element import Element
 from repro.storage.base import StorageEngine
-from repro.storage.columnar import ScanSpec
+from repro.storage.columnar import ScanSpec, encode_point
 from repro.storage.indexes import TransactionTimeIndex, ValidTimeEventIndex
 from repro.storage.interval_tree import IntervalTree
 from repro.storage.tiered import TierManager
@@ -30,7 +31,7 @@ class MemoryEngine(StorageEngine):
     #: atomic under the GIL, and the pinned predicate excludes anything
     #: the writer adds or closes after the pin.  Only the *pinned* read
     #: paths carry this guarantee -- current-view iteration and the
-    #: valid-time indexes do not.
+    #: valid-time indexes (whose live reads settle a pending tail) do not.
     supports_concurrent_reads = True
 
     def __init__(
@@ -101,27 +102,30 @@ class MemoryEngine(StorageEngine):
             )
         if _metrics.enabled():
             _metrics.registry().counter("storage.memory.appends").inc()
-        self._positions[element.element_surrogate] = len(self._tt_index)
+        position = len(self._tt_index)
+        self._positions[element.element_surrogate] = position
         self._tt_index.append(element)
         if not self._maintain_vt_index:
             return
         if isinstance(element.vt, Interval):
             if self._vt_intervals is None:
                 self._vt_intervals = IntervalTree()
-            self._vt_intervals.add(element.vt, element.element_surrogate)
+            self._vt_intervals.add(element.vt, position)
         else:
             if self._vt_events is None:
                 self._vt_events = ValidTimeEventIndex()
-            self._vt_events.add(element)
+            self._vt_events.add(element.vt.microseconds, position)
 
     def extend(self, elements: Iterable[Element]) -> int:
-        """Bulk append: one validation pass, then bulk index maintenance.
+        """Bulk append: one validation pass, then O(batch) index work.
 
         The transaction-time index is extended with two list extends,
-        event valid times are merged into the sorted index in one pass,
-        and interval entries are bulk-loaded into the (lazily rebuilt)
-        interval tree -- instead of per-element dict/bisect work.  A
-        batch that fails validation leaves the engine untouched.
+        event valid times and positions are appended to the valid-time
+        index's unsorted tail (the first live reader settles it, so a
+        relation that is only read through its declared tt window never
+        pays), and interval entries are bulk-loaded into the (lazily
+        rebuilt) interval tree.  A batch that fails validation leaves the
+        engine untouched.
         """
         batch = list(elements)
         if not batch:
@@ -146,21 +150,24 @@ class MemoryEngine(StorageEngine):
         self._positions.update(zip(surrogates, range(base, base + len(batch))))
         if not self._maintain_vt_index:
             return len(batch)
-        events: List[Element] = []
+        event_keys: List[int] = []
+        event_positions: List[int] = []
         interval_items = []
-        for element in batch:
-            if isinstance(element.vt, Interval):
-                interval_items.append((element.vt, element.element_surrogate))
+        for position, element in enumerate(batch, base):
+            vt = element.vt
+            if isinstance(vt, Interval):
+                interval_items.append((vt, position))
             else:
-                events.append(element)
+                event_keys.append(vt._micro)
+                event_positions.append(position)
         if interval_items:
             if self._vt_intervals is None:
                 self._vt_intervals = IntervalTree()
             self._vt_intervals.bulk_load(interval_items)
-        if events:
+        if event_keys:
             if self._vt_events is None:
                 self._vt_events = ValidTimeEventIndex()
-            self._vt_events.extend(events)
+            self._vt_events.extend(event_keys, event_positions)
         return len(batch)
 
     def close_element(self, element_surrogate: int, tt_stop: Timestamp) -> Element:
@@ -215,75 +222,50 @@ class MemoryEngine(StorageEngine):
             _metrics.registry().counter("storage.memory.vt_index_misses").inc()
         return self._tt_index.store.select(spec)[0]
 
+    def _fetch_live(self, candidates: List[int]) -> Iterator[Element]:
+        """The still-current elements among the valid-time indexes'
+        candidate positions, in position order -- append order, so the
+        index path yields the same canonical tt order as the kernel and
+        the sharded gather.  Hot rows are tested on the live bitmap and
+        only survivors materialize; cold rows (mostly-closed history,
+        rare here) materialize to be tested."""
+        if _metrics.enabled():
+            _metrics.registry().counter("storage.memory.vt_index_hits").inc()
+        candidates.sort()
+        store = self._tt_index.store
+        columns = store.columns
+        base, live = columns.base, columns.live
+        cold = bisect_left(candidates, base)
+        found = [e for e in store.fetch_elements(0, candidates[:cold]) if e.is_current]
+        found += store.fetch_elements(0, [p for p in candidates[cold:] if live[p - base]])
+        return iter(found)
+
     def valid_at(
         self, vt: Timestamp, as_of_tt: Optional[TimePoint] = None
     ) -> Iterator[Element]:
         if as_of_tt is not None or not self._maintain_vt_index:
-            yield from self._kernel_read(ScanSpec.of(vt, as_of_tt))
-            return
-        if _metrics.enabled():
-            _metrics.registry().counter("storage.memory.vt_index_hits").inc()
-        # Resolve positions once per call; the indexes may hold stale
-        # (since-closed) copies, so re-read the store by position rather
-        # than paying a full get() per candidate.  Candidate positions
-        # are sorted before materializing: position order is append
-        # order, so the fast path yields the same canonical tt order as
-        # the scan fallback and the sharded gather.
-        positions = self._positions
-        tt_index = self._tt_index
+            return iter(self._kernel_read(ScanSpec.of(vt, as_of_tt)))
         candidates: List[int] = []
         if self._vt_intervals is not None:
-            candidates.extend(
-                positions[surrogate] for surrogate in self._vt_intervals.stab(vt)
-            )
+            candidates.extend(self._vt_intervals.stab(vt))
         if self._vt_events is not None:
-            candidates.extend(
-                positions[candidate.element_surrogate]
-                for candidate in self._vt_events.at(vt)
-            )
-        candidates.sort()
-        for position in candidates:
-            element = tt_index.element_at(position)
-            if element.is_current:
-                yield element
+            candidates.extend(self._vt_events.at(vt.microseconds))
+        return self._fetch_live(candidates)
 
     def valid_overlapping(
         self, window: Interval, as_of_tt: Optional[TimePoint] = None
     ) -> Iterator[Element]:
         if as_of_tt is not None or not self._maintain_vt_index:
-            yield from self._kernel_read(ScanSpec.of(window, as_of_tt))
-            return
-        if _metrics.enabled():
-            _metrics.registry().counter("storage.memory.vt_index_hits").inc()
-        # Sorted-by-position for the same reason as valid_at: canonical
-        # tt order on every read path, index-accelerated or not.
-        positions = self._positions
-        tt_index = self._tt_index
-        merged: List[int] = []
+            return iter(self._kernel_read(ScanSpec.of(window, as_of_tt)))
+        candidates: List[int] = []
         if self._vt_intervals is not None:
-            merged.extend(
-                positions[surrogate]
-                for surrogate in self._vt_intervals.overlapping(window)
-            )
+            candidates.extend(self._vt_intervals.overlapping(window))
         if self._vt_events is not None:
-            if isinstance(window.start, Timestamp) and isinstance(window.end, Timestamp):
-                candidates = self._vt_events.between(window.start, window.end)
-            else:
-                # Unbounded window: the sorted index cannot bracket it.
-                candidates = (e for e in self.scan() if not isinstance(e.vt, Interval))
-            merged.extend(
-                positions[candidate.element_surrogate] for candidate in candidates
+            # Sentinel-encoded bounds bracket an unbounded window too.
+            candidates.extend(
+                self._vt_events.between(encode_point(window.start), encode_point(window.end))
             )
-        merged.sort()
-        for position in merged:
-            element = tt_index.element_at(position)
-            if not element.is_current:
-                continue
-            if isinstance(element.vt, Interval):
-                # The interval tree already guaranteed the overlap.
-                yield element
-            elif window.contains_point(element.vt):
-                yield element
+        return self._fetch_live(candidates)
 
     # -- introspection ------------------------------------------------------------------
 

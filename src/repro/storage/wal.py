@@ -8,10 +8,18 @@ A log file is a magic header followed by *frames*::
 
 Each payload is one UTF-8 JSON record.  Operation records carry the
 same keys as the v0 JSON-lines format (``op``/``tt``/``surrogate``/
-``element``); a ``{"op": "commit", "n": N}`` record marks the previous
-*N* operation records as one atomic batch.  Replay applies a batch only
-once its commit marker has been read intact, which is what makes
-``extend()`` all-or-nothing across a crash.
+``element``).  A committed batch is written in one of two forms, which
+readers accept side by side in one file:
+
+* **batch frame** -- ``{"op": "batch", "ops": [record, ...]}``: the whole
+  batch under one length + CRC32, itself the commit.  A frame is intact
+  or it is not, which is what makes ``extend()`` all-or-nothing across a
+  crash;
+* **records + commit marker** -- one frame per operation record, then a
+  ``{"op": "commit", "n": N}`` record marking the previous *N* as one
+  atomic batch (single appends / closes, batches too large for one
+  frame, and every log written before batch frames existed).  Replay
+  applies such a batch only once its marker has been read intact.
 
 Recovery (:func:`recover_file`) scans the tail on open: any torn frame,
 checksum failure, unparsable record, or uncommitted trailing operation
@@ -49,10 +57,24 @@ MAX_RECORD_BYTES = 64 * 1024 * 1024
 #: Record key marking a batch boundary.
 COMMIT_OP = "commit"
 
+#: Record key of a frame that carries a whole committed batch (``ops``).
+BATCH_OP = "batch"
+
 
 def frame_record(record: Mapping[str, Any]) -> bytes:
-    """Encode one record dict as a length-prefixed, CRC32-guarded frame."""
-    payload = json.dumps(record, sort_keys=True).encode("utf-8")
+    """Encode one record dict as a length-prefixed, CRC32-guarded frame.
+
+    Raises ``ValueError`` for a payload beyond :data:`MAX_RECORD_BYTES`:
+    readers treat such a length as corruption, so writing it would lose
+    the record and everything after it.
+    """
+    # Keys stay in insertion order: sorting every small dict of a 500-row
+    # batch costs a fifth of the encode, and no reader depends on it.
+    payload = json.dumps(record).encode("utf-8")
+    if len(payload) > MAX_RECORD_BYTES:
+        raise ValueError(
+            f"record of {len(payload)} bytes exceeds the {MAX_RECORD_BYTES}-byte frame bound"
+        )
     return _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
@@ -75,10 +97,11 @@ def is_wal_file(path: str) -> bool:
 class ScanResult:
     """What a tail scan of raw v1 log bytes found."""
 
-    #: Committed operation batches, in order (commit markers stripped).
+    #: Committed operation batches, in order (batch frames unwrapped,
+    #: commit markers stripped).
     batches: List[List[Dict[str, Any]]]
-    #: Byte offset one past the last intact commit marker -- the durable
-    #: prefix recovery keeps.
+    #: Byte offset one past the last intact batch frame or commit marker
+    #: -- the durable prefix recovery keeps.
     committed_end: int
     #: Total bytes scanned.
     total_bytes: int
@@ -138,7 +161,19 @@ def scan_wal(data: bytes) -> ScanResult:
         if not isinstance(record, dict) or "op" not in record:
             damage = f"malformed record at byte {offset}"
             break
-        if record["op"] == COMMIT_OP:
+        if record["op"] == BATCH_OP:
+            if pending:
+                damage = (
+                    f"batch frame at byte {offset} follows {len(pending)} "
+                    "uncommitted operations"
+                )
+                break
+            if not _is_operation_list(record.get("ops")):
+                damage = f"malformed batch frame at byte {offset}"
+                break
+            batches.append(record["ops"])
+            committed_end = end
+        elif record["op"] == COMMIT_OP:
             if record.get("n") != len(pending):
                 damage = (
                     f"commit marker at byte {offset} claims {record.get('n')} "
@@ -157,6 +192,14 @@ def scan_wal(data: bytes) -> ScanResult:
         total_bytes=total,
         damage=damage,
         uncommitted_records=len(pending),
+    )
+
+
+def _is_operation_list(operations: Any) -> bool:
+    """A batch frame's ``ops``: operation records, none itself a marker."""
+    return isinstance(operations, list) and all(
+        isinstance(operation, dict) and operation.get("op") not in (None, COMMIT_OP, BATCH_OP)
+        for operation in operations
     )
 
 

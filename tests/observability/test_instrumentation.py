@@ -1,6 +1,7 @@
 """Engine, planner, and constraint call sites report the right counters."""
 
 import os
+import random
 import tempfile
 
 import pytest
@@ -8,10 +9,11 @@ import pytest
 from repro.chronos.clock import SimulatedWallClock
 from repro.chronos.timestamp import Timestamp
 from repro.observability import metrics
-from repro.query import Planner, Scan, ValidTimeslice
+from repro.query import Planner, Scan, ValidTimeslice, tql
 from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
 from repro.storage.logfile import LogFileEngine
+from repro.storage.memory import MemoryEngine
 from repro.storage.sqlite_backend import SQLiteEngine
 
 
@@ -64,6 +66,59 @@ class TestMemoryEngine:
         list(relation.engine.valid_at(Timestamp(50), as_of_tt=Timestamp(5)))
         counters = registry.snapshot()["counters"]
         assert counters.get("storage.memory.vt_index_misses", 0) == 1
+
+
+class TestValidTimeIndexSettling:
+    """Ingest is flat in history as a *count*: a bulk append indexes its
+    own rows only, and the valid-time index is sorted by whoever first
+    reads it live -- each row exactly once, a declared relation never."""
+
+    BATCHES, ROWS, BOUND = 40, 50, 3600
+
+    def shuffled_batches(self, relation, clock):
+        """Append the batches (valid times shuffled inside the hour before
+        each row's stamp), yielding one stored valid time after each."""
+        rng = random.Random(19)
+        for batch in range(self.BATCHES):
+            clock.advance_to(Timestamp(10_000 + 100 * batch))
+            now = clock.peek().microseconds // 1_000_000
+            vts = [now - rng.randrange(1, self.BOUND - 200) for _ in range(self.ROWS)]
+            relation.append_many([("o", Timestamp(vt), {}) for vt in vts])
+            yield vts[0]
+
+    def test_declared_relation_never_settles(self, registry, tmp_path):
+        engine = LogFileEngine(str(tmp_path / "declared.wal"))
+        relation, clock = build(
+            engine, ["retroactive", f"strongly retroactively bounded({self.BOUND}s)"]
+        )
+        for vt in self.shuffled_batches(relation, clock):
+            rows = tql.execute(f"SELECT * FROM r VALID AT {vt}s", relation)
+            assert any(row.vt == Timestamp(vt) for row in rows)
+        counters = registry.snapshot()["counters"]
+        assert counters["storage.memory.rows_appended"] == self.BATCHES * self.ROWS
+        assert counters.get("storage.memory.vt_index_settled_rows", 0) == 0
+        assert counters.get("storage.memory.vt_index_settles", 0) == 0
+        engine.close()
+
+    def test_undeclared_relation_settles_each_row_once(self, registry):
+        relation, clock = build(MemoryEngine())
+        for vt in self.shuffled_batches(relation, clock):
+            assert relation.valid_at(Timestamp(vt))
+            relation.valid_at(Timestamp(vt))  # nothing left to settle
+        counters = registry.snapshot()["counters"]
+        assert counters["storage.memory.vt_index_settles"] == self.BATCHES
+        assert counters["storage.memory.vt_index_settled_rows"] == self.BATCHES * self.ROWS
+
+    def test_single_inserts_in_valid_time_order_are_all_appends(self, registry):
+        """E15's claim: on a sequential stream the index never inserts."""
+        relation, clock = build(MemoryEngine(), ["globally sequential"])
+        for i in range(10_000):
+            clock.advance_to(Timestamp(10 * i + 5))
+            relation.insert("o", Timestamp(10 * i + 3), {})
+        stats = relation.engine.index_statistics()
+        assert stats["vt_inserts_out_of_order"] == 0
+        assert stats["vt_appends_in_order"] == 10_000
+        assert "storage.memory.vt_index_settles" not in registry.snapshot()["counters"]
 
 
 class TestSQLiteEngine:

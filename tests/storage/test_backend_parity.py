@@ -167,6 +167,16 @@ def test_three_engines_agree_on_every_view(tmp_path_factory, script):
         with LogFileEngine(log_path) as reopened:
             assert canonical(reopened.scan()) == expected
             assert canonical(reopened.current()) == expected_current
+            # The log replays in bulk (runs of insertions through one
+            # extend); its indexes must answer as the live mirror's did.
+            for tick in probe_tts:
+                assert canonical(reopened.as_of(Timestamp(tick))) == canonical(
+                    memory.as_of(Timestamp(tick))
+                )
+            for tick in probe_vts:
+                assert canonical(reopened.valid_at(Timestamp(tick))) == canonical(
+                    memory.valid_at(Timestamp(tick))
+                )
     finally:
         logfile.engine.close()
         sqlite.engine.close()

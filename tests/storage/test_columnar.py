@@ -6,6 +6,9 @@ object predicates do, on every storage topology.
 
 from __future__ import annotations
 
+import os
+import tempfile
+
 import pytest
 from hypothesis import given, settings
 
@@ -31,6 +34,7 @@ from repro.storage.columnar import (
     StampColumns,
     positions,
 )
+from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
 from repro.storage.sharded import ShardedEngine
 from tests.storage.test_segments import replay, segment_workloads, signature
@@ -137,6 +141,25 @@ class TestStampColumnEncoding:
         # ...a whole one bisects its cached projection, same answer.
         assert positions(columns, 1, 5, spec, whole=True) == [1, 3, 4]
         assert list(columns._sorted_cache) == [(1, 5)]
+
+    def test_a_growing_head_keeps_one_projection(self):
+        """Every write moves the head's upper bound; the projection cached
+        for the shorter head can never be asked for again, so caching the
+        longer one drops it -- a write -> read loop holds one entry per
+        sealed segment plus one for the head, however long it runs."""
+        with tiered_env("0"):  # a flat store: demotion re-bases the hot cache keys
+            relation, clock = build_events([], segment_size=8)
+        store = relation.engine.transaction_index.store
+        for i in range(60):
+            clock.advance_to(Timestamp(10 * i))
+            relation.insert("o", Timestamp((7 * i) % 50), {})
+            pin = relation.pin_epoch().as_of
+            assert len(relation.valid_at(Timestamp((7 * i) % 50), pin)) >= 1
+            assert len(store.columns._sorted_cache) <= store.sealed_count + 1
+        assert sorted(store.columns._sorted_cache) == [
+            *((lo, lo + 8) for lo in range(0, 56, 8)),
+            (56, 60),
+        ]
 
     def test_whole_as_of_ranges_bisect_the_projection_too(self):
         relation, clock = build_events([5, 0, 5, 3, 5, 0])  # tt 0, 10, .. 50
@@ -385,30 +408,69 @@ def pinned_and_listed(relation, probes):
     return cases
 
 
+def live_and_listed(relation, probes):
+    """The relation's un-pinned reads -- the valid-time index's positions,
+    filtered by the live bitmap -- beside a plain-list filter of the
+    current state, in exact tt order; windows bounded, half-bounded and
+    unbounded."""
+    current = [e for e in relation.all_elements() if e.is_current]
+    lo, hi = sorted((probes[0], probes[1] + 1))
+    windows = {
+        "bounded": Interval(Timestamp(lo), Timestamp(hi + (lo == hi))),
+        "from": Interval(Timestamp(lo), FOREVER),
+        "until": Interval(NEGATIVE_INFINITY, Timestamp(hi)),
+        "unbounded": Interval(NEGATIVE_INFINITY, FOREVER),
+    }
+    cases = {}
+    for probe in probes:
+        vt = Timestamp(probe)
+        cases[f"valid_at({probe})"] = (
+            signature(relation.valid_at(vt)),
+            signature(e for e in current if e.valid_at(vt)),
+        )
+    for name, window in windows.items():
+        cases[f"valid_overlapping({name})"] = (
+            signature(relation.valid_overlapping(window)),
+            signature(e for e in current if window.contains_point(e.vt)),
+        )
+    return cases
+
+
 @settings(deadline=None)
 @given(segment_workloads())
 def test_kernel_matches_naive_executor(workload):
     """Element-for-element identical answers, in transaction order: the
     column kernel behind ``scan(spec)`` versus ``NaiveExecutor``'s object
     predicates (snapshot reducibility's oracle) -- and the relation's
-    pinned ``valid_at`` / ``valid_overlapping`` versus a plain-list
-    filter -- on a never-sealing flat store, tiny and default segment
-    sizes, the compressed cold tier with a one-segment decode cache, and
-    a 3-shard scatter-gather -- after the same randomized interleaving
-    of appends, batches, logical deletes, and vacuums."""
+    pinned and un-pinned ``valid_at`` / ``valid_overlapping`` versus a
+    plain-list filter -- on a never-sealing flat store, tiny and default
+    segment sizes, a log-file engine's mirror, the compressed cold tier
+    with a one-segment decode cache, and a 3-shard scatter-gather --
+    after the same randomized interleaving of appends, batches, logical
+    deletes, and vacuums."""
     ops, probes = workload
-    with tiered_env("0"):
-        topologies = {
-            "flat": replay(ops, 100_000),
-            "segments=2": replay(ops, 2),
-            "segments=5": replay(ops, 5),
-            "segments=default": replay(ops, None),
-            "sharded": replay(ops, None, engine=ShardedEngine(shard_count=3, segment_size=2)),
-        }
-    with tiered_env("1", cache="1"):
-        topologies["tiered"] = replay(ops, 4)
-        for topology, relation in topologies.items():
-            for shape, (kernel, oracle) in kernel_and_oracle(relation, probes).items():
-                assert kernel == oracle, f"divergence on {topology} / {shape}"
-            for shape, (pinned, listed) in pinned_and_listed(relation, probes).items():
-                assert pinned == listed, f"divergence on {topology} / {shape}"
+    with tempfile.TemporaryDirectory() as scratch:
+        log = LogFileEngine(os.path.join(scratch, "r.wal"), fsync=False, segment_size=3)
+        try:
+            with tiered_env("0"):
+                topologies = {
+                    "flat": replay(ops, 100_000),
+                    "segments=2": replay(ops, 2),
+                    "segments=5": replay(ops, 5),
+                    "segments=default": replay(ops, None),
+                    "logfile": replay(ops, None, engine=log),
+                    "sharded": replay(
+                        ops, None, engine=ShardedEngine(shard_count=3, segment_size=2)
+                    ),
+                }
+            with tiered_env("1", cache="1"):
+                topologies["tiered"] = replay(ops, 4)
+                for topology, relation in topologies.items():
+                    for shape, (kernel, oracle) in kernel_and_oracle(relation, probes).items():
+                        assert kernel == oracle, f"divergence on {topology} / {shape}"
+                    for shape, (pinned, listed) in pinned_and_listed(relation, probes).items():
+                        assert pinned == listed, f"divergence on {topology} / {shape}"
+                    for shape, (live, listed) in live_and_listed(relation, probes).items():
+                        assert live == listed, f"divergence on {topology} / {shape}"
+        finally:
+            log.close()

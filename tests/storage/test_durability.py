@@ -20,7 +20,9 @@ from repro.chronos.timestamp import Timestamp
 from repro.observability import metrics
 from repro.relation.element import Element
 from repro.storage import wal
+from repro.storage.backlog import OperationKind
 from repro.storage.logfile import LogFileEngine, read_log_batches
+from repro.storage.memory import MemoryEngine
 from repro.storage.wal import recover_file, sidecar_path
 from tests.faults import FaultyFile, arm
 
@@ -403,3 +405,233 @@ class TestRecoveryDetails:
         engine = LogFileEngine(path)
         assert engine.last_recovery.clean and len(engine) == 0
         engine.close()
+
+
+# -- batch frames: one frame per bulk, same crash semantics -------------------------
+
+
+def batch_of(first_surrogate, count, tt):
+    """*count* events with shuffled retroactive valid times, stamped
+    ``tt, tt+1, ...`` (surrogates ascend from *first_surrogate*)."""
+    return [
+        event_element(first_surrogate + i, tt + i, tt - 1 - (7 * i) % 5, reading=i / 2)
+        for i in range(count)
+    ]
+
+
+def legacy_batch_bytes(elements):
+    """A batch as every release before batch frames wrote it: one frame
+    per record, then the commit marker."""
+    records = [LogFileEngine._insert_record(element) for element in elements]
+    return b"".join(wal.frame_record(r) for r in records) + wal.commit_marker(len(records))
+
+
+def replayed_op_by_op(path):
+    """The mirror an operation-at-a-time replay of *path* builds -- the
+    reference the bulk replay on open must equal."""
+    mirror = MemoryEngine()
+    for batch in read_log_batches(path):
+        for operation in batch:
+            if operation.kind is OperationKind.INSERT:
+                mirror.append(operation.element)
+            else:
+                mirror.close_element(operation.element_surrogate, operation.tt)
+    return mirror
+
+
+def assert_same_state(engine, reference):
+    """Same rows in the same order, same current state, same answer from
+    the valid-time index at every stored valid time."""
+    stored = list(reference.scan())
+    assert list(engine.scan()) == stored
+    assert list(engine.current()) == list(reference.current())
+    for vt in {element.vt for element in stored}:
+        assert list(engine.valid_at(vt)) == list(reference.valid_at(vt))
+        assert list(engine.valid_at(vt, stored[-1].tt_start)) == list(
+            reference.valid_at(vt, stored[-1].tt_start)
+        )
+
+
+@pytest.mark.faults
+class TestBatchFrames:
+    def build(self, path):
+        """Two acknowledged bulks; returns their end offsets and states."""
+        engine = LogFileEngine(path)
+        engine.extend(batch_of(1, 4, 100))
+        first = (engine.log_bytes(), signature(engine))
+        engine.extend(batch_of(5, 5, 200))
+        second = (engine.log_bytes(), signature(engine))
+        engine.close()
+        return first, second
+
+    def test_a_bulk_is_one_frame_and_itself_the_commit(self, tmp_path):
+        path = str(tmp_path / "one.wal")
+        (first_end, _), (second_end, _) = self.build(path)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        length, crc = wal._FRAME_HEADER.unpack_from(data, first_end)
+        assert first_end + wal._FRAME_HEADER.size + length == second_end == len(data)
+        record = json.loads(data[first_end + wal._FRAME_HEADER.size :])
+        assert record["op"] == wal.BATCH_OP and len(record["ops"]) == 5
+        assert [len(batch) for batch in read_log_batches(path)] == [4, 5]
+
+    def test_crash_at_every_byte_inside_a_batch_frame(self, tmp_path):
+        path = str(tmp_path / "torn.wal")
+        (first_end, first_state), (second_end, second_state) = self.build(path)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        crash = str(tmp_path / "crash.wal")
+        for offset in range(first_end, second_end + 1):
+            with open(crash, "wb") as handle:
+                handle.write(data[:offset])
+            if os.path.exists(sidecar_path(crash)):
+                os.remove(sidecar_path(crash))
+            engine = LogFileEngine(crash)
+            whole = offset == second_end
+            # Exactly the acknowledged bulks, never part of the torn one...
+            assert signature(engine) == (second_state if whole else first_state)
+            # ...and the torn bytes are quarantined, not destroyed.
+            torn = 0 if whole else offset - first_end
+            assert engine.last_recovery.truncated_bytes == torn
+            assert os.path.getsize(crash) == (second_end if whole else first_end)
+            if torn:
+                assert os.path.getsize(sidecar_path(crash)) == torn
+            else:
+                assert not os.path.exists(sidecar_path(crash))
+            engine.close()
+
+    @pytest.mark.parametrize("kind", ["enospc", "torn", "short", "fsync"])
+    def test_failed_batch_write_leaves_mirror_and_next_batch_replayable(self, tmp_path, kind):
+        path = str(tmp_path / f"{kind}.wal")
+        engine = LogFileEngine(path)
+        engine.extend(batch_of(1, 4, 100))
+        before = signature(engine)
+        arm(engine, fail_at=1 if kind == "fsync" else 0, kind=kind)
+        with pytest.raises(OSError):
+            engine.extend(batch_of(5, 5, 200))
+        assert signature(engine) == before  # the mirror never saw the batch
+        assert engine.log_bytes() == os.path.getsize(path)  # tail repaired in-process
+        engine.extend(batch_of(10, 3, 300))
+        after = signature(engine)
+        engine.close()
+        reopened = LogFileEngine(path)
+        assert reopened.last_recovery.clean
+        assert signature(reopened) == after
+        reopened.close()
+
+    def test_bit_flip_anywhere_in_a_batch_frame_drops_it_and_what_follows(self, tmp_path):
+        path = str(tmp_path / "flip.wal")
+        engine = LogFileEngine(path)
+        engine.extend(batch_of(1, 3, 100))
+        kept = (engine.log_bytes(), signature(engine))
+        engine.extend(batch_of(4, 3, 200))
+        flipped_end = engine.log_bytes()
+        engine.append(event_element(7, 300, 250))
+        engine.extend(batch_of(8, 2, 400))
+        engine.close()
+        with open(path, "rb") as handle:
+            data = bytearray(handle.read())
+        damaged = str(tmp_path / "damaged.wal")
+        for offset in range(kept[0], flipped_end):
+            data[offset] ^= 0x10
+            with open(damaged, "wb") as handle:
+                handle.write(data)
+            data[offset] ^= 0x10
+            if os.path.exists(sidecar_path(damaged)):
+                os.remove(sidecar_path(damaged))
+            reopened = LogFileEngine(damaged)
+            assert signature(reopened) == kept[1], f"flip at byte {offset}"
+            assert os.path.getsize(damaged) == kept[0]
+            reopened.close()
+
+    def test_dry_run_counts_operations_inside_batch_frames(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = str(tmp_path / "count.wal")
+        self.build(path)
+        _batches, report = recover_file(path, dry_run=True)
+        assert (report.committed_batches, report.committed_operations) == (2, 9)
+        assert main(["recover", path, "--dry-run"]) == 0
+        assert "2 batches, 9 operations" in capsys.readouterr().out
+
+    def test_max_record_bytes_still_bounds_a_frame(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "bound.wal")
+        engine = LogFileEngine(path)
+        engine.extend(batch_of(1, 2, 100))
+        committed = engine.log_bytes()
+        bound = committed - len(wal.MAGIC) - wal._FRAME_HEADER.size  # that frame's payload
+        # A bulk too large for one frame falls back to per-record frames
+        # under a commit marker -- still atomic, still replayable.
+        monkeypatch.setattr(wal, "MAX_RECORD_BYTES", bound)
+        engine.extend(batch_of(3, 4, 200))
+        state = signature(engine)
+        engine.close()
+        with open(path, "rb") as handle:
+            data = handle.read()
+        length, _crc = wal._FRAME_HEADER.unpack_from(data, committed)
+        assert length < bound and b'"op": "commit"' in data[committed:]
+        with pytest.raises(ValueError, match="frame bound"):
+            wal.frame_record({"op": "insert", "pad": "x" * bound})
+        reopened = LogFileEngine(path)
+        assert signature(reopened) == state
+        reopened.close()
+        # A reader meeting a longer length field calls it damage.
+        monkeypatch.setattr(wal, "MAX_RECORD_BYTES", 100)
+        result = wal.scan_wal(data)
+        assert "implausible frame length" in result.damage
+        assert result.committed_end == len(wal.MAGIC)
+
+    def test_malformed_and_misplaced_batch_frames_are_damage(self, tmp_path):
+        record = LogFileEngine._insert_record(event_element(1, 10, 5))
+        good = wal.frame_record({"op": wal.BATCH_OP, "ops": [record]})
+        for bad in (
+            {"op": wal.BATCH_OP},
+            {"op": wal.BATCH_OP, "ops": "insert"},
+            {"op": wal.BATCH_OP, "ops": [record, {"op": wal.COMMIT_OP, "n": 1}]},
+            {"op": wal.BATCH_OP, "ops": [record, 7]},
+        ):
+            result = wal.scan_wal(wal.MAGIC + good + wal.frame_record(bad) + good)
+            assert len(result.batches) == 1 and "malformed batch frame" in result.damage
+            assert result.committed_end == len(wal.MAGIC) + len(good)
+        # A batch frame cannot commit the loose records before it.
+        result = wal.scan_wal(wal.MAGIC + good + wal.frame_record(record) + good)
+        assert len(result.batches) == 1 and result.uncommitted_records == 1
+        assert "uncommitted" in result.damage
+
+
+class TestBulkReplay:
+    """Reopening replays runs of insertions through one bulk extend; the
+    mirror must equal an operation-at-a-time replay of the same log."""
+
+    def test_mixed_frame_forms_replay_to_the_op_by_op_state(self, tmp_path):
+        path = str(tmp_path / "mixed.wal")
+        with open(path, "wb") as handle:  # a log an earlier release wrote
+            handle.write(wal.MAGIC + legacy_batch_bytes(batch_of(1, 4, 100)))
+        engine = LogFileEngine(path)  # ...continued by this one
+        assert engine.last_recovery.clean and len(engine) == 4
+        engine.extend(batch_of(5, 5, 200))
+        engine.close_element(2, Timestamp(300))
+        engine.append(event_element(10, 310, 150))
+        engine.close_element(7, Timestamp(320))
+        engine.close()
+        with open(path, "ab") as handle:  # and by the earlier one again
+            handle.write(legacy_batch_bytes(batch_of(11, 3, 400)))
+        live = LogFileEngine(path)
+        live.extend(batch_of(14, 2, 500))
+        live.close()
+
+        assert [len(batch) for batch in read_log_batches(path)] == [4, 5, 1, 1, 1, 3, 2]
+        reopened = LogFileEngine(path)
+        assert reopened.last_recovery.clean
+        assert_same_state(reopened, replayed_op_by_op(path))
+        assert [e.element_surrogate for e in reopened.scan() if not e.is_current] == [2, 7]
+        reopened.close()
+
+    @settings(deadline=None, max_examples=25)
+    @given(ops=crash_workloads())
+    def test_bulk_replay_equals_op_by_op_replay(self, tmp_path_factory, ops):
+        path = str(tmp_path_factory.mktemp("replay") / "log.wal")
+        run_workload(path, True, ops)
+        reopened = LogFileEngine(path)
+        assert_same_state(reopened, replayed_op_by_op(path))
+        reopened.close()

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chronos.interval import Interval
-from repro.chronos.timestamp import FOREVER, Timestamp
+from repro.chronos.timestamp import FOREVER, NEGATIVE_INFINITY, Timestamp
 from repro.relation.element import Element
 from repro.relation.errors import ElementNotFound
+from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
+from repro.storage.sharded import ShardedEngine
 from repro.storage.sqlite_backend import SQLiteEngine
+from tests.storage.test_tiered import tiered_env
 
 ENGINES = [MemoryEngine, SQLiteEngine]
 
@@ -160,6 +163,112 @@ class TestEngineEquivalence:
             assert sorted(e.element_surrogate for e in memory.valid_at(stamp)) == sorted(
                 e.element_surrogate for e in sqlite.valid_at(stamp)
             )
+
+
+@st.composite
+def mixed_store_scripts(draw):
+    """Single appends, bulks and closes over a store that mixes event and
+    interval stamps (valid times collide on purpose)."""
+    stamp = st.one_of(
+        st.integers(0, 12),
+        st.tuples(st.integers(0, 12), st.integers(1, 6), st.booleans()),
+    )
+    steps = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["append", "extend", "extend", "close"]))
+        if kind == "append":
+            steps.append(("append", draw(stamp)))
+        elif kind == "extend":
+            steps.append(("extend", draw(st.lists(stamp, min_size=1, max_size=7))))
+        else:
+            steps.append(("close", draw(st.integers(0, 30))))
+    return steps
+
+
+class TestLiveIndexReads:
+    """Un-pinned ``valid_at`` / ``valid_overlapping`` come from the
+    valid-time indexes' positions filtered by the live bitmap; whatever
+    the mix of stamps and the interleaving of bulks, single rows and
+    deletes, they equal a plain-list filter, in exact tt order."""
+
+    @staticmethod
+    def element(surrogate, tt, stamp):
+        if isinstance(stamp, int):
+            return event_element(surrogate, tt, stamp, who=f"o{surrogate % 5}")
+        start, length, open_ended = stamp
+        end = FOREVER if open_ended else Timestamp(start + length)
+        return Element(
+            element_surrogate=surrogate,
+            object_surrogate=f"o{surrogate % 5}",
+            tt_start=Timestamp(tt),
+            vt=Interval(Timestamp(start), end),
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_store_scripts())
+    def test_match_a_plain_list_filter(self, tmp_path_factory, steps):
+        log_path = str(tmp_path_factory.mktemp("live") / "mirror.wal")
+        with tiered_env("0"):
+            engines = {
+                "memory": MemoryEngine(segment_size=4),
+                "logfile": LogFileEngine(log_path, fsync=False, segment_size=4),
+                "sharded": ShardedEngine(shard_count=3, segment_size=2),
+            }
+        with tiered_env("1", cache="1"):
+            engines["tiered"] = MemoryEngine(segment_size=4)
+            model = []  # every stored element, in tt order
+            tt = 0
+            for step in steps:
+                if step[0] == "close":
+                    live = [i for i, e in enumerate(model) if e.is_current]
+                    if not live:
+                        continue
+                    tt += 1
+                    victim = live[step[1] % len(live)]
+                    model[victim] = model[victim].closed(Timestamp(tt))
+                    for engine in engines.values():
+                        engine.close_element(model[victim].element_surrogate, Timestamp(tt))
+                    continue
+                stamps = [step[1]] if step[0] == "append" else step[1]
+                batch = []
+                for stamp in stamps:
+                    tt += 1
+                    batch.append(self.element(len(model) + len(batch) + 1, tt, stamp))
+                model.extend(batch)
+                for engine in engines.values():
+                    if step[0] == "append":
+                        engine.append(batch[0])
+                    else:
+                        engine.extend(batch)
+                self.check(engines, model)
+            self.check(engines, model)
+        for engine in engines.values():
+            engine.close()
+
+    @staticmethod
+    def check(engines, model):
+        current = [e for e in model if e.is_current]
+        windows = [
+            Interval(Timestamp(3), Timestamp(9)),
+            Interval(Timestamp(5), FOREVER),
+            Interval(NEGATIVE_INFINITY, Timestamp(7)),
+            Interval(NEGATIVE_INFINITY, FOREVER),
+        ]
+        for name, engine in engines.items():
+            for probe in range(0, 19, 3):
+                vt = Timestamp(probe)
+                assert list(engine.valid_at(vt)) == [e for e in current if e.valid_at(vt)], name
+            for window in windows:
+                expected = [
+                    e
+                    for e in current
+                    if (
+                        e.vt.overlaps(window)
+                        if isinstance(e.vt, Interval)
+                        else window.contains_point(e.vt)
+                    )
+                ]
+                assert list(engine.valid_overlapping(window)) == expected, (name, window)
 
 
 class TestSQLitePersistence:

@@ -1,5 +1,7 @@
 """Unit and property tests for indexes and the interval tree."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -54,37 +56,129 @@ class TestTransactionTimeIndex:
 
 
 class TestValidTimeEventIndex:
+    """The index maps valid-time keys to store positions (microsecond
+    ints both); rows are added in position order."""
+
     def test_in_order_appends_counted(self):
         index = ValidTimeEventIndex()
-        for surrogate, vt in ((1, 5), (2, 5), (3, 9)):
-            index.add(event_element(surrogate, surrogate, vt))
+        for position, vt in enumerate((5, 5, 9)):
+            index.add(vt, position)
         assert index.appended_in_order == 3
         assert index.inserted_out_of_order == 0
 
     def test_out_of_order_inserts_counted(self):
         index = ValidTimeEventIndex()
-        index.add(event_element(1, 1, 10))
-        index.add(event_element(2, 2, 5))
+        index.add(10, 0)
+        index.add(5, 1)
         assert index.inserted_out_of_order == 1
 
     def test_at_and_between(self):
         index = ValidTimeEventIndex()
-        for surrogate, vt in ((1, 5), (2, 7), (3, 5), (4, 12)):
-            index.add(event_element(surrogate, surrogate, vt))
-        assert sorted(e.element_surrogate for e in index.at(Timestamp(5))) == [1, 3]
-        assert [e.element_surrogate for e in index.between(Timestamp(5), Timestamp(12))] in (
-            [1, 3, 2],
-            [3, 1, 2],
-        )
+        for position, vt in enumerate((5, 7, 5, 12)):
+            index.add(vt, position)
+        assert list(index.at(5)) == [0, 2]  # equal keys in position order
+        assert list(index.between(5, 12)) == [0, 2, 1]
 
     @given(st.lists(st.integers(-100, 100), min_size=1, max_size=30))
     def test_between_matches_filter(self, valid_times):
         index = ValidTimeEventIndex()
-        for position, vt in enumerate(valid_times, start=1):
-            index.add(event_element(position, position, vt))
-        low, high = Timestamp(-20), Timestamp(20)
-        expected = sorted(i + 1 for i, vt in enumerate(valid_times) if -20 <= vt < 20)
-        assert sorted(e.element_surrogate for e in index.between(low, high)) == expected
+        for position, vt in enumerate(valid_times):
+            index.add(vt, position)
+        expected = [i for i, vt in enumerate(valid_times) if -20 <= vt < 20]
+        assert sorted(index.between(-20, 20)) == expected
+
+    def test_bulk_rows_wait_in_the_tail_until_a_reader_settles_them(self):
+        index = ValidTimeEventIndex()
+        index.extend([30, 10, 20], [0, 1, 2])
+        index.extend([5, 40], [3, 4])
+        assert len(index) == 5 and len(index._keys) == 0  # nothing merged yet
+        assert list(index.between(0, 100)) == [3, 1, 2, 0, 4]
+        assert len(index._tail_keys) == 0 and list(index._keys) == [5, 10, 20, 30, 40]
+
+    def test_in_order_batches_append_straight_to_the_run(self):
+        index = ValidTimeEventIndex()
+        index.extend([1, 2, 2], [0, 1, 2])
+        index.extend([2, 7], [3, 4])
+        assert list(index._keys) == [1, 2, 2, 2, 7] and len(index._tail_keys) == 0
+        assert (index.appended_in_order, index.inserted_out_of_order) == (5, 0)
+
+    def test_single_add_after_a_bulk_settles_first(self):
+        index = ValidTimeEventIndex()
+        index.extend([9, 3], [0, 1])
+        index.add(5, 2)
+        assert list(index._keys) == [3, 5, 9] and list(index._positions) == [1, 2, 0]
+
+
+@st.composite
+def index_scripts(draw):
+    """Interleavings of single adds, bulk extends (sorted or shuffled,
+    duplicate-heavy) and probes, over a small key domain."""
+    keys = st.integers(-15, 15)
+    steps = []
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(["add", "extend", "extend_sorted", "at", "between"]))
+        if kind == "add":
+            steps.append(("add", draw(keys)))
+        elif kind == "at":
+            steps.append(("at", draw(keys)))
+        elif kind == "between":
+            steps.append(("between", draw(keys), draw(keys)))
+        else:
+            batch = draw(st.lists(keys, max_size=8))
+            steps.append(("extend", sorted(batch) if kind == "extend_sorted" else batch))
+    return steps
+
+
+@given(index_scripts())
+def test_event_index_matches_a_sorted_list_model(steps):
+    """Whatever the interleaving, the index answers what a plain sorted
+    list of ``(vt, position)`` does -- equal keys in position order --
+    and counts rows by how they arrived (today's meaning: a row, or a
+    sorted batch, at or after every earlier key is an in-order append)."""
+    index = ValidTimeEventIndex()
+    model = []  # (vt, position), kept sorted
+    in_order = out_of_order = 0
+    for step in steps:
+        if step[0] == "add":
+            if not model or step[1] >= model[-1][0]:
+                in_order += 1
+            else:
+                out_of_order += 1
+            index.add(step[1], len(model))
+            model.append((step[1], len(model)))
+        elif step[0] == "extend":
+            batch = step[1]
+            if batch:
+                if batch == sorted(batch) and (not model or batch[0] >= model[-1][0]):
+                    in_order += len(batch)
+                else:
+                    out_of_order += len(batch)
+            base = len(model)
+            index.extend(batch, range(base, base + len(batch)))
+            model.extend(zip(batch, range(base, base + len(batch))))
+        elif step[0] == "at":
+            assert list(index.at(step[1])) == [p for vt, p in model if vt == step[1]]
+        else:
+            low, high = step[1], step[2]
+            assert list(index.between(low, high)) == [p for vt, p in model if low <= vt < high]
+        model.sort()
+        assert len(index) == len(model)
+        assert (index.appended_in_order, index.inserted_out_of_order) == (in_order, out_of_order)
+    assert list(index.between(-100, 100)) == [p for _vt, p in model]
+
+
+def test_settle_merges_a_shuffled_tail_into_a_long_run():
+    """A shuffled tail landing all over a long run (before it, inside it,
+    past it, on equal keys): same order as a full re-sort."""
+    rng = random.Random(7)
+    run = sorted(rng.randrange(10_000) for _ in range(5_000))
+    tail = [rng.randrange(-50, 10_050) for _ in range(300)]
+    index = ValidTimeEventIndex()
+    index.extend(run, range(5_000))
+    index.extend(tail, range(5_000, 5_300))
+    expected = sorted(zip(run + tail, range(5_300)))
+    assert list(index.between(-100, 20_000)) == [p for _vt, p in expected]
+    assert list(index._keys) == [vt for vt, _p in expected]
 
 
 class TestIntervalTree:
