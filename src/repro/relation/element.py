@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Any, Hashable, Mapping, Union
+from typing import Any, Dict, Hashable, Mapping, Optional, Union
 
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import FOREVER, TimePoint, Timestamp
@@ -39,11 +39,19 @@ class Element:
     time_invariant: Mapping[str, Any] = field(default_factory=dict)
     time_varying: Mapping[str, Any] = field(default_factory=dict)
     user_times: Mapping[str, Timestamp] = field(default_factory=dict)
+    #: Canonical wire fragment memo, not part of the value.  None (the
+    #: class default; un-armed elements carry nothing) is never filled;
+    #: the cold tier arms with b"" and server.protocol fills at first encode.
+    _wire: Optional[bytes] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "time_invariant", dict(self.time_invariant))
         object.__setattr__(self, "time_varying", dict(self.time_varying))
         object.__setattr__(self, "user_times", dict(self.user_times))
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Copies and pickles are new objects outside the tier: no memo.
+        return {key: value for key, value in self.__dict__.items() if key != "_wire"}
 
     # -- StampedElement protocol -------------------------------------------------
 

@@ -684,16 +684,11 @@ class TemporalServer:
                 f"query parameter {name!r} must be a microsecond integer, got {raw!r}"
             ) from None
 
-    def _rows_response(self, pin: EpochPin, elements: List[Element]) -> Response:
+    def _rows_response(self, pin: EpochPin, elements: List[Element], **members: Any) -> Response:
         if _metrics.enabled():
             _metrics.registry().counter("server.rows_served").inc(len(elements))
-        return Response.json(
-            {
-                "rows": protocol.elements_to_json(elements),
-                "count": len(elements),
-                "epoch": pin.to_json(),
-            }
-        )
+        envelope = {"count": len(elements), "epoch": pin.to_json(), **members}
+        return Response.json(envelope, rows=elements)
 
     # -- response cache ---------------------------------------------------------------
     #
@@ -832,16 +827,7 @@ class TemporalServer:
             view = relation.views.get(view_name)
             elements = view.snapshot()
             summary = view.describe()
-        if _metrics.enabled():
-            _metrics.registry().counter("server.rows_served").inc(len(elements))
-        return Response.json(
-            {
-                "view": summary,
-                "rows": protocol.elements_to_json(elements),
-                "count": len(elements),
-                "epoch": pin.to_json(),
-            }
-        )
+        return self._rows_response(pin, elements, view=summary)
 
     async def _handle_subscribe(self, request: Request, name: str) -> Response:
         """Long-poll the relation's delta stream.
@@ -934,7 +920,10 @@ class TemporalServer:
             rows = self.database.execute(parsed)
         if _metrics.enabled():
             _metrics.registry().counter("server.rows_served").inc(len(rows))
-        response = Response.json({"rows": protocol.rows_to_json(rows), "count": len(rows)})
+        if rows and isinstance(rows[0], Element):
+            response = Response.json({"count": len(rows)}, rows=rows)
+        else:
+            response = Response.json({"rows": protocol.rows_to_json(rows), "count": len(rows)})
         return self._cache_put(key, response, len(rows))
 
     async def _handle_explain(self, request: Request, name: str) -> Response:

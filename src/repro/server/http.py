@@ -19,8 +19,11 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 from urllib.parse import parse_qsl, unquote, urlsplit
+
+from repro.relation.element import Element
+from repro.server import protocol
 
 #: Request-line + headers may not exceed this many bytes.
 MAX_HEADER_BYTES = 32 * 1024
@@ -88,12 +91,20 @@ class Response:
 
     @classmethod
     def json(
-        cls, payload: Any, status: int = 200, headers: Optional[Dict[str, str]] = None
+        cls,
+        payload: Any,
+        status: int = 200,
+        headers: Optional[Dict[str, str]] = None,
+        rows: Optional[Sequence[Element]] = None,
     ) -> "Response":
         """A canonical JSON response: sorted keys, compact separators --
         byte-stable for a given payload, which the differential suite
-        relies on."""
-        body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        relies on.  With *rows*, *payload* is the envelope those elements
+        join as ``"rows"`` (:func:`protocol.element_rows_body`)."""
+        if rows is None:
+            body = protocol.canonical_json(payload)
+        else:
+            body = protocol.element_rows_body(payload, rows)
         return cls(status=status, body=body, headers=dict(headers or {}))
 
     @classmethod

@@ -17,6 +17,7 @@ differential suite asserts exactly this.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -47,10 +48,60 @@ def element_to_json(element: Element) -> Dict[str, Any]:
     return record
 
 
+def _canonical_order(elements: Sequence[Element]) -> List[Element]:
+    return sorted(elements, key=lambda e: (e.tt_start.microseconds, e.element_surrogate))
+
+
 def elements_to_json(elements: Sequence[Element]) -> List[Dict[str, Any]]:
     """Canonically ordered wire form of a result set."""
-    ordered = sorted(elements, key=lambda e: (e.tt_start.microseconds, e.element_surrogate))
-    return [element_to_json(element) for element in ordered]
+    return [element_to_json(element) for element in _canonical_order(elements)]
+
+
+# One encoder for every body (json.dumps would build one per call).
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def canonical_json(payload: Any) -> bytes:
+    """Sorted keys, compact separators: byte-stable for a given payload."""
+    return _ENCODE(payload).encode("utf-8")
+
+
+def element_rows_body(envelope: Dict[str, Any], elements: Sequence[Element]) -> bytes:
+    """The body of an element-row response: *envelope* plus ``"rows"``.
+
+    Byte-identical to ``canonical_json({**envelope, "rows":
+    elements_to_json(elements)})`` -- members in sorted-key order, rows
+    in canonical order -- but joined from per-row byte fragments: an
+    element the cold tier armed (``_wire == b""``) keeps its fragment
+    from first encode until the tier drops it.  Every other element
+    costs what it did -- a run of un-armed rows is one encoder call, a
+    result with no cold row one call in all -- and retains nothing.
+    """
+    fragments: List[bytes] = []
+    run: List[Dict[str, Any]] = []
+
+    def encode_run() -> None:
+        if run:
+            fragments.append(canonical_json(run)[1:-1])  # without the list's brackets
+            run.clear()
+
+    for element in _canonical_order(elements):
+        fragment = element._wire
+        if fragment is None:
+            run.append(element_to_json(element))
+            continue
+        encode_run()
+        if not fragment:
+            fragment = canonical_json(element_to_json(element))
+            object.__setattr__(element, "_wire", fragment)
+        fragments.append(fragment)
+    if not fragments:  # no cold row: the reference encoder's one call
+        return canonical_json({**envelope, "rows": run})
+    encode_run()
+    members = {key: canonical_json(value) for key, value in envelope.items()}
+    members["rows"] = b"[" + b",".join(fragments) + b"]"
+    pairs = (canonical_json(key) + b":" + members[key] for key in sorted(members))
+    return b"{" + b",".join(pairs) + b"}"
 
 
 def delta_to_json(delta: Any) -> Dict[str, Any]:

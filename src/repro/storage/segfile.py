@@ -39,6 +39,7 @@ import os
 import struct
 import zlib
 from array import array
+from itertools import accumulate
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.chronos.interval import Interval
@@ -482,9 +483,10 @@ class SegmentFileReader:
 
     Opening validates the magic, trailer, and footer checksum -- a torn
     or truncated file raises :class:`SegmentFileError` immediately.
-    Column payloads stay on the mapping until first use; each decode
-    verifies the block's CRC32 first, so flipped bytes inside a payload
-    are caught before any value is served.
+    Column payloads stay on the mapping until first use; each column
+    decode verifies the block's CRC32 first and the element block is
+    verified once, on first use, so flipped bytes inside a payload are
+    caught before any value is served.
     """
 
     def __init__(self, path: str) -> None:
@@ -568,35 +570,45 @@ class SegmentFileReader:
 
     # -- elements -----------------------------------------------------------------
 
-    def _elements_region(self) -> Tuple[bytes, List[int]]:
-        payload = self._block(self.footer["elements"])
+    def _elements_region(self) -> List[int]:
+        """Each row's offsets on the mapping (``rows + 1`` of them).
+
+        The element block's bounds and CRC32 are checked on first use,
+        then trusted for the life of this reader: segment files are
+        written new and renamed into place, never modified, so the
+        bytes behind one open mapping cannot change under it.
+        """
         if self._element_offsets is None:
-            (count,) = _U32.unpack_from(payload, 0)
-            if count != self.rows:
-                raise SegmentFileError(f"{self.path}: element count mismatch")
-            offsets = [4 + 4 * count]
-            at = 4
-            for _ in range(count):
-                (length,) = _U32.unpack_from(payload, at)
-                at += 4
-                offsets.append(offsets[-1] + length)
-            if offsets[-1] != len(payload):
+            entry = self.footer["elements"]
+            base, length = int(entry["off"]), int(entry["len"])
+            if base + length > len(self._map):
+                raise SegmentFileError(f"{self.path}: block exceeds file")
+            # Released on exit: an exported buffer would make close() fail.
+            with memoryview(self._map) as mapped, mapped[base : base + length] as block:
+                if zlib.crc32(block) != int(entry["crc"]):
+                    raise SegmentFileError(f"{self.path}: block checksum mismatch")
+                (count,) = _U32.unpack_from(block, 0)
+                if count != self.rows or 4 + 4 * count > length:
+                    raise SegmentFileError(f"{self.path}: element count mismatch")
+                lengths = struct.unpack_from(f"<{count}I", block, 4)
+            offsets = list(accumulate(lengths, initial=base + 4 + 4 * count))
+            if offsets[-1] != base + length:
                 raise SegmentFileError(f"{self.path}: element block length mismatch")
             self._element_offsets = offsets
-        return payload, self._element_offsets
+        return self._element_offsets
 
     def element(self, local: int) -> Element:
         """Materialize one element (late materialization from cold)."""
-        payload, offsets = self._elements_region()
+        offsets = self._elements_region()
         if not 0 <= local < self.rows:
             raise IndexError(local)
-        return decode_element(payload[offsets[local] : offsets[local + 1]])
+        return decode_element(self._map[offsets[local] : offsets[local + 1]])
 
     def elements(self) -> List[Element]:
-        payload, offsets = self._elements_region()
+        offsets = self._elements_region()
         return [
-            decode_element(payload[offsets[local] : offsets[local + 1]])
-            for local in range(self.rows)
+            decode_element(self._map[start:stop])
+            for start, stop in zip(offsets, offsets[1:])
         ]
 
     def payload_bytes(self, name: str) -> int:

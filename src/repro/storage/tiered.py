@@ -15,9 +15,10 @@ view).  Cold segments are served through this manager:
 * **elements** materialize late -- per position for kernel survivors,
   per segment for full scans;
 * a small **pin/LRU cache** keeps the most recently touched cold
-  segments' decoded state in memory (``REPRO_TIER_CACHE`` segments);
-  eviction drops decoded arrays and closes the mapping, which is what
-  makes the resident footprint O(hot + cache), not O(history);
+  segments' decoded state in memory (``REPRO_TIER_CACHE`` segments):
+  columns, elements, served elements' wire fragments; eviction drops
+  it all and closes the mapping, which is what makes the resident
+  footprint O(hot + cache), not O(history);
 * **logical deletes** against a cold row become *patches* -- pinned
   closed elements overlaid on every read -- until the next compaction
   rewrite folds them into a fresh file (write-new, fsync, rename).
@@ -114,6 +115,14 @@ def _element_cell(element: "Element", name: str) -> int:
     if isinstance(vt, Interval):
         return encode_point(vt.start) if name == "vt_start" else encode_point(vt.end)
     return vt.microseconds if name == "vt_start" else vt.microseconds + 1
+
+
+def _armed(element: "Element") -> "Element":
+    """Let a file-decoded *element* keep its wire fragment once served:
+    it is immutable (a close replaces the row with a patch element) and
+    dies in :meth:`TieredSegment.release`, so the fragment does too."""
+    object.__setattr__(element, "_wire", b"")
+    return element
 
 
 class ColdStampColumns(StampColumns):
@@ -250,7 +259,7 @@ class TieredSegment:
             cached = rows[local]
             if cached is not None:
                 return cached
-        element = self.reader().element(local)
+        element = _armed(self.reader().element(local))
         if rows is None:
             rows = self._elements = [None] * self.rows
         rows[local] = element
@@ -261,7 +270,7 @@ class TieredSegment:
         self._manager._touch(self)
         rows = self._elements
         if rows is None or any(row is None for row in rows):
-            decoded = self.reader().elements()
+            decoded = [_armed(element) for element in self.reader().elements()]
             for local, element in self.patches.items():
                 decoded[local] = element
             self._elements = list(decoded)

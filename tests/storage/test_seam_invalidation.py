@@ -9,6 +9,12 @@ Two historically fragile seams, pinned here:
   epoch-keyed ``statistics()`` cache, the planner's per-epoch metadata
   cache, and any registered standing view -- must observe the patch.
 
+* **Wire fragments** (PR 20).  An element the cold tier decoded keeps
+  its canonical JSON fragment once served.  It is one more derived
+  structure: a logical delete must replace it (the patch element has
+  none), LRU eviction must drop it, and a compaction rewrite, a vacuum
+  and a sharded topology must all still produce the reference bytes.
+
 * **Sharded envelope memos** (satellite 2).  The router caches one
   envelope per shard, keyed by that shard's mutation epoch.  A delete
   changes ``live`` and ``max_closed_tt_stop`` without changing the
@@ -20,8 +26,16 @@ Two historically fragile seams, pinned here:
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import gc
+import pickle
+import sys
 import tempfile
+import threading
+import weakref
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,9 +44,14 @@ from repro.chronos.timestamp import FOREVER, Timestamp
 from repro.query.planner import Planner
 from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
+from repro.server import protocol
+from repro.server.http import Response
 from repro.storage.memory import MemoryEngine
 from repro.storage.sharded import ShardedEngine
 from repro.storage.sqlite_backend import SQLiteEngine
+from repro.storage.tiered import TierManager
+from repro.storage.vacuum import vacuum_relation
+from tests.storage.test_tiered import tiered_env
 
 
 def make_relation(engine) -> TemporalRelation:
@@ -95,6 +114,182 @@ class TestColdPatchInvalidation:
                 zone.live for zone in engine.transaction_index.store._zones
             )
             assert zones_live == 7
+
+
+def _reference_body(relation: TemporalRelation, tt) -> bytes:
+    """A rollback's body from the reference encoder."""
+    rows = list(relation.as_of(tt))
+    return Response.json(
+        {"rows": protocol.elements_to_json(rows), "count": len(rows)}
+    ).body
+
+
+def _fragment_body(relation: TemporalRelation, tt) -> bytes:
+    rows = list(relation.as_of(tt))
+    return Response.json({"count": len(rows)}, rows=rows).body
+
+
+def _populate(relation: TemporalRelation, count: int = 24) -> None:
+    with relation.bulk() as batch:
+        for i in range(count):
+            batch.insert(f"o{i % 5}", Timestamp(i), {"reading": i})
+
+
+def _compact(relation: TemporalRelation) -> None:
+    engine = relation.engine
+    for shard in engine.shards if isinstance(engine, ShardedEngine) else [engine]:
+        shard.transaction_index.store.compact()
+
+
+class TestWireFragmentSeams:
+    def _cold_relation(self, tier_dir):
+        """24 rows, 4 to a segment, all cold, one segment cached."""
+        manager = TierManager(tier_dir, cache_segments=1)
+        relation = make_relation(MemoryEngine(segment_size=4, tier_manager=manager))
+        _populate(relation)
+        _compact(relation)
+        assert len(manager.segments) == 6
+        return relation, manager
+
+    def test_eviction_drops_every_fragment_and_the_next_read_reencodes(self, monkeypatch):
+        with tempfile.TemporaryDirectory() as tier_dir:
+            relation, manager = self._cold_relation(tier_dir)
+            expected = _reference_body(relation, FOREVER)
+            rows = list(relation.as_of(FOREVER))
+            body = Response.json({"count": len(rows)}, rows=rows).body
+            assert body == expected
+            filled = [row for row in rows if row._wire]
+            assert len(filled) == 24
+            # The rows of the one segment still cached are the tier's.
+            kept = [
+                element
+                for segment in manager.segments.values()
+                for element in segment._elements or ()
+            ]
+            assert len(kept) == 4 and all(element._wire for element in kept)
+            watched = [weakref.ref(row) for row in filled]
+            del rows, filled, kept
+            manager.release_all()
+            gc.collect()
+            assert all(ref() is None for ref in watched)
+
+            encoded = []
+            original = protocol.canonical_json
+
+            def counting(payload):
+                encoded.append(payload)
+                return original(payload)
+
+            monkeypatch.setattr(protocol, "canonical_json", counting)
+            assert _fragment_body(relation, FOREVER) == body
+            assert sum(1 for p in encoded if isinstance(p, dict) and "surrogate" in p) == 24
+
+    def test_a_cold_delete_replaces_the_fragment(self):
+        with tempfile.TemporaryDirectory() as tier_dir:
+            relation, manager = self._cold_relation(tier_dir)
+            plain = make_relation(MemoryEngine())
+            _populate(plain)
+            before = relation.pin_epoch().as_of
+            assert _fragment_body(relation, before) == _reference_body(plain, before)
+            victim = min(relation.current(), key=lambda e: e.tt_start.microseconds)
+            closed = relation.delete(victim.element_surrogate)
+            plain.delete(victim.element_surrogate)
+            assert manager.has_patches(0)
+            assert closed._wire is None
+            for tt in (before, closed.tt_stop, FOREVER):
+                body = _fragment_body(relation, tt)
+                assert body == _reference_body(plain, tt)
+                assert body == _fragment_body(relation, tt)  # and again, memoized
+            served = next(
+                e for e in relation.as_of(before) if e.element_surrogate == victim.element_surrogate
+            )
+            assert served.tt_stop == closed.tt_stop and served._wire is None
+
+    @pytest.mark.parametrize("topology", ["tiered", "tiered-3-shards"])
+    def test_rewrite_and_vacuum_keep_the_reference_bytes(self, topology, tmp_path):
+        with tiered_env(None, cache="1", segment_size="4"):
+            if topology == "tiered":
+                engine = MemoryEngine(tier_dir=str(tmp_path))
+            else:
+                engine = ShardedEngine(shard_count=3, tier_dir=str(tmp_path))
+            relation = make_relation(engine)
+        plain = make_relation(MemoryEngine())
+
+        def check():
+            pin = plain.pin_epoch().as_of
+            for tt in (Timestamp(1_000), pin, FOREVER):
+                assert _fragment_body(relation, tt) == _reference_body(plain, tt)
+                assert _fragment_body(relation, tt) == _reference_body(plain, tt)
+
+        for each in (relation, plain):
+            _populate(each)
+        _compact(relation)
+        check()
+        for victim in [e.element_surrogate for e in plain.current()][:7]:
+            for each in (relation, plain):
+                each.delete(victim)
+        check()
+        _compact(relation)  # rewrite_patched: fresh files, fresh elements
+        check()
+        horizon = plain.pin_epoch().as_of
+        for each in (relation, plain):
+            vacuum_relation(each, horizon)
+        check()
+        relation.engine.close()
+
+    def test_the_memo_is_not_part_of_the_element(self):
+        with tempfile.TemporaryDirectory() as tier_dir:
+            relation, _manager = self._cold_relation(tier_dir)
+            plain = make_relation(MemoryEngine())
+            _populate(plain)
+            cold = next(iter(relation.as_of(FOREVER)))
+            hot = next(iter(plain.as_of(FOREVER)))
+            protocol.element_rows_body({}, [cold, hot])
+            assert cold._wire and hot._wire is None
+            assert cold == hot and repr(cold) == repr(hot)
+            assert "_wire" not in repr(cold)
+            later = Timestamp(10_000)
+            for derived in (
+                cold.closed(later),
+                dataclasses.replace(cold, tt_stop=later),
+                copy.copy(cold),
+                copy.deepcopy(cold),
+                pickle.loads(pickle.dumps(cold)),
+            ):
+                assert derived._wire is None
+                assert "_wire" not in vars(derived)
+            assert copy.deepcopy(cold) == cold
+            assert cold.closed(later) == hot.closed(later)
+            with pytest.raises(ValueError):
+                dataclasses.replace(cold, _wire=b"{}")
+
+    def test_concurrent_encodes_of_one_cold_rollback_agree(self):
+        with tempfile.TemporaryDirectory() as tier_dir:
+            relation, manager = self._cold_relation(tier_dir)
+            expected = _reference_body(relation, FOREVER)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for _ in range(20):
+                    manager.release_all()
+                    # Both threads hold the SAME armed elements.
+                    rows = list(relation.as_of(FOREVER))
+                    barrier = threading.Barrier(2, timeout=10)
+                    bodies = []
+
+                    def encode():
+                        barrier.wait()
+                        bodies.append(Response.json({"count": len(rows)}, rows=rows).body)
+
+                    threads = [threading.Thread(target=encode) for _ in range(2)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=10)
+                    assert not any(thread.is_alive() for thread in threads)
+                    assert bodies == [expected, expected]
+            finally:
+                sys.setswitchinterval(interval)
 
 
 class TestShardedEnvelopeInvalidation:

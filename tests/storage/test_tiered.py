@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import os
 import shutil
+import zlib
 from contextlib import contextmanager
 
+import pytest
 from hypothesis import given, settings
 
 from repro.chronos.clock import SimulatedWallClock
@@ -171,6 +173,54 @@ class TestDamageDetection:
         except SegmentFileError:
             return
         raise AssertionError("flipped byte went undetected")
+
+
+    def test_flipped_element_block_byte_serves_no_row(self, tmp_path):
+        path = str(tmp_path / "seg.seg")
+        elements = [make_element(i) for i in range(6)]
+        footer = write_segment_file(path, elements, _columns_from_elements(elements), True)
+        block = footer["elements"]
+        with open(path, "rb") as handle:
+            damaged = bytearray(handle.read())
+        # Inside the last row's payload: the length table still parses.
+        damaged[block["off"] + block["len"] - 3] ^= 0x01
+        with open(path, "wb") as handle:
+            handle.write(bytes(damaged))
+        with SegmentFileReader(path) as reader:
+            for name in segfile.COLUMN_NAMES:
+                reader.column(name)  # the columns are intact
+            # Refused on the first call of either kind, and on every
+            # later one: a failed check is not remembered as a pass.
+            for _ in range(2):
+                with pytest.raises(SegmentFileError):
+                    reader.element(0)
+                with pytest.raises(SegmentFileError):
+                    reader.elements()
+
+    def test_element_block_is_checksummed_once_per_open(self, tmp_path, monkeypatch):
+        manager = TierManager(str(tmp_path), cache_segments=1)
+        elements = [make_element(i) for i in range(8)]
+        segment = manager.demote(0, elements, _columns_from_elements(elements), True)
+        with SegmentFileReader(segment.path) as reader:
+            block_length = reader.footer["elements"]["len"]
+        passes = []
+        crc32 = zlib.crc32
+
+        def counting(data, *rest):
+            if len(data) == block_length:
+                passes.append(len(data))
+            return crc32(data, *rest)
+
+        monkeypatch.setattr(segfile.zlib, "crc32", counting)
+        for local in range(8):
+            assert repr(segment.element_at(local)) == repr(elements[local])
+        assert repr(segment.elements()) == repr(elements)
+        assert len(passes) == 1
+        segment.release()  # closes the mapping; the next read reopens
+        assert repr(segment.element_at(3)) == repr(elements[3])
+        assert repr(segment.element_at(4)) == repr(elements[4])
+        assert len(passes) == 2
+        manager.close()
 
 
 # -- the tiered-vs-flat differential ------------------------------------------------

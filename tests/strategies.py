@@ -12,7 +12,8 @@ Three groups:
   producing the ``(object_surrogate, vt, attributes)`` rows that
   :meth:`TemporalRelation.append_many` ingests -- attribute values are
   JSON-safe so the same workload replays through the SQLite and
-  log-file engines;
+  log-file engines -- and ``wire_elements``, whole stored elements
+  covering everything the canonical wire codec has to spell;
 * ``specialization_declarations`` -- declared-specialization lists in
   the textual form :func:`repro.core.taxonomy.registry.parse` accepts,
   paired with an offset strategy that generates *compliant* ``vt - tt``
@@ -24,8 +25,9 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from repro.chronos.interval import Interval
-from repro.chronos.timestamp import Timestamp
+from repro.chronos.timestamp import FOREVER, NEGATIVE_INFINITY, Timestamp
 from repro.core.taxonomy.base import Stamped
+from repro.relation.element import Element
 
 # Keep coordinates small enough that all arithmetic stays fast but large
 # enough to exercise every ordering of endpoints.
@@ -134,6 +136,59 @@ def insert_rows(draw, min_size=0, max_size=20, vt_ticks=SMALL_TICKS, varying=("r
         )
         for _ in range(count)
     ]
+
+
+#: Attribute values the wire codec must spell exactly: escapes,
+#: non-ASCII text, floats, and nested containers with unsorted keys.
+WIRE_VALUES = st.recursive(
+    st.one_of(
+        JSON_SAFE_VALUES,
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(
+            ["caf\u00e9", "\u6e29\u5ea6", 'say "hi"', "back\\slash", "tab\tline\n", "\u2028"]
+        ),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def wire_elements(draw, max_size=12):
+    """Stored elements with unique surrogates, in arbitrary order:
+    event and interval stamps (unbounded endpoints included), current
+    and closed, with user-defined times and :data:`WIRE_VALUES`
+    attributes.  Transaction times collide, so canonical order falls
+    back on the surrogate."""
+    surrogates = draw(st.lists(st.integers(0, 10_000), max_size=max_size, unique=True))
+    elements = []
+    for surrogate in surrogates:
+        tt = draw(st.integers(min_value=0, max_value=6))
+        if draw(st.booleans()):
+            vt = Timestamp(draw(TICKS))
+        else:
+            start = draw(st.one_of(st.just(NEGATIVE_INFINITY), timestamps()))
+            end = draw(st.one_of(st.just(FOREVER), timestamps(st.integers(1_001, 2_000))))
+            vt = Interval(start, end)
+        closed = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=50)))
+        elements.append(
+            Element(
+                element_surrogate=surrogate,
+                object_surrogate=draw(st.one_of(OBJECTS, st.integers(0, 99))),
+                tt_start=Timestamp(tt),
+                vt=vt,
+                tt_stop=FOREVER if closed is None else Timestamp(tt + closed),
+                time_invariant=draw(st.dictionaries(st.text(max_size=4), WIRE_VALUES, max_size=2)),
+                time_varying=draw(st.dictionaries(st.text(max_size=4), WIRE_VALUES, max_size=2)),
+                user_times=draw(
+                    st.dictionaries(st.sampled_from(["observed", "filed"]), timestamps(), max_size=2)
+                ),
+            )
+        )
+    return elements
 
 
 # -- declared specializations with compliant workloads ----------------------------
