@@ -122,16 +122,13 @@ def _build_parser() -> argparse.ArgumentParser:
             "fold pending closes into them (see docs/storage.md)"
         ),
     )
-    compact.add_argument(
-        "path",
-        help="a write-ahead log file, or a sharded data directory (one WAL per shard)",
-    )
+    compact.add_argument("path", help="the write-ahead log file to compact")
     compact.add_argument(
         "--tier-dir",
         default=None,
         help=(
             "directory for the compressed segment files (default: "
-            "<path>.tier beside the log / inside the data directory)"
+            "<path>.tier beside the log)"
         ),
     )
     compact.add_argument(
@@ -177,15 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "root directory for compressed cold segment files; each created "
             "relation tiers into <name>.tier under it"
-        ),
-    )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help=(
-            "partition created relations across N shards with "
-            "specialization-aware scatter-gather (default 0: unsharded)"
         ),
     )
     serve.add_argument(
@@ -353,11 +341,26 @@ def _cmd_explain(arguments: argparse.Namespace) -> int:
     return 0
 
 
+def _refuses_sharded(path: str) -> bool:
+    """Say so (and let the caller exit 2) when *path* is a data
+    directory the deleted sharded serve mode wrote."""
+    import os
+
+    from repro.storage.logfile import SHARDS_MANIFEST, SHARDS_REMOVED
+
+    if not os.path.exists(os.path.join(path, SHARDS_MANIFEST)):
+        return False
+    print(f"{path}: {SHARDS_REMOVED}", file=sys.stderr)
+    return True
+
+
 def _cmd_recover(arguments: argparse.Namespace) -> int:
     """Exit 0 when the log is clean or was recovered; 1 when a dry run
     found damage (so scripts can gate on it); 2 when unreadable."""
     from repro.storage.wal import recover_file
 
+    if _refuses_sharded(arguments.path):
+        return 2
     try:
         _batches, report = recover_file(arguments.path, dry_run=arguments.dry_run)
     except OSError as error:
@@ -374,40 +377,25 @@ def _cmd_compact(arguments: argparse.Namespace) -> int:
     import os
 
     from repro.storage.logfile import LogFileEngine
-    from repro.storage.sharded import MANIFEST_NAME, ShardedEngine
 
     path = arguments.path
-    if os.path.isdir(path):
-        if not os.path.exists(os.path.join(path, MANIFEST_NAME)):
-            print(f"{path} is not a sharded data directory (no {MANIFEST_NAME})",
-                  file=sys.stderr)
-            return 2
-        tier_dir = arguments.tier_dir if arguments.tier_dir is not None else path
-        engine = ShardedEngine(
-            data_dir=path, segment_size=arguments.segment_size, tier_dir=tier_dir
-        )
-        stores = [shard.transaction_index.store for shard in engine.shards]
-        labels = [f"shard {index}" for index in range(len(stores))]
-    elif os.path.isfile(path):
-        tier_dir = arguments.tier_dir if arguments.tier_dir is not None else path + ".tier"
-        engine = LogFileEngine(
-            path, segment_size=arguments.segment_size, tier_dir=tier_dir
-        )
-        stores = [engine.transaction_index.store]
-        labels = [path]
-    else:
-        print(f"cannot read {path}: no such file or directory", file=sys.stderr)
+    if _refuses_sharded(path):
         return 2
+    if not os.path.isfile(path):
+        print(f"cannot read {path}: not a write-ahead log file", file=sys.stderr)
+        return 2
+    tier_dir = arguments.tier_dir if arguments.tier_dir is not None else path + ".tier"
+    engine = LogFileEngine(path, segment_size=arguments.segment_size, tier_dir=tier_dir)
     try:
-        for label, store in zip(labels, stores):
-            report = store.compact()
-            stats = store.statistics()
-            print(
-                f"{label}: demoted {report['demoted']} segment(s), "
-                f"rewrote {report['rewritten']} patched file(s), "
-                f"{report['cold']} cold "
-                f"({stats.get('tier_bytes_written', 0)} bytes written)"
-            )
+        store = engine.transaction_index.store
+        report = store.compact()
+        stats = store.statistics()
+        print(
+            f"{path}: demoted {report['demoted']} segment(s), "
+            f"rewrote {report['rewritten']} patched file(s), "
+            f"{report['cold']} cold "
+            f"({stats.get('tier_bytes_written', 0)} bytes written)"
+        )
     finally:
         engine.close()
     return 0
@@ -426,7 +414,6 @@ def _cmd_serve(arguments: argparse.Namespace) -> int:
         metrics=not arguments.no_metrics,
         data_dir=arguments.data_dir,
         close_engines=True,
-        shards=arguments.shards,
         tier_dir=arguments.tier_dir,
         cache_entries=0 if arguments.no_cache else arguments.cache_entries,
         cache_bytes=arguments.cache_bytes,

@@ -54,10 +54,6 @@ class ExplainReport:
     #: Tiered-storage accounting; None unless some scanned segments were
     #: served from the compressed cold tier.
     tier_cold_segments: Optional[int] = None
-    #: Shard-routing accounting; None unless the relation lives on a
-    #: sharded engine (shards visited vs skipped on envelope evidence).
-    shards_routed: Optional[int] = None
-    shards_pruned: Optional[int] = None
 
     def render(self) -> str:
         lines: List[str] = []
@@ -87,11 +83,6 @@ class ExplainReport:
                 lines.append(
                     f"tier      : {self.tier_cold_segments} segment(s) served "
                     "from compressed cold storage"
-                )
-            if self.shards_routed is not None:
-                lines.append(
-                    f"shards    : {self.shards_routed} routed, "
-                    f"{self.shards_pruned} pruned by envelopes"
                 )
         lines.append("spans     :")
         lines.append(self.trace.render())
@@ -196,11 +187,6 @@ def explain_query(
                     operator_span.annotate(
                         tier_cold_segments=plan.segment_stats.cold_segments
                     )
-            if plan.shard_stats is not None:
-                operator_span.annotate(
-                    shards_routed=plan.shard_stats.routed,
-                    shards_pruned=plan.shard_stats.pruned,
-                )
         span.annotate(returned=len(results))
     report.examined = plan.examined
     report.returned = len(results)
@@ -223,7 +209,4 @@ def explain_query(
         report.columnar_elements_materialized = plan.segment_stats.materialized
         if plan.segment_stats.cold_segments:
             report.tier_cold_segments = plan.segment_stats.cold_segments
-    if plan.shard_stats is not None:
-        report.shards_routed = plan.shard_stats.routed
-        report.shards_pruned = plan.shard_stats.pruned
     return report

@@ -45,8 +45,8 @@ __all__ = [
     "reset",
 ]
 
-#: Histograms keep at most this many raw observations for percentile
-#: math; count/sum/min/max stay exact beyond it.
+#: Histograms keep the most recent this-many raw observations for
+#: percentile math; count/sum/min/max stay exact beyond it.
 _HISTOGRAM_SAMPLE_LIMIT = 10_000
 
 
@@ -101,10 +101,11 @@ class Gauge:
 
 
 class Histogram:
-    """Observations with exact count/sum/min/max and sampled percentiles.
+    """Observations with exact count/sum/min/max and windowed percentiles.
 
-    Percentiles use the nearest-rank method over the retained sample
-    (all observations up to :data:`_HISTOGRAM_SAMPLE_LIMIT`).
+    Percentiles use the nearest-rank method over the retained sample: a
+    ring of the most recent :data:`_HISTOGRAM_SAMPLE_LIMIT` observations,
+    so a long-running process reports what it is doing now.
     """
 
     __slots__ = ("name", "_count", "_sum", "_min", "_max", "_sample", "_lock")
@@ -121,14 +122,17 @@ class Histogram:
     def observe(self, value: float) -> None:
         value = float(value)
         with self._lock:
+            slot = self._count % _HISTOGRAM_SAMPLE_LIMIT
             self._count += 1
             self._sum += value
             if value < self._min:
                 self._min = value
             if value > self._max:
                 self._max = value
-            if len(self._sample) < _HISTOGRAM_SAMPLE_LIMIT:
+            if slot == len(self._sample):
                 self._sample.append(value)
+            else:
+                self._sample[slot] = value
 
     @property
     def count(self) -> int:

@@ -21,7 +21,7 @@ receive the scanned/pruned counts ``explain()`` reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import FOREVER, TimePoint, Timestamp
@@ -37,19 +37,6 @@ def _tt_index(relation: TemporalRelation) -> Optional[TransactionTimeIndex]:
     # Any engine exposing a transaction_index (memory, logfile mirror)
     # gets the specialized transaction-order strategies.
     return getattr(relation.engine, "transaction_index", None)
-
-
-@dataclass
-class ShardStats:
-    """Envelope-routing accounting for one query execution.
-
-    ``routed`` + ``pruned`` counts shard visits the query's engine reads
-    decided; ``pruned`` shards were skipped because their (tt, vt)
-    envelope could not intersect the probe (or they were empty).
-    """
-
-    routed: int = 0
-    pruned: int = 0
 
 
 @dataclass
@@ -71,38 +58,6 @@ class SegmentStats:
     #: Work units served from the cold tier (compressed segment files)
     #: rather than in-memory state -- the tiered-storage accounting.
     cold_segments: int = 0
-
-
-def _scatter_gather(
-    relation: TemporalRelation,
-    spec: ScanSpec,
-    per_shard: Callable[[TemporalRelation], Result],
-    descending: bool = False,
-) -> Optional[Result]:
-    """Run *per_shard* over the shards *spec* can touch; ``None`` when
-    the relation is not sharded.
-
-    Duck-typed on the ``is_sharded`` flag so this module never imports
-    the sharded engine (which lazily imports relations back).  The
-    specialization the planner licensed globally holds on every shard
-    (orderings survive tt-subsequences), so *per_shard* is the same
-    operator recursing into a per-shard relation view.  Envelope routing
-    first drops shards ``spec.may_match`` rejects; the gather merges by
-    the globally unique ``tt_start`` -- ascending, or descending for
-    operators whose single-store output walks backwards.
-    """
-    engine = relation.engine
-    if not getattr(engine, "is_sharded", False):
-        return None
-    views = engine.subrelations(relation.schema)
-    merged: List[Element] = []
-    examined_total = 0
-    for index in engine.route_shards(spec.may_match):
-        results, examined = per_shard(views[index])
-        merged.extend(results)
-        examined_total += examined
-    merged.sort(key=lambda element: element.tt_start.microseconds, reverse=descending)
-    return merged, examined_total
 
 
 def tiered_active(relation: TemporalRelation) -> bool:
@@ -133,19 +88,14 @@ def scan(
 ) -> Result:
     """Execute *spec*: the one range-shaped access path.
 
-    Three storage shapes, once each:
+    Two storage shapes, once each:
 
-    * **sharded** -- route by envelope, recurse per shard, tt-merge;
     * **tt-indexed** -- :meth:`SegmentedStore.select
       <repro.storage.segments.SegmentedStore.select>`: bisect the
       window, zone-prune, run the column kernel, materialize last;
     * **no tt index** (SQLite) -- delegate to the engine's ``as_of`` /
       ``valid_at`` / ``valid_overlapping`` and keep the window.
     """
-    # Every shard adds to the same *stats*, so the counts simply sum.
-    gathered = _scatter_gather(relation, spec, lambda view: scan(view, spec, stats))
-    if gathered is not None:
-        return gathered
     index = _tt_index(relation)
     if index is not None:
         return index.store.select(spec, stats)
@@ -191,13 +141,6 @@ def timeslice_monotone_events(
     valid times are sorted along the transaction order, so the matching
     run is found by binary search -- "valid time can be approximated
     with transaction time" (Section 3.2)."""
-    gathered = _scatter_gather(
-        relation,
-        ScanSpec.of(vt),
-        lambda view: timeslice_monotone_events(view, vt, descending),
-    )
-    if gathered is not None:
-        return gathered
     index = _tt_index(relation)
     if index is None:
         raise ValueError("monotone timeslice requires the in-memory tt index")
@@ -236,16 +179,6 @@ def timeslice_sequential_intervals(relation: TemporalRelation, vt: Timestamp) ->
     """Sequential interval relations: intervals are disjoint and ordered,
     so at most one (current) interval contains the point; binary search
     for the last interval starting at or before it."""
-    # Single-store output walks backwards from the insertion point, so
-    # the gather preserves the descending-tt discipline.
-    gathered = _scatter_gather(
-        relation,
-        ScanSpec.of(vt),
-        lambda view: timeslice_sequential_intervals(view, vt),
-        descending=True,
-    )
-    if gathered is not None:
-        return gathered
     index = _tt_index(relation)
     if index is None:
         raise ValueError("sequential timeslice requires the in-memory tt index")

@@ -112,10 +112,6 @@ class PlannedQuery:
     decisions: List[str] = field(default_factory=list)
     examined: int = field(default=0, init=False)
     segment_stats: Optional[operators.SegmentStats] = None
-    #: Present when the relation lives on a sharded engine: how many
-    #: shards the execution routed to versus pruned on envelope
-    #: evidence.  Filled in by the planner's thunk wrapper per execute.
-    shard_stats: Optional[operators.ShardStats] = None
     #: Set by the result-cache wrapper per execute: the epoch key the
     #: answer was served from when the last execution was a cache hit,
     #: ``None`` when it actually ran.  ``explain`` surfaces it.
@@ -190,14 +186,7 @@ class Planner:
 
     @property
     def _has_memory_index(self) -> bool:
-        engine = self.relation.engine
-        if getattr(engine, "transaction_index", None) is not None:
-            return True
-        # A sharded engine whose every shard carries the tt index
-        # licenses the same specialized strategies: global orderings
-        # hold on any tt-subsequence, so each shard runs the
-        # specialized operator and the gather re-merges by tt.
-        return bool(getattr(engine, "shards_have_tt_index", False))
+        return getattr(self.relation.engine, "transaction_index", None) is not None
 
     # -- planning -----------------------------------------------------------------------
 
@@ -245,8 +234,7 @@ class Planner:
         component is bound at plan time: the wrapped thunk itself was
         compiled under these toggles, so a mode flip re-plans (new env,
         new plan-cache key) rather than re-keying this thunk.  Hits
-        hand back a fresh list (the stored answer is frozen) and zero
-        the shard accounting -- nothing was routed.
+        hand back a fresh list (the stored answer is frozen).
         """
         relation = self.relation
         inner = plan._thunk
@@ -262,9 +250,6 @@ class Planner:
             hit = results_cache.get(key)
             if hit is not None:
                 plan.result_cache_epoch = epoch
-                if plan.shard_stats is not None:
-                    plan.shard_stats.routed = 0
-                    plan.shard_stats.pruned = 0
                 stored, examined = hit
                 return list(stored), examined
             plan.result_cache_epoch = None
@@ -295,29 +280,6 @@ class Planner:
                 "tiered: cold segments served from compressed segment files "
                 "(lazy per-column decode; REPRO_TIERED=0 keeps everything "
                 "in memory)"
-            )
-        engine = self.relation.engine
-        if getattr(engine, "is_sharded", False):
-            # Wrap the thunk to diff the engine's monotone routing
-            # totals around execution -- shard accounting reaches
-            # ``explain()`` without threading a parameter through every
-            # operator signature.
-            shard_stats = operators.ShardStats()
-            inner = plan._thunk
-
-            def counted_thunk() -> Tuple[list, int]:
-                routed_before, pruned_before = engine.routing_totals()
-                outcome = inner()
-                routed_after, pruned_after = engine.routing_totals()
-                shard_stats.routed = routed_after - routed_before
-                shard_stats.pruned = pruned_after - pruned_before
-                return outcome
-
-            plan._thunk = counted_thunk
-            plan.shard_stats = shard_stats
-            decisions.append(
-                f"sharded: scatter-gather over {engine.shard_count} shards; "
-                "per-shard envelopes prune non-intersecting shards"
             )
         decisions.append(f"chosen: {plan.strategy} -- {plan.explanation}")
         plan.decisions = decisions

@@ -71,22 +71,6 @@ InsertRow = Union[
 ]
 
 
-def _default_engine() -> StorageEngine:
-    """The engine a relation gets when none is passed.
-
-    ``REPRO_SHARDS=N`` (N >= 2) makes every default-constructed relation
-    sharded -- the CI leg that runs the whole suite against a sharded
-    topology -- otherwise a plain :class:`MemoryEngine`.
-    """
-    if os.environ.get("REPRO_SHARDS"):
-        from repro.storage.sharded import ShardedEngine, configured_shard_count
-
-        count = configured_shard_count()
-        if count >= 2:
-            return ShardedEngine(shard_count=count)
-    return MemoryEngine()
-
-
 class TemporalRelation:
     """One temporal relation with enforced specializations."""
 
@@ -96,11 +80,10 @@ class TemporalRelation:
         clock: Optional[TransactionClock] = None,
         engine: Optional[StorageEngine] = None,
         keep_backlog: bool = True,
-        adopt_existing: bool = True,
     ) -> None:
         self.schema = schema
         self.clock = clock if clock is not None else LogicalClock(granularity=schema.granularity)
-        self.engine = engine if engine is not None else _default_engine()
+        self.engine = engine if engine is not None else MemoryEngine()
         self.constraints = ConstraintSet(schema.specializations, mode=schema.enforcement)
         self._surrogates = SurrogateGenerator()
         self._backlog = Backlog() if keep_backlog else None
@@ -109,23 +92,16 @@ class TemporalRelation:
         self._statistics_epoch: Optional[Tuple[int, int]] = None
         self._views: Optional["ViewRegistry"] = None
         self._query_cache: Optional["RelationQueryCache"] = None
-        # ``adopt_existing=False`` builds a read-only view over storage
-        # someone else governs (the sharded engine's per-shard planner
-        # views): no clock/surrogate re-seeding, no ``REPRO_VIEWS``
-        # view (nothing would ever feed it a delta), and crucially no
-        # constraint re-observation -- regularity-style specializations
-        # need not hold on a shard's tt-subsequence even though the
-        # ordering specializations always do.
-        if adopt_existing and engine is not None and len(engine):
-            self._adopt_existing()
+        if engine is not None and len(engine):
+            self._adopt_stored()
         # ``REPRO_VIEWS=1``: every relation keeps a registered current
         # view, so the whole suite exercises delta emission and the
         # view-invalidation seams (the CI fast-matrix leg). Namespaced
         # so it never collides with a caller's own registrations.
-        if adopt_existing and os.environ.get("REPRO_VIEWS"):
+        if os.environ.get("REPRO_VIEWS"):
             self.views.register_current(name="__env_current__")
 
-    def _adopt_existing(self) -> None:
+    def _adopt_stored(self) -> None:
         """Re-seed surrogates, the clock, and constraint monitors from
         storage.
 
@@ -447,9 +423,6 @@ class TemporalRelation:
         index = getattr(self.engine, "transaction_index", None)
         if index is not None:
             return index.store.live_count()
-        counter = getattr(self.engine, "live_count", None)
-        if callable(counter):
-            return counter()
         return sum(1 for _ in self.engine.current())
 
     def as_of(self, tt: TimePoint) -> List[Element]:

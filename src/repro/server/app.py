@@ -62,7 +62,7 @@ from repro.server.http import (
 )
 from repro.server.protocol import ProtocolError
 from repro.storage.epoch import EpochPin
-from repro.storage.logfile import LogFileEngine
+from repro.storage.logfile import SHARDS_REMOVED, LogFileEngine
 from repro.storage.memory import MemoryEngine
 
 
@@ -89,11 +89,6 @@ class ServerConfig:
     #: Close relation engines on shutdown (the CLI wants this; tests
     #: that own their engines usually do not).
     close_engines: bool = False
-    #: Partition relations created via ``POST /relations`` across this
-    #: many shards (``repro serve --shards N``); 0 or 1 disables
-    #: sharding.  Applies to memory and logfile engines; sqlite keeps
-    #: its single thread-affine connection.
-    shards: int = 0
     #: Root directory for compressed cold segment files (``repro serve
     #: --tier-dir``): each created relation tiers into ``<name>.tier``
     #: under it.  None leaves tiering to the ``REPRO_TIERED`` default.
@@ -582,10 +577,6 @@ class TemporalServer:
 
         tier_dir = self._relation_tier_dir(name)
         if kind == "memory":
-            if self.config.shards >= 2:
-                from repro.storage.sharded import ShardedEngine
-
-                return ShardedEngine(shard_count=self.config.shards, tier_dir=tier_dir)
             return MemoryEngine(tier_dir=tier_dir)
         if kind in ("logfile", "sqlite"):
             if self.config.data_dir is None:
@@ -596,15 +587,9 @@ class TemporalServer:
             os.makedirs(self.config.data_dir, exist_ok=True)
             path = os.path.join(self.config.data_dir, f"{name}.{kind}")
             if kind == "logfile":
-                if self.config.shards >= 2:
-                    from repro.storage.sharded import ShardedEngine
-
-                    # One WAL per shard under a relation-named directory.
-                    return ShardedEngine(
-                        shard_count=self.config.shards,
-                        data_dir=os.path.join(self.config.data_dir, f"{name}.shards"),
-                        tier_dir=tier_dir,
-                    )
+                if os.path.isdir(os.path.join(self.config.data_dir, f"{name}.shards")):
+                    # Never start an empty log beside history it cannot read.
+                    raise ProtocolError(f"relation {name!r}: {SHARDS_REMOVED}")
                 return LogFileEngine(path, tier_dir=tier_dir)
             from repro.storage.sqlite_backend import SQLiteEngine
 
@@ -943,7 +928,4 @@ class TemporalServer:
             payload["examined"] = report.examined
             payload["returned"] = report.returned
             payload["rows"] = protocol.rows_to_json(report.results)
-            if report.shards_routed is not None:
-                payload["shards_routed"] = report.shards_routed
-                payload["shards_pruned"] = report.shards_pruned
         return Response.json(payload)

@@ -25,10 +25,7 @@ implements the representations the paper names:
   pruning and a materialized current-state view;
 * :mod:`repro.storage.wal` -- the framed, checksummed write-ahead-log
   record layout used by :class:`~repro.storage.logfile.LogFileEngine`,
-  with torn-tail recovery (``.corrupt`` quarantine + truncation);
-* :mod:`repro.storage.sharded` -- horizontal sharding over N backing
-  engines (hash or vt-range partitioned) with specialization-aware
-  scatter-gather routing and crash-safe rebalancing.
+  with torn-tail recovery (``.corrupt`` quarantine + truncation).
 """
 
 from repro.storage.backlog import Backlog, Operation, OperationKind
@@ -38,12 +35,6 @@ from repro.storage.interval_tree import IntervalTree
 from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
 from repro.storage.segments import Segment, SegmentedStore, ZoneMap
-from repro.storage.sharded import (
-    HashPartitioner,
-    RangePartitioner,
-    ShardedEngine,
-    configured_shard_count,
-)
 from repro.storage.snapshot import SnapshotCache
 from repro.storage.sqlite_backend import SQLiteEngine
 from repro.storage.wal import RecoveryReport, recover_file
@@ -63,10 +54,6 @@ __all__ = [
     "Segment",
     "SegmentedStore",
     "ZoneMap",
-    "HashPartitioner",
-    "RangePartitioner",
-    "ShardedEngine",
-    "configured_shard_count",
     "SnapshotCache",
     "SQLiteEngine",
 ]

@@ -110,12 +110,11 @@ class StorageEngine(abc.ABC):
     def mutation_count(self) -> int:
         """Monotone counter advancing on *every* state change.
 
-        Appends, batch extends, logical deletes (which preserve
-        ``len()``), and structural maintenance such as a shard
-        rebalance all advance it.  ``(id(engine), mutation_count())``
+        Appends, batch extends and logical deletes (which preserve
+        ``len()``) all advance it.  ``(id(engine), mutation_count())``
         is the storage half of every epoch key -- statistics snapshots,
-        plan/result caches, shard-envelope memos -- so an engine that
-        under-counts serves stale answers.  ``len()`` is deliberately
+        plan/result caches -- so an engine that under-counts serves
+        stale answers.  ``len()`` is deliberately
         not an acceptable substitute: it is delete-blind.
         """
 

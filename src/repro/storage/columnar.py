@@ -44,7 +44,7 @@ if TYPE_CHECKING:
     from repro.relation.element import Element
 
 #: Sentinel microsecond coordinates for unbounded endpoints.  The one
-#: definition: zone maps, shard envelopes, the SQLite / log-file codecs
+#: definition: zone maps, the SQLite / log-file codecs
 #: and the wire protocol all import these (both fit in int64).
 POS_SENTINEL = 2**62
 NEG_SENTINEL = -(2**62)
@@ -132,9 +132,9 @@ class ScanSpec:
     def may_match(self, summary) -> bool:
         """Could any row under *summary* satisfy this spec?
 
-        *summary* is a ``ZoneMap`` or a ``ShardEnvelope`` -- both carry
-        ``tt_lo`` / ``tt_hi`` / ``live`` and answer ``alive_at`` /
-        ``may_contain_vt``.  Conservative: False proves no match.
+        *summary* is a ``ZoneMap``: it carries ``tt_lo`` / ``tt_hi`` /
+        ``live`` and answers ``alive_at`` / ``may_contain_vt``.
+        Conservative: False proves no match.
         """
         if summary.tt_hi < self.tt_lo or summary.tt_lo > self.tt_hi:
             return False

@@ -48,6 +48,16 @@ from repro.storage.columnar import decode_point, encode_point
 from repro.storage.memory import MemoryEngine
 from repro.storage.wal import RecoveryReport, recover_file
 
+#: The sharded serve mode (deleted in PR 22, EXPERIMENTS.md E20) kept a
+#: relation as a directory ``{name}.shards/`` holding this manifest and
+#: one ``shard-NNN.log`` per shard.  No reader is kept: the server and
+#: the CLI refuse such a directory with one message, never shadow it.
+SHARDS_MANIFEST = "shards.manifest"
+SHARDS_REMOVED = (
+    "sharded data directories were removed in PR 22; "
+    "open them at the previous release and re-ingest"
+)
+
 def _encode_element(element: Element) -> Dict[str, Any]:
     record: Dict[str, Any] = {
         "surrogate": element.element_surrogate,
@@ -471,15 +481,6 @@ class LogFileEngine(StorageEngine):
             _metrics.registry().counter("storage.logfile.write_rollbacks").inc()
 
     # -- mutation -----------------------------------------------------------------
-
-    def validate_extend(self, elements: Iterable[Element]) -> None:
-        """Raise iff :meth:`extend` would reject the batch; mutates nothing.
-
-        Multi-engine coordinators (the sharded engine's cross-shard
-        all-or-nothing extend) validate every sub-batch before any
-        engine writes.
-        """
-        self._mirror.validate_extend(elements)
 
     def append(self, element: Element) -> None:
         self._mirror.validate_append(element)  # raises before any I/O

@@ -225,10 +225,10 @@ class MemoryEngine(StorageEngine):
     def _fetch_live(self, candidates: List[int]) -> Iterator[Element]:
         """The still-current elements among the valid-time indexes'
         candidate positions, in position order -- append order, so the
-        index path yields the same canonical tt order as the kernel and
-        the sharded gather.  Hot rows are tested on the live bitmap and
-        only survivors materialize; cold rows (mostly-closed history,
-        rare here) materialize to be tested."""
+        index path yields the same canonical tt order as the kernel.
+        Hot rows are tested on the live bitmap and only survivors
+        materialize; cold rows (mostly-closed history, rare here)
+        materialize to be tested."""
         if _metrics.enabled():
             _metrics.registry().counter("storage.memory.vt_index_hits").inc()
         candidates.sort()

@@ -91,9 +91,9 @@ class SQLiteEngine(StorageEngine):
     def mutation_count(self) -> int:
         """Monotone epoch bumped by every committed mutation.
 
-        ``ShardedEngine`` keys its per-shard envelope memos on this;
+        Statistics snapshots and the plan/result caches key on this;
         without it a delete (which leaves ``len()`` unchanged) would
-        never refresh a shard's live count / max-closed-tt_stop.
+        keep serving the pre-delete answer.
         """
         return self._mutations
 

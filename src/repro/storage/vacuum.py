@@ -43,34 +43,14 @@ class VacuumReport:
         return self.purged / self.total if self.total else 0.0
 
 
-def vacuum_engine(engine: StorageEngine, horizon: Timestamp) -> "tuple[StorageEngine, VacuumReport]":
+def vacuum_engine(engine: StorageEngine, horizon: Timestamp) -> "tuple[MemoryEngine, VacuumReport]":
     """A new engine holding only elements visible at or after *horizon*.
 
     An element survives iff its existence interval extends to the
     horizon (``tt_stop > horizon``) -- current elements always survive.
     Rollback answers for ``tt >= horizon``, current queries, and valid
     timeslices are unchanged (asserted by the test suite).
-
-    Sharded engines vacuum shard-by-shard: the partitioner (and so the
-    element-to-shard assignment) is unchanged, only dead history drops
-    out of each shard's store.
     """
-    if getattr(engine, "is_sharded", False):
-        from repro.storage.sharded import ShardedEngine
-
-        new_shards = []
-        kept = 0
-        purged = 0
-        for shard in engine.shards:  # type: ignore[attr-defined]
-            shard_compacted, shard_report = vacuum_engine(shard, horizon)
-            new_shards.append(shard_compacted)
-            kept += shard_report.kept
-            purged += shard_report.purged
-        compacted_sharded = ShardedEngine(
-            shards=new_shards,
-            partitioner=engine.partitioner,  # type: ignore[attr-defined]
-        )
-        return compacted_sharded, VacuumReport(horizon=horizon, kept=kept, purged=purged)
     index = getattr(engine, "transaction_index", None)
     old_store = index.store if index is not None else None
     # Epoch key for the carry-over below: anything derived from the old

@@ -103,6 +103,27 @@ class TestHistogram:
         assert histogram.count == 10_500
         assert histogram.to_dict()["max"] == 10_499
 
+    def test_percentiles_follow_the_recent_window(self):
+        """The sample is a ring of the most recent 10 000 observations:
+        after the distribution shifts, percentiles describe the shifted
+        one while count/sum/min/max still cover everything."""
+        histogram = Histogram("h")
+        for value in range(10_000):  # the first, slow, era: 0..9999
+            histogram.observe(value)
+        for value in range(15_000):  # then 15 000 fast requests
+            histogram.observe(100_000 + value % 100)
+        summary = histogram.to_dict()
+        assert summary["count"] == 25_000
+        assert summary["min"] == 0
+        assert summary["max"] == 100_099
+        assert summary["sum"] == sum(range(10_000)) + sum(
+            100_000 + value % 100 for value in range(15_000)
+        )
+        assert summary["p50"] == 100_049
+        assert summary["p90"] == 100_089
+        assert summary["p99"] == 100_098
+        assert histogram.percentile(1) >= 100_000  # nothing of the first era is left
+
     def test_concurrent_observations(self):
         histogram = Histogram("h")
 

@@ -7,13 +7,13 @@ Two halves:
   bypass, plan-cache reuse and epoch rollover, result-cache hits that
   stay frozen, ``mutation_count()`` monotonicity on every engine;
 * a Hypothesis differential: a randomized mutation/maintenance/query
-  script runs against flat, unindexed, segmented, tiered, and sharded
+  script runs against flat, unindexed, segmented, and tiered
   topologies, and at every query point the cache-enabled answer (tiny
   budgets, constant eviction pressure) must be byte-identical -- via
   the server's canonical codec -- to the same query under
   ``REPRO_RESULT_CACHE=0``.  Vacuum engine swaps, segment compaction,
-  shard rebalancing, and out-of-band ``extend()`` straight into the
-  engine all interleave: every one must roll the epoch.
+  and out-of-band ``extend()`` straight into the engine all
+  interleave: every one must roll the epoch.
 """
 
 import json
@@ -36,7 +36,6 @@ from repro.relation.temporal_relation import TemporalRelation
 from repro.server.protocol import elements_to_json
 from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
-from repro.storage.sharded import HashPartitioner, ShardedEngine
 from repro.storage.sqlite_backend import SQLiteEngine
 from repro.storage.vacuum import vacuum_relation
 from tests.strategies import OBJECTS, SMALL_TICKS
@@ -286,9 +285,6 @@ class TestMutationCount:
     def test_segmented_memory(self):
         self._exercise(make_relation(MemoryEngine(segment_size=2)))
 
-    def test_sharded(self):
-        self._exercise(make_relation(ShardedEngine(shard_count=3)))
-
     def test_logfile(self, tmp_path):
         engine = LogFileEngine(str(tmp_path / "wal.log"))
         try:
@@ -345,7 +341,6 @@ def cache_workload(draw, min_ops=6, max_ops=20):
         st.tuples(st.just("delete"), st.integers(0, 63)),
         st.tuples(st.just("vacuum"), st.integers(0, 80)),
         st.tuples(st.just("compact")),
-        st.tuples(st.just("rebalance"), st.integers(0, 1_000)),
         st.tuples(st.just("extend"), SMALL_TICKS),
         st.tuples(st.just("query"), st.sampled_from(QUERY_OPS), SMALL_TICKS),
     )
@@ -395,23 +390,9 @@ def run_cache_differential(relation, ops):
         elif kind == "vacuum":
             vacuum_relation(relation, Timestamp(op[1]))
         elif kind == "compact":
-            engine = relation.engine
-            shards = (
-                engine.shards if isinstance(engine, ShardedEngine) else [engine]
-            )
-            for shard in shards:
-                index = getattr(shard, "transaction_index", None)
-                if index is not None:
-                    index.store.compact()
-        elif kind == "rebalance":
-            engine = relation.engine
-            if isinstance(engine, ShardedEngine) and isinstance(
-                engine.partitioner, HashPartitioner
-            ):
-                engine.rebalance(
-                    op[1] % engine.partitioner.buckets,
-                    op[1] % len(engine.shards),
-                )
+            index = getattr(relation.engine, "transaction_index", None)
+            if index is not None:
+                index.store.compact()
         elif kind == "extend":
             _out_of_band_extend(relation, op[1])
         elif kind == "query":
@@ -459,8 +440,3 @@ class TestCacheDifferential:
                 run_cache_differential(make_relation(engine), ops)
             finally:
                 engine.close()
-
-    @settings(max_examples=10, deadline=None)
-    @given(ops=cache_workload())
-    def test_hash_sharded_memory(self, ops):
-        run_cache_differential(make_relation(ShardedEngine(shard_count=3)), ops)

@@ -228,6 +228,35 @@ def test_protocol_errors_are_clean_http() -> None:
     asyncio.run(scenario())
 
 
+def test_retired_sharded_directory_is_refused_not_shadowed(tmp_path) -> None:
+    """``{data_dir}/{name}.shards/`` is history the deleted sharded
+    serve mode wrote: creating logfile relation ``name`` beside it must
+    fail cleanly rather than start an empty ``{name}.logfile``."""
+    (tmp_path / "readings.shards").mkdir()
+    (tmp_path / "readings.shards" / "shards.manifest").write_bytes(b"")
+
+    async def scenario() -> None:
+        config = ServerConfig(port=0, data_dir=str(tmp_path), close_engines=True)
+        async with running_server(config) as server:
+            async with connected_client(server) as client:
+                refused = await client.create_relation(
+                    {"name": "readings", "engine": "logfile"}
+                )
+                assert refused.status == 400, refused.body
+                assert (
+                    "sharded data directories were removed in PR 22; "
+                    "open them at the previous release and re-ingest"
+                ) in refused.json()["error"]
+                listing = await client.request("GET", "/relations")
+                assert "readings" not in listing.json()["relations"]
+                # A name with no sharded history beside it is fine.
+                other = await client.create_relation({"name": "other", "engine": "logfile"})
+                assert other.status == 200, other.body
+
+    asyncio.run(scenario())
+    assert not (tmp_path / "readings.logfile").exists()
+
+
 def test_fire_and_forget_ingest() -> None:
     async def scenario() -> None:
         async with running_server() as server:

@@ -247,25 +247,20 @@ def test_strategies_agree_across_engines(tmp_path) -> None:
 # route, across a logical delete of a cold row, with the tier's decode
 # cache at one segment so fragments are dropped and rebuilt constantly.
 
-HISTORY_TOPOLOGIES = ("memory", "tiered-cache-1", "tiered-3-shards")
+HISTORY_TOPOLOGIES = ("memory", "tiered-cache-1")
 
 
 def _history_relation(topology: str, tmp_path) -> TemporalRelation:
     from repro.chronos.clock import LogicalClock
-    from repro.storage.sharded import ShardedEngine
     from repro.storage.tiered import TierManager
-    from tests.storage.test_tiered import tiered_env
 
     tier_dir = str(tmp_path / topology)
     if topology == "memory":
         engine = MemoryEngine()
-    elif topology == "tiered-cache-1":
+    else:
         engine = MemoryEngine(
             segment_size=4, tier_manager=TierManager(tier_dir, cache_segments=1)
         )
-    else:
-        with tiered_env(None, cache="1", segment_size="4"):
-            engine = ShardedEngine(shard_count=3, tier_dir=tier_dir)
     schema = TemporalSchema(name="history", time_varying=("reading", "status"))
     relation = TemporalRelation(schema, clock=LogicalClock(start=1_000), engine=engine)
     relation.append_many(
@@ -275,8 +270,7 @@ def _history_relation(topology: str, tmp_path) -> TemporalRelation:
         ]
     )
     if topology != "memory":
-        shards = engine.shards if isinstance(engine, ShardedEngine) else [engine]
-        cold = sum(shard.transaction_index.store.compact()["cold"] for shard in shards)
+        cold = engine.transaction_index.store.compact()["cold"]
         assert cold >= 6, cold
     return relation
 

@@ -36,7 +36,6 @@ from repro.storage.columnar import (
 )
 from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
-from repro.storage.sharded import ShardedEngine
 from tests.storage.test_segments import replay, segment_workloads, signature
 from tests.storage.test_tiered import tiered_env
 
@@ -220,32 +219,37 @@ class TestScanSpec:
         assert spec.narrowed(None, None) == spec
 
     @pytest.mark.parametrize("survivors", [0, 3])
-    def test_zone_map_and_shard_envelope_reject_identically(self, survivors):
-        """``may_match`` duck-types over both summaries: a sealed
-        segment's zone map and a one-shard envelope built from the same
-        rows give the same verdict on every spec -- with live rows left
+    def test_zone_map_rejects_only_what_no_row_matches(self, survivors):
+        """``may_match`` against a sealed segment's zone map is
+        conservative: a False verdict proves no stored row satisfies the
+        spec (a plain-list filter is the oracle) -- with live rows left
         and with every row closed (the ``max_closed_tt_stop`` arm)."""
-
-        def load(engine):
-            schema = TemporalSchema(name="r")
-            clock = SimulatedWallClock(start=0)
-            relation = TemporalRelation(schema, clock=clock, keep_backlog=False, engine=engine)
-            for i in range(8):
-                clock.advance_to(Timestamp(10 * i))
-                relation.insert("o", Timestamp(10 * i + i % 3), {})
-            stored = relation.all_elements()
-            for when, victims in ((200, stored[:3]), (300, stored[3 : 8 - survivors])):
-                clock.advance_to(Timestamp(when))
-                for element in victims:
-                    relation.delete(element.element_surrogate)
-
         memory = MemoryEngine(segment_size=8)
-        load(memory)
+        schema = TemporalSchema(name="r")
+        clock = SimulatedWallClock(start=0)
+        relation = TemporalRelation(schema, clock=clock, keep_backlog=False, engine=memory)
+        for i in range(8):
+            clock.advance_to(Timestamp(10 * i))
+            relation.insert("o", Timestamp(10 * i + i % 3), {})
+        stored = relation.all_elements()
+        for when, victims in ((200, stored[:3]), (300, stored[3 : 8 - survivors])):
+            clock.advance_to(Timestamp(when))
+            for element in victims:
+                relation.delete(element.element_surrogate)
+        stored = relation.all_elements()
         zone = memory.transaction_index.store.zone_of(0)
-        sharded = ShardedEngine(shard_count=1, segment_size=64)
-        load(sharded)
-        (envelope,) = sharded.envelopes()
-        assert zone.live == envelope.live == survivors
+        assert zone.live == survivors
+
+        def satisfies(element, vt, as_of, tt_lo, tt_hi):
+            tt = element.tt_start.microseconds
+            if (tt_lo is not None and tt < tt_lo) or (tt_hi is not None and tt > tt_hi):
+                return False
+            if not (element.is_current if as_of is None else element.stored_during(as_of)):
+                return False
+            if isinstance(vt, Interval):
+                return vt.contains_point(element.vt)
+            return vt is None or element.valid_at(vt)
+
         points = [None] + [Timestamp(t) for t in (-5, 0, 35, 72, 199, 250, 300, 400)]
         windows = [None, Timestamp(0), Timestamp(41), Timestamp(90)] + [
             Interval(Timestamp(lo), Timestamp(hi)) for lo, hi in ((-9, 0), (70, 73), (73, 99))
@@ -257,7 +261,10 @@ class TestScanSpec:
                 for tt_lo, tt_hi in tt_windows:
                     spec = ScanSpec.of(vt, as_of).narrowed(tt_lo, tt_hi)
                     verdict = spec.may_match(zone)
-                    assert verdict == spec.may_match(envelope), spec
+                    if not verdict:
+                        assert not any(
+                            satisfies(e, vt, as_of, tt_lo, tt_hi) for e in stored
+                        ), spec
                     verdicts.add(verdict)
         assert verdicts == {True, False}
 
@@ -444,9 +451,8 @@ def test_kernel_matches_naive_executor(workload):
     predicates (snapshot reducibility's oracle) -- and the relation's
     pinned and un-pinned ``valid_at`` / ``valid_overlapping`` versus a
     plain-list filter -- on a never-sealing flat store, tiny and default
-    segment sizes, a log-file engine's mirror, the compressed cold tier
-    with a one-segment decode cache, and a 3-shard scatter-gather --
-    after the same randomized interleaving of appends, batches, logical
+    segment sizes, a log-file engine's mirror, and the compressed cold
+    tier with a one-segment decode cache -- after the same randomized interleaving of appends, batches, logical
     deletes, and vacuums."""
     ops, probes = workload
     with tempfile.TemporaryDirectory() as scratch:
@@ -459,9 +465,6 @@ def test_kernel_matches_naive_executor(workload):
                     "segments=5": replay(ops, 5),
                     "segments=default": replay(ops, None),
                     "logfile": replay(ops, None, engine=log),
-                    "sharded": replay(
-                        ops, None, engine=ShardedEngine(shard_count=3, segment_size=2)
-                    ),
                 }
             with tiered_env("1", cache="1"):
                 topologies["tiered"] = replay(ops, 4)

@@ -11,7 +11,6 @@ from repro.relation.element import Element
 from repro.relation.errors import ElementNotFound
 from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
-from repro.storage.sharded import ShardedEngine
 from repro.storage.sqlite_backend import SQLiteEngine
 from tests.storage.test_tiered import tiered_env
 
@@ -212,7 +211,6 @@ class TestLiveIndexReads:
             engines = {
                 "memory": MemoryEngine(segment_size=4),
                 "logfile": LogFileEngine(log_path, fsync=False, segment_size=4),
-                "sharded": ShardedEngine(shard_count=3, segment_size=2),
             }
         with tiered_env("1", cache="1"):
             engines["tiered"] = MemoryEngine(segment_size=4)

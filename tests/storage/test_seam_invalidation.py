@@ -1,6 +1,6 @@
 """Seam-bug regressions: caches that must notice deletes.
 
-Two historically fragile seams, pinned here:
+Three historically fragile seams, pinned here:
 
 * **Cold-segment delete patches** (satellite 1).  A logical delete
   whose victim lives in a compressed cold segment rewrites that
@@ -12,16 +12,13 @@ Two historically fragile seams, pinned here:
 * **Wire fragments** (PR 20).  An element the cold tier decoded keeps
   its canonical JSON fragment once served.  It is one more derived
   structure: a logical delete must replace it (the patch element has
-  none), LRU eviction must drop it, and a compaction rewrite, a vacuum
-  and a sharded topology must all still produce the reference bytes.
+  none), LRU eviction must drop it, and a compaction rewrite and a
+  vacuum must both still produce the reference bytes.
 
-* **Sharded envelope memos** (satellite 2).  The router caches one
-  envelope per shard, keyed by that shard's mutation epoch.  A delete
-  changes ``live`` and ``max_closed_tt_stop`` without changing the
-  element count, so shards whose epoch is derived from ``len()``
-  (SQLite shards before the fix) served stale envelopes: emptied
-  shards kept answering ``live > 0`` and current-state probes visited
-  them forever.
+* **Delete-blind epochs** (satellite 2).  A logical delete changes
+  liveness without changing the element count, so anything keyed on an
+  epoch derived from ``len()`` (SQLite before the fix) kept serving the
+  pre-delete answer: ``mutation_count()`` must advance on a delete.
 """
 
 from __future__ import annotations
@@ -36,8 +33,6 @@ import threading
 import weakref
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.chronos.clock import LogicalClock
 from repro.chronos.timestamp import FOREVER, Timestamp
@@ -47,7 +42,6 @@ from repro.relation.temporal_relation import TemporalRelation
 from repro.server import protocol
 from repro.server.http import Response
 from repro.storage.memory import MemoryEngine
-from repro.storage.sharded import ShardedEngine
 from repro.storage.sqlite_backend import SQLiteEngine
 from repro.storage.tiered import TierManager
 from repro.storage.vacuum import vacuum_relation
@@ -136,9 +130,7 @@ def _populate(relation: TemporalRelation, count: int = 24) -> None:
 
 
 def _compact(relation: TemporalRelation) -> None:
-    engine = relation.engine
-    for shard in engine.shards if isinstance(engine, ShardedEngine) else [engine]:
-        shard.transaction_index.store.compact()
+    relation.engine.transaction_index.store.compact()
 
 
 class TestWireFragmentSeams:
@@ -205,14 +197,9 @@ class TestWireFragmentSeams:
             )
             assert served.tt_stop == closed.tt_stop and served._wire is None
 
-    @pytest.mark.parametrize("topology", ["tiered", "tiered-3-shards"])
-    def test_rewrite_and_vacuum_keep_the_reference_bytes(self, topology, tmp_path):
+    def test_rewrite_and_vacuum_keep_the_reference_bytes(self, tmp_path):
         with tiered_env(None, cache="1", segment_size="4"):
-            if topology == "tiered":
-                engine = MemoryEngine(tier_dir=str(tmp_path))
-            else:
-                engine = ShardedEngine(shard_count=3, tier_dir=str(tmp_path))
-            relation = make_relation(engine)
+            relation = make_relation(MemoryEngine(tier_dir=str(tmp_path)))
         plain = make_relation(MemoryEngine())
 
         def check():
@@ -292,81 +279,13 @@ class TestWireFragmentSeams:
                 sys.setswitchinterval(interval)
 
 
-class TestShardedEnvelopeInvalidation:
-    def _sqlite_sharded(self, data_dir, shard_count=2) -> ShardedEngine:
-        return ShardedEngine(data_dir=data_dir, shard_count=shard_count)
-
-    def test_sqlite_shard_epoch_advances_on_delete(self):
+class TestDeleteBlindEpochs:
+    def test_sqlite_mutation_count_advances_on_delete(self):
         with tempfile.TemporaryDirectory() as data_dir:
-            engine = SQLiteEngine(f"{data_dir}/shard.db")
+            engine = SQLiteEngine(f"{data_dir}/seams.db")
             relation = make_relation(engine)
             stored = relation.insert("alpha", Timestamp(1))
             before = engine.mutation_count()
             relation.delete(stored.element_surrogate)
             assert engine.mutation_count() == before + 1
             assert len(engine) == 1  # history retained: len() alone is blind
-
-    def test_envelopes_refresh_after_deletes_empty_a_shard(self):
-        with tempfile.TemporaryDirectory() as data_dir:
-            engine = self._sqlite_sharded(data_dir)
-            relation = make_relation(engine)
-            with relation.bulk() as batch:
-                for i in range(10):
-                    batch.insert(f"o{i}", Timestamp(i), {"reading": i})
-            assert sum(env.live for env in engine.envelopes()) == 10
-
-            for element in list(relation.current()):
-                relation.delete(element.element_surrogate)
-
-            envelopes = engine.envelopes()
-            assert [env.live for env in envelopes] == [0] * len(envelopes)
-            # Liveness routing prunes every shard once nothing is live.
-            assert engine.route_shards(lambda env: env.live > 0) == []
-            assert relation.current() == []
-
-    def test_max_closed_tt_stop_tracks_latest_delete(self):
-        with tempfile.TemporaryDirectory() as data_dir:
-            engine = self._sqlite_sharded(data_dir)
-            relation = make_relation(engine)
-            with relation.bulk() as batch:
-                for i in range(6):
-                    batch.insert(f"o{i}", Timestamp(i))
-            closed = relation.delete(relation.current()[0].element_surrogate)
-            stamp = closed.tt_stop.microseconds
-            assert max(
-                env.max_closed_tt_stop for env in engine.envelopes()
-            ) == stamp
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        script=st.lists(
-            st.one_of(
-                st.tuples(st.just("insert"), st.integers(0, 7), st.integers(0, 60)),
-                st.tuples(st.just("delete"), st.integers(0, 63)),
-            ),
-            min_size=1,
-            max_size=30,
-        )
-    )
-    def test_envelopes_always_match_fresh_computation(self, script):
-        """Hypothesis regression: after any insert/delete interleaving,
-        every memoized envelope equals one computed from scratch."""
-        engine = ShardedEngine(shard_count=3)
-        relation = make_relation(engine)
-        for op in script:
-            if op[0] == "insert":
-                relation.insert(f"o{op[1]}", Timestamp(op[2]))
-            else:
-                live = relation.current()
-                if live:
-                    relation.delete(live[op[1] % len(live)].element_surrogate)
-        memoized = engine.envelopes()
-        for shard, envelope in zip(engine.shards, memoized):
-            elements = list(shard.scan())
-            assert envelope.count == len(elements)
-            assert envelope.live == sum(1 for e in elements if e.is_current)
-            closed = [
-                e.tt_stop.microseconds for e in elements if e.tt_stop is not FOREVER
-            ]
-            if closed:
-                assert envelope.max_closed_tt_stop == max(closed)

@@ -13,7 +13,6 @@ Three layers of assurance, mirroring the storage design:
 from __future__ import annotations
 
 import os
-import shutil
 import zlib
 from contextlib import contextmanager
 
@@ -36,7 +35,6 @@ from repro.storage.segfile import (
     encode_element,
     write_segment_file,
 )
-from repro.storage.sharded import ShardedEngine
 from repro.storage.tiered import TierManager, _columns_from_elements, tiered_enabled
 from repro.storage.vacuum import vacuum_engine
 from tests.storage.test_segments import all_answers, replay, segment_workloads
@@ -396,126 +394,6 @@ class TestCompactionCrashMatrix:
             reopened = LogFileEngine(wal, fsync=False, tier_dir=tier)
             assert [e.element_surrogate for e in reopened.scan()] == list(range(8))
             reopened.close()
-
-
-# -- sharded rebalance bookkeeping (satellite: incremental, not full scans) ---------
-
-
-class TestIncrementalRebalance:
-    def _populate(self, engine, count=120):
-        for i in range(count):
-            engine.append(make_element(i))
-
-    def test_route_and_envelopes_match_full_rebuild(self):
-        engine = ShardedEngine(shard_count=4)
-        self._populate(engine)
-        moved = engine.rebalance(0, 1)
-        assert moved > 0
-        reference = ShardedEngine(shard_count=4, partitioner=engine.partitioner)
-        self._populate(reference)
-        assert engine._route == reference._route
-        assert [repr(e) for e in engine.scan()] == [repr(e) for e in reference.scan()]
-        assert [
-            (e.count, e.live, e.tt_lo, e.tt_hi, e.vt_lo, e.vt_hi, e.max_closed_tt_stop)
-            for e in engine.envelopes()
-        ] == [
-            (e.count, e.live, e.tt_lo, e.tt_hi, e.vt_lo, e.vt_hi, e.max_closed_tt_stop)
-            for e in reference.envelopes()
-        ]
-
-    def test_rebalance_recomputes_only_affected_envelopes(self, monkeypatch):
-        engine = ShardedEngine(shard_count=4)
-        self._populate(engine)
-        engine.envelopes()  # warm every memo
-        computed = []
-        original = ShardedEngine._compute_envelope
-
-        def counting(shard):
-            computed.append(shard)
-            return original(shard)
-
-        monkeypatch.setattr(
-            ShardedEngine, "_compute_envelope", staticmethod(counting)
-        )
-        engine.envelopes()
-        assert computed == []  # fully memoized
-        engine.rebalance(0, 1)
-        engine.envelopes()
-        assert 0 < len(computed) <= 2  # source + target only
-
-    def test_close_after_rebalance_recomputes_one(self, monkeypatch):
-        engine = ShardedEngine(shard_count=4)
-        self._populate(engine)
-        engine.rebalance(0, 1)
-        engine.envelopes()
-        computed = []
-        original = ShardedEngine._compute_envelope
-
-        def counting(shard):
-            computed.append(shard)
-            return original(shard)
-
-        monkeypatch.setattr(
-            ShardedEngine, "_compute_envelope", staticmethod(counting)
-        )
-        closed = engine.close_element(5, ts(10_000))
-        assert not closed.is_current
-        engine.envelopes()
-        assert len(computed) == 1
-
-
-# -- per-shard tier directories -----------------------------------------------------
-
-
-class TestShardedTiering:
-    def test_durable_shards_tier_next_to_their_wals(self, tmp_path):
-        data = str(tmp_path)
-        with tiered_env(None, segment_size="8"):
-            engine = ShardedEngine(
-                shard_count=2, data_dir=data, fsync=False, tier_dir=data
-            )
-            for i in range(64):
-                engine.append(make_element(i))
-            for shard in engine.shards:
-                shard.transaction_index.store.compact()
-            tier_dirs = sorted(
-                entry for entry in os.listdir(data) if entry.endswith(".tier")
-            )
-            assert tier_dirs == ["shard-000.tier", "shard-001.tier"]
-            assert all(
-                os.listdir(os.path.join(data, entry)) for entry in tier_dirs
-            )
-            engine.close()
-            # Reopen adopts (or rewrites) and answers identically to an
-            # untier-ed open of the same WALs.
-            reopened = ShardedEngine(data_dir=data, fsync=False, tier_dir=data)
-            plain_dir = str(tmp_path / "plain")
-            os.makedirs(plain_dir)
-            for name in os.listdir(data):
-                source = os.path.join(data, name)
-                if os.path.isfile(source):
-                    shutil.copy(source, os.path.join(plain_dir, name))
-            plain = ShardedEngine(data_dir=plain_dir, fsync=False)
-            assert [repr(e) for e in reopened.scan()] == [
-                repr(e) for e in plain.scan()
-            ]
-            reopened.close()
-            plain.close()
-
-    def test_rebalance_with_tiering_keeps_answers(self, tmp_path):
-        data = str(tmp_path)
-        with tiered_env(None, segment_size="8"):
-            engine = ShardedEngine(
-                shard_count=2, data_dir=data, fsync=False, tier_dir=data
-            )
-            for i in range(64):
-                engine.append(make_element(i))
-            for shard in engine.shards:
-                shard.transaction_index.store.compact()
-            before = sorted(e.element_surrogate for e in engine.scan())
-            engine.rebalance(1, 0)
-            assert sorted(e.element_surrogate for e in engine.scan()) == before
-            engine.close()
 
 
 # -- observability ------------------------------------------------------------------

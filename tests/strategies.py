@@ -301,11 +301,11 @@ def standing_view_ops(draw, min_ops=6, max_ops=24):
     Each op is a tagged tuple :func:`run_standing_view_workload`
     interprets against a live relation: inserts (single and batch),
     deletes and modifies of randomly chosen live elements, view
-    registrations *mid-workload*, and the three maintenance events that
-    historically eat caches -- vacuum (engine replacement), segment
-    compaction (tier migration), and shard rebalancing.  Delete/modify
-    carry an index that the runner resolves modulo the live set, so
-    scripts shrink well and never reference dangling surrogates.
+    registrations *mid-workload*, and the two maintenance events that
+    historically eat caches -- vacuum (engine replacement) and segment
+    compaction (tier migration).  Delete/modify carry an index that the
+    runner resolves modulo the live set, so scripts shrink well and
+    never reference dangling surrogates.
     """
     op = st.one_of(
         st.tuples(st.just("insert"), OBJECTS, SMALL_TICKS, st.integers(1, 12)),
@@ -322,7 +322,6 @@ def standing_view_ops(draw, min_ops=6, max_ops=24):
         st.tuples(st.just("register"), st.sampled_from(STANDING_VIEW_KINDS), SMALL_TICKS),
         st.tuples(st.just("vacuum"), st.integers(0, 80)),
         st.tuples(st.just("compact")),
-        st.tuples(st.just("rebalance"), st.integers(0, 1_000)),
     )
     return draw(st.lists(op, min_size=min_ops, max_size=max_ops))
 
@@ -340,12 +339,11 @@ def run_standing_view_workload(relation, ops, check_after_every_op=True):
     Views register mid-workload (per the script); after every op, each
     registered view's delta-maintained snapshot must equal a
     from-scratch recomputation over the engine -- byte-identical
-    elements in canonical transaction-time order.  Vacuum, compaction,
-    and rebalance interleave with the mutation stream exactly as a
+    elements in canonical transaction-time order.  Vacuum and
+    compaction interleave with the mutation stream exactly as a
     production maintenance schedule would.  Returns the registered
     views so callers can make end-state assertions.
     """
-    from repro.storage.sharded import HashPartitioner, ShardedEngine
     from repro.storage.vacuum import vacuum_relation
 
     views = []
@@ -406,23 +404,9 @@ def run_standing_view_workload(relation, ops, check_after_every_op=True):
         elif kind == "vacuum":
             vacuum_relation(relation, Timestamp(op[1]))
         elif kind == "compact":
-            engine = relation.engine
-            shards = (
-                engine.shards if isinstance(engine, ShardedEngine) else [engine]
-            )
-            for shard in shards:
-                index = getattr(shard, "transaction_index", None)
-                if index is not None:
-                    index.store.compact()
-        elif kind == "rebalance":
-            engine = relation.engine
-            if (
-                isinstance(engine, ShardedEngine)
-                and isinstance(engine.partitioner, HashPartitioner)
-            ):
-                bucket = op[1] % engine.partitioner.buckets
-                target = op[1] % len(engine.shards)
-                engine.rebalance(bucket, target)
+            index = getattr(relation.engine, "transaction_index", None)
+            if index is not None:
+                index.store.compact()
         else:  # pragma: no cover - strategy and runner must stay in sync
             raise AssertionError(f"unknown workload op {op!r}")
         if check_after_every_op:

@@ -190,3 +190,37 @@ class TestRecover:
     def test_unreadable_path_exits_two(self, tmp_path, capsys):
         assert main(["recover", str(tmp_path / "absent.wal")]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+
+class TestCompact:
+    def test_compacts_a_log_file(self, tmp_path, capsys):
+        path = TestRecover().build_log(tmp_path)
+        assert main(["compact", path, "--segment-size", "2"]) == 0
+        assert f"{path}: demoted" in capsys.readouterr().out
+
+    def test_unreadable_path_exits_two(self, tmp_path, capsys):
+        assert main(["compact", str(tmp_path)]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+
+class TestRetiredShardedDirectory:
+    """Data the deleted sharded serve mode wrote (``shards.manifest`` +
+    one log per shard) has no reader any more: say so, exit 2."""
+
+    @pytest.mark.parametrize("command", ["compact", "recover"])
+    def test_refused_with_the_upgrade_message(self, command, tmp_path, capsys):
+        data = tmp_path / "readings.shards"
+        data.mkdir()
+        (data / "shards.manifest").write_bytes(b"")
+        (data / "shard-000.log").write_bytes(b"")
+        assert main([command, str(data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            "sharded data directories were removed in PR 22; "
+            "open them at the previous release and re-ingest"
+        ) in captured.err
+        assert sorted(entry.name for entry in data.iterdir()) == [
+            "shard-000.log",
+            "shards.manifest",
+        ]

@@ -3,16 +3,15 @@
 The invariant the whole subsystem rests on: after *any* interleaving of
 mutations (single inserts, atomic batches, deletes, modifies) with
 maintenance events (vacuum engine swaps, segment compaction into the
-cold tier, shard rebalancing), every registered standing view's
-maintained snapshot equals a from-scratch recomputation over the
+cold tier), every registered standing view's maintained snapshot equals a from-scratch recomputation over the
 engine -- identical elements, identical canonical transaction-time
 order.  Views register *mid-workload*, so they must also absorb
 pre-existing state correctly.
 
 Runs the same randomized scripts across every engine topology the repo
 ships: flat memory, memory without the valid-time index, small
-segments, small segments spilling to the compressed cold tier, hash
-sharding over memory shards, and hash sharding over SQLite shards.
+segments, small segments spilling to the compressed cold tier, and
+the durable write-ahead-log engine.
 """
 
 import tempfile
@@ -26,7 +25,7 @@ from repro.chronos.timestamp import Timestamp
 from repro.relation.schema import TemporalSchema, ValidTimeKind
 from repro.relation.temporal_relation import TemporalRelation
 from repro.storage.memory import MemoryEngine
-from repro.storage.sharded import ShardedEngine
+from repro.storage.logfile import LogFileEngine
 from tests.strategies import (
     compliant_vt_ticks,
     run_standing_view_workload,
@@ -79,19 +78,15 @@ class TestEventTopologies:
             finally:
                 engine.close()
 
-    @settings(max_examples=10, deadline=None)
-    @given(ops=standing_view_ops())
-    def test_hash_sharded_memory(self, ops):
-        run_standing_view_workload(
-            make_relation(ShardedEngine(shard_count=3)), ops
-        )
-
     @settings(max_examples=6, deadline=None)
     @given(ops=standing_view_ops(max_ops=16))
-    def test_hash_sharded_sqlite(self, ops):
+    def test_logfile(self, ops):
         with tempfile.TemporaryDirectory() as data_dir:
-            engine = ShardedEngine(data_dir=data_dir, shard_count=3)
-            run_standing_view_workload(make_relation(engine), ops)
+            engine = LogFileEngine(f"{data_dir}/standing.log", fsync=False)
+            try:
+                run_standing_view_workload(make_relation(engine), ops)
+            finally:
+                engine.close()
 
 
 class TestIntervalTopologies:
@@ -100,14 +95,6 @@ class TestIntervalTopologies:
     def test_flat_memory(self, ops):
         run_standing_view_workload(
             make_relation(MemoryEngine(), kind=ValidTimeKind.INTERVAL), ops
-        )
-
-    @settings(max_examples=10, deadline=None)
-    @given(ops=standing_view_ops())
-    def test_hash_sharded_memory(self, ops):
-        run_standing_view_workload(
-            make_relation(ShardedEngine(shard_count=3), kind=ValidTimeKind.INTERVAL),
-            ops,
         )
 
 
@@ -181,4 +168,3 @@ class TestCrossTopologyAgreement:
 
         flat = run(MemoryEngine())
         assert run(MemoryEngine(segment_size=4)) == flat
-        assert run(ShardedEngine(shard_count=3)) == flat
