@@ -1,27 +1,20 @@
-"""Epoch-keyed query caching: repeated queries vs the uncached path.
+"""Epoch-keyed response caching: hot repeated server reads vs uncached.
 
 The caching claim (docs/caching.md): between commits a relation is
-immutable, so the second identical query should cost a dictionary
-lookup, not a scan.  Three surfaces are measured:
+immutable, so the second identical pinned read should cost a
+dictionary lookup, not a scan and an encode.  The benchmark drives hot
+repeated GETs against a live :class:`~repro.server.app.TemporalServer`
+with the response cache on vs off (``cache_entries=0``), reporting mean
+and p99 latency.
 
-* ``tql`` -- the same TQL statement executed repeatedly through
-  ``tql.execute`` (parse + plan + result caches all engaged) vs the
-  same loop under ``REPRO_RESULT_CACHE=0``;
-* ``timeslice`` -- a repeated ``ValidTimeslice`` through the planner
-  (plan + result caches) vs uncached;
-* ``server`` -- hot repeated GETs against a live
-  :class:`~repro.server.app.TemporalServer` with the response cache on
-  vs off (``cache_entries=0``), reporting mean and p99 latency.
-
-Gates (``benchmarks/thresholds.json``, always applied): repeated TQL
-must be >= 10x faster cached, the answers must be identical to the
-uncached path, and a cached timeslice and a cached server read must each
-cost no more than an absolute bound (``timeslice_cached_ms``,
-``server_cached_mean_ms``).  The last two used to be cached/uncached
-ratios; every time the *uncached* path got faster (the pool dispatch
-going, then pinned reads joining the scan contract) the ratio shrank and
-the gate punished the improvement, so they bound the cached path itself.
-The ratios are still printed.
+Gates (``benchmarks/thresholds.json``, always applied): a cached server
+read must cost no more than an absolute bound
+(``server_cached_mean_ms``), and the cached body must be identical to
+the uncached one.  The bound used to be a cached/uncached ratio; every
+time the *uncached* path got faster (the pool dispatch going, then
+pinned reads joining the scan contract) the ratio shrank and the gate
+punished the improvement, so it bounds the cached path itself.  The
+ratios are still printed.
 
 Run directly::
 
@@ -48,15 +41,12 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 from repro.chronos.clock import LogicalClock
 from repro.chronos.timestamp import Timestamp
-from repro.query import Planner, Scan, ValidTimeslice
-from repro.query import tql
 from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
 from repro.server import ServerClient, ServerConfig, TemporalServer
 from repro.storage.memory import MemoryEngine
 from repro.workloads.base import seeded
 
-REPEATS = 50
 SERVER_READS = 200
 
 
@@ -80,48 +70,6 @@ def build_relation(count: int) -> TemporalRelation:
         )
     )
     return relation
-
-
-def timed_loop(fn, repeats: int = REPEATS) -> Tuple[float, Any]:
-    """Total seconds for *repeats* calls, plus the last answer."""
-    last = None
-    started = time.perf_counter()
-    for _ in range(repeats):
-        last = fn()
-    return time.perf_counter() - started, last
-
-
-def library_phase(count: int) -> Dict[str, Any]:
-    relation = build_relation(count)
-    probe = relation.all_elements()[count // 2].vt
-    # Bare TQL time literals are seconds; the probe is second-granular.
-    statement = f"SELECT * FROM cachebench VALID AT {probe.microseconds // 1_000_000}"
-    query = ValidTimeslice(Scan(relation), probe)
-
-    os.environ["REPRO_RESULT_CACHE"] = "0"
-    tql_off_s, tql_off_rows = timed_loop(lambda: tql.execute(statement, relation))
-    slice_off_s, slice_off_rows = timed_loop(
-        lambda: Planner(relation).plan(query).execute()
-    )
-
-    os.environ["REPRO_RESULT_CACHE"] = "256"
-    tql.execute(statement, relation)  # prime: the one honest miss
-    Planner(relation).plan(query).execute()
-    tql_on_s, tql_on_rows = timed_loop(lambda: tql.execute(statement, relation))
-    slice_on_s, slice_on_rows = timed_loop(
-        lambda: Planner(relation).plan(query).execute()
-    )
-
-    identical = tql_off_rows == tql_on_rows and slice_off_rows == slice_on_rows
-    return {
-        "tql_uncached_ms": tql_off_s * 1_000,
-        "tql_cached_ms": tql_on_s * 1_000,
-        "tql_speedup": tql_off_s / max(tql_on_s, 1e-9),
-        "timeslice_uncached_ms": slice_off_s * 1_000,
-        "timeslice_cached_ms": slice_on_s * 1_000,
-        "timeslice_speedup": slice_off_s / max(slice_on_s, 1e-9),
-        "results_identical": 1.0 if identical else 0.0,
-    }
 
 
 async def _server_reads(count: int, cache_entries: int) -> Tuple[List[float], bytes]:
@@ -153,7 +101,6 @@ async def _server_reads(count: int, cache_entries: int) -> Tuple[List[float], by
 
 
 def server_phase(count: int) -> Dict[str, Any]:
-    os.environ["REPRO_RESULT_CACHE"] = "256"  # keep the kill-switch open
     off_lat, off_body = asyncio.run(_server_reads(count, cache_entries=0))
     on_lat, on_body = asyncio.run(_server_reads(count, cache_entries=256))
     off_lat.sort()
@@ -191,17 +138,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     count = 40_000 if args.quick else 120_000
 
-    print(f"epoch-keyed query caching, {count} elements, {REPEATS} repeats:")
-    results: Dict[str, Any] = {"count": count, "repeats": REPEATS}
-    results.update(library_phase(count))
-    print(
-        "  tql:       {tql_uncached_ms:.1f} ms -> {tql_cached_ms:.1f} ms "
-        "({tql_speedup:.0f}x)".format(**results)
-    )
-    print(
-        "  timeslice: {timeslice_uncached_ms:.1f} ms -> "
-        "{timeslice_cached_ms:.1f} ms ({timeslice_speedup:.0f}x)".format(**results)
-    )
+    print(f"epoch-keyed response caching, {count} elements, {SERVER_READS} reads:")
+    results: Dict[str, Any] = {"count": count, "reads": SERVER_READS}
     results.update(server_phase(count))
     print(
         "  server:    mean {server_uncached_mean_ms:.2f} ms -> "

@@ -135,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--segment-size",
         type=int,
         default=None,
-        help="segment size for the replayed store (default: REPRO_SEGMENT_SIZE)",
+        help="segment size for the replayed store, at least 2 (default: 4096)",
     )
 
     serve = commands.add_parser(
@@ -180,18 +180,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-entries",
         type=int,
         default=256,
-        help="response-cache entry budget (default 256)",
+        help="response-cache entry budget; 0 disables the cache (default 256)",
     )
     serve.add_argument(
         "--cache-bytes",
         type=int,
         default=16 * 1024 * 1024,
         help="response-cache byte budget (default 16 MiB)",
-    )
-    serve.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the epoch-keyed response cache",
     )
     serve.add_argument(
         "--no-metrics",
@@ -373,7 +368,8 @@ def _cmd_recover(arguments: argparse.Namespace) -> int:
 
 
 def _cmd_compact(arguments: argparse.Namespace) -> int:
-    """Exit 0 after compacting; 2 when the path is unreadable."""
+    """Exit 0 after compacting; 2 when the path is unreadable or the
+    segment size is invalid."""
     import os
 
     from repro.storage.logfile import LogFileEngine
@@ -385,7 +381,11 @@ def _cmd_compact(arguments: argparse.Namespace) -> int:
         print(f"cannot read {path}: not a write-ahead log file", file=sys.stderr)
         return 2
     tier_dir = arguments.tier_dir if arguments.tier_dir is not None else path + ".tier"
-    engine = LogFileEngine(path, segment_size=arguments.segment_size, tier_dir=tier_dir)
+    try:
+        engine = LogFileEngine(path, segment_size=arguments.segment_size, tier_dir=tier_dir)
+    except ValueError as error:
+        print(f"cannot compact {path}: {error}", file=sys.stderr)
+        return 2
     try:
         store = engine.transaction_index.store
         report = store.compact()
@@ -415,7 +415,7 @@ def _cmd_serve(arguments: argparse.Namespace) -> int:
         data_dir=arguments.data_dir,
         close_engines=True,
         tier_dir=arguments.tier_dir,
-        cache_entries=0 if arguments.no_cache else arguments.cache_entries,
+        cache_entries=arguments.cache_entries,
         cache_bytes=arguments.cache_bytes,
     )
     server = TemporalServer(config)

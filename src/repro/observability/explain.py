@@ -191,17 +191,6 @@ def explain_query(
     report.examined = plan.examined
     report.returned = len(results)
     report.results = results
-    if plan.result_cache_epoch is not None:
-        # Same placement discipline as the standing-view lines: ahead
-        # of the final "chosen: ..." line, which stays last.
-        version, _engine_id, mutations, _env = plan.result_cache_epoch
-        cache_line = (
-            f"served from result cache @ epoch v{version}/m{mutations}"
-        )
-        if report.decisions and report.decisions[-1].startswith("chosen:"):
-            report.decisions[-1:-1] = [cache_line]
-        else:
-            report.decisions.append(cache_line)
     if plan.segment_stats is not None:
         report.segments_scanned = plan.segment_stats.scanned
         report.segments_pruned = plan.segment_stats.pruned

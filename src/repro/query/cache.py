@@ -1,124 +1,50 @@
-"""Epoch-keyed query caching: parse, plan, and result layers.
+"""Epoch-keyed query caching: the parse and plan layers.
 
 Between commits a temporal relation is immutable (append-only storage,
 single writer), so identical queries re-do identical work.  This
-module memoizes the three stages of answering one:
+module memoizes the first two stages of answering one:
 
 * **parse cache** -- TQL text -> :class:`~repro.query.tql.ParsedQuery`
   (statements are never mutated after parse, so instances are shared);
 * **plan cache** -- (query fingerprint, epoch) ->
   :class:`~repro.query.planner.PlannedQuery`, skipping strategy
-  selection and statistics probes for repeated shapes;
-* **result cache** -- (query fingerprint, epoch) -> the materialized
-  answer, an LRU bounded by entry count *and* bytes.
+  selection and statistics probes for repeated shapes.  It is one
+  :class:`LRUCache` per relation (``relation.query_cache``).
 
 The epoch key is the one ``relation_statistics()`` already uses --
-``(relation.version, (id(engine), engine.mutation_count()))`` -- plus
-the planner-visible environment toggles.  Entries are never actively
-invalidated: any mutation (including vacuum engine swaps, cold-segment
-delete patches, and out-of-band ``extend()`` straight into the engine)
-advances the epoch, so stale keys simply stop matching and age out of
-the LRU.  That is the whole invalidation contract; see
-``docs/caching.md``.
+``(relation.version, id(engine), engine.mutation_count())``.  Entries
+are never actively invalidated: any mutation (including vacuum engine
+swaps, cold-segment delete patches, and out-of-band ``extend()``
+straight into the engine) advances the epoch, so stale keys simply stop
+matching and age out of the LRU.  That is the whole invalidation
+contract; see ``docs/caching.md``.
 
-Knobs (read at call time, so tests can flip them):
-
-* ``REPRO_RESULT_CACHE`` -- ``0`` disables **every** layer, restoring
-  the uncached code path byte-for-byte; a positive integer enables the
-  result cache with that entry budget; unset leaves the parse and plan
-  caches on but the result cache off (results are the one layer that
-  can hold large payloads, so it is opt-in for embedded use -- the
-  server enables its response-byte variant by default).
-* ``REPRO_RESULT_CACHE_BYTES`` -- result-cache byte budget (default
-  64 MiB).
-
-The server keeps a fourth layer with the same ``LRUCache`` machinery:
+The server keeps a third layer with the same ``LRUCache`` machinery:
 canonical JSON response bytes keyed on (endpoint, normalized params,
 pinned epoch); see :mod:`repro.server.app`.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro.chronos.timestamp import Timestamp
 from repro.observability import metrics as _metrics
 
 __all__ = [
     "LRUCache",
-    "RelationQueryCache",
-    "caching_enabled",
-    "result_cache_entries",
-    "result_cache_bytes",
-    "relation_cache",
     "fingerprint",
     "epoch_key",
     "cached_parse",
     "parse_cache",
-    "result_footprint",
 ]
 
 #: Entry budget of the module-level TQL parse cache.
 PARSE_CACHE_ENTRIES = 512
 #: Per-relation plan-cache entry budget (plans are tiny: closures only).
 PLAN_CACHE_ENTRIES = 128
-#: Result-cache defaults when ``REPRO_RESULT_CACHE`` names no budget.
-DEFAULT_RESULT_ENTRIES = 256
-DEFAULT_RESULT_BYTES = 64 * 1024 * 1024
-
-#: Coarse per-element footprint estimate for result-cache accounting.
-#: Elements are shared with the store (the cache holds references, not
-#: copies), so this charges for the list slot plus amortized attribute
-#: dict churn rather than deep size -- deterministic, which the
-#: eviction-under-byte-pressure tests rely on.
-ELEMENT_FOOTPRINT = 256
-RESULT_OVERHEAD = 64
-
-#: Environment toggles that change what the planner builds or how a
-#: thunk executes.  They are part of every plan/result key so flipping
-#: one mid-process (the differential suites do) never serves a plan
-#: compiled for the other mode -- and never lets a cached answer mask a
-#: divergence between the two code paths under test.
-_ENV_TOGGLES = ("REPRO_TIERED", "REPRO_SEGMENT_SIZE")
-
-
-def caching_enabled() -> bool:
-    """Whether any cache layer may be consulted (the global kill-switch:
-    ``REPRO_RESULT_CACHE=0`` restores the uncached path everywhere)."""
-    return os.environ.get("REPRO_RESULT_CACHE") != "0"
-
-
-def result_cache_entries() -> Optional[int]:
-    """The result-cache entry budget, or ``None`` when the layer is off.
-
-    The result layer is opt-in: it holds materialized answers, so it
-    only runs when ``REPRO_RESULT_CACHE`` names a positive budget.
-    """
-    raw = os.environ.get("REPRO_RESULT_CACHE")
-    if raw is None or raw == "" or raw == "0":
-        return None
-    try:
-        entries = int(raw)
-    except ValueError:
-        return DEFAULT_RESULT_ENTRIES
-    return entries if entries > 0 else None
-
-
-def result_cache_bytes() -> int:
-    raw = os.environ.get("REPRO_RESULT_CACHE_BYTES")
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_RESULT_BYTES
-
-
-def _env_key() -> Tuple[Optional[str], ...]:
-    return tuple(os.environ.get(name) for name in _ENV_TOGGLES)
 
 
 class LRUCache:
@@ -214,8 +140,6 @@ def cached_parse(text: str, parse_fn: Callable[[str], Any]) -> Any:
     the library mutates a :class:`~repro.query.tql.ParsedQuery` once
     built), so hits share the instance.
     """
-    if not caching_enabled():
-        return parse_fn(text)
     parsed = parse_cache.get(text)
     if parsed is not None:
         return parsed
@@ -292,109 +216,7 @@ def epoch_key(relation: Any) -> Tuple[Any, ...]:
     ``relation.version`` advances once per relation-level mutation (and
     on vacuum's engine swap); ``(id(engine), mutation_count())``
     catches everything that bypasses the relation -- the same
-    discipline ``relation_statistics()`` uses.  The environment toggles
-    ride along so mode flips re-derive rather than reuse.
+    discipline ``relation_statistics()`` uses.
     """
     engine = relation.engine
-    return (relation.version, id(engine), engine.mutation_count(), _env_key())
-
-
-def result_footprint(results: List[Any]) -> int:
-    """Deterministic byte estimate for one cached answer."""
-    return RESULT_OVERHEAD + ELEMENT_FOOTPRINT * len(results)
-
-
-# -- per-relation plan + result layers -----------------------------------------------
-
-
-class RelationQueryCache:
-    """One relation's plan and result caches.
-
-    Attached lazily to the relation (``relation.query_cache``); holds
-    no back-reference, so callers pass epochs in.  The result layer is
-    resolved per access against the environment, so flipping
-    ``REPRO_RESULT_CACHE`` mid-process takes effect on the next query.
-    """
-
-    def __init__(self) -> None:
-        self.plans = LRUCache(PLAN_CACHE_ENTRIES, layer="plan")
-        self._results: Optional[LRUCache] = None
-
-    def results(self) -> Optional[LRUCache]:
-        entries = result_cache_entries()
-        if entries is None:
-            return None
-        if self._results is None:
-            self._results = LRUCache(
-                entries, max_bytes=result_cache_bytes(), layer="result"
-            )
-        return self._results
-
-    # -- plan layer -----------------------------------------------------------------
-
-    def get_plan(self, fp: Tuple[Any, ...], epoch: Tuple[Any, ...]) -> Optional[Any]:
-        return self.plans.get((fp, epoch))
-
-    def put_plan(self, fp: Tuple[Any, ...], epoch: Tuple[Any, ...], plan: Any) -> None:
-        self.plans.put((fp, epoch), plan)
-
-    # -- result layer ---------------------------------------------------------------
-
-    def get_result(
-        self, fp: Tuple[Any, ...], epoch: Tuple[Any, ...]
-    ) -> Optional[Tuple[Tuple[Any, ...], int]]:
-        cache = self.results()
-        if cache is None:
-            return None
-        return cache.get((fp, epoch))
-
-    def put_result(
-        self,
-        fp: Tuple[Any, ...],
-        epoch: Tuple[Any, ...],
-        results: List[Any],
-        examined: int,
-    ) -> None:
-        cache = self.results()
-        if cache is None:
-            return
-        # Stored as a tuple: callers may sort/mutate the list a later
-        # hit hands back, so hits copy out and the stored answer stays
-        # frozen.
-        cache.put(
-            (fp, epoch), (tuple(results), examined), nbytes=result_footprint(results)
-        )
-
-    def statistics(self) -> Dict[str, int]:
-        """Introspection for tests and the CLI."""
-        stats = {
-            "plan_entries": len(self.plans),
-            "plan_hits": self.plans.hits,
-            "plan_misses": self.plans.misses,
-        }
-        results = self._results
-        if results is not None:
-            stats.update(
-                result_entries=len(results),
-                result_hits=results.hits,
-                result_misses=results.misses,
-                result_evictions=results.evictions,
-                result_bytes=results.bytes,
-            )
-        return stats
-
-
-def relation_cache(relation: Any) -> Optional[RelationQueryCache]:
-    """The relation's cache, created on first enabled access.
-
-    Returns ``None`` when caching is globally disabled, which is the
-    entire disabled code path: callers fall straight through to today's
-    uncached behavior.
-    """
-    if not caching_enabled():
-        return None
-    cache = getattr(relation, "_query_cache", None)
-    if cache is None:
-        cache = RelationQueryCache()
-        relation._query_cache = cache
-    return cache
+    return (relation.version, id(engine), engine.mutation_count())

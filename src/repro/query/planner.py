@@ -112,10 +112,6 @@ class PlannedQuery:
     decisions: List[str] = field(default_factory=list)
     examined: int = field(default=0, init=False)
     segment_stats: Optional[operators.SegmentStats] = None
-    #: Set by the result-cache wrapper per execute: the epoch key the
-    #: answer was served from when the last execution was a cache hit,
-    #: ``None`` when it actually ran.  ``explain`` surfaces it.
-    result_cache_epoch: Optional[tuple] = field(default=None, init=False)
 
     def execute(self) -> list:
         if self.segment_stats is not None:
@@ -194,74 +190,24 @@ class Planner:
         """Plan *query*, consulting the epoch-keyed plan cache first.
 
         A cached plan is keyed on (fingerprint, relation version,
-        engine epoch, env toggles): any mutation -- or a mode flip like
-        ``REPRO_TIERED`` -- changes the key and re-plans.  Plans are
-        safe to share across planner instances: thunks close over the
-        relation, and ``execute()`` resets per-run accounting.
+        engine identity, engine mutation count): any mutation changes
+        the key and re-plans.  Plans are safe to share across planner
+        instances: thunks close over the relation, and ``execute()``
+        resets per-run accounting.
         """
-        cache = _query_cache.relation_cache(self.relation)
-        fp = None
-        epoch = None
-        if cache is not None:
-            fp = _query_cache.fingerprint(query, self.relation)
-            if fp is not None:
-                epoch = _query_cache.epoch_key(self.relation)
-                cached = cache.get_plan(fp, epoch)
-                if cached is not None:
-                    if _metrics.enabled():
-                        _metrics.registry().counter(
-                            f"query.planned.{cached.strategy}"
-                        ).inc()
-                    return cached
+        fp = _query_cache.fingerprint(query, self.relation)
+        if fp is None:
+            return self._build_plan(query)
+        cache = self.relation.query_cache
+        key = (fp, _query_cache.epoch_key(self.relation))
+        cached = cache.get(key)
+        if cached is not None:
+            if _metrics.enabled():
+                _metrics.registry().counter(f"query.planned.{cached.strategy}").inc()
+            return cached
         plan = self._build_plan(query)
-        if cache is not None and fp is not None and epoch is not None:
-            self._attach_result_cache(plan, cache, fp, epoch[-1])
-            cache.put_plan(fp, epoch, plan)
+        cache.put(key, plan)
         return plan
-
-    def _attach_result_cache(
-        self,
-        plan: PlannedQuery,
-        cache: "_query_cache.RelationQueryCache",
-        fp: tuple,
-        env: tuple,
-    ) -> None:
-        """Wrap the plan's thunk (outermost) with the result cache.
-
-        The mutation coordinate (version, engine identity, mutation
-        count) is computed at *execute* time, so a plan reused across
-        commits stores and serves per-epoch answers.  The environment
-        component is bound at plan time: the wrapped thunk itself was
-        compiled under these toggles, so a mode flip re-plans (new env,
-        new plan-cache key) rather than re-keying this thunk.  Hits
-        hand back a fresh list (the stored answer is frozen).
-        """
-        relation = self.relation
-        inner = plan._thunk
-
-        def cached_thunk() -> Tuple[list, int]:
-            results_cache = cache.results()
-            if results_cache is None:
-                plan.result_cache_epoch = None
-                return inner()
-            engine = relation.engine
-            epoch = (relation.version, id(engine), engine.mutation_count(), env)
-            key = (fp, epoch)
-            hit = results_cache.get(key)
-            if hit is not None:
-                plan.result_cache_epoch = epoch
-                stored, examined = hit
-                return list(stored), examined
-            plan.result_cache_epoch = None
-            results, examined = inner()
-            results_cache.put(
-                key,
-                (tuple(results), examined),
-                nbytes=_query_cache.result_footprint(results),
-            )
-            return results, examined
-
-        plan._thunk = cached_thunk
 
     def _build_plan(self, query: ast.QueryNode) -> PlannedQuery:
         decisions: List[str] = []
@@ -278,8 +224,7 @@ class Planner:
         if plan.segment_stats is not None and operators.tiered_active(self.relation):
             decisions.append(
                 "tiered: cold segments served from compressed segment files "
-                "(lazy per-column decode; REPRO_TIERED=0 keeps everything "
-                "in memory)"
+                "(lazy per-column decode)"
             )
         decisions.append(f"chosen: {plan.strategy} -- {plan.explanation}")
         plan.decisions = decisions

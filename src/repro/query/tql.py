@@ -319,7 +319,6 @@ def parse(text: str) -> ParsedQuery:
 
     Results are memoized process-wide: a :class:`ParsedQuery` is never
     mutated after parsing, so repeated statements share one instance.
-    ``REPRO_RESULT_CACHE=0`` bypasses the cache entirely.
     """
     return _cache.cached_parse(text, _parse_uncached)
 

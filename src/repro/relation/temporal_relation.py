@@ -26,7 +26,6 @@ Reading:
 from __future__ import annotations
 
 import gc
-import os
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -42,7 +41,7 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.query.cache import RelationQueryCache
+    from repro.query.cache import LRUCache
     from repro.storage.epoch import EpochPin
     from repro.views.standing import ViewRegistry
 
@@ -91,15 +90,9 @@ class TemporalRelation:
         self._statistics: Optional[Dict[str, int]] = None
         self._statistics_epoch: Optional[Tuple[int, int]] = None
         self._views: Optional["ViewRegistry"] = None
-        self._query_cache: Optional["RelationQueryCache"] = None
+        self._query_cache: Optional["LRUCache"] = None
         if engine is not None and len(engine):
             self._adopt_stored()
-        # ``REPRO_VIEWS=1``: every relation keeps a registered current
-        # view, so the whole suite exercises delta emission and the
-        # view-invalidation seams (the CI fast-matrix leg). Namespaced
-        # so it never collides with a caller's own registrations.
-        if os.environ.get("REPRO_VIEWS"):
-            self.views.register_current(name="__env_current__")
 
     def _adopt_stored(self) -> None:
         """Re-seed surrogates, the clock, and constraint monitors from
@@ -500,16 +493,14 @@ class TemporalRelation:
         return self._views is not None and len(self._views) > 0
 
     @property
-    def query_cache(self) -> Optional["RelationQueryCache"]:
-        """This relation's epoch-keyed query cache (created lazily).
+    def query_cache(self) -> "LRUCache":
+        """This relation's plan cache, keyed on (query fingerprint,
+        epoch) and created lazily.  See ``docs/caching.md``."""
+        if self._query_cache is None:
+            from repro.query.cache import PLAN_CACHE_ENTRIES, LRUCache
 
-        ``None`` while ``REPRO_RESULT_CACHE=0`` -- planning and
-        execution then follow the uncached path exactly.  See
-        ``docs/caching.md``.
-        """
-        from repro.query.cache import relation_cache
-
-        return relation_cache(self)
+            self._query_cache = LRUCache(PLAN_CACHE_ENTRIES, layer="plan")
+        return self._query_cache
 
     def backlog(self) -> Backlog:
         """The operation-log view (kept incrementally when enabled)."""

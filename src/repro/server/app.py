@@ -91,13 +91,12 @@ class ServerConfig:
     close_engines: bool = False
     #: Root directory for compressed cold segment files (``repro serve
     #: --tier-dir``): each created relation tiers into ``<name>.tier``
-    #: under it.  None leaves tiering to the ``REPRO_TIERED`` default.
+    #: under it.  None keeps created relations in memory.
     tier_dir: Optional[str] = None
     #: Response-cache entry budget (``repro serve --cache-entries``).
     #: Keys are (endpoint, params, pinned epoch), so a cached body is
     #: exactly what re-evaluating under that pin would produce; writes
-    #: advance the pin and stale entries age out by LRU.  0 disables
-    #: (``--no-cache``), as does ``REPRO_RESULT_CACHE=0``.
+    #: advance the pin and stale entries age out by LRU.  0 disables.
     cache_entries: int = 256
     #: Response-cache byte budget (``repro serve --cache-bytes``).
     cache_bytes: int = 16 * 1024 * 1024
@@ -138,7 +137,7 @@ class TemporalServer:
         #: (relation, endpoint, params, pin).  Entries for superseded
         #: pins simply stop being asked for; LRU evicts them.
         self._response_cache: Optional[_qcache.LRUCache] = None
-        if self.config.cache_entries > 0 and _qcache.caching_enabled():
+        if self.config.cache_entries > 0:
             self._response_cache = _qcache.LRUCache(
                 self.config.cache_entries,
                 max_bytes=self.config.cache_bytes,

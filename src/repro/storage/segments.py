@@ -25,7 +25,6 @@ instead of O(history).
 from __future__ import annotations
 
 import bisect
-import os
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.chronos.interval import Interval
@@ -39,26 +38,10 @@ from repro.storage.columnar import (
     positions,
 )
 from repro.storage.segfile import SegmentFileError
-from repro.storage.tiered import TierManager, tiered_enabled
+from repro.storage.tiered import TierManager
 
-#: Elements per sealed segment unless overridden (constructor argument
-#: or the ``REPRO_SEGMENT_SIZE`` environment variable).
+#: Elements per sealed segment unless the constructor says otherwise.
 DEFAULT_SEGMENT_SIZE = 4096
-
-_SEGMENT_SIZE_ENV = "REPRO_SEGMENT_SIZE"
-
-
-def configured_segment_size() -> int:
-    """The default segment size, honouring ``REPRO_SEGMENT_SIZE``."""
-    raw = os.environ.get(_SEGMENT_SIZE_ENV)
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            return DEFAULT_SEGMENT_SIZE
-        if value >= 2:
-            return value
-    return DEFAULT_SEGMENT_SIZE
 
 
 class ZoneMap:
@@ -170,6 +153,10 @@ class SegmentedStore:
     * sealed segments never change membership -- the only in-place
       mutation is closing an element's existence interval, which updates
       the owning zone map's ``live`` / ``max_closed_tt_stop``.
+
+    The constructor is the whole configuration: ``segment_size=None``
+    means :data:`DEFAULT_SEGMENT_SIZE`, and the store is tiered if and
+    only if it gets a ``tier_dir`` or a ``tier_manager``.
     """
 
     def __init__(
@@ -178,25 +165,18 @@ class SegmentedStore:
         tier_dir: Optional[str] = None,
         tier_manager: Optional[TierManager] = None,
     ) -> None:
-        self.segment_size = segment_size if segment_size else configured_segment_size()
+        self.segment_size = DEFAULT_SEGMENT_SIZE if segment_size is None else segment_size
         if self.segment_size < 2:
-            raise ValueError("segment size must be at least 2")
+            raise ValueError(f"segment size must be at least 2, got {self.segment_size}")
         self._tts: List[int] = []
         #: Cold positions hold ``None``; their elements live in segment
         #: files and materialize through the tier manager on demand.
         self._elements: List[Optional[Element]] = []
         self._zones: List[ZoneMap] = []
         #: The tier manager, or None for a flat (all in memory) store.
-        #: ``REPRO_TIERED=0`` forces flat, ``=1`` forces tiered (into a
-        #: private temp directory unless a tier_dir/manager was given),
-        #: unset defers to the constructor arguments.
-        forced = tiered_enabled()
-        self.tiering: Optional[TierManager] = None
-        if forced is not False:
-            if tier_manager is not None:
-                self.tiering = tier_manager
-            elif tier_dir is not None or forced:
-                self.tiering = TierManager(tier_dir)
+        self.tiering: Optional[TierManager] = tier_manager
+        if tier_manager is None and tier_dir is not None:
+            self.tiering = TierManager(tier_dir)
         #: Sealed segments already demoted to the cold tier -- always a
         #: position prefix of the store (cold grows from the left, the
         #: head stays hot on the right).

@@ -15,7 +15,7 @@ view).  Cold segments are served through this manager:
 * **elements** materialize late -- per position for kernel survivors,
   per segment for full scans;
 * a small **pin/LRU cache** keeps the most recently touched cold
-  segments' decoded state in memory (``REPRO_TIER_CACHE`` segments):
+  segments' decoded state in memory (``cache_segments`` of them):
   columns, elements, served elements' wire fragments; eviction drops
   it all and closes the mapping, which is what makes the resident
   footprint O(hot + cache), not O(history);
@@ -59,42 +59,12 @@ from repro.storage.segfile import (
 if TYPE_CHECKING:
     from repro.relation.element import Element
 
-_TIERED_ENV = "REPRO_TIERED"
-_TIER_CACHE_ENV = "REPRO_TIER_CACHE"
-
 #: Cold segments whose decoded state stays cached (the LRU pin budget).
 DEFAULT_CACHE_SEGMENTS = 8
 
 #: Sealed segments kept hot behind the head before auto-demotion; recent
 #: history is the most-closed-against and most-queried.
 DEFAULT_HOT_RESERVE = 2
-
-
-def tiered_enabled() -> Optional[bool]:
-    """Three-way tiering switch from ``REPRO_TIERED``.
-
-    ``"0"`` forces tiering off even when a tier directory is configured
-    (the pure in-memory reference path); ``"1"`` turns it on everywhere,
-    spilling to a private temporary directory when no directory was
-    given; unset defers to per-engine configuration (on iff a
-    ``tier_dir`` was passed).
-    """
-    raw = os.environ.get(_TIERED_ENV)
-    if raw is None or raw == "":
-        return None
-    return raw != "0"
-
-
-def configured_cache_segments() -> int:
-    raw = os.environ.get(_TIER_CACHE_ENV)
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            return DEFAULT_CACHE_SEGMENTS
-        if value >= 1:
-            return value
-    return DEFAULT_CACHE_SEGMENTS
 
 
 def segment_file_name(ordinal: int) -> str:
@@ -305,9 +275,15 @@ class TierManager:
     def __init__(
         self,
         directory: Optional[str] = None,
-        cache_segments: Optional[int] = None,
-        hot_reserve: Optional[int] = None,
+        cache_segments: int = DEFAULT_CACHE_SEGMENTS,
+        hot_reserve: int = DEFAULT_HOT_RESERVE,
     ) -> None:
+        # A zero-slot LRU would release every segment the moment it is
+        # touched, re-decoding on each read.
+        if cache_segments < 1:
+            raise ValueError(f"cache_segments must be at least 1, got {cache_segments}")
+        if hot_reserve < 0:
+            raise ValueError(f"hot_reserve must be at least 0, got {hot_reserve}")
         self._owned: Optional[tempfile.TemporaryDirectory] = None
         if directory is None:
             self._owned = tempfile.TemporaryDirectory(prefix="repro-tier-")
@@ -315,10 +291,8 @@ class TierManager:
         else:
             os.makedirs(directory, exist_ok=True)
         self.directory = directory
-        self.cache_segments = (
-            cache_segments if cache_segments is not None else configured_cache_segments()
-        )
-        self.hot_reserve = hot_reserve if hot_reserve is not None else DEFAULT_HOT_RESERVE
+        self.cache_segments = cache_segments
+        self.hot_reserve = hot_reserve
         self.segments: Dict[int, TieredSegment] = {}
         self._lru: "OrderedDict[int, TieredSegment]" = OrderedDict()
         self._lock = threading.RLock()

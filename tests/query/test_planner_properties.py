@@ -8,7 +8,8 @@ batches and single inserts mixed, plus deletions -- and random
 timeslice / rollback / overlap / bitemporal queries are answered both
 by the planned operator and by :class:`NaiveExecutor`.  The answers
 must be identical element sets, and the planner must actually have
-chosen the strategy the declaration licenses.
+chosen the strategy the declaration licenses.  Every example draws its
+storage topology (:func:`tests.strategies.topologies`).
 """
 
 from __future__ import annotations
@@ -36,7 +37,12 @@ from repro.core.constraints import EnforcementMode
 from repro.core.taxonomy.regions import enumerate_regions
 from repro.relation.schema import TemporalSchema, ValidTimeKind
 from repro.relation.temporal_relation import TemporalRelation
-from tests.strategies import EVENT_DECLARATIONS, compliant_vt_ticks, region_declarations
+from tests.strategies import (
+    EVENT_DECLARATIONS,
+    compliant_vt_ticks,
+    region_declarations,
+    topologies,
+)
 
 pytestmark = pytest.mark.slow
 
@@ -123,13 +129,14 @@ def event_workloads(draw):
     arrival sequence is split into a random mix of single inserts and
     batches; a random subset of elements is then deleted.
     """
+    topology = draw(topologies())
     names = draw(st.sampled_from(EVENT_DECLARATIONS))
     count = draw(st.integers(min_value=1, max_value=24))
     vts = draw(compliant_vt_ticks(names, count))
 
     schema = TemporalSchema(name="r", time_varying=("v",), specializations=list(names))
     clock = SimulatedWallClock(start=0)
-    relation = TemporalRelation(schema, clock=clock)
+    relation = topology.relation(schema, clock=clock)
     rows = [("obj", Timestamp(vt), {"v": i}) for i, vt in enumerate(vts)]
 
     position = 0
@@ -159,12 +166,12 @@ def event_workloads(draw):
     probe_vt = draw(st.integers(min_value=lo - 10, max_value=hi + 10))
     probe_tt = draw(st.integers(min_value=-5, max_value=count + 200))
     width = draw(st.integers(min_value=1, max_value=40))
-    return names, relation, Timestamp(probe_vt), Timestamp(probe_tt), width
+    return topology, names, relation, Timestamp(probe_vt), Timestamp(probe_tt), width
 
 
 @given(event_workloads())
 def test_timeslice_matches_naive_and_uses_declared_path(workload):
-    names, relation, vt, _tt, _width = workload
+    topology, names, relation, vt, _tt, _width = workload
     expected = expected_timeslice_strategy(EXPECTED_TIMESLICE_STRATEGY[names], relation)
     query = ValidTimeslice(Scan(relation), vt)
     assert_plan_agrees(relation, query, expected)
@@ -175,23 +182,26 @@ def test_timeslice_matches_naive_and_uses_declared_path(workload):
         ValidTimeslice(Scan(relation), elements[len(elements) // 2].vt),
         expected,
     )
+    topology.close(relation)
 
 
 @given(event_workloads())
 def test_rollback_and_bitemporal_match_naive(workload):
-    _names, relation, vt, tt, _width = workload
+    topology, _names, relation, vt, tt, _width = workload
     assert_plan_agrees(relation, Rollback(Scan(relation), tt), "rollback-prefix")
     assert_plan_agrees(
         relation, BitemporalSlice(Scan(relation), vt, tt), "bitemporal-prefix"
     )
+    topology.close(relation)
 
 
 @given(event_workloads())
 def test_overlap_and_current_match_naive(workload):
-    _names, relation, vt, _tt, width = workload
+    topology, _names, relation, vt, _tt, width = workload
     window = Interval(vt, Timestamp(vt.ticks + width))
     assert_plan_agrees(relation, ValidOverlap(Scan(relation), window))
     assert_plan_agrees(relation, CurrentState(Scan(relation)), "current")
+    topology.close(relation)
 
 
 @pytest.mark.parametrize("name", sorted(enumerate_regions()))
@@ -206,7 +216,8 @@ def test_every_figure1_region_narrows_the_scan(name, data):
     specialization, (low, high) = data.draw(region_declarations(name))
     count = data.draw(st.integers(min_value=Planner.SMALL_RELATION_THRESHOLD, max_value=30))
     schema = TemporalSchema(name="r", time_varying=("v",), specializations=[specialization])
-    relation = TemporalRelation(schema, clock=SimulatedWallClock(start=0))
+    topology = data.draw(topologies())
+    relation = topology.relation(schema, clock=SimulatedWallClock(start=0))
     relation.append_many(
         [
             ("obj", Timestamp(i + data.draw(st.integers(min_value=low, max_value=high))), {"v": i})
@@ -243,6 +254,7 @@ def test_every_figure1_region_narrows_the_scan(name, data):
                     listed = [e for e in at_tt if query.window.contains_point(e.vt)]
             assert [e.element_surrogate for e in pinned] == [e.element_surrogate for e in listed]
             assert sum(examined for _spec, examined in calls) <= in_window
+    topology.close(relation)
 
 
 def test_pinned_timeslice_examines_the_declared_window_not_the_prefix():

@@ -1,25 +1,23 @@
-"""Epoch-keyed query caching: units and the cache-on/off differential.
+"""Epoch-keyed query caching: units and the cached-plan differential.
 
 Two halves:
 
 * unit coverage of the machinery -- LRU entry/byte budgets and
-  eviction, parse-cache memoization and its ``REPRO_RESULT_CACHE=0``
-  bypass, plan-cache reuse and epoch rollover, result-cache hits that
-  stay frozen, ``mutation_count()`` monotonicity on every engine;
+  eviction, parse-cache memoization, plan-cache reuse and epoch
+  rollover, the ``cache.*`` layer counters, ``mutation_count()``
+  monotonicity on every engine;
 * a Hypothesis differential: a randomized mutation/maintenance/query
   script runs against flat, unindexed, segmented, and tiered
-  topologies, and at every query point the cache-enabled answer (tiny
-  budgets, constant eviction pressure) must be byte-identical -- via
-  the server's canonical codec -- to the same query under
-  ``REPRO_RESULT_CACHE=0``.  Vacuum engine swaps, segment compaction,
-  and out-of-band ``extend()`` straight into the engine all
-  interleave: every one must roll the epoch.
+  topologies, and at every query point the answer of the plan the
+  cache serves must be byte-identical -- via the server's canonical
+  codec -- to a freshly built plan's and to ``NaiveExecutor``'s.
+  Vacuum engine swaps, segment compaction, and out-of-band
+  ``extend()`` straight into the engine all interleave: every one must
+  roll the epoch.
 """
 
 import json
-import os
 import tempfile
-from contextlib import contextmanager
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +25,8 @@ from hypothesis import strategies as st
 from repro.chronos.clock import LogicalClock
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import Timestamp
-from repro.query import Planner, Scan, ValidOverlap, ValidTimeslice, tql
+from repro.observability import metrics
+from repro.query import NaiveExecutor, Planner, Scan, ValidOverlap, ValidTimeslice, tql
 from repro.query import cache as qcache
 from repro.query.ast import CurrentState, Rollback
 from repro.relation.element import Element
@@ -37,27 +36,11 @@ from repro.server.protocol import elements_to_json
 from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
 from repro.storage.sqlite_backend import SQLiteEngine
+from repro.storage.tiered import TierManager
 from repro.storage.vacuum import vacuum_relation
 from tests.strategies import OBJECTS, SMALL_TICKS
 
 CLOCK_START = 1_000
-
-
-@contextmanager
-def cache_env(value):
-    """Temporarily pin REPRO_RESULT_CACHE (a budget, '0', or None)."""
-    old = os.environ.get("REPRO_RESULT_CACHE")
-    if value is None:
-        os.environ.pop("REPRO_RESULT_CACHE", None)
-    else:
-        os.environ["REPRO_RESULT_CACHE"] = value
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_RESULT_CACHE", None)
-        else:
-            os.environ["REPRO_RESULT_CACHE"] = old
 
 
 def make_relation(engine=None, specializations=()):
@@ -130,131 +113,93 @@ class TestLRUCache:
 
 class TestParseCache:
     def test_repeated_statements_share_the_instance(self):
-        with cache_env("4"):
-            qcache.parse_cache.clear()
-            first = tql.parse("SELECT * FROM cached VALID AT 10")
-            second = tql.parse("SELECT * FROM cached VALID AT 10")
-            assert first is second
-
-    def test_kill_switch_bypasses_memoization(self):
-        with cache_env("0"):
-            qcache.parse_cache.clear()
-            first = tql.parse("SELECT * FROM cached VALID AT 11")
-            second = tql.parse("SELECT * FROM cached VALID AT 11")
-            assert first is not second
-            assert len(qcache.parse_cache) == 0
+        qcache.parse_cache.clear()
+        first = tql.parse("SELECT * FROM cached VALID AT 10")
+        second = tql.parse("SELECT * FROM cached VALID AT 10")
+        assert first is second
 
     def test_parse_errors_are_not_cached(self):
-        with cache_env("4"):
-            qcache.parse_cache.clear()
-            for _ in range(2):
-                try:
-                    tql.parse("SELECT broken FROM")
-                except tql.TQLError:
-                    pass
-            assert len(qcache.parse_cache) == 0
+        qcache.parse_cache.clear()
+        for _ in range(2):
+            try:
+                tql.parse("SELECT broken FROM")
+            except tql.TQLError:
+                pass
+        assert len(qcache.parse_cache) == 0
 
 
-# -- plan + result layers -----------------------------------------------------------
+# -- plan cache ---------------------------------------------------------------------
 
 
 class TestPlanCache:
     def test_same_epoch_reuses_the_plan_object(self):
-        with cache_env("4"):
-            relation = fill(make_relation())
-            query = ValidTimeslice(Scan(relation), Timestamp(10))
-            first = Planner(relation).plan(query)
-            second = Planner(relation).plan(query)
-            assert first is second
+        relation = fill(make_relation())
+        query = ValidTimeslice(Scan(relation), Timestamp(10))
+        first = Planner(relation).plan(query)
+        second = Planner(relation).plan(query)
+        assert first is second
 
     def test_mutation_rolls_the_epoch_and_replans(self):
-        with cache_env("4"):
-            relation = fill(make_relation())
-            query = ValidTimeslice(Scan(relation), Timestamp(10))
-            first = Planner(relation).plan(query)
-            relation.insert("o9", Timestamp(99), {"reading": 9})
-            second = Planner(relation).plan(query)
-            assert first is not second
-
-    def test_kill_switch_never_caches_plans(self):
-        with cache_env("0"):
-            relation = fill(make_relation())
-            assert relation.query_cache is None
-            query = ValidTimeslice(Scan(relation), Timestamp(10))
-            assert Planner(relation).plan(query) is not Planner(relation).plan(query)
+        relation = fill(make_relation())
+        query = ValidTimeslice(Scan(relation), Timestamp(10))
+        first = Planner(relation).plan(query)
+        relation.insert("o9", Timestamp(99), {"reading": 9})
+        second = Planner(relation).plan(query)
+        assert first is not second
 
     def test_foreign_relation_scan_is_uncacheable(self):
-        with cache_env("4"):
-            relation = fill(make_relation())
-            other = fill(make_relation())
-            query = ValidTimeslice(Scan(other), Timestamp(10))
-            assert qcache.fingerprint(query, relation) is None
+        relation = fill(make_relation())
+        other = fill(make_relation())
+        query = ValidTimeslice(Scan(other), Timestamp(10))
+        assert qcache.fingerprint(query, relation) is None
 
+    def test_plan_layer_is_on_by_default(self):
+        relation = fill(make_relation())
+        assert isinstance(relation.query_cache, qcache.LRUCache)
+        query = ValidTimeslice(Scan(relation), Timestamp(10))
+        assert Planner(relation).plan(query) is Planner(relation).plan(query)
 
-class TestResultCache:
-    def test_hit_returns_equal_results_and_marks_the_plan(self):
-        with cache_env("4"):
-            relation = fill(make_relation())
-            query = ValidTimeslice(Scan(relation), Timestamp(10))
-            first = Planner(relation).plan(query).execute()
-            plan = Planner(relation).plan(query)
-            second = plan.execute()
-            assert first == second
-            assert plan.result_cache_epoch is not None
+    def test_reexecuted_plan_hands_back_a_fresh_list(self):
+        relation = fill(make_relation())
+        query = ValidTimeslice(Scan(relation), Timestamp(10))
+        first = Planner(relation).plan(query).execute()
+        assert first
+        first.clear()  # a caller mangling its copy...
+        second = Planner(relation).plan(query).execute()
+        assert second  # ...must not mangle what the cached plan returns
 
-    def test_hits_hand_back_a_fresh_list(self):
-        with cache_env("4"):
-            relation = fill(make_relation())
-            query = ValidTimeslice(Scan(relation), Timestamp(10))
-            first = Planner(relation).plan(query).execute()
-            assert first
-            first.clear()  # a caller mangling its copy...
-            second = Planner(relation).plan(query).execute()
-            assert second  # ...must not mangle the cached answer
+    def test_epoch_rollover_answers_the_new_state(self):
+        relation = fill(make_relation())
+        query = ValidTimeslice(Scan(relation), Timestamp(10))
+        before = Planner(relation).plan(query).execute()
+        relation.insert("oX", Timestamp(10), {"reading": 77})
+        after = Planner(relation).plan(query).execute()
+        assert len(after) == len(before) + 1
 
-    def test_epoch_rollover_recomputes(self):
-        with cache_env("4"):
-            relation = fill(make_relation())
-            query = ValidTimeslice(Scan(relation), Timestamp(10))
-            before = Planner(relation).plan(query).execute()
-            Planner(relation).plan(query).execute()
-            relation.insert("oX", Timestamp(10), {"reading": 77})
-            plan = Planner(relation).plan(query)
-            after = plan.execute()
-            assert plan.result_cache_epoch is None  # honest miss
-            assert len(after) == len(before) + 1
+    def test_hits_feed_the_layer_counters(self):
+        """The ``cache.{hits,misses}.{parse,plan}`` counters are what the
+        end-to-end benchmark's hit ratios are computed from."""
+        relation = fill(make_relation())
+        statement = "SELECT * FROM cached VALID AT 10"
+        qcache.parse_cache.clear()
+        with metrics.enabled_scope(fresh=True) as registry:
+            for _ in range(3):
+                tql.execute(statement, relation)
+        counters = registry.snapshot()["counters"]
+        assert counters["cache.misses.parse"] == 1
+        assert counters["cache.hits.parse"] == 2
+        assert counters["cache.misses.plan"] == 1
+        assert counters["cache.hits.plan"] == 2
+        assert relation.query_cache.hits == 2
 
-    def test_result_layer_off_by_default_but_plan_layer_on(self):
-        with cache_env(None):
-            relation = fill(make_relation())
-            cache = relation.query_cache
-            assert cache is not None
-            assert cache.results() is None
-            query = ValidTimeslice(Scan(relation), Timestamp(10))
-            assert Planner(relation).plan(query) is Planner(relation).plan(query)
-
-    def test_statistics_reports_layers(self):
-        with cache_env("4"):
-            relation = fill(make_relation())
-            query = ValidTimeslice(Scan(relation), Timestamp(10))
-            Planner(relation).plan(query).execute()
-            Planner(relation).plan(query).execute()
-            stats = relation.query_cache.statistics()
-            assert stats["plan_hits"] >= 1
-            assert stats["result_hits"] >= 1
-            assert stats["result_bytes"] > 0
-
-    def test_explain_names_the_cache_hit_before_chosen(self):
-        with cache_env("4"):
-            relation = fill(make_relation())
-            statement = "SELECT * FROM cached VALID AT 10"
-            relation.explain(statement)
-            report = relation.explain(statement)
-            cached_lines = [
-                line for line in report.decisions if "result cache" in line
-            ]
-            assert cached_lines, report.decisions
-            assert report.decisions[-1].startswith("chosen:")
+    def test_explain_of_a_cached_plan_matches_the_first(self):
+        relation = fill(make_relation())
+        statement = "SELECT * FROM cached VALID AT 10"
+        first = relation.explain(statement)
+        second = relation.explain(statement)
+        assert second.decisions == first.decisions
+        assert second.decisions[-1].startswith("chosen:")
+        assert (second.examined, second.returned) == (first.examined, first.returned)
 
 
 # -- satellite: every engine's mutation counter -------------------------------------
@@ -347,31 +292,42 @@ def cache_workload(draw, min_ops=6, max_ops=20):
     return draw(st.lists(op, min_size=min_ops, max_size=max_ops))
 
 
-def _run_query(relation, which, tick):
+def _query_node(relation, which, tick):
+    if which in ("timeslice", "tql"):  # TQL's VALID AT compiles to a timeslice
+        return ValidTimeslice(Scan(relation), Timestamp(tick))
+    if which == "overlap":
+        return ValidOverlap(Scan(relation), Interval(Timestamp(tick), Timestamp(tick + 10)))
+    if which == "rollback":
+        return Rollback(Scan(relation), Timestamp(CLOCK_START + tick, "microsecond"))
+    return CurrentState(Scan(relation))
+
+
+def _answers(relation, which, tick):
+    """(cache-served, freshly planned, naive) answers, canonically encoded.
+
+    The query runs once first so the second planning of it is a cache
+    hit whenever the epoch has not moved.
+    """
+    node = _query_node(relation, which, tick)
     if which == "tql":
-        return _canonical(
-            tql.execute(f"SELECT * FROM cached VALID AT {tick}", relation)
-        )
-    if which == "timeslice":
-        node = ValidTimeslice(Scan(relation), Timestamp(tick))
-    elif which == "overlap":
-        node = ValidOverlap(
-            Scan(relation), Interval(Timestamp(tick), Timestamp(tick + 10))
-        )
-    elif which == "rollback":
-        node = Rollback(Scan(relation), Timestamp(CLOCK_START + tick, "microsecond"))
+        statement = f"SELECT * FROM cached VALID AT {tick}"
+        tql.execute(statement, relation)
+        served = tql.execute(statement, relation)
     else:
-        node = CurrentState(Scan(relation))
-    return _canonical(Planner(relation).plan(node).execute())
+        Planner(relation).plan(node).execute()
+        served = Planner(relation).plan(node).execute()
+    fresh = Planner(relation)._build_plan(node).execute()
+    naive = NaiveExecutor().run(node)
+    return _canonical(served), _canonical(fresh), _canonical(naive)
 
 
 def run_cache_differential(relation, ops):
-    """Every query answers twice: tiny hot caches vs the kill switch.
-
-    The cached run uses budgets small enough (4 entries) that eviction
-    pressure is constant; the uncached run is today's code path.  The
-    two must agree byte-for-byte at every step.
+    """Every query answers three ways: through the plan cache (a tiny
+    4-entry LRU, so eviction pressure is constant), through a plan
+    built from scratch, and through ``NaiveExecutor``.  The three must
+    agree byte-for-byte at every step.
     """
+    relation._query_cache = qcache.LRUCache(4, layer="plan")
     for op in ops:
         kind = op[0]
         if kind == "insert":
@@ -396,21 +352,17 @@ def run_cache_differential(relation, ops):
         elif kind == "extend":
             _out_of_band_extend(relation, op[1])
         elif kind == "query":
-            with cache_env("4"):
-                cached = _run_query(relation, op[1], op[2])
-            with cache_env("0"):
-                uncached = _run_query(relation, op[1], op[2])
-            assert cached == uncached, (
+            served, fresh, naive = _answers(relation, op[1], op[2])
+            assert served == fresh == naive, (
                 f"cache served a divergent {op[1]} answer:\n"
-                f"  cached:   {cached}\n"
-                f"  uncached: {uncached}"
+                f"  served: {served}\n"
+                f"  fresh:  {fresh}\n"
+                f"  naive:  {naive}"
             )
         else:  # pragma: no cover - strategy and runner must stay in sync
             raise AssertionError(f"unknown workload op {op!r}")
-    with cache_env("4"):
-        final_cached = _run_query(relation, "current", 0)
-    with cache_env("0"):
-        assert final_cached == _run_query(relation, "current", 0)
+    served, fresh, naive = _answers(relation, "current", 0)
+    assert served == fresh == naive
 
 
 class TestCacheDifferential:
@@ -435,7 +387,9 @@ class TestCacheDifferential:
     @given(ops=cache_workload())
     def test_tiered_cold_storage(self, ops):
         with tempfile.TemporaryDirectory() as tier_dir:
-            engine = MemoryEngine(segment_size=4, tier_dir=tier_dir)
+            engine = MemoryEngine(
+                segment_size=4, tier_manager=TierManager(tier_dir, cache_segments=1)
+            )
             try:
                 run_cache_differential(make_relation(engine), ops)
             finally:

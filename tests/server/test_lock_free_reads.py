@@ -138,8 +138,7 @@ def test_pinned_slices_match_the_oracle_beside_a_live_writer(tmp_path, specializ
         relation.engine.close()
 
     store = relation.engine.transaction_index.store
-    if store.tiering is not None:  # REPRO_TIERED=0 forces a flat store
-        assert store.cold_base > 0, "the writer never demoted a segment"
+    assert store.cold_base > 0, "the writer never demoted a segment"
     assert len(observations) >= READERS * 8
     for kind, parameter, epoch, rows in observations:
         version = epoch["version"]

@@ -4,35 +4,17 @@ Pinned reads over an unchanged relation must answer from the cache
 (``X-Repro-Cache: hit``) with a byte-identical body; any write rolls
 the pin and forces a recompute.  The cache is on by default, sized by
 ``ServerConfig.cache_entries``, and killed entirely by
-``cache_entries=0`` or ``REPRO_RESULT_CACHE=0``.
+``cache_entries=0``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
-from contextlib import contextmanager
 
 from repro.server import ServerConfig
 from tests.server.harness import connected_client, running_server
 
 MICRO = 1_000_000  # one second-granularity tick on the wire
-
-
-@contextmanager
-def cache_env(value):
-    old = os.environ.get("REPRO_RESULT_CACHE")
-    if value is None:
-        os.environ.pop("REPRO_RESULT_CACHE", None)
-    else:
-        os.environ["REPRO_RESULT_CACHE"] = value
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_RESULT_CACHE", None)
-        else:
-            os.environ["REPRO_RESULT_CACHE"] = old
 
 
 async def _seeded(client, name="readings", rows=4):
@@ -55,8 +37,7 @@ def test_miss_then_hit_with_identical_body() -> None:
                 assert second.cache_status == "hit"
                 assert second.body == first.body
 
-    with cache_env(None):
-        asyncio.run(scenario())
+    asyncio.run(scenario())
 
 
 def test_every_pinned_get_endpoint_caches() -> None:
@@ -87,8 +68,7 @@ def test_every_pinned_get_endpoint_caches() -> None:
                     assert second.cache_status == "hit"
                     assert second.body == first.body
 
-    with cache_env(None):
-        asyncio.run(scenario())
+    asyncio.run(scenario())
 
 
 def test_distinct_parameters_never_share_entries() -> None:
@@ -101,8 +81,7 @@ def test_distinct_parameters_never_share_entries() -> None:
                 assert at_three.cache_status == "miss"
                 assert at_three.body != at_two.body
 
-    with cache_env(None):
-        asyncio.run(scenario())
+    asyncio.run(scenario())
 
 
 def test_write_rolls_the_pin_and_recomputes() -> None:
@@ -119,8 +98,7 @@ def test_write_rolls_the_pin_and_recomputes() -> None:
                 assert after.json()["count"] == before.json()["count"] + 1
                 assert (await client.timeslice("readings", vt=2 * MICRO)).cache_status == "hit"
 
-    with cache_env(None):
-        asyncio.run(scenario())
+    asyncio.run(scenario())
 
 
 def test_query_endpoint_caches_per_statement() -> None:
@@ -141,8 +119,7 @@ def test_query_endpoint_caches_per_statement() -> None:
                 assert third.cache_status == "miss"
                 assert third.json()["count"] == first.json()["count"] + 1
 
-    with cache_env(None):
-        asyncio.run(scenario())
+    asyncio.run(scenario())
 
 
 def test_tiny_cache_evicts_but_stays_correct() -> None:
@@ -164,8 +141,7 @@ def test_tiny_cache_evicts_but_stays_correct() -> None:
                 hot = await client.timeslice("readings", vt=1 * MICRO)
                 assert hot.cache_status == "hit"
 
-    with cache_env(None):
-        asyncio.run(scenario())
+    asyncio.run(scenario())
 
 
 def test_cache_entries_zero_disables_the_header() -> None:
@@ -179,21 +155,7 @@ def test_cache_entries_zero_disables_the_header() -> None:
                     assert response.status == 200
                     assert response.cache_status is None
 
-    with cache_env(None):
-        asyncio.run(scenario())
-
-
-def test_env_kill_switch_disables_the_server_cache() -> None:
-    async def scenario() -> None:
-        async with running_server() as server:
-            async with connected_client(server) as client:
-                await _seeded(client)
-                for _ in range(2):
-                    response = await client.timeslice("readings", vt=2 * MICRO)
-                    assert response.cache_status is None
-
-    with cache_env("0"):
-        asyncio.run(scenario())
+    asyncio.run(scenario())
 
 
 def test_error_responses_are_never_cached() -> None:
@@ -208,5 +170,4 @@ def test_error_responses_are_never_cached() -> None:
                     assert response.status == 400
                     assert response.cache_status != "hit"
 
-    with cache_env(None):
-        asyncio.run(scenario())
+    asyncio.run(scenario())

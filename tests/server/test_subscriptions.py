@@ -67,9 +67,7 @@ class TestViewEndpoints:
                     )
 
                     listing = (await client.views("r")).json()
-                    # REPRO_VIEWS=1 auto-registers an extra "current"
-                    # view on every relation, so assert containment.
-                    assert {"live", "slice", "window"} <= {
+                    assert {"live", "slice", "window"} == {
                         v["name"] for v in listing["views"]
                     }
 

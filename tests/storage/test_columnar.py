@@ -36,8 +36,8 @@ from repro.storage.columnar import (
 )
 from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
+from repro.storage.tiered import TierManager
 from tests.storage.test_segments import replay, segment_workloads, signature
-from tests.storage.test_tiered import tiered_env
 
 
 def build_events(offsets, specializations=(), segment_size=8, vt_index=False):
@@ -146,8 +146,7 @@ class TestStampColumnEncoding:
         for the shorter head can never be asked for again, so caching the
         longer one drops it -- a write -> read loop holds one entry per
         sealed segment plus one for the head, however long it runs."""
-        with tiered_env("0"):  # a flat store: demotion re-bases the hot cache keys
-            relation, clock = build_events([], segment_size=8)
+        relation, clock = build_events([], segment_size=8)  # flat: demotion re-bases the keys
         store = relation.engine.transaction_index.store
         for i in range(60):
             clock.advance_to(Timestamp(10 * i))
@@ -458,22 +457,22 @@ def test_kernel_matches_naive_executor(workload):
     with tempfile.TemporaryDirectory() as scratch:
         log = LogFileEngine(os.path.join(scratch, "r.wal"), fsync=False, segment_size=3)
         try:
-            with tiered_env("0"):
-                topologies = {
-                    "flat": replay(ops, 100_000),
-                    "segments=2": replay(ops, 2),
-                    "segments=5": replay(ops, 5),
-                    "segments=default": replay(ops, None),
-                    "logfile": replay(ops, None, engine=log),
-                }
-            with tiered_env("1", cache="1"):
-                topologies["tiered"] = replay(ops, 4)
-                for topology, relation in topologies.items():
-                    for shape, (kernel, oracle) in kernel_and_oracle(relation, probes).items():
-                        assert kernel == oracle, f"divergence on {topology} / {shape}"
-                    for shape, (pinned, listed) in pinned_and_listed(relation, probes).items():
-                        assert pinned == listed, f"divergence on {topology} / {shape}"
-                    for shape, (live, listed) in live_and_listed(relation, probes).items():
-                        assert live == listed, f"divergence on {topology} / {shape}"
+            tiered = MemoryEngine(segment_size=4, tier_manager=TierManager(cache_segments=1))
+            topologies = {
+                "flat": replay(ops, 100_000),
+                "segments=2": replay(ops, 2),
+                "segments=5": replay(ops, 5),
+                "segments=default": replay(ops, None),
+                "logfile": replay(ops, None, engine=log),
+                "tiered": replay(ops, 4, engine=tiered),
+            }
+            for topology, relation in topologies.items():
+                for shape, (kernel, oracle) in kernel_and_oracle(relation, probes).items():
+                    assert kernel == oracle, f"divergence on {topology} / {shape}"
+                for shape, (pinned, listed) in pinned_and_listed(relation, probes).items():
+                    assert pinned == listed, f"divergence on {topology} / {shape}"
+                for shape, (live, listed) in live_and_listed(relation, probes).items():
+                    assert live == listed, f"divergence on {topology} / {shape}"
+            topologies["tiered"].engine.close()
         finally:
             log.close()

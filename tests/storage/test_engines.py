@@ -12,7 +12,7 @@ from repro.relation.errors import ElementNotFound
 from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
 from repro.storage.sqlite_backend import SQLiteEngine
-from tests.storage.test_tiered import tiered_env
+from repro.storage.tiered import TierManager
 
 ENGINES = [MemoryEngine, SQLiteEngine]
 
@@ -207,39 +207,37 @@ class TestLiveIndexReads:
     @given(mixed_store_scripts())
     def test_match_a_plain_list_filter(self, tmp_path_factory, steps):
         log_path = str(tmp_path_factory.mktemp("live") / "mirror.wal")
-        with tiered_env("0"):
-            engines = {
-                "memory": MemoryEngine(segment_size=4),
-                "logfile": LogFileEngine(log_path, fsync=False, segment_size=4),
-            }
-        with tiered_env("1", cache="1"):
-            engines["tiered"] = MemoryEngine(segment_size=4)
-            model = []  # every stored element, in tt order
-            tt = 0
-            for step in steps:
-                if step[0] == "close":
-                    live = [i for i, e in enumerate(model) if e.is_current]
-                    if not live:
-                        continue
-                    tt += 1
-                    victim = live[step[1] % len(live)]
-                    model[victim] = model[victim].closed(Timestamp(tt))
-                    for engine in engines.values():
-                        engine.close_element(model[victim].element_surrogate, Timestamp(tt))
+        engines = {
+            "memory": MemoryEngine(segment_size=4),
+            "logfile": LogFileEngine(log_path, fsync=False, segment_size=4),
+            "tiered": MemoryEngine(segment_size=4, tier_manager=TierManager(cache_segments=1)),
+        }
+        model = []  # every stored element, in tt order
+        tt = 0
+        for step in steps:
+            if step[0] == "close":
+                live = [i for i, e in enumerate(model) if e.is_current]
+                if not live:
                     continue
-                stamps = [step[1]] if step[0] == "append" else step[1]
-                batch = []
-                for stamp in stamps:
-                    tt += 1
-                    batch.append(self.element(len(model) + len(batch) + 1, tt, stamp))
-                model.extend(batch)
+                tt += 1
+                victim = live[step[1] % len(live)]
+                model[victim] = model[victim].closed(Timestamp(tt))
                 for engine in engines.values():
-                    if step[0] == "append":
-                        engine.append(batch[0])
-                    else:
-                        engine.extend(batch)
-                self.check(engines, model)
+                    engine.close_element(model[victim].element_surrogate, Timestamp(tt))
+                continue
+            stamps = [step[1]] if step[0] == "append" else step[1]
+            batch = []
+            for stamp in stamps:
+                tt += 1
+                batch.append(self.element(len(model) + len(batch) + 1, tt, stamp))
+            model.extend(batch)
+            for engine in engines.values():
+                if step[0] == "append":
+                    engine.append(batch[0])
+                else:
+                    engine.extend(batch)
             self.check(engines, model)
+        self.check(engines, model)
         for engine in engines.values():
             engine.close()
 

@@ -45,7 +45,6 @@ from repro.storage.memory import MemoryEngine
 from repro.storage.sqlite_backend import SQLiteEngine
 from repro.storage.tiered import TierManager
 from repro.storage.vacuum import vacuum_relation
-from tests.storage.test_tiered import tiered_env
 
 
 def make_relation(engine) -> TemporalRelation:
@@ -69,7 +68,6 @@ class TestColdPatchInvalidation:
         with tempfile.TemporaryDirectory() as tier_dir:
             relation, engine = self._grown_cold(tier_dir)
             planner = Planner(relation)
-            # Named to dodge the REPRO_VIEWS=1 auto "current" view.
             view = relation.views.register_current(name="cold-check")
             # Warm every cache with the pre-delete state.
             assert relation.statistics()["live_elements"] == 12
@@ -198,8 +196,8 @@ class TestWireFragmentSeams:
             assert served.tt_stop == closed.tt_stop and served._wire is None
 
     def test_rewrite_and_vacuum_keep_the_reference_bytes(self, tmp_path):
-        with tiered_env(None, cache="1", segment_size="4"):
-            relation = make_relation(MemoryEngine(tier_dir=str(tmp_path)))
+        manager = TierManager(str(tmp_path), cache_segments=1)
+        relation = make_relation(MemoryEngine(segment_size=4, tier_manager=manager))
         plain = make_relation(MemoryEngine())
 
         def check():

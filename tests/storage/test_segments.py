@@ -15,11 +15,7 @@ from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
 from repro.storage.columnar import ScanSpec
 from repro.storage.memory import MemoryEngine
-from repro.storage.segments import (
-    DEFAULT_SEGMENT_SIZE,
-    SegmentedStore,
-    configured_segment_size,
-)
+from repro.storage.segments import DEFAULT_SEGMENT_SIZE, SegmentedStore
 from repro.storage.vacuum import vacuum_relation
 from tests.strategies import OBJECTS, SMALL_TICKS, insert_rows, json_safe_attributes
 
@@ -99,14 +95,12 @@ class TestSealing:
         with pytest.raises(ValueError, match="strictly increasing"):
             store.extend([stale])
 
-    def test_env_segment_size(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEGMENT_SIZE", "64")
-        assert configured_segment_size() == 64
-        assert SegmentedStore().segment_size == 64
-        monkeypatch.setenv("REPRO_SEGMENT_SIZE", "bogus")
-        assert configured_segment_size() == DEFAULT_SEGMENT_SIZE
-        monkeypatch.delenv("REPRO_SEGMENT_SIZE")
-        assert configured_segment_size() == DEFAULT_SEGMENT_SIZE
+    def test_segment_size_below_two_is_rejected(self):
+        # 0 used to fall through to the default instead of failing.
+        for size in (0, 1):
+            with pytest.raises(ValueError, match="segment size must be at least 2"):
+                MemoryEngine(segment_size=size)
+        assert SegmentedStore().segment_size == DEFAULT_SEGMENT_SIZE
 
 
 class TestZoneMaintenance:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import zlib
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -35,31 +34,9 @@ from repro.storage.segfile import (
     encode_element,
     write_segment_file,
 )
-from repro.storage.tiered import TierManager, _columns_from_elements, tiered_enabled
+from repro.storage.tiered import TierManager, _columns_from_elements
 from repro.storage.vacuum import vacuum_engine
 from tests.storage.test_segments import all_answers, replay, segment_workloads
-
-
-@contextmanager
-def tiered_env(value, cache=None, segment_size=None):
-    """Temporarily pin REPRO_TIERED (and optionally cache/segment size)."""
-    pins = {"REPRO_TIERED": value, "REPRO_TIER_CACHE": cache}
-    if segment_size is not None:
-        pins["REPRO_SEGMENT_SIZE"] = segment_size
-    saved = {name: os.environ.get(name) for name in pins}
-    for name, pinned in pins.items():
-        if pinned is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = pinned
-    try:
-        yield
-    finally:
-        for name, old in saved.items():
-            if old is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = old
 
 
 def ts(n, granularity="microsecond"):
@@ -224,18 +201,25 @@ class TestDamageDetection:
 # -- the tiered-vs-flat differential ------------------------------------------------
 
 
+def tiered_engine(cache_segments=1):
+    """A 4-element-segment store on the cold tier (private temp directory)."""
+    return MemoryEngine(segment_size=4, tier_manager=TierManager(cache_segments=cache_segments))
+
+
 @settings(deadline=None, max_examples=25)
 @given(segment_workloads())
 def test_tiered_engines_match_flat_scan(workload):
-    """Byte-identical answers: flat reference vs tiered with a tiny LRU
-    cache (evictions force reopen+decode) vs REPRO_TIERED=0 (forced off
-    even though a segment size is set)."""
+    """Byte-identical answers: flat reference vs the same small segments
+    in memory vs tiered with a tiny LRU cache (evictions force
+    reopen+decode)."""
     ops, probes = workload
-    with tiered_env("0"):
-        reference = all_answers(replay(ops, 100_000), probes)
-        flat_small = all_answers(replay(ops, 4), probes)
-    with tiered_env("1", cache="1"):
-        tiered = all_answers(replay(ops, 4), probes)
+    reference = all_answers(replay(ops, 100_000), probes)
+    flat_small = all_answers(replay(ops, 4), probes)
+    relation = replay(ops, 4, engine=tiered_engine())
+    try:
+        tiered = all_answers(relation, probes)
+    finally:
+        relation.engine.close()
     assert flat_small == reference
     assert tiered == reference
 
@@ -246,12 +230,13 @@ def test_tiered_compact_preserves_answers(workload):
     """Explicit compaction (demote everything + fold patches) between
     the workload and the probes changes no answer."""
     ops, probes = workload
-    with tiered_env("0"):
-        reference = all_answers(replay(ops, 100_000), probes)
-    with tiered_env("1", cache="2"):
-        relation = replay(ops, 4)
+    reference = all_answers(replay(ops, 100_000), probes)
+    relation = replay(ops, 4, engine=tiered_engine(cache_segments=2))
+    try:
         relation.engine.transaction_index.store.compact()
         compacted = all_answers(relation, probes)
+    finally:
+        relation.engine.close()
     assert compacted == reference
 
 
@@ -316,19 +301,18 @@ class TestVacuumTiering:
         assert [repr(e) for e in engine.scan()] == before
 
     def test_flat_store_carries_sorted_cache_prefix(self):
-        with tiered_env("0"):
-            engine = MemoryEngine(segment_size=8)
-            for i in range(48):
-                engine.append(make_element(i))
-            store = engine.transaction_index.store
-            store.columns.sorted_starts(0, 8)
-            store.columns.sorted_starts(40, 48)
-            engine.close_element(44, ts(1000))
-            compacted, report = vacuum_engine(engine, ts(2000))
-            assert report.purged == 1
-            carried = set(compacted.transaction_index.store.columns._sorted_cache)
-            assert (0, 8) in carried  # before first purge: reused
-            assert (40, 48) not in carried  # spans the purge: dropped
+        engine = MemoryEngine(segment_size=8)
+        for i in range(48):
+            engine.append(make_element(i))
+        store = engine.transaction_index.store
+        store.columns.sorted_starts(0, 8)
+        store.columns.sorted_starts(40, 48)
+        engine.close_element(44, ts(1000))
+        compacted, report = vacuum_engine(engine, ts(2000))
+        assert report.purged == 1
+        carried = set(compacted.transaction_index.store.columns._sorted_cache)
+        assert (0, 8) in carried  # before first purge: reused
+        assert (40, 48) not in carried  # spans the purge: dropped
 
 
 # -- the compaction crash matrix ----------------------------------------------------
@@ -341,59 +325,57 @@ class TestCompactionCrashMatrix:
         on a consistent segment set with unchanged answers."""
         wal = str(tmp_path / "crash.log")
         tier = str(tmp_path / "tier")
-        with tiered_env(None, segment_size="4"):
-            engine = LogFileEngine(wal, fsync=False, tier_dir=tier)
-            for i in range(12):
-                engine.append(make_element(i))
-            store = engine.transaction_index.store
-            store.compact()  # v1: everything cold, no patches
-            engine.close_element(1, ts(100))  # patch in cold segment 0
-            target = store.tiering.path_of(0)
-            with open(target, "rb") as handle:
-                v1 = handle.read()
-            store.compact()  # v2: rewrite folds the patch
-            with open(target, "rb") as handle:
-                v2 = handle.read()
-            assert v1 != v2
-            engine.close()
+        engine = LogFileEngine(wal, fsync=False, segment_size=4, tier_dir=tier)
+        for i in range(12):
+            engine.append(make_element(i))
+        store = engine.transaction_index.store
+        store.compact()  # v1: everything cold, no patches
+        engine.close_element(1, ts(100))  # patch in cold segment 0
+        target = store.tiering.path_of(0)
+        with open(target, "rb") as handle:
+            v1 = handle.read()
+        store.compact()  # v2: rewrite folds the patch
+        with open(target, "rb") as handle:
+            v2 = handle.read()
+        assert v1 != v2
+        engine.close()
 
-            def reference_answers(eng):
-                return [repr(e) for e in eng.scan()] + [repr(e) for e in eng.current()]
+        def reference_answers(eng):
+            return [repr(e) for e in eng.scan()] + [repr(e) for e in eng.current()]
 
-            clean = LogFileEngine(wal, fsync=False, tier_dir=tier)
-            want = reference_answers(clean)
-            clean.close()
+        clean = LogFileEngine(wal, fsync=False, segment_size=4, tier_dir=tier)
+        want = reference_answers(clean)
+        clean.close()
 
-            for cut in range(len(v2) + 1):
-                with open(target, "wb") as handle:
-                    handle.write(v2[:cut])  # torn rewrite (worst case)
-                reopened = LogFileEngine(wal, fsync=False, tier_dir=tier)
-                assert reference_answers(reopened) == want, f"cut at byte {cut}"
-                reopened.transaction_index.store.compact()
-                assert reference_answers(reopened) == want, f"cut at byte {cut}"
-                # After recovery + compaction the file is whole again:
-                # CRC-valid and carrying the folded (post-patch) rows.
-                with SegmentFileReader(target) as reader:
-                    stops = list(reader.column("tt_stop"))
-                assert stops[1] == ts(100).microseconds
-                reopened.close()
+        for cut in range(len(v2) + 1):
+            with open(target, "wb") as handle:
+                handle.write(v2[:cut])  # torn rewrite (worst case)
+            reopened = LogFileEngine(wal, fsync=False, segment_size=4, tier_dir=tier)
+            assert reference_answers(reopened) == want, f"cut at byte {cut}"
+            reopened.transaction_index.store.compact()
+            assert reference_answers(reopened) == want, f"cut at byte {cut}"
+            # After recovery + compaction the file is whole again:
+            # CRC-valid and carrying the folded (post-patch) rows.
+            with SegmentFileReader(target) as reader:
+                stops = list(reader.column("tt_stop"))
+            assert stops[1] == ts(100).microseconds
+            reopened.close()
 
     def test_tmp_file_leftover_is_harmless(self, tmp_path):
         wal = str(tmp_path / "crash.log")
         tier = str(tmp_path / "tier")
-        with tiered_env(None, segment_size="4"):
-            engine = LogFileEngine(wal, fsync=False, tier_dir=tier)
-            for i in range(8):
-                engine.append(make_element(i))
-            engine.transaction_index.store.compact()
-            engine.close()
-            # A crash between tmp write and rename leaves *.tmp trash.
-            trash = os.path.join(tier, "seg-000000.seg.tmp")
-            with open(trash, "wb") as handle:
-                handle.write(b"torn half-written segment")
-            reopened = LogFileEngine(wal, fsync=False, tier_dir=tier)
-            assert [e.element_surrogate for e in reopened.scan()] == list(range(8))
-            reopened.close()
+        engine = LogFileEngine(wal, fsync=False, segment_size=4, tier_dir=tier)
+        for i in range(8):
+            engine.append(make_element(i))
+        engine.transaction_index.store.compact()
+        engine.close()
+        # A crash between tmp write and rename leaves *.tmp trash.
+        trash = os.path.join(tier, "seg-000000.seg.tmp")
+        with open(trash, "wb") as handle:
+            handle.write(b"torn half-written segment")
+        reopened = LogFileEngine(wal, fsync=False, segment_size=4, tier_dir=tier)
+        assert [e.element_surrogate for e in reopened.scan()] == list(range(8))
+        reopened.close()
 
 
 # -- observability ------------------------------------------------------------------
@@ -403,49 +385,43 @@ class TestTieredObservability:
     def test_explain_reports_cold_segments(self):
         from repro.observability.explain import explain_query
 
-        with tiered_env("1", segment_size="4"):
-            assert tiered_enabled() is True
-            schema = TemporalSchema(name="r", time_varying=("reading",))
-            clock = SimulatedWallClock(start=0)
-            engine = MemoryEngine(segment_size=4)
-            relation = TemporalRelation(
-                schema, clock=clock, keep_backlog=False, engine=engine
-            )
-            for i in range(24):
-                clock.advance_to(Timestamp(100 * (i + 1)))
-                relation.insert(f"o{i}", Timestamp(100 * (i + 1)), {"reading": i})
-            store = engine.transaction_index.store
-            store.compact()
-            assert store.cold_base > 0
-            report = explain_query(relation, "SELECT * FROM r AS OF 1200")
-            assert report.tier_cold_segments
-            assert any("tiered" in line for line in report.decisions)
-            assert "compressed cold storage" in report.render()
+        schema = TemporalSchema(name="r", time_varying=("reading",))
+        clock = SimulatedWallClock(start=0)
+        engine = tiered_engine()
+        relation = TemporalRelation(
+            schema, clock=clock, keep_backlog=False, engine=engine
+        )
+        for i in range(24):
+            clock.advance_to(Timestamp(100 * (i + 1)))
+            relation.insert(f"o{i}", Timestamp(100 * (i + 1)), {"reading": i})
+        store = engine.transaction_index.store
+        store.compact()
+        assert store.cold_base > 0
+        report = explain_query(relation, "SELECT * FROM r AS OF 1200")
+        assert report.tier_cold_segments
+        assert any("tiered" in line for line in report.decisions)
+        assert "compressed cold storage" in report.render()
 
-    def test_reexecuted_plan_reports_one_runs_cold_segments(self, monkeypatch):
+    def test_reexecuted_plan_reports_one_runs_cold_segments(self):
         """A plan served again (the plan cache hands the same object
         back) must report one execution's cold segments, not a running
         total -- ``query.tier_cold_segments`` is fed from this count."""
         from repro.query import Planner, Rollback, Scan
 
-        # Every execute must really scan (a result-cache hit reports 0).
-        monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
-        with tiered_env("1", segment_size="8"):
-            schema = TemporalSchema(name="r", time_varying=("reading",))
-            clock = SimulatedWallClock(start=0)
-            relation = TemporalRelation(
-                schema, clock=clock, keep_backlog=False, engine=MemoryEngine()
-            )
-            for i in range(64):
-                clock.advance_to(Timestamp(i))
-                relation.insert(f"o{i}", Timestamp(i), {"reading": i})
-            assert relation.engine.transaction_index.store.cold_base > 0
-            plan = Planner(relation).plan(Rollback(Scan(relation), Timestamp(60)))
-            assert plan.strategy == "rollback-prefix"
-            cold = []
-            for _ in range(3):
-                plan.execute()
-                cold.append(plan.segment_stats.cold_segments)
+        schema = TemporalSchema(name="r", time_varying=("reading",))
+        clock = SimulatedWallClock(start=0)
+        engine = MemoryEngine(segment_size=8, tier_manager=TierManager())
+        relation = TemporalRelation(schema, clock=clock, keep_backlog=False, engine=engine)
+        for i in range(64):
+            clock.advance_to(Timestamp(i))
+            relation.insert(f"o{i}", Timestamp(i), {"reading": i})
+        assert relation.engine.transaction_index.store.cold_base > 0
+        plan = Planner(relation).plan(Rollback(Scan(relation), Timestamp(60)))
+        assert plan.strategy == "rollback-prefix"
+        cold = []
+        for _ in range(3):
+            plan.execute()
+            cold.append(plan.segment_stats.cold_segments)
         assert cold[0] > 0
         assert cold == [cold[0]] * 3
 
@@ -462,6 +438,15 @@ class TestTieredObservability:
 
 
 class TestTierManagerHousekeeping:
+    def test_cache_segments_below_one_is_rejected(self, tmp_path):
+        # A zero-slot LRU released every segment the moment it was touched.
+        with pytest.raises(ValueError, match="cache_segments must be at least 1"):
+            TierManager(str(tmp_path), cache_segments=0)
+
+    def test_negative_hot_reserve_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="hot_reserve must be at least 0"):
+            TierManager(str(tmp_path), hot_reserve=-1)
+
     def test_lru_eviction_closes_readers(self, tmp_path):
         manager = TierManager(str(tmp_path), cache_segments=1)
         engine = MemoryEngine(segment_size=4, tier_manager=manager)

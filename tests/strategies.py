@@ -17,10 +17,15 @@ Three groups:
 * ``specialization_declarations`` -- declared-specialization lists in
   the textual form :func:`repro.core.taxonomy.registry.parse` accepts,
   paired with an offset strategy that generates *compliant* ``vt - tt``
-  offsets for them.
+  offsets for them;
+* ``topologies`` -- storage configurations (segment size, cold tier,
+  a registered current view), drawn per example.
 """
 
 from __future__ import annotations
+
+import dataclasses
+from typing import Optional
 
 from hypothesis import strategies as st
 
@@ -28,6 +33,9 @@ from repro.chronos.interval import Interval
 from repro.chronos.timestamp import FOREVER, NEGATIVE_INFINITY, Timestamp
 from repro.core.taxonomy.base import Stamped
 from repro.relation.element import Element
+from repro.relation.temporal_relation import TemporalRelation
+from repro.storage.memory import MemoryEngine
+from repro.storage.tiered import TierManager
 
 # Keep coordinates small enough that all arithmetic stays fast but large
 # enough to exercise every ordering of endpoints.
@@ -284,6 +292,56 @@ def region_declarations(draw, name):
 def specialization_declarations(draw):
     """One of the event declaration tuples the planner exploits."""
     return draw(st.sampled_from(EVENT_DECLARATIONS))
+
+
+# -- storage topologies ----------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class Topology:
+    """One storage configuration, spelled in constructor arguments.
+
+    Answers are byte-identical across topologies by construction, so a
+    suite draws one per example instead of running once per
+    configuration.
+    """
+
+    segment_size: Optional[int] = None
+    tiered: bool = False
+    current_view: bool = False
+
+    def relation(self, schema, **options) -> TemporalRelation:
+        """A fresh relation on this topology (*options* go to
+        :class:`TemporalRelation`)."""
+        tiering = TierManager(cache_segments=1) if self.tiered else None
+        engine = MemoryEngine(segment_size=self.segment_size, tier_manager=tiering)
+        relation = TemporalRelation(schema, engine=engine, **options)
+        if self.current_view:
+            relation.views.register_current()
+        return relation
+
+    def close(self, relation: TemporalRelation) -> None:
+        """End an example: the view arm's rows must equal
+        ``relation.current()``; then release the tier directory."""
+        try:
+            if self.current_view:
+                assert relation.views.get("current").snapshot() == relation.current()
+        finally:
+            relation.engine.close()
+
+
+_SHAPES = (
+    Topology(),
+    Topology(segment_size=4),
+    Topology(segment_size=4, tiered=True),
+)
+
+
+def topologies():
+    """The flat default store, 4-element segments, or the cold tier over
+    4-element segments with a one-segment decode cache -- each with or
+    without a registered ``current`` view."""
+    return st.builds(dataclasses.replace, st.sampled_from(_SHAPES), current_view=st.booleans())
 
 
 # -- standing-view differential harness ------------------------------------------

@@ -202,6 +202,15 @@ class TestCompact:
         assert main(["compact", str(tmp_path)]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_segment_size_below_two_exits_two(self, tmp_path, capsys):
+        import os
+
+        path = TestRecover().build_log(tmp_path)
+        for size in ("0", "1"):
+            assert main(["compact", path, "--segment-size", size]) == 2
+            assert "segment size must be at least 2" in capsys.readouterr().err
+        assert not os.path.exists(path + ".tier")
+
 
 class TestRetiredShardedDirectory:
     """Data the deleted sharded serve mode wrote (``shards.manifest`` +

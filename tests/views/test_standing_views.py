@@ -25,13 +25,6 @@ from repro.views import (
 )
 
 
-@pytest.fixture(autouse=True)
-def _no_env_views(monkeypatch):
-    # These tests assert exact registry contents; the REPRO_VIEWS=1 CI
-    # leg would add its auto-registered view to every relation.
-    monkeypatch.delenv("REPRO_VIEWS", raising=False)
-
-
 def make_relation(specializations=(), kind=ValidTimeKind.EVENT, enforcement=None):
     extra = {} if enforcement is None else {"enforcement": enforcement}
     schema = TemporalSchema(
