@@ -1,9 +1,11 @@
 """Batched ingestion benchmark: ``append_many`` vs element-at-a-time.
 
-Measures the tentpole claims of the bulk-ingestion path:
+Measures the bulk-ingestion path:
 
-1. on the memory engine, ``append_many`` is >= 5x faster than a loop of
-   single ``insert`` calls at 100k elements;
+1. on the memory engine, one ``append_many`` of every row, against a
+   loop of single ``insert`` calls (the speedup is printed; the gate
+   is the batch's own time, since a faster ``insert`` shrinks the ratio
+   without the batch getting any slower);
 2. a constraint-checked batch (declared specializations validated in
    one amortized pass) stays within 2x of an unchecked batch;
 3. per-engine batch effects: one SQLite transaction per batch, one
@@ -14,8 +16,9 @@ Run directly::
     PYTHONPATH=src python benchmarks/bench_bulk_ingest.py            # full (100k)
     PYTHONPATH=src python benchmarks/bench_bulk_ingest.py --quick    # CI smoke (10k)
 
-The script exits non-zero if claim 1 or 2 fails, so CI can use it as a
-regression gate.
+The script exits non-zero when claim 2 fails or, at 10k or 100k rows
+(the sizes its bounds were set for), a result regresses against
+``benchmarks/thresholds.json``, so CI can use it as a gate.
 """
 
 from __future__ import annotations
@@ -103,7 +106,7 @@ def bench_memory(count: int) -> Tuple[float, float]:
     del sorted_single_rel
 
     speedup = single / batched
-    print(f"  -> batch speedup: {speedup:.1f}x (target >= 5x)")
+    print(f"  -> batch speedup: {speedup:.1f}x")
     print(f"  -> sorted-vt batch speedup: {sorted_single / sorted_batch:.1f}x")
     return speedup, batched
 
@@ -162,8 +165,7 @@ def main(argv: List[str] | None = None) -> int:
         const=REPO_ROOT,
         default=None,
         metavar="DIR",
-        help="run with metrics enabled, write BENCH_bulk_ingest.json, and "
-        "gate the results against benchmarks/thresholds.json",
+        help="run with metrics enabled and write BENCH_bulk_ingest.json",
     )
     args = parser.parse_args(argv)
     count = args.count if args.count is not None else (10_000 if args.quick else 100_000)
@@ -177,25 +179,19 @@ def main(argv: List[str] | None = None) -> int:
         bench_engines(min(count, 20_000))
 
     failed = False
-    if speedup < 5.0 and count >= 100_000:
-        # The 5x claim is about amortization at scale; at smoke sizes the
-        # single-insert path has not yet hit its O(n) index-maintenance
-        # wall, so only the full run enforces it.
-        print(f"FAIL: batch speedup {speedup:.1f}x below the 5x target")
-        failed = True
     if ratio > 2.0:
         print(f"FAIL: checked/unchecked ratio {ratio:.2f}x above the 2x target")
         failed = True
 
-    if args.emit_json is not None:
-        from report import check_thresholds, write_bench_json
+    from report import check_thresholds, write_bench_json
 
-        results: Dict[str, Any] = {
-            "count": count,
-            "batch_speedup": speedup,
-            "batched_seconds": batched,
-            "checked_ratio": ratio,
-        }
+    results: Dict[str, Any] = {
+        "count": count,
+        "batch_speedup": speedup,
+        "batched_seconds": batched,
+        "checked_ratio": ratio,
+    }
+    if args.emit_json is not None:
         write_bench_json(
             "bulk_ingest",
             results,
@@ -203,10 +199,13 @@ def main(argv: List[str] | None = None) -> int:
             directory=args.emit_json,
         )
         metrics.disable()
-        benchmark = "bulk_ingest_quick" if args.quick else "bulk_ingest"
-        for line in check_thresholds(results, benchmark):
-            print(f"FAIL: {line}")
-            failed = True
+    # batched_seconds is absolute: its bounds hold only at the sizes they were set for.
+    benchmark = {10_000: "bulk_ingest_quick", 100_000: "bulk_ingest"}.get(count)
+    if benchmark is None:
+        print(f"thresholds.json not applied: its bounds are for 10k and 100k rows, not {count}")
+    for line in check_thresholds(results, benchmark) if benchmark else []:
+        print(f"FAIL: {line}")
+        failed = True
 
     if not failed:
         print("all ingestion targets met")

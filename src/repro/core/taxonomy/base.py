@@ -38,8 +38,6 @@ from typing import (
     Mapping,
     Optional,
     Protocol,
-    Sequence,
-    Tuple,
     Union,
     runtime_checkable,
 )
@@ -258,20 +256,6 @@ class IsolatedSpecialization(Specialization):
 def iter_tt_ordered(elements: Iterable[StampedElement]) -> Iterator[StampedElement]:
     """Elements in increasing insertion-transaction-time order."""
     return iter(sorted(elements, key=lambda e: e.tt_start.microseconds))
-
-
-def successive_pairs(
-    elements: Sequence[StampedElement],
-) -> Iterator[Tuple[StampedElement, StampedElement]]:
-    """Adjacent pairs in transaction-time order.
-
-    Used by the successive-transaction-time properties of Section 3.4,
-    whose definitions quantify over the element *next* in transaction
-    time.
-    """
-    ordered = sorted(elements, key=lambda e: e.tt_start.microseconds)
-    for first, second in zip(ordered, ordered[1:]):
-        yield first, second
 
 
 def event_valid_time(element: StampedElement) -> Timestamp:

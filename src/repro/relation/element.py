@@ -17,9 +17,9 @@ through :meth:`Element.closed`, producing the updated record).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
-from typing import Any, Dict, Hashable, Mapping, Optional, Union
+from typing import Any, Hashable, Iterable, Mapping, Optional, Union
 
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import FOREVER, TimePoint, Timestamp
@@ -27,9 +27,81 @@ from repro.chronos.timestamp import FOREVER, TimePoint, Timestamp
 ValidTime = Union[Timestamp, Interval]
 
 
-@dataclass(frozen=True)
-class Element:
+class FrozenMap(dict):
+    """A dict nobody may write: elements share their attribute maps, and
+    a stored element's wire fragment (``Element._wire``) must match them."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args: Any, **kwargs: Any) -> Any:
+        raise TypeError("element attribute maps are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self) -> Any:  # copies and pickles: not item by item
+        return (frozen_map, (dict(self),))
+
+
+#: The one empty attribute map every element shares.
+EMPTY_MAP = FrozenMap()
+
+
+def frozen_map(mapping: Mapping[str, Any]) -> FrozenMap:
+    """*mapping* as a read-only map: itself when it already is one,
+    :data:`EMPTY_MAP` when empty, otherwise a copy."""
+    if type(mapping) is FrozenMap:
+        return mapping
+    return FrozenMap(mapping) if mapping else EMPTY_MAP
+
+
+def frozen_record(cls: type) -> type:
+    """``dataclass(frozen=True)`` over slots (``slots=True`` needs Python 3.10): *cls*
+    has ``__slots__ = ()`` and a base whose ``__init__`` stores every field, for :func:`trusted`.
+    Copies and pickles go through the constructor (frozen slots refuse slot-wise restores)."""
+    record = dataclass(frozen=True)(cls)
+    for name in cls.__base__.__slots__:
+        if name in vars(record):  # a field default dataclass() left would hide the slot
+            delattr(record, name)
+    init = [spec.name for spec in fields(record) if spec.init]
+    record.__reduce__ = lambda self: (record, tuple(getattr(self, name) for name in init))
+    return record
+
+
+def trusted(cls):
+    """A builder of *cls* records from its base's ``__init__`` arguments: plain slot stores,
+    not frozen ``__setattr__`` calls, and no ``__post_init__`` (for checked, frozen values)."""
+    base, set_class = cls.__base__, object.__setattr__
+    def build(*values):
+        record = base(*values)
+        set_class(record, "__class__", cls)
+        return record
+    return build
+
+
+class _ElementSlots:
+    """Element's fields, writable (see :func:`frozen_record`)."""
+
+    __slots__ = ("element_surrogate", "object_surrogate", "tt_start", "vt", "time_invariant")
+    __slots__ += ("time_varying", "user_times", "tt_stop", "_wire")
+
+    def __init__(self, element_surrogate, object_surrogate, tt_start, vt, time_invariant,
+                 time_varying, user_times, tt_stop=FOREVER) -> None:
+        self.element_surrogate = element_surrogate
+        self.object_surrogate = object_surrogate
+        self.tt_start = tt_start
+        self.vt = vt
+        self.time_invariant = time_invariant
+        self.time_varying = time_varying
+        self.user_times = user_times
+        self.tt_stop = tt_stop
+        self._wire = None
+
+
+@frozen_record
+class Element(_ElementSlots):
     """One stored element of a temporal relation."""
+
+    __slots__ = ()
 
     element_surrogate: int
     object_surrogate: Hashable
@@ -39,19 +111,15 @@ class Element:
     time_invariant: Mapping[str, Any] = field(default_factory=dict)
     time_varying: Mapping[str, Any] = field(default_factory=dict)
     user_times: Mapping[str, Timestamp] = field(default_factory=dict)
-    #: Canonical wire fragment memo, not part of the value.  None (the
-    #: class default; un-armed elements carry nothing) is never filled;
-    #: the cold tier arms with b"" and server.protocol fills at first encode.
-    _wire: Optional[bytes] = field(default=None, init=False, compare=False, repr=False)
+    #: Canonical wire fragment memo, not part of the value.  None: never
+    #: filled; a store arms the elements it holds with b"" (:func:`arm`)
+    #: and server.protocol fills the fragment at first encode.
+    _wire: Optional[bytes] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "time_invariant", dict(self.time_invariant))
-        object.__setattr__(self, "time_varying", dict(self.time_varying))
-        object.__setattr__(self, "user_times", dict(self.user_times))
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # Copies and pickles are new objects outside the tier: no memo.
-        return {key: value for key, value in self.__dict__.items() if key != "_wire"}
+        for name in ("time_invariant", "time_varying", "user_times"):
+            object.__setattr__(self, name, frozen_map(getattr(self, name)))
+        object.__setattr__(self, "_wire", None)
 
     # -- StampedElement protocol -------------------------------------------------
 
@@ -118,7 +186,7 @@ class Element:
             raise ValueError(
                 f"deletion time {tt_stop!r} must follow insertion time {self.tt_start!r}"
             )
-        return replace(self, tt_stop=tt_stop)
+        return replace(self, tt_stop=tt_stop)  # the maps are shared, not copied
 
     def __repr__(self) -> str:
         state = "current" if self.is_current else f"until {self.tt_stop!r}"
@@ -128,36 +196,14 @@ class Element:
         )
 
 
-def build_trusted(
-    element_surrogate: int,
-    object_surrogate: Hashable,
-    tt_start: Timestamp,
-    vt: ValidTime,
-    time_invariant: dict,
-    time_varying: dict,
-    user_times: dict,
-) -> Element:
-    """Construct an element without re-copying the attribute dicts.
+_set_wire = _ElementSlots._wire.__set__  # type: ignore[attr-defined]
 
-    The bulk-ingestion fast path: the caller transfers ownership of the
-    three dicts and must not mutate them afterwards.  The result is
-    indistinguishable from one built by the regular constructor.
-    """
-    element = object.__new__(Element)
-    # Direct __dict__ assignment: one store instead of eight frozen-field
-    # object.__setattr__ calls plus the __post_init__ copies.
-    object.__setattr__(
-        element,
-        "__dict__",
-        {
-            "element_surrogate": element_surrogate,
-            "object_surrogate": object_surrogate,
-            "tt_start": tt_start,
-            "vt": vt,
-            "tt_stop": FOREVER,
-            "time_invariant": time_invariant,
-            "time_varying": time_varying,
-            "user_times": user_times,
-        },
-    )
-    return element
+
+build_trusted = trusted(Element)  # stored elements: read-only maps, taken as they are
+
+
+def arm(elements: Iterable[Element]) -> None:
+    """Let *elements* keep their wire fragment from first encode on: only a
+    store holding them may, as a stored element and its maps never change."""
+    for element in elements:
+        _set_wire(element, b"")

@@ -24,6 +24,7 @@ from repro.core.taxonomy.base import Specialization, TimeReference
 from repro.core.taxonomy.event_isolated import Degenerate, EventSpecialization
 from repro.core.taxonomy.regions import OffsetRegion
 from repro.core.taxonomy.registry import parse
+from repro.relation.element import FrozenMap, frozen_map
 from repro.relation.errors import SchemaError
 
 
@@ -150,8 +151,8 @@ class TemporalSchema:
 
     def split_attributes(
         self, values: Mapping[str, Any]
-    ) -> Tuple[Dict[str, Any], Dict[str, Any], Dict[str, Timestamp]]:
-        """Partition supplied values by role; reject undeclared names."""
+    ) -> Tuple[FrozenMap, FrozenMap, FrozenMap]:
+        """Partition supplied values by role (read-only maps); reject undeclared names."""
         invariant: Dict[str, Any] = {}
         varying: Dict[str, Any] = {}
         user: Dict[str, Timestamp] = {}
@@ -175,7 +176,7 @@ class TemporalSchema:
                         f"user-defined time {attr!r} must be a Timestamp, got {value!r}"
                     )
                 user[attr] = value
-        return invariant, varying, user
+        return frozen_map(invariant), frozen_map(varying), frozen_map(user)
 
     def key_of(self, invariant: Mapping[str, Any]) -> Tuple[Any, ...]:
         """The time-invariant key value of an element."""

@@ -51,7 +51,7 @@ from repro.chronos.timestamp import TimePoint, Timestamp
 from repro.core.constraints import ConstraintSet
 from repro.observability import metrics as _metrics
 from repro.core.taxonomy.base import TimeReference
-from repro.relation.element import Element, ValidTime, build_trusted
+from repro.relation.element import EMPTY_MAP, Element, FrozenMap, ValidTime, build_trusted
 from repro.relation.schema import AttributeRole
 from repro.relation.errors import ElementNotFound, KeyViolation, SchemaError
 from repro.relation.lifeline import Lifeline
@@ -68,6 +68,8 @@ InsertRow = Union[
     Tuple[Hashable, ValidTime],
     Tuple[Hashable, ValidTime, Optional[Mapping[str, Any]]],
 ]
+
+_SHARED_TYPES = frozenset((str, int, type(None)))
 
 
 class TemporalRelation:
@@ -91,6 +93,8 @@ class TemporalRelation:
         self._statistics_epoch: Optional[Tuple[int, int]] = None
         self._views: Optional["ViewRegistry"] = None
         self._query_cache: Optional["LRUCache"] = None
+        #: object surrogate -> its last stored time-invariant map (Section 2)
+        self._invariants: Dict[Hashable, FrozenMap] = {}
         if engine is not None and len(engine):
             self._adopt_stored()
 
@@ -134,14 +138,9 @@ class TemporalRelation:
         invariant, varying, user = self.schema.split_attributes(attributes or {})
         self._check_sequenced_key(vt, invariant)
         tt = self.clock.now()
-        element = Element(
-            element_surrogate=self._surrogates.fresh(),
-            object_surrogate=object_surrogate,
-            tt_start=tt,
-            vt=vt,
-            time_invariant=invariant,
-            time_varying=varying,
-            user_times=user,
+        invariant = self._stored_invariant(object_surrogate, invariant)
+        element = build_trusted(
+            self._surrogates.fresh(), object_surrogate, tt, vt, invariant, varying, user
         )
         self.constraints.observe(element)  # may raise; storage untouched then
         self.engine.append(element)
@@ -224,8 +223,14 @@ class TemporalRelation:
             split.append((object_surrogate, vt, invariant, varying, user))
         self._check_sequenced_key_batch(split)
         stamps = self.clock.draw(len(split))
+        stored_invariant = self._stored_invariant
         elements = [
-            build_trusted(surrogate, object_surrogate, tt, vt, invariant, varying, user)
+            build_trusted(  # frozen_map() inlined: this runs once per row
+                surrogate, object_surrogate, tt, vt,
+                stored_invariant(object_surrogate, invariant) if invariant else EMPTY_MAP,
+                FrozenMap(varying) if varying else EMPTY_MAP,
+                FrozenMap(user) if user else EMPTY_MAP,
+            )
             for surrogate, tt, (object_surrogate, vt, invariant, varying, user) in zip(
                 self._surrogates.draw(len(split)), stamps, split
             )
@@ -312,14 +317,9 @@ class TemporalRelation:
         # against the full constraint set (observe commits the monitors
         # only when the element is accepted).
         self._enforce_deletion_constraints(old.closed(tt))
-        replacement = Element(
-            element_surrogate=self._surrogates.fresh(),
-            object_surrogate=old.object_surrogate,
-            tt_start=tt,
-            vt=new_vt,
-            time_invariant=invariant,
-            time_varying=varying,
-            user_times=user,
+        invariant = self._stored_invariant(old.object_surrogate, invariant)
+        replacement = build_trusted(
+            self._surrogates.fresh(), old.object_surrogate, tt, new_vt, invariant, varying, user
         )
         self.constraints.observe(replacement)
         closed = self.engine.close_element(element_surrogate, tt)
@@ -330,6 +330,19 @@ class TemporalRelation:
         if self._views is not None:
             self._views.record_modify(closed, replacement)
         return replacement
+
+    def _stored_invariant(self, object_surrogate: Hashable, invariant: Mapping) -> FrozenMap:
+        """*invariant* as stored: the object's last map while equal, else a
+        copy that becomes the last.  Only str, int and None values are
+        shared: 1 == 1.0 == True and 0.0 == -0.0 are not the same value."""
+        if not invariant:
+            return EMPTY_MAP
+        if not _SHARED_TYPES.issuperset(map(type, invariant.values())):
+            return FrozenMap(invariant)
+        last = self._invariants.get(object_surrogate)
+        if last != invariant:
+            last = self._invariants[object_surrogate] = FrozenMap(invariant)
+        return last
 
     def _check_sequenced_key(
         self,
@@ -572,6 +585,7 @@ class TemporalRelation:
         nothing.
         """
         self._bump_version()
+        self._invariants.clear()  # vacuum may have removed objects
         if self._views is not None:
             self._views.note_engine_replaced()
 

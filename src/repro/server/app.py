@@ -251,8 +251,16 @@ class TemporalServer:
         self._writer_gate.set()
 
     def attach_relation(self, relation: TemporalRelation) -> None:
-        """Register a pre-built relation and publish its first pin."""
+        """Register a pre-built relation and publish its first pin.
+
+        Its current hot rows are encoded here, so that its first readers do
+        not pay for it (a 480-row range body: ~3 ms to encode, ~0.2 ms to join)."""
         self.database.attach(relation)
+        index = getattr(relation.engine, "transaction_index", None)
+        if index is not None:  # an engine holding its rows (not SQLite)
+            store = index.store
+            hot = store.elements_range(store.cold_base, len(store))
+            protocol.fill_fragments(row for row in hot if row.is_current)
         self._pins[relation.schema.name] = relation.pin_epoch()
         self._track_deltas(relation)
 

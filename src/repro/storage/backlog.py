@@ -16,11 +16,10 @@ accelerates replay with cached states.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.chronos.timestamp import TimePoint, Timestamp
-from repro.relation.element import Element
+from repro.relation.element import Element, frozen_record, trusted
 from repro.relation.errors import ElementNotFound
 
 
@@ -32,9 +31,23 @@ class OperationKind(enum.Enum):
     DELETE = "delete"
 
 
-@dataclass(frozen=True)
-class Operation:
+class _OperationSlots:
+    """Operation's fields, writable (see ``element.frozen_record``)."""
+
+    __slots__ = ("kind", "tt", "element_surrogate", "element")
+
+    def __init__(self, kind, tt, element_surrogate, element) -> None:
+        self.kind = kind
+        self.tt = tt
+        self.element_surrogate = element_surrogate
+        self.element = element
+
+
+@frozen_record
+class Operation(_OperationSlots):
     """One backlog entry: a single-transaction-stamped operation tuple."""
+
+    __slots__ = ()
 
     kind: OperationKind
     tt: Timestamp
@@ -46,6 +59,13 @@ class Operation:
             raise ValueError("INSERT operations carry the inserted element")
         if self.kind is OperationKind.DELETE and self.element is not None:
             raise ValueError("DELETE operations carry only the surrogate")
+
+
+_build = trusted(Operation)  # INSERTs of stored elements: the payload checks hold
+
+
+def _insert_of(element: Element) -> Operation:
+    return _build(OperationKind.INSERT, element.tt_start, element.element_surrogate, element)
 
 
 class Backlog:
@@ -71,9 +91,7 @@ class Backlog:
             raise ValueError(
                 f"element surrogate {element.element_surrogate} already current"
             )
-        self._operations.append(
-            Operation(OperationKind.INSERT, element.tt_start, element.element_surrogate, element)
-        )
+        self._operations.append(_insert_of(element))
         self._live[element.element_surrogate] = element
 
     def record_insert_many(self, elements: Iterable[Element]) -> None:
@@ -103,27 +121,7 @@ class Backlog:
                 if surrogate in self._live or surrogate in staged:
                     raise ValueError(f"element surrogate {surrogate} already current")
                 staged.add(surrogate)
-        insert = OperationKind.INSERT
-        new = Operation.__new__
-        set_dict = object.__setattr__
-        operations: List[Operation] = []
-        append = operations.append
-        for element in batch:
-            # Trusted construction: the INSERT/DELETE payload checks of
-            # __post_init__ hold by construction here.
-            operation = new(Operation)
-            set_dict(
-                operation,
-                "__dict__",
-                {
-                    "kind": insert,
-                    "tt": element.tt_start,
-                    "element_surrogate": element.element_surrogate,
-                    "element": element,
-                },
-            )
-            append(operation)
-        self._operations.extend(operations)
+        self._operations.extend([_insert_of(element) for element in batch])
         self._live.update(zip(surrogates, batch))
 
     def record_delete(
@@ -152,9 +150,7 @@ class Backlog:
                 f"element surrogate {replacement.element_surrogate} already current"
             )
         self._operations.append(Operation(OperationKind.DELETE, tt, deleted_surrogate))
-        self._operations.append(
-            Operation(OperationKind.INSERT, tt, replacement.element_surrogate, replacement)
-        )
+        self._operations.append(_insert_of(replacement))
         del self._live[deleted_surrogate]
         self._live[replacement.element_surrogate] = replacement
 

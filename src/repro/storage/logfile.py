@@ -40,7 +40,7 @@ from typing import IO, Any, Dict, Iterable, Iterator, List, Optional
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import TimePoint, Timestamp
 from repro.observability import metrics as _metrics
-from repro.relation.element import Element
+from repro.relation.element import Element, build_trusted, frozen_map
 from repro.storage import wal
 from repro.storage.backlog import Backlog, Operation, OperationKind
 from repro.storage.base import StorageEngine
@@ -63,8 +63,8 @@ def _encode_element(element: Element) -> Dict[str, Any]:
         "surrogate": element.element_surrogate,
         "object": element.object_surrogate,
         "tt_start": element.tt_start.microseconds,
-        "invariant": dict(element.time_invariant),
-        "varying": dict(element.time_varying),
+        "invariant": element.time_invariant,  # read-only maps need no copy
+        "varying": element.time_varying,
         "user_times": {k: v.microseconds for k, v in element.user_times.items()},
     }
     if isinstance(element.vt, Interval):
@@ -80,17 +80,10 @@ def _decode_element(record: Dict[str, Any]) -> Element:
         vt: Any = Interval(decode_point(raw_vt[0]), decode_point(raw_vt[1]))
     else:
         vt = Timestamp(raw_vt, "microsecond")
-    return Element(
-        element_surrogate=record["surrogate"],
-        object_surrogate=record["object"],
-        tt_start=Timestamp(record["tt_start"], "microsecond"),
-        vt=vt,
-        time_invariant=record["invariant"],
-        time_varying=record["varying"],
-        user_times={
-            key: Timestamp(value, "microsecond")
-            for key, value in record["user_times"].items()
-        },
+    user = {key: Timestamp(value, "microsecond") for key, value in record["user_times"].items()}
+    return build_trusted(
+        record["surrogate"], record["object"], Timestamp(record["tt_start"], "microsecond"), vt,
+        frozen_map(record["invariant"]), frozen_map(record["varying"]), frozen_map(user),
     )
 
 

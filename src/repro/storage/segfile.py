@@ -44,7 +44,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import FOREVER, NEGATIVE_INFINITY, Timestamp
-from repro.relation.element import Element
+from repro.relation.element import Element, build_trusted, frozen_map
 from repro.storage.columnar import NEG_SENTINEL, POS_SENTINEL
 
 MAGIC = b"%REPRO-SEG1\n"
@@ -389,17 +389,11 @@ def decode_element(payload: bytes) -> Element:
         vt: Any = Interval(_decode_point(raw_ivl[0]), _decode_point(raw_ivl[1]))
     else:
         vt = _decode_ts(record["vt"])
-    return Element(
-        element_surrogate=record["surrogate"],
-        object_surrogate=record["object"],
-        tt_start=_decode_ts(record["tt_start"]),
-        vt=vt,
-        tt_stop=_decode_point(record["tt_stop"]),
-        time_invariant=record["invariant"],
-        time_varying=record["varying"],
-        user_times={
-            key: _decode_ts(value) for key, value in record["user_times"].items()
-        },
+    user = {key: _decode_ts(value) for key, value in record["user_times"].items()}
+    return build_trusted(
+        record["surrogate"], record["object"], _decode_ts(record["tt_start"]), vt,
+        frozen_map(record["invariant"]), frozen_map(record["varying"]), frozen_map(user),
+        _decode_point(record["tt_stop"]),
     )
 
 

@@ -28,7 +28,7 @@ import bisect
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.chronos.interval import Interval
-from repro.relation.element import Element
+from repro.relation.element import Element, arm
 from repro.storage.columnar import (
     NEG_SENTINEL,
     POS_SENTINEL,
@@ -38,7 +38,7 @@ from repro.storage.columnar import (
     positions,
 )
 from repro.storage.segfile import SegmentFileError
-from repro.storage.tiered import TierManager
+from repro.storage.tiered import ColdStampColumns, TierManager
 
 #: Elements per sealed segment unless the constructor says otherwise.
 DEFAULT_SEGMENT_SIZE = 4096
@@ -156,7 +156,7 @@ class SegmentedStore:
 
     The constructor is the whole configuration: ``segment_size=None``
     means :data:`DEFAULT_SEGMENT_SIZE`, and the store is tiered if and
-    only if it gets a ``tier_dir`` or a ``tier_manager``.
+    only if it gets a ``tier_dir`` or a ``tier_manager``.  Every element it holds is armed.
     """
 
     def __init__(
@@ -206,6 +206,7 @@ class SegmentedStore:
                 f"{self._tts[-1]}"
             )
         position = len(self._elements)
+        arm((element,))
         self._tts.append(tt)
         self._elements.append(element)
         self.columns.append(element)
@@ -242,6 +243,7 @@ class SegmentedStore:
             return
         tts = [element.tt_start.microseconds for element in batch]
         self.validate_tts(tts)
+        arm(batch)
         base = len(self._elements)
         self._tts.extend(tts)
         self._elements.extend(batch)
@@ -265,6 +267,7 @@ class SegmentedStore:
         Keeps the owning sealed segment's zone map and the current-state
         view in step with the change.
         """
+        arm((element,))
         cold_base = self.cold_base
         if position < cold_base:
             # Cold row: the close becomes a patch pinned by the tier
@@ -642,11 +645,14 @@ class SegmentedStore:
             units.append((head_lo, stop, head_lo == sealed * size and stop == len(self)))
         matches: List[Element] = []
         examined = 0
+        tiering = self.tiering  # read once: vacuum's detach_tiering may clear it meanwhile
         for lo, hi, whole in units:
             columns, base = self.kernel_view(lo, hi)
-            matches.extend(
-                self.fetch_elements(base, positions(columns, lo - base, hi - base, spec, whole))
-            )
+            found = positions(columns, lo - base, hi - base, spec, whole)
+            if isinstance(columns, ColdStampColumns):  # one tier call for the segment's rows
+                matches.extend(tiering.elements_at(base // size, found))  # type: ignore[union-attr]
+            else:
+                matches.extend(self.fetch_elements(base, found))
             examined += hi - lo
         if stats is not None:
             stats.scanned += len(units)

@@ -46,6 +46,7 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
 
 from repro.observability import metrics as _metrics
+from repro.relation.element import arm
 from repro.storage.columnar import StampColumns, encode_point
 from repro.storage.segfile import (
     COLUMN_NAMES,
@@ -85,14 +86,6 @@ def _element_cell(element: "Element", name: str) -> int:
     if isinstance(vt, Interval):
         return encode_point(vt.start) if name == "vt_start" else encode_point(vt.end)
     return vt.microseconds if name == "vt_start" else vt.microseconds + 1
-
-
-def _armed(element: "Element") -> "Element":
-    """Let a file-decoded *element* keep its wire fragment once served:
-    it is immutable (a close replaces the row with a patch element) and
-    dies in :meth:`TieredSegment.release`, so the fragment does too."""
-    object.__setattr__(element, "_wire", b"")
-    return element
 
 
 class ColdStampColumns(StampColumns):
@@ -229,18 +222,26 @@ class TieredSegment:
             cached = rows[local]
             if cached is not None:
                 return cached
-        element = _armed(self.reader().element(local))
+        element = self.reader().element(local)
+        arm((element,))  # release() drops it, and so its fragment
         if rows is None:
             rows = self._elements = [None] * self.rows
         rows[local] = element
         return element
+
+    def elements_at(self, locals_: Sequence[int]) -> List["Element"]:
+        """:meth:`element_at` of each of *locals_*, touching the LRU once."""
+        rows = self._elements = self._elements or [None] * self.rows
+        self._manager._touch(self)
+        return [rows[local] or self.element_at(local) for local in locals_]
 
     def elements(self) -> List["Element"]:
         """The whole segment materialized (full scans, rehydration)."""
         self._manager._touch(self)
         rows = self._elements
         if rows is None or any(row is None for row in rows):
-            decoded = [_armed(element) for element in self.reader().elements()]
+            decoded = self.reader().elements()
+            arm(decoded)
             for local, element in self.patches.items():
                 decoded[local] = element
             self._elements = list(decoded)
@@ -495,6 +496,10 @@ class TierManager:
     def element_at(self, ordinal: int, local: int) -> "Element":
         with self._lock:
             return self.segments[ordinal].element_at(local)
+
+    def elements_at(self, ordinal: int, locals_: Sequence[int]) -> List["Element"]:
+        with self._lock:
+            return self.segments[ordinal].elements_at(locals_)
 
     def elements(self, ordinal: int) -> List["Element"]:
         with self._lock:

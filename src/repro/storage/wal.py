@@ -88,11 +88,6 @@ def is_wal_bytes(head: bytes) -> bool:
     return head.startswith(MAGIC)
 
 
-def is_wal_file(path: str) -> bool:
-    with open(path, "rb") as handle:
-        return is_wal_bytes(handle.read(len(MAGIC)))
-
-
 @dataclass
 class ScanResult:
     """What a tail scan of raw v1 log bytes found."""

@@ -15,6 +15,7 @@ Three claims are pinned here:
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -25,8 +26,11 @@ from repro.core.constraints import ConstraintViolation
 from repro.relation.errors import KeyViolation, SchemaError
 from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
+from repro.server import protocol
 from repro.storage.logfile import LogFileEngine
+from repro.storage.memory import MemoryEngine
 from repro.storage.sqlite_backend import SQLiteEngine
+from repro.storage.vacuum import vacuum_relation
 
 
 def make_relation(specializations=(), engine=None, **schema_kwargs):
@@ -103,12 +107,80 @@ class TestEquivalence:
         assert relation.append_many([]) == []
         assert snapshot(relation) == before
 
-    def test_attribute_dicts_are_not_shared_between_elements(self):
-        relation = make_relation()
-        elements = relation.append_many(
-            [("a", Timestamp(1)), ("b", Timestamp(2))]
+    def test_stored_attribute_maps_are_read_only_and_shared(self, tmp_path):
+        # Elements may share maps only because no stored map can be edited.
+        engine = MemoryEngine(segment_size=2, tier_dir=str(tmp_path))
+        relation = make_relation(engine=engine, time_invariant=("site",))
+        inserted = relation.insert("a", Timestamp(1), {"site": "x", "reading": 1})
+        bulk = relation.append_many(
+            [("a", Timestamp(2), {"site": "x", "reading": 2}), ("b", Timestamp(3))]
         )
-        assert elements[0].time_varying is not elements[1].time_varying
+        moved = relation.append_many([("a", Timestamp(4), {"site": "y", "reading": 4})])
+        closed = relation.delete(inserted.element_surrogate)
+        engine.transaction_index.store.compact()
+        assert engine.transaction_index.store.cold_base >= 2
+        cold = engine.get(bulk[0].element_surrogate)
+        assert cold is not bulk[0]  # decoded from its .seg file
+        for element in (inserted, *bulk, *moved, closed, cold):
+            for mapping in (element.time_invariant, element.time_varying, element.user_times):
+                with pytest.raises(TypeError):
+                    mapping["reading"] = 99
+                with pytest.raises(TypeError):
+                    mapping.update(reading=99)
+                with pytest.raises(TypeError):
+                    mapping.clear()
+        assert inserted.time_varying == {"reading": 1}
+        # One object's elements share one time-invariant map until it
+        # changes; every empty map is the same object.
+        assert bulk[0].time_invariant is inserted.time_invariant
+        assert moved[0].time_invariant == {"site": "y"}
+        assert moved[0].time_invariant is not inserted.time_invariant
+        assert bulk[1].time_invariant is bulk[1].user_times is inserted.user_times
+        # closed() keeps its original's maps.
+        for name in ("time_invariant", "time_varying", "user_times"):
+            assert getattr(closed, name) is getattr(inserted, name)
+        engine.close()
+
+    def test_an_invariant_is_shared_only_while_its_values_are_identical(self):
+        # 1 == 1.0 == True and 0.0 == -0.0, but each is its own stored
+        # value and encodes its own way; nested values likewise.
+        relation = make_relation(engine=MemoryEngine(), time_invariant=("cap",))
+        caps = [1, 1.0, True, 1, 0.0, -0.0, [1], [True], "x", "x", None, None]
+        stored = []
+        for index, cap in enumerate(caps):
+            row = ("a", Timestamp(index), {"cap": cap})
+            if index % 2:
+                stored.extend(relation.append_many([row]))
+            else:
+                stored.append(relation.insert(*row))
+        for element, cap in zip(stored, caps):
+            value = element.time_invariant["cap"]
+            assert type(value) is type(cap) and repr(value) == repr(cap)
+            wire = json.dumps(cap, separators=(",", ":")).encode()
+            for _ in range(2):  # the first encode, then the memo
+                body = protocol.element_rows_body({}, [element])
+                assert b'"invariant":{"cap":' + wire + b"}" in body
+        shared = [
+            later.time_invariant is earlier.time_invariant
+            for earlier, later in zip(stored, stored[1:])
+        ]
+        # Only equal str / int / None maps are shared: "x" twice, None twice,
+        # and the int 1 again once 1.0 and True have come between.
+        assert shared == [False] * 8 + [True, False, True]
+        assert stored[3].time_invariant is stored[0].time_invariant
+
+    def test_vacuum_forgets_the_invariants_it_may_have_removed(self):
+        relation = make_relation(time_invariant=("site",))
+        first = relation.insert("a", Timestamp(1), {"site": "x"})
+        relation.delete(first.element_surrogate)
+        assert set(relation._invariants) == {"a"}
+        vacuum_relation(relation, relation.clock.now())
+        assert len(relation.engine) == 0  # the object's only element is gone
+        assert relation._invariants == {}
+        again = relation.insert("a", Timestamp(2), {"site": "x"})
+        assert relation.insert("a", Timestamp(3), {"site": "x"}).time_invariant is (
+            again.time_invariant
+        )
 
     def test_undeclared_attribute_raises_the_canonical_error(self):
         relation = make_relation()

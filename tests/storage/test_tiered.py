@@ -25,6 +25,7 @@ from repro.relation.element import Element
 from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
 from repro.storage import segfile
+from repro.storage.columnar import ScanSpec
 from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
 from repro.storage.segfile import (
@@ -469,3 +470,32 @@ class TestTierManagerHousekeeping:
             manager.columns(ordinal).tt_stop
         assert [e.element_surrogate for e in engine.scan()] == list(range(32))
         assert not engine.get(2).is_current
+
+    def test_a_cold_select_reads_each_segment_in_one_tier_call(self, tmp_path, monkeypatch):
+        """A cold unit's survivors come from one ``elements_at`` call: patched,
+        cached and first-touch rows alike, the same objects ``element_at``
+        serves; served from the cache, the call touches the LRU once."""
+        manager = TierManager(str(tmp_path), cache_segments=2)
+        engine = MemoryEngine(segment_size=4, tier_manager=manager)
+        for i in range(32):
+            engine.append(make_element(i))
+        store = engine.transaction_index.store
+        store.compact()
+        engine.close_element(5, ts(999))  # a patch in cold segment 1
+        cached = manager.element_at(1, 2)  # one cached row beside undecoded ones
+        calls = []
+        real = manager.elements_at
+        monkeypatch.setattr(
+            manager, "elements_at", lambda o, locals_: calls.append(o) or real(o, locals_)
+        )
+        spec = ScanSpec.of(Interval(ts(4), ts(8)), as_of=ts(100))
+        found, _examined = store.select(spec)
+        assert [e.element_surrogate for e in found] == [4, 5, 6, 7]
+        assert calls == [1]
+        assert found[2] is cached
+        assert found[1] is manager.segments[1].patches[1]
+        assert [store.element_at(p) for p in range(4, 8)] == found
+        touched = []
+        monkeypatch.setattr(manager, "_touch", touched.append)
+        assert real(1, [0, 1, 2, 3]) == found
+        assert touched == [manager.segments[1]]
