@@ -8,8 +8,8 @@ Measures the bulk-ingestion path:
    without the batch getting any slower);
 2. a constraint-checked batch (declared specializations validated in
    one amortized pass) stays within 2x of an unchecked batch;
-3. per-engine batch effects: one SQLite transaction per batch, one
-   fsync per batch for the log-file engine.
+3. the durable engine's batch effect: one fsync per batch for the
+   log-file engine.
 
 Run directly::
 
@@ -41,7 +41,6 @@ from repro.observability.timing import timed
 from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import InsertRow, TemporalRelation
 from repro.storage.logfile import LogFileEngine
-from repro.storage.sqlite_backend import SQLiteEngine
 
 
 def make_rows(count: int, shuffled: bool = True) -> List[InsertRow]:
@@ -125,20 +124,8 @@ def bench_checked(count: int, unchecked: float) -> float:
 
 
 def bench_engines(count: int) -> None:
-    print(f"persistent engines, {count} elements per batch:")
+    print(f"log-file engine, {count} elements per batch:")
     rows = make_rows(count)
-
-    sqlite_rel = TemporalRelation(event_schema(), engine=SQLiteEngine())
-    timed("sqlite append_many (one transaction)", lambda: sqlite_rel.append_many(rows))
-
-    sqlite_single = TemporalRelation(event_schema(), engine=SQLiteEngine())
-
-    def sqlite_one_at_a_time() -> None:
-        for object_surrogate, vt, attributes in rows:
-            sqlite_single.insert(object_surrogate, vt, attributes)
-
-    timed("sqlite element-at-a-time (commit each)", sqlite_one_at_a_time)
-
     with tempfile.TemporaryDirectory() as tmp:
         engine = LogFileEngine(os.path.join(tmp, "ingest.jsonl"))
         log_rel = TemporalRelation(event_schema(), engine=engine)
@@ -151,7 +138,7 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke mode: 10k elements, skip the persistent-engine sweep",
+        help="CI smoke mode: 10k elements, skip the log-file engine batch",
     )
     parser.add_argument(
         "--count",

@@ -1,9 +1,9 @@
 """E12 -- storage representations (Section 2): tuple store, backlog,
-snapshot cache, SQLite.
+snapshot cache.
 
 Measures (a) rollback by backlog replay vs snapshot-cached replay vs the
-tuple store's tt-index prefix, and (b) insert + rollback throughput on
-the memory vs SQLite engines, on the general (unrestricted) workload.
+tuple store's tt-index prefix, and (b) insert throughput on the memory
+engine, on the general (unrestricted) workload.
 """
 
 import pytest
@@ -13,7 +13,7 @@ from repro.chronos.timestamp import Timestamp
 from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
 from repro.storage.snapshot import SnapshotCache
-from repro.storage.sqlite_backend import SQLiteEngine
+from repro.storage.memory import MemoryEngine
 
 
 @pytest.fixture(scope="module")
@@ -65,12 +65,5 @@ def _drive(engine_factory, updates: int = 1_000):
 
 
 def test_insert_throughput_memory(benchmark):
-    from repro.storage.memory import MemoryEngine
-
     relation = benchmark(_drive, MemoryEngine)
-    assert len(relation) == 1_000
-
-
-def test_insert_throughput_sqlite(benchmark):
-    relation = benchmark(_drive, SQLiteEngine)
     assert len(relation) == 1_000

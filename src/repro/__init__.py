@@ -17,7 +17,7 @@ executable:
 * :mod:`repro.relation` -- temporal relations per Section 2's
   conceptual model (elements, surrogates, historical states);
 * :mod:`repro.storage` -- tuple-store, backlog, snapshot-cached, and
-  SQLite storage engines with tt/vt indexes;
+  write-ahead-log storage with tt/vt indexes;
 * :mod:`repro.query` -- current / historical / rollback queries with a
   specialization-aware planner;
 * :mod:`repro.design` -- the design methodology: infer specializations

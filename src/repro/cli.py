@@ -161,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--reader-threads",
         type=int,
         default=8,
-        help="reader pool width for concurrent-safe engines (default 8)",
+        help="reader pool width for pinned reads (default 8)",
     )
     serve.add_argument(
         "--data-dir",

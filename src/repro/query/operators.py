@@ -21,22 +21,15 @@ receive the scanned/pruned counts ``explain()`` reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.chronos.interval import Interval
-from repro.chronos.timestamp import FOREVER, TimePoint, Timestamp
+from repro.chronos.timestamp import TimePoint, Timestamp
 from repro.relation.element import Element
 from repro.relation.temporal_relation import TemporalRelation
-from repro.storage.columnar import ScanSpec, decode_point, encode_point
-from repro.storage.indexes import TransactionTimeIndex
+from repro.storage.columnar import ScanSpec, encode_point
 
 Result = Tuple[List[Element], int]
-
-
-def _tt_index(relation: TemporalRelation) -> Optional[TransactionTimeIndex]:
-    # Any engine exposing a transaction_index (memory, logfile mirror)
-    # gets the specialized transaction-order strategies.
-    return getattr(relation.engine, "transaction_index", None)
 
 
 @dataclass
@@ -66,19 +59,7 @@ def tiered_active(relation: TemporalRelation) -> bool:
     Advertised by the planner so ``explain`` can say when a query may be
     served partly from compressed segment files rather than memory.
     """
-    index = _tt_index(relation)
-    return index is not None and index.store.cold_base > 0
-
-
-def _engine_read(engine, spec: ScanSpec) -> Iterable[Element]:
-    """*spec* answered by an engine's own read paths (no tt index)."""
-    as_of = None if spec.as_of is None else decode_point(spec.as_of)
-    if spec.vt_lo is None:
-        return engine.as_of(FOREVER if as_of is None else as_of)
-    if spec.vt_hi == spec.vt_lo + 1:
-        return engine.valid_at(Timestamp(spec.vt_lo, "microsecond"), as_of)
-    window = Interval(decode_point(spec.vt_lo), decode_point(spec.vt_hi))
-    return engine.valid_overlapping(window, as_of)
+    return relation.engine.transaction_index.store.cold_base > 0
 
 
 def scan(
@@ -88,23 +69,11 @@ def scan(
 ) -> Result:
     """Execute *spec*: the one range-shaped access path.
 
-    Two storage shapes, once each:
-
-    * **tt-indexed** -- :meth:`SegmentedStore.select
-      <repro.storage.segments.SegmentedStore.select>`: bisect the
-      window, zone-prune, run the column kernel, materialize last;
-    * **no tt index** (SQLite) -- delegate to the engine's ``as_of`` /
-      ``valid_at`` / ``valid_overlapping`` and keep the window.
+    :meth:`SegmentedStore.select
+    <repro.storage.segments.SegmentedStore.select>` bisects the window,
+    zone-prunes, runs the column kernel and materializes last.
     """
-    index = _tt_index(relation)
-    if index is not None:
-        return index.store.select(spec, stats)
-    results = [
-        element
-        for element in _engine_read(relation.engine, spec)
-        if spec.tt_lo <= element.tt_start.microseconds <= spec.tt_hi
-    ]
-    return results, len(results)
+    return relation.engine.transaction_index.store.select(spec, stats)
 
 
 # -- baseline -------------------------------------------------------------------
@@ -141,9 +110,7 @@ def timeslice_monotone_events(
     valid times are sorted along the transaction order, so the matching
     run is found by binary search -- "valid time can be approximated
     with transaction time" (Section 3.2)."""
-    index = _tt_index(relation)
-    if index is None:
-        raise ValueError("monotone timeslice requires the in-memory tt index")
+    index = relation.engine.transaction_index
     size = len(index)
     target = vt.microseconds
 
@@ -179,9 +146,7 @@ def timeslice_sequential_intervals(relation: TemporalRelation, vt: Timestamp) ->
     """Sequential interval relations: intervals are disjoint and ordered,
     so at most one (current) interval contains the point; binary search
     for the last interval starting at or before it."""
-    index = _tt_index(relation)
-    if index is None:
-        raise ValueError("sequential timeslice requires the in-memory tt index")
+    index = relation.engine.transaction_index
     size = len(index)
     if size == 0:
         return [], 0
@@ -219,8 +184,8 @@ def timeslice_sequential_intervals(relation: TemporalRelation, vt: Timestamp) ->
 
 
 def timeslice_engine_index(relation: TemporalRelation, vt: Timestamp) -> Result:
-    """Delegate to the engine's own valid-time index (memory vt index /
-    interval tree, or SQLite's B-tree)."""
+    """Delegate to the engine's own valid-time index (sorted event index
+    or interval tree)."""
     results = list(relation.engine.valid_at(vt))
     return results, len(results)
 

@@ -180,10 +180,6 @@ class Planner:
     #: degenerate point lookup is exempt -- it has no setup cost.
     SMALL_RELATION_THRESHOLD = 8
 
-    @property
-    def _has_memory_index(self) -> bool:
-        return getattr(self.relation.engine, "transaction_index", None) is not None
-
     # -- planning -----------------------------------------------------------------------
 
     def plan(self, query: ast.QueryNode) -> PlannedQuery:
@@ -256,7 +252,7 @@ class Planner:
         if isinstance(query, ast.ValidTimeslice) and self._is_scan(query.child):
             return self._plan_timeslice(query.vt, decisions)
         if isinstance(query, ast.ValidOverlap) and self._is_scan(query.child):
-            if self._has_memory_index and self.relation.schema.is_event:
+            if self.relation.schema.is_event:
                 spec = ScanSpec.of(query.window)
                 narrowed = windowed(self.relation.schema, spec)
                 if narrowed != spec:
@@ -279,7 +275,7 @@ class Planner:
                 )
             return PlannedQuery(
                 strategy="engine-overlap",
-                explanation="engine valid-time index (sorted index / interval tree / SQL)",
+                explanation="engine valid-time index (sorted index / interval tree)",
                 _thunk=lambda: operators.overlap_engine_index(self.relation, query.window),
             )
         if isinstance(query, ast.CurrentState) and self._is_scan(query.child):
@@ -378,115 +374,104 @@ class Planner:
             strategy=strategy,
             explanation=explanation,
             _thunk=lambda: operators.scan(self.relation, spec, plan.segment_stats),
-            segment_stats=operators.SegmentStats() if self._has_memory_index else None,
+            segment_stats=operators.SegmentStats(),
         )
         return plan
 
     def _plan_timeslice(self, vt: Timestamp, decisions: List[str]) -> PlannedQuery:
         is_event = self.relation.schema.is_event
-        if self._has_memory_index:
-            spec = ScanSpec.of(vt)
-            narrowed = windowed(self.relation.schema, spec)
-            degenerate = self.relation.schema.declared_degenerate
-            if degenerate is not None and is_event:
-                if degenerate.granularity is None:
-                    decisions.append("degenerate: declared -- timeslice is a tt point lookup")
-                    return self._scan_plan(
-                        "degenerate-rollback",
-                        "vt = tt declared; timeslice is a tt-index point lookup",
-                        narrowed,
-                    )
-                tick = degenerate.granularity.name.lower()
-                decisions.append(
-                    f"degenerate({tick}): declared -- timeslice scans one tt tick"
-                )
+        spec = ScanSpec.of(vt)
+        narrowed = windowed(self.relation.schema, spec)
+        degenerate = self.relation.schema.declared_degenerate
+        if degenerate is not None and is_event:
+            if degenerate.granularity is None:
+                decisions.append("degenerate: declared -- timeslice is a tt point lookup")
                 return self._scan_plan(
-                    "degenerate-tick-window",
-                    f"vt = tt within one {tick} declared; timeslice scans a "
-                    "single granularity tick of the tt index",
+                    "degenerate-rollback",
+                    "vt = tt declared; timeslice is a tt-index point lookup",
                     narrowed,
                 )
-            decisions.append("degenerate: pruned -- not declared (or not an event relation)")
-            if self._specialized_timeslice_available(is_event, narrowed != spec):
-                count = self.relation_statistics().get(
-                    "elements", len(self.relation.engine)
-                )
-                if count < self.SMALL_RELATION_THRESHOLD:
-                    decisions.append(
-                        f"small-relation: {count} elements < threshold "
-                        f"{self.SMALL_RELATION_THRESHOLD}; specialized-strategy "
-                        "setup skipped, full scan instead"
-                    )
-                    return PlannedQuery(
-                        strategy="small-relation-scan",
-                        explanation=(
-                            "relation is below the small-relation threshold; a full "
-                            "scan beats binary-search/window setup"
-                        ),
-                        _thunk=lambda: operators.timeslice_full_scan(self.relation, vt),
-                    )
-            if is_event and self._has(GloballySequential, GloballyNonDecreasing):
-                decisions.append(
-                    "monotone-binary-search: globally sequential/non-decreasing declared"
-                )
-                return PlannedQuery(
-                    strategy="monotone-binary-search",
-                    explanation=(
-                        "valid times non-decreasing along transaction order; "
-                        "binary search for the matching run"
-                    ),
-                    _thunk=lambda: operators.timeslice_monotone_events(self.relation, vt),
-                )
-            if is_event and self._has(GloballyNonIncreasing):
-                decisions.append("monotone-binary-search: globally non-increasing declared")
-                return PlannedQuery(
-                    strategy="monotone-binary-search-descending",
-                    explanation="valid times non-increasing along transaction order",
-                    _thunk=lambda: operators.timeslice_monotone_events(
-                        self.relation, vt, descending=True
-                    ),
-                )
-            decisions.append(
-                "monotone-binary-search: pruned -- no global event ordering declared"
+            tick = degenerate.granularity.name.lower()
+            decisions.append(f"degenerate({tick}): declared -- timeslice scans one tt tick")
+            return self._scan_plan(
+                "degenerate-tick-window",
+                f"vt = tt within one {tick} declared; timeslice scans a "
+                "single granularity tick of the tt index",
+                narrowed,
             )
-            if not is_event and self._has(IntervalGloballySequential):
-                decisions.append("sequential-interval-search: sequential intervals declared")
+        decisions.append("degenerate: pruned -- not declared (or not an event relation)")
+        if self._specialized_timeslice_available(is_event, narrowed != spec):
+            count = self.relation_statistics().get("elements", len(self.relation.engine))
+            if count < self.SMALL_RELATION_THRESHOLD:
+                decisions.append(
+                    f"small-relation: {count} elements < threshold "
+                    f"{self.SMALL_RELATION_THRESHOLD}; specialized-strategy "
+                    "setup skipped, full scan instead"
+                )
                 return PlannedQuery(
-                    strategy="sequential-interval-search",
-                    explanation="sequential intervals are disjoint and ordered; binary search",
-                    _thunk=lambda: operators.timeslice_sequential_intervals(self.relation, vt),
+                    strategy="small-relation-scan",
+                    explanation=(
+                        "relation is below the small-relation threshold; a full "
+                        "scan beats binary-search/window setup"
+                    ),
+                    _thunk=lambda: operators.timeslice_full_scan(self.relation, vt),
                 )
-            if narrowed != spec:
-                bounded = (narrowed.tt_lo > NEG_SENTINEL) + (narrowed.tt_hi < POS_SENTINEL)
-                sides = ("one" if bounded == 1 else "two") + "-sided"
-                decisions.append(
-                    f"bounded-tt-window: declared offset region prunes to a {sides} window"
-                )
-                return self._scan_plan(
-                    "bounded-tt-window",
-                    f"declared bounds confine matches to a {sides} "
-                    "transaction-time window; zone maps skip segments inside it",
-                    narrowed,
-                )
-            decisions.append("bounded-tt-window: pruned -- no bounded region declared")
-            if not getattr(self.relation.engine, "has_vt_index", False):
-                decisions.append(
-                    "columnar-scan: no valid-time index; zone maps prune, "
-                    "then the timeslice kernel runs on the stamp columns"
-                )
-                return self._scan_plan(
-                    "columnar-scan",
-                    "no valid-time index available; zone-map pruning, then "
-                    "column kernels with late element materialization",
-                    spec,
-                )
-        else:
+        if is_event and self._has(GloballySequential, GloballyNonDecreasing):
             decisions.append(
-                "tt-index rules: pruned -- engine has no transaction-time index"
+                "monotone-binary-search: globally sequential/non-decreasing declared"
+            )
+            return PlannedQuery(
+                strategy="monotone-binary-search",
+                explanation=(
+                    "valid times non-decreasing along transaction order; "
+                    "binary search for the matching run"
+                ),
+                _thunk=lambda: operators.timeslice_monotone_events(self.relation, vt),
+            )
+        if is_event and self._has(GloballyNonIncreasing):
+            decisions.append("monotone-binary-search: globally non-increasing declared")
+            return PlannedQuery(
+                strategy="monotone-binary-search-descending",
+                explanation="valid times non-increasing along transaction order",
+                _thunk=lambda: operators.timeslice_monotone_events(
+                    self.relation, vt, descending=True
+                ),
+            )
+        decisions.append("monotone-binary-search: pruned -- no global event ordering declared")
+        if not is_event and self._has(IntervalGloballySequential):
+            decisions.append("sequential-interval-search: sequential intervals declared")
+            return PlannedQuery(
+                strategy="sequential-interval-search",
+                explanation="sequential intervals are disjoint and ordered; binary search",
+                _thunk=lambda: operators.timeslice_sequential_intervals(self.relation, vt),
+            )
+        if narrowed != spec:
+            bounded = (narrowed.tt_lo > NEG_SENTINEL) + (narrowed.tt_hi < POS_SENTINEL)
+            sides = ("one" if bounded == 1 else "two") + "-sided"
+            decisions.append(
+                f"bounded-tt-window: declared offset region prunes to a {sides} window"
+            )
+            return self._scan_plan(
+                "bounded-tt-window",
+                f"declared bounds confine matches to a {sides} "
+                "transaction-time window; zone maps skip segments inside it",
+                narrowed,
+            )
+        decisions.append("bounded-tt-window: pruned -- no bounded region declared")
+        if not getattr(self.relation.engine, "has_vt_index", False):
+            decisions.append(
+                "columnar-scan: no valid-time index; zone maps prune, "
+                "then the timeslice kernel runs on the stamp columns"
+            )
+            return self._scan_plan(
+                "columnar-scan",
+                "no valid-time index available; zone-map pruning, then "
+                "column kernels with late element materialization",
+                spec,
             )
         return PlannedQuery(
             strategy="engine-index",
-            explanation="engine valid-time index (sorted index / interval tree / SQL)",
+            explanation="engine valid-time index (sorted index / interval tree)",
             _thunk=lambda: operators.timeslice_engine_index(self.relation, vt),
         )
 

@@ -423,13 +423,9 @@ class TemporalRelation:
     def live_count(self) -> int:
         """Number of current elements without materializing them.
 
-        O(1) on engines that track liveness in their segmented store;
-        otherwise one pass over the current state.
+        O(1): the engine's segmented store tracks liveness.
         """
-        index = getattr(self.engine, "transaction_index", None)
-        if index is not None:
-            return index.store.live_count()
-        return sum(1 for _ in self.engine.current())
+        return self.engine.transaction_index.store.live_count()
 
     def as_of(self, tt: TimePoint) -> List[Element]:
         """Rollback: the historical state at transaction time *tt* (the

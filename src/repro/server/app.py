@@ -14,14 +14,9 @@ with ``Retry-After`` instead of buffering without limit.
 
 Reads never wait for the writer.  A read request grabs the relation's
 current pin (an immutable snapshot handle) and evaluates the query as
-a rollback to that pin:
-
-* engines whose pinned scans are thread-safe under a single writer
-  (``supports_concurrent_reads``) run in a reader thread pool,
-  genuinely overlapping WAL fsyncs;
-* other engines (SQLite holds a thread-affine connection) run the same
-  pinned read on the event loop under the write lock -- serialized,
-  but still snapshot-consistent.
+a rollback to that pin in a reader thread pool: every engine's pinned
+scans are thread-safe under a single writer, so reads genuinely
+overlap WAL fsyncs.
 
 TQL execution and EXPLAIN use the planner's full strategy surface
 (current-state views, valid-time indexes, columnar kernels), which is
@@ -62,7 +57,7 @@ from repro.server.http import (
 )
 from repro.server.protocol import ProtocolError
 from repro.storage.epoch import EpochPin
-from repro.storage.logfile import SHARDS_REMOVED, LogFileEngine
+from repro.storage.logfile import SHARDS_REMOVED, SQLITE_REMOVED, LogFileEngine
 from repro.storage.memory import MemoryEngine
 
 
@@ -75,7 +70,7 @@ class ServerConfig:
     port: int = 0
     #: Writer-queue bound: admission control for ingest.
     queue_limit: int = 64
-    #: Reader thread-pool width for concurrent-safe engines.
+    #: Reader thread-pool width.
     reader_threads: int = 8
     #: Enable the process MetricsRegistry on startup.
     metrics: bool = True
@@ -83,8 +78,8 @@ class ServerConfig:
     #: How long shutdown waits for queue drain / in-flight requests.
     drain_timeout: float = 10.0
     #: Directory for engines created via ``POST /relations`` with
-    #: ``"engine": "logfile"`` / ``"sqlite"``; None restricts creation
-    #: to memory engines.
+    #: ``"engine": "logfile"``; None restricts creation to memory
+    #: engines.
     data_dir: Optional[str] = None
     #: Close relation engines on shutdown (the CLI wants this; tests
     #: that own their engines usually do not).
@@ -256,11 +251,9 @@ class TemporalServer:
         Its current hot rows are encoded here, so that its first readers do
         not pay for it (a 480-row range body: ~3 ms to encode, ~0.2 ms to join)."""
         self.database.attach(relation)
-        index = getattr(relation.engine, "transaction_index", None)
-        if index is not None:  # an engine holding its rows (not SQLite)
-            store = index.store
-            hot = store.elements_range(store.cold_base, len(store))
-            protocol.fill_fragments(row for row in hot if row.is_current)
+        store = relation.engine.transaction_index.store
+        hot = store.elements_range(store.cold_base, len(store))
+        protocol.fill_fragments(row for row in hot if row.is_current)
         self._pins[relation.schema.name] = relation.pin_epoch()
         self._track_deltas(relation)
 
@@ -364,19 +357,10 @@ class TemporalServer:
 
     # -- pinned reads -----------------------------------------------------------------
 
-    async def _pinned_read(
-        self,
-        relation: TemporalRelation,
-        pin: EpochPin,
-        fn: Callable[[], List[Element]],
-    ) -> List[Element]:
-        """Run a pin-consistent read: lock-free in the reader pool when
-        the engine supports it, else on the loop under the write lock."""
-        if getattr(relation.engine, "supports_concurrent_reads", False):
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(self._reader_pool, fn)
-        async with self._write_lock:
-            return fn()
+    async def _pinned_read(self, fn: Callable[[], List[Element]]) -> List[Element]:
+        """Run a pin-consistent read, lock-free in the reader pool."""
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(self._reader_pool, fn)
 
     # -- connection handling ----------------------------------------------------------
 
@@ -559,8 +543,12 @@ class TemporalServer:
     async def _handle_create_relation(self, request: Request) -> Response:
         create = protocol.CreateRelationRequest.from_json(request.json())
         body = request.json() or {}
-        engine = self._build_engine(body.get("engine", "memory"), create.schema.name)
         async with self._write_lock:
+            # Check the name before building an engine: a duplicate must
+            # not reopen (and replay) the live relation's files.
+            if create.schema.name in self.database:
+                raise SchemaError(f"relation {create.schema.name!r} already exists")
+            engine = self._build_engine(body.get("engine", "memory"), create.schema.name)
             relation = self.database.create_relation(create.schema, engine=engine)
             self._pins[create.schema.name] = relation.pin_epoch()
             self._track_deltas(relation)
@@ -582,28 +570,24 @@ class TemporalServer:
     def _build_engine(self, kind: Any, name: str):
         import os
 
-        tier_dir = self._relation_tier_dir(name)
         if kind == "memory":
-            return MemoryEngine(tier_dir=tier_dir)
-        if kind in ("logfile", "sqlite"):
-            if self.config.data_dir is None:
-                raise ProtocolError(
-                    f"engine {kind!r} needs the server started with a data directory "
-                    "(repro serve --data-dir ...)"
-                )
-            os.makedirs(self.config.data_dir, exist_ok=True)
-            path = os.path.join(self.config.data_dir, f"{name}.{kind}")
-            if kind == "logfile":
-                if os.path.isdir(os.path.join(self.config.data_dir, f"{name}.shards")):
-                    # Never start an empty log beside history it cannot read.
-                    raise ProtocolError(f"relation {name!r}: {SHARDS_REMOVED}")
-                return LogFileEngine(path, tier_dir=tier_dir)
-            from repro.storage.sqlite_backend import SQLiteEngine
-
-            return SQLiteEngine(path)
-        raise ProtocolError(
-            f"unknown engine {kind!r} (expected 'memory', 'logfile', or 'sqlite')"
-        )
+            return MemoryEngine(tier_dir=self._relation_tier_dir(name))
+        if kind != "logfile":
+            raise ProtocolError(f"unknown engine {kind!r} (expected 'memory' or 'logfile')")
+        data_dir = self.config.data_dir
+        if data_dir is None:
+            raise ProtocolError(
+                "engine 'logfile' needs the server started with a data directory "
+                "(repro serve --data-dir ...)"
+            )
+        # Never start an empty log beside history it cannot read.
+        if os.path.isdir(os.path.join(data_dir, f"{name}.shards")):
+            raise ProtocolError(f"relation {name!r}: {SHARDS_REMOVED}")
+        if os.path.exists(os.path.join(data_dir, f"{name}.sqlite")):
+            raise ProtocolError(f"relation {name!r}: {SQLITE_REMOVED}")
+        os.makedirs(data_dir, exist_ok=True)
+        path = os.path.join(data_dir, f"{name}.logfile")
+        return LogFileEngine(path, tier_dir=self._relation_tier_dir(name))
 
     async def _handle_relation_stats(self, request: Request, name: str) -> Response:
         relation = self.database.relation(name)
@@ -726,9 +710,7 @@ class TemporalServer:
             return cached
         # Pinned current state == rollback to the pin: stored-at-pin
         # elements whose existence interval is still open at the pin.
-        elements = await self._pinned_read(
-            relation, pin, lambda: list(relation.as_of(pin.as_of))
-        )
+        elements = await self._pinned_read(lambda: list(relation.as_of(pin.as_of)))
         return self._cache_put(key, self._rows_response(pin, elements), len(elements))
 
     async def _handle_timeslice(self, request: Request, name: str) -> Response:
@@ -741,9 +723,7 @@ class TemporalServer:
         cached = self._cache_get(key)
         if cached is not None:
             return cached
-        elements = await self._pinned_read(
-            relation, pin, lambda: list(relation.valid_at(vt, as_of_tt=as_of))
-        )
+        elements = await self._pinned_read(lambda: list(relation.valid_at(vt, as_of_tt=as_of)))
         return self._cache_put(key, self._rows_response(pin, elements), len(elements))
 
     async def _handle_overlap(self, request: Request, name: str) -> Response:
@@ -763,7 +743,7 @@ class TemporalServer:
         if cached is not None:
             return cached
         elements = await self._pinned_read(
-            relation, pin, lambda: list(relation.valid_overlapping(window, as_of_tt=as_of))
+            lambda: list(relation.valid_overlapping(window, as_of_tt=as_of))
         )
         return self._cache_put(key, self._rows_response(pin, elements), len(elements))
 
@@ -774,7 +754,7 @@ class TemporalServer:
         cached = self._cache_get(key)
         if cached is not None:
             return cached
-        elements = await self._pinned_read(relation, pin, lambda: list(relation.as_of(tt)))
+        elements = await self._pinned_read(lambda: list(relation.as_of(tt)))
         return self._cache_put(key, self._rows_response(pin, elements), len(elements))
 
     # -- standing views + subscriptions -----------------------------------------------

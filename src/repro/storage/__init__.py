@@ -18,8 +18,6 @@ implements the representations the paper names:
   bounded specializations (benchmark E8);
 * :mod:`repro.storage.interval_tree` -- a centered interval tree for
   valid-time stabbing and overlap queries;
-* :mod:`repro.storage.sqlite_backend` -- a persistent engine over the
-  standard-library ``sqlite3``;
 * :mod:`repro.storage.segments` -- the segmented transaction-time store
   shared by the engines: sealed ~4k-element segments with zone maps for
   pruning and a materialized current-state view;
@@ -36,7 +34,6 @@ from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
 from repro.storage.segments import Segment, SegmentedStore, ZoneMap
 from repro.storage.snapshot import SnapshotCache
-from repro.storage.sqlite_backend import SQLiteEngine
 from repro.storage.wal import RecoveryReport, recover_file
 
 __all__ = [
@@ -55,5 +52,4 @@ __all__ = [
     "SegmentedStore",
     "ZoneMap",
     "SnapshotCache",
-    "SQLiteEngine",
 ]

@@ -44,7 +44,7 @@ if TYPE_CHECKING:
     from repro.relation.element import Element
 
 #: Sentinel microsecond coordinates for unbounded endpoints.  The one
-#: definition: zone maps, the SQLite / log-file codecs
+#: definition: zone maps, the log-file codec
 #: and the wire protocol all import these (both fit in int64).
 POS_SENTINEL = 2**62
 NEG_SENTINEL = -(2**62)

@@ -2,7 +2,7 @@
 
 The backlog representation [JMRS90] is naturally a log; this module
 serializes it one operation record at a time, giving the in-memory
-engines a durability/replication story without SQLite: write the log as
+engines a durability/replication story: write the log as
 updates happen (or export post hoc), ship it, replay it elsewhere.
 
 Two formats are understood everywhere:
@@ -18,7 +18,7 @@ Two formats are understood everywhere:
 
 Timestamps are microsecond integers on the shared exact time-line;
 attribute values must be JSON-serializable (the same contract as the
-SQLite engine).
+wire protocol).
 
 :class:`LogFileEngine` turns the format into a live storage engine: a
 write-ahead log on disk, mirrored by a
@@ -45,6 +45,7 @@ from repro.storage import wal
 from repro.storage.backlog import Backlog, Operation, OperationKind
 from repro.storage.base import StorageEngine
 from repro.storage.columnar import decode_point, encode_point
+from repro.storage.indexes import TransactionTimeIndex
 from repro.storage.memory import MemoryEngine
 from repro.storage.wal import RecoveryReport, recover_file
 
@@ -56,6 +57,12 @@ SHARDS_MANIFEST = "shards.manifest"
 SHARDS_REMOVED = (
     "sharded data directories were removed in PR 22; "
     "open them at the previous release and re-ingest"
+)
+#: Nor is a reader kept for the retired relational engine's one file per
+#: relation; the server refuses it by name.
+SQLITE_REMOVED = (
+    "the SQLite engine was removed; open this relation's .sqlite file "
+    "at the previous release and re-ingest"
 )
 
 def _encode_element(element: Element) -> Dict[str, Any]:
@@ -335,13 +342,12 @@ class LogFileEngine(StorageEngine):
     committed prefix into the mirror, runs of insertions in bulk.
     Legacy v0 JSON-lines logs are detected and kept in their own
     format; new logs are v1.
-    """
 
-    #: Reads are served by the memory mirror, so epoch-pinned reads are
-    #: safe from other threads while the single writer appends (same
-    #: guarantee -- and same pinned-paths-only caveat -- as
-    #: :class:`MemoryEngine`).
-    supports_concurrent_reads = True
+    Reads are served by the memory mirror, so epoch-pinned reads are
+    safe from other threads while the single writer appends (same
+    guarantee -- and same pinned-paths-only caveat -- as
+    :class:`MemoryEngine`).
+    """
 
     def __init__(
         self,
@@ -505,7 +511,7 @@ class LogFileEngine(StorageEngine):
     # -- lookup: delegate to the mirror -------------------------------------------
 
     @property
-    def transaction_index(self):
+    def transaction_index(self) -> TransactionTimeIndex:
         """The mirror's segmented tt index -- the planner's specialized
         strategies (and segment pruning) work on log-backed relations
         exactly as on in-memory ones."""

@@ -23,16 +23,16 @@ from repro.storage.tiered import TierManager
 
 
 class MemoryEngine(StorageEngine):
-    """Append-ordered in-memory storage with secondary indexes."""
+    """Append-ordered in-memory storage with secondary indexes.
 
-    #: Epoch-pinned reads (rollback prefixes and ``as_of`` scan specs
-    #: over the append-only store) are safe from other threads while a
-    #: single writer mutates: list appends and element replacement are
-    #: atomic under the GIL, and the pinned predicate excludes anything
-    #: the writer adds or closes after the pin.  Only the *pinned* read
-    #: paths carry this guarantee -- current-view iteration and the
-    #: valid-time indexes (whose live reads settle a pending tail) do not.
-    supports_concurrent_reads = True
+    Epoch-pinned reads (rollback prefixes and ``as_of`` scan specs over
+    the append-only store) are safe from other threads while a single
+    writer mutates: list appends and element replacement are atomic
+    under the GIL, and the pinned predicate excludes anything the writer
+    adds or closes after the pin.  Only the *pinned* read paths carry
+    this guarantee -- current-view iteration and the valid-time indexes
+    (whose live reads settle a pending tail) do not.
+    """
 
     def __init__(
         self,

@@ -51,11 +51,10 @@ def vacuum_engine(engine: StorageEngine, horizon: Timestamp) -> "tuple[MemoryEng
     Rollback answers for ``tt >= horizon``, current queries, and valid
     timeslices are unchanged (asserted by the test suite).
     """
-    index = getattr(engine, "transaction_index", None)
-    old_store = index.store if index is not None else None
+    old_store = engine.transaction_index.store
     # Epoch key for the carry-over below: anything derived from the old
     # store is only reusable if the store is unchanged when installed.
-    epoch = old_store.mutations if old_store is not None else None
+    epoch = old_store.mutations
     survivors = []
     purged = 0
     #: Position of the first purged element -- everything before it is
@@ -75,7 +74,7 @@ def vacuum_engine(engine: StorageEngine, horizon: Timestamp) -> "tuple[MemoryEng
     # survivors -- vacuum is what compacts deleted rows out of the
     # columns, since logical deletes only clear live bits in place).
     tier_manager = None
-    if old_store is not None and old_store.tiering is not None:
+    if old_store.tiering is not None:
         size = old_store.segment_size
         boundary = len(old_store) if first_purged is None else first_purged
         # Cold segments entirely inside the unchanged prefix keep their
@@ -90,14 +89,13 @@ def vacuum_engine(engine: StorageEngine, horizon: Timestamp) -> "tuple[MemoryEng
         tier_manager.begin_rebuild(range(cold_unchanged))
     compacted = MemoryEngine(
         maintain_vt_index=getattr(engine, "has_vt_index", True),
-        segment_size=old_store.segment_size if old_store is not None else None,
+        segment_size=old_store.segment_size,
         tier_manager=tier_manager,
     )
     compacted.extend(survivors)
     new_store = compacted.transaction_index.store
     if (
-        old_store is not None
-        and tier_manager is None
+        tier_manager is None
         and old_store.mutations == epoch
         and old_store.cold_base == 0
         and new_store.cold_base == 0

@@ -233,8 +233,7 @@ class CurrentStateView(StandingView):
     The segmented store already maintains the current-state map
     incrementally (O(1) per mutation); this registry instance reads it
     rather than duplicating it, so registering ``current`` costs no
-    extra memory and stays correct across engines that maintain their
-    own view (SQLite answers with an indexed predicate scan).
+    extra memory.
     """
 
     kind = "current"

@@ -14,7 +14,6 @@ from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
 from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
-from repro.storage.sqlite_backend import SQLiteEngine
 
 
 @pytest.fixture
@@ -119,21 +118,6 @@ class TestValidTimeIndexSettling:
         assert stats["vt_inserts_out_of_order"] == 0
         assert stats["vt_appends_in_order"] == 10_000
         assert "storage.memory.vt_index_settles" not in registry.snapshot()["counters"]
-
-
-class TestSQLiteEngine:
-    def test_batch_is_one_commit(self, registry):
-        relation, _clock = build(engine=SQLiteEngine())
-        relation.append_many(rows(50))
-        counters = registry.snapshot()["counters"]
-        assert counters["storage.sqlite.commits"] == 1
-        assert counters["storage.sqlite.rows_appended"] == 50
-
-    def test_scan_counts_rows(self, registry):
-        relation, _clock = build(engine=SQLiteEngine())
-        relation.append_many(rows(7))
-        list(relation.engine.scan())
-        assert registry.snapshot()["counters"]["storage.sqlite.rows_scanned"] == 7
 
 
 class TestLogFileEngine:

@@ -7,16 +7,15 @@ from repro.query import operators
 from repro.relation.schema import TemporalSchema, ValidTimeKind
 from repro.relation.temporal_relation import TemporalRelation
 from repro.storage.columnar import ScanSpec
-from repro.storage.sqlite_backend import SQLiteEngine
 
 #: One second in the spec's microsecond coordinates.
 S = Timestamp(1).microseconds
 
 
-def build_events(offsets, engine=None, specializations=()):
+def build_events(offsets, specializations=()):
     schema = TemporalSchema(name="r", specializations=list(specializations))
     clock = SimulatedWallClock(start=0)
-    relation = TemporalRelation(schema, clock=clock, engine=engine, keep_backlog=False)
+    relation = TemporalRelation(schema, clock=clock, keep_backlog=False)
     for i, offset in enumerate(offsets):
         clock.advance_to(Timestamp(10 * i))
         relation.insert("o", Timestamp(10 * i + offset), {})
@@ -55,11 +54,6 @@ class TestScanRollback:
         relation = build_events([0] * 10)
         assert operators.scan(relation, ScanSpec.of(as_of=NEGATIVE_INFINITY)) == ([], 0)
 
-    def test_delegates_without_memory_index(self):
-        relation = build_events([0] * 10, engine=SQLiteEngine())
-        results, examined = operators.scan(relation, ScanSpec.of(as_of=Timestamp(95)))
-        assert len(results) == examined == 10
-
 
 class TestScanPointWindow:
     """The degenerate shape: the tt window is the probe itself."""
@@ -70,14 +64,6 @@ class TestScanPointWindow:
         results, examined = operators.scan(relation, spec)
         assert len(results) == 1
         assert examined == 1
-
-    def test_delegation_keeps_the_window(self):
-        relation = build_events([0] * 5, engine=SQLiteEngine(), specializations=["degenerate"])
-        hit = ScanSpec.of(Timestamp(20)).narrowed(20 * S, 20 * S)
-        results, _examined = operators.scan(relation, hit)
-        assert [e.vt for e in results] == [Timestamp(20)]
-        miss = ScanSpec.of(Timestamp(20)).narrowed(30 * S, 40 * S)
-        assert operators.scan(relation, miss) == ([], 0)
 
 
 class TestScanBoundedWindow:

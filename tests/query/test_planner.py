@@ -24,7 +24,7 @@ from repro.query import (
 )
 from repro.relation.schema import TemporalSchema, ValidTimeKind
 from repro.relation.temporal_relation import TemporalRelation
-from repro.storage.sqlite_backend import SQLiteEngine
+from repro.storage.logfile import LogFileEngine
 
 
 def build_relation(specializations, offsets, kind=ValidTimeKind.EVENT, engine=None):
@@ -125,11 +125,6 @@ class TestStrategySelection:
         nested = ValidTimeslice(CurrentState(Scan(relation)), Timestamp(0))
         plan = Planner(relation).plan(nested)
         assert plan.strategy == "naive"
-
-    def test_sqlite_engine_uses_sql_paths(self):
-        relation = build_relation(["degenerate"], [0] * 10, engine=SQLiteEngine())
-        plan = Planner(relation).plan(ValidTimeslice(Scan(relation), Timestamp(50)))
-        assert plan.strategy == "engine-index"
 
 
 class TestWorkSavings:
@@ -249,10 +244,10 @@ class TestPlanEquivalence(PlanEquivalenceMixin):
         offsets=st.lists(st.integers(-5, 5), min_size=1, max_size=20),
         probe=st.integers(-10, 220),
     )
-    def test_sqlite_equivalence(self, offsets, probe):
-        relation = build_relation(
-            ["strongly bounded(5s, 5s)"], offsets, engine=SQLiteEngine()
-        )
+    def test_logfile_equivalence(self, tmp_path_factory, offsets, probe):
+        engine = LogFileEngine(str(tmp_path_factory.mktemp("plan") / "r.wal"), fsync=False)
+        relation = build_relation(["strongly bounded(5s, 5s)"], offsets, engine=engine)
         self.assert_equivalent(
             relation, ValidTimeslice(Scan(relation), Timestamp(probe))
         )
+        engine.close()

@@ -35,7 +35,6 @@ from repro.relation.temporal_relation import TemporalRelation
 from repro.server.protocol import elements_to_json
 from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
-from repro.storage.sqlite_backend import SQLiteEngine
 from repro.storage.tiered import TierManager
 from repro.storage.vacuum import vacuum_relation
 from tests.strategies import OBJECTS, SMALL_TICKS
@@ -237,13 +236,6 @@ class TestMutationCount:
         finally:
             engine.close()
 
-    def test_sqlite(self, tmp_path):
-        engine = SQLiteEngine(str(tmp_path / "rel.db"))
-        try:
-            self._exercise(make_relation(engine))
-        finally:
-            engine.close()
-
 
 # -- the cache-on/cache-off differential --------------------------------------------
 
@@ -346,9 +338,7 @@ def run_cache_differential(relation, ops):
         elif kind == "vacuum":
             vacuum_relation(relation, Timestamp(op[1]))
         elif kind == "compact":
-            index = getattr(relation.engine, "transaction_index", None)
-            if index is not None:
-                index.store.compact()
+            relation.engine.transaction_index.store.compact()
         elif kind == "extend":
             _out_of_band_extend(relation, op[1])
         elif kind == "query":

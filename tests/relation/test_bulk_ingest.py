@@ -29,7 +29,6 @@ from repro.relation.temporal_relation import TemporalRelation
 from repro.server import protocol
 from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
-from repro.storage.sqlite_backend import SQLiteEngine
 from repro.storage.vacuum import vacuum_relation
 
 
@@ -210,16 +209,6 @@ class TestRejectedBatchAtomicity:
         with pytest.raises(ConstraintViolation):
             relation.append_many(self.POISONED)
         assert snapshot(relation) == before
-
-    def test_sqlite_state_is_byte_identical_after_rejection(self):
-        relation = make_relation(["retroactive"], engine=SQLiteEngine())
-        relation.insert("seed", Timestamp(50), {"reading": 0})
-        before = snapshot(relation)
-        dump_before = list(relation.engine._connection.iterdump())
-        with pytest.raises(ConstraintViolation):
-            relation.append_many(self.POISONED)
-        assert snapshot(relation) == before
-        assert list(relation.engine._connection.iterdump()) == dump_before
 
     def test_logfile_log_is_byte_identical_after_rejection(self, tmp_path):
         engine = LogFileEngine(os.path.join(str(tmp_path), "bulk.jsonl"))

@@ -10,7 +10,7 @@ from repro.core.constraints import ConstraintViolation, EnforcementMode
 from repro.relation.errors import ElementNotFound, SchemaError
 from repro.relation.schema import TemporalSchema, ValidTimeKind
 from repro.relation.temporal_relation import TemporalRelation
-from repro.storage.sqlite_backend import SQLiteEngine
+from repro.storage.logfile import LogFileEngine
 
 
 @pytest.fixture
@@ -197,14 +197,15 @@ class TestEnforcementModes:
         assert len(relation.constraints.recorded) == 1
 
 
-class TestSQLiteBackedRelation:
-    def test_same_behaviour_on_sqlite(self, clock):
+class TestLogFileBackedRelation:
+    def test_same_behaviour_on_logfile(self, clock, tmp_path):
         schema = TemporalSchema(
             name="temps",
             time_varying=("celsius",),
             specializations=["retroactive"],
         )
-        relation = TemporalRelation(schema, clock=clock, engine=SQLiteEngine())
+        engine = LogFileEngine(str(tmp_path / "temps.wal"))
+        relation = TemporalRelation(schema, clock=clock, engine=engine)
         element = relation.insert("s1", Timestamp(95), {"celsius": 20.0})
         clock.advance(Duration(10))
         relation.modify(element.element_surrogate, attributes={"celsius": 30.0})
@@ -212,16 +213,17 @@ class TestSQLiteBackedRelation:
         assert len(relation.current()) == 1
         assert len(relation.as_of(Timestamp(105))) == 1
         assert relation.current()[0].attributes["celsius"] == 30.0
+        engine.close()
 
     def test_reopening_reseeds_surrogates(self, tmp_path):
-        path = str(tmp_path / "rel.db")
+        path = str(tmp_path / "persisted.wal")
         schema = TemporalSchema(name="persisted", time_varying=("v",))
         clock = SimulatedWallClock(start=100)
-        with SQLiteEngine(path) as engine:
+        with LogFileEngine(path) as engine:
             relation = TemporalRelation(schema, clock=clock, engine=engine)
             first = relation.insert("a", Timestamp(95), {"v": 1})
         clock2 = SimulatedWallClock(start=200)
-        with SQLiteEngine(path) as engine:
+        with LogFileEngine(path) as engine:
             relation = TemporalRelation(schema, clock=clock2, engine=engine)
             second = relation.insert("b", Timestamp(195), {"v": 2})
             assert second.element_surrogate > first.element_surrogate

@@ -257,6 +257,77 @@ def test_retired_sharded_directory_is_refused_not_shadowed(tmp_path) -> None:
     assert not (tmp_path / "readings.logfile").exists()
 
 
+def test_retired_sqlite_engine_kind_is_refused(tmp_path) -> None:
+    async def scenario() -> None:
+        config = ServerConfig(port=0, data_dir=str(tmp_path), close_engines=True)
+        async with running_server(config) as server:
+            async with connected_client(server) as client:
+                refused = await client.create_relation({"name": "readings", "engine": "sqlite"})
+                assert refused.status == 400, refused.body
+                assert "(expected 'memory' or 'logfile')" in refused.json()["error"]
+                listing = await client.request("GET", "/relations")
+                assert "readings" not in listing.json()["relations"]
+
+    asyncio.run(scenario())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_retired_sqlite_file_is_refused_not_shadowed(tmp_path) -> None:
+    """``{data_dir}/{name}.sqlite`` is history the deleted SQLite engine
+    wrote: creating relation ``name`` beside it must fail with one
+    message rather than start an empty ``{name}.logfile``."""
+    (tmp_path / "readings.sqlite").write_bytes(b"SQLite format 3\x00")
+
+    async def scenario() -> None:
+        config = ServerConfig(port=0, data_dir=str(tmp_path), close_engines=True)
+        async with running_server(config) as server:
+            async with connected_client(server) as client:
+                refused = await client.create_relation(
+                    {"name": "readings", "engine": "logfile"}
+                )
+                assert refused.status == 400, refused.body
+                assert refused.json()["error"] == (
+                    "relation 'readings': the SQLite engine was removed; open this "
+                    "relation's .sqlite file at the previous release and re-ingest"
+                )
+                listing = await client.request("GET", "/relations")
+                assert "readings" not in listing.json()["relations"]
+
+    asyncio.run(scenario())
+    assert not (tmp_path / "readings.logfile").exists()
+
+
+def test_a_duplicate_create_opens_no_engine(tmp_path, monkeypatch) -> None:
+    """The name is checked before any engine is built: a second create
+    must not reopen (and replay) the live relation's log."""
+    from repro.storage.logfile import LogFileEngine
+
+    opened = []
+    original_init = LogFileEngine.__init__
+
+    def spy(self, path, *args, **kwargs):
+        opened.append(path)
+        original_init(self, path, *args, **kwargs)
+
+    monkeypatch.setattr(LogFileEngine, "__init__", spy)
+
+    async def scenario() -> None:
+        config = ServerConfig(port=0, data_dir=str(tmp_path), close_engines=True)
+        async with running_server(config) as server:
+            async with connected_client(server) as client:
+                spec = {"name": "r", "time_varying": ["v"], "engine": "logfile"}
+                assert (await client.create_relation(spec)).status == 200
+                appended = await client.bulk("r", [["a", 0, {"v": 1}]])
+                assert appended.status == 200, appended.body
+                duplicate = await client.create_relation(spec)
+                assert duplicate.status == 400, duplicate.body
+                assert "already exists" in duplicate.json()["error"]
+                assert (await client.current("r")).json()["count"] == 1
+
+    asyncio.run(scenario())
+    assert opened == [str(tmp_path / "r.logfile")]
+
+
 def test_fire_and_forget_ingest() -> None:
     async def scenario() -> None:
         async with running_server() as server:

@@ -2,7 +2,7 @@
 
 The same operation sequence is replayed two ways -- over HTTP against
 a running server, and directly against a :class:`TemporalRelation` --
-on each of the three storage engines.  Because both sides start from a
+on each of the two storage engines.  Because both sides start from a
 fresh logical clock and surrogate generator and apply identical
 operations in identical order, they must produce identical stamps, and
 therefore *byte-identical* canonical response payloads.
@@ -11,7 +11,7 @@ Three equivalences are asserted:
 
 * server rows == library rows, byte-for-byte, per engine and per read
   (current / timeslice / bitemporal slice / rollback / TQL);
-* the canonical payloads agree *across* the three engines;
+* the canonical payloads agree *across* the two engines;
 * ``explain`` picks the same strategy over HTTP as in-process, per
   engine (the planner sees the same declared specializations and the
   same statistics either way).
@@ -31,11 +31,10 @@ from repro.server import ServerConfig
 from repro.server.protocol import elements_to_json, rows_to_json
 from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
-from repro.storage.sqlite_backend import SQLiteEngine
 from tests.server.harness import connected_client, running_server
 
 MICRO = 1_000_000
-ENGINES = ("memory", "logfile", "sqlite")
+ENGINES = ("memory", "logfile")
 
 SCHEMA_SPEC = {
     "name": "readings",
@@ -69,9 +68,7 @@ def _canonical_bytes(payload: Any) -> bytes:
 def _library_engine(kind: str, tmp_path, tag: str):
     if kind == "memory":
         return MemoryEngine()
-    if kind == "logfile":
-        return LogFileEngine(str(tmp_path / f"lib-{tag}.log"))
-    return SQLiteEngine(str(tmp_path / f"lib-{tag}.sqlite"))
+    return LogFileEngine(str(tmp_path / f"lib-{tag}.log"))
 
 
 def _replay_library(kind: str, tmp_path) -> Dict[str, Any]:
@@ -188,23 +185,13 @@ def test_engines_agree_with_each_other(tmp_path) -> None:
     payloads = {
         kind: asyncio.run(_replay_server(kind, tmp_path)) for kind in ENGINES
     }
-    reference = payloads["memory"]
-    for kind in ("logfile", "sqlite"):
-        for key in READ_KEYS:
-            assert payloads[kind][key] == reference[key], f"{kind}: {key} diverged"
+    for key in READ_KEYS:
+        assert payloads["logfile"][key] == payloads["memory"][key], f"{key} diverged"
 
 
 def test_strategies_agree_across_engines(tmp_path) -> None:
-    """Strategy selection is engine-independent unless an engine brings
-    its own index.
-
-    Current-state statements plan identically on all three engines.
-    The valid-timeslice statement plans identically on the two
-    scan-based engines; SQLite legitimately diverges to its native
-    index (``engine-index``) -- a declared capability, not drift --
-    and the server-vs-library parity for that choice is covered by
-    :func:`test_http_and_library_agree_per_engine`.
-    """
+    """Strategy selection is engine-independent: both engines plan
+    against the same segmented transaction-time index."""
     current_tql = "SELECT reading FROM readings"
     slice_strategies = {}
     current_strategies = {}
@@ -231,12 +218,8 @@ def test_strategies_agree_across_engines(tmp_path) -> None:
         if hasattr(relation.engine, "close"):
             relation.engine.close()
 
-    assert len(set(current_strategies.values())) == 1, current_strategies
+    assert current_strategies["memory"] == current_strategies["logfile"], current_strategies
     assert slice_strategies["memory"] == slice_strategies["logfile"], slice_strategies
-    assert slice_strategies["sqlite"] in (
-        slice_strategies["memory"],
-        "engine-index",
-    ), slice_strategies
 
 
 # -- cold-tier wire fragments vs a memory-engine server -----------------------------

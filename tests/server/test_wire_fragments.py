@@ -5,7 +5,7 @@ to the reference encoder -- ``Response.json({**envelope, "rows":
 elements_to_json(elements)})`` -- whatever mix of memo states the
 elements are in.  The memo rule is "armed = held by a store": a row a
 ``SegmentedStore`` holds (hot or cold) is encoded once and joined after
-that; a row no store holds (constructor-built, read from SQLite, a copy)
+that; a row no store holds (constructor-built, a copy, a pickle)
 costs what the reference costs -- one encoder call per run of them --
 and retains nothing.
 """
@@ -32,7 +32,6 @@ from repro.relation.temporal_relation import TemporalRelation
 from repro.server import ServerConfig, protocol
 from repro.server.http import Response
 from repro.storage.memory import MemoryEngine
-from repro.storage.sqlite_backend import SQLiteEngine
 from tests.server.harness import running_server
 from tests.strategies import JSON_SAFE_VALUES, wire_elements
 
@@ -147,11 +146,12 @@ def test_a_hot_result_from_a_store_is_encoded_once(monkeypatch) -> None:
     assert all(row._wire == row_fragment(row) for row in rows)
 
 
-def test_unarmed_rows_are_one_encoder_call_and_retain_nothing(monkeypatch, tmp_path) -> None:
-    sqlite = _relation(SQLiteEngine(str(tmp_path / "wire.db")))
-    _populate(sqlite, 480)
+def test_unarmed_rows_are_one_encoder_call_and_retain_nothing(monkeypatch) -> None:
+    relation = _relation(MemoryEngine())
+    _populate(relation, 480)
+    copies = [copy.copy(row) for row in relation.as_of(FOREVER)]
     envelope = {"count": 480}
-    for elements in ([_element(i) for i in range(480)], sqlite.as_of(FOREVER)):
+    for elements in ([_element(i) for i in range(480)], copies):
         expected = reference_body(envelope, elements)
         encoder = _CountingEncoder(monkeypatch)
         for _ in range(2):
@@ -161,7 +161,6 @@ def test_unarmed_rows_are_one_encoder_call_and_retain_nothing(monkeypatch, tmp_p
             assert (encoder.calls, encoder.runs, encoder.singles) == (1, [480], 0)
         assert all(element._wire is None for element in elements)
         monkeypatch.undo()  # the next pass counts afresh
-    sqlite.engine.close()
 
 
 def test_armed_rows_are_encoded_once_and_unarmed_runs_once_per_run(monkeypatch) -> None:
@@ -185,7 +184,7 @@ def test_armed_rows_are_encoded_once_and_unarmed_runs_once_per_run(monkeypatch) 
 def test_a_hot_delete_arms_the_closed_row_and_changes_its_body() -> None:
     relation = _relation(MemoryEngine())
     _populate(relation, 24)
-    plain = _relation(SQLiteEngine(":memory:"))
+    plain = _relation(MemoryEngine())  # read by the reference encoder only
     _populate(plain, 24)
     before = relation.pin_epoch().as_of
     served = relation.as_of(before)
@@ -204,7 +203,6 @@ def test_a_hot_delete_arms_the_closed_row_and_changes_its_body() -> None:
         assert Response.json({}, rows=relation.as_of(tt)).body == reference_body(
             {}, plain.as_of(tt)
         )
-    plain.engine.close()
 
 
 def test_concurrent_first_encodes_of_one_hot_result_agree() -> None:
@@ -265,11 +263,9 @@ def test_attaching_a_relation_encodes_its_current_hot_rows_only(tmp_path) -> Non
     closed = relation.delete(relation.as_of(FOREVER)[-1].element_surrogate)
     hot = store.elements_range(store.cold_base, len(store))
     assert closed in hot and all(row._wire == b"" for row in hot)
-    sqlite = _relation(SQLiteEngine(":memory:"), "wire_sqlite")  # holds no rows to encode
-    _populate(sqlite, 4)
 
     async def attach() -> None:
-        async with running_server(ServerConfig(port=0, metrics=False), [relation, sqlite]):
+        async with running_server(ServerConfig(port=0, metrics=False), [relation]):
             pass
 
     asyncio.run(attach())
@@ -277,8 +273,6 @@ def test_attaching_a_relation_encodes_its_current_hot_rows_only(tmp_path) -> Non
     assert closed._wire == b""  # filled by its first (rollback) read
     # Cold rows are not decoded for it: they stay armed, encoded at first read.
     assert all(row._wire == b"" for row in store.elements_range(0, store.cold_base))
-    assert all(row._wire is None for row in sqlite.as_of(FOREVER))
-    sqlite.engine.close()
     engine.close()
 
 

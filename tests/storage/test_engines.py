@@ -1,6 +1,4 @@
-"""Cross-engine tests: memory and SQLite must behave identically."""
-
-import sqlite3
+"""Cross-engine tests: the memory and log-file engines must behave identically."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,10 +9,18 @@ from repro.relation.element import Element
 from repro.relation.errors import ElementNotFound
 from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
-from repro.storage.sqlite_backend import SQLiteEngine
 from repro.storage.tiered import TierManager
 
-ENGINES = [MemoryEngine, SQLiteEngine]
+
+@pytest.fixture(params=["MemoryEngine", "LogFileEngine"])
+def engine(request, tmp_path):
+    """A fresh, empty engine of each kind (the log under *tmp_path*)."""
+    if request.param == "MemoryEngine":
+        fresh = MemoryEngine()
+    else:
+        fresh = LogFileEngine(str(tmp_path / "engine.wal"), fsync=False)
+    yield fresh
+    fresh.close()
 
 
 def event_element(surrogate: int, tt: int, vt: int, who="obj") -> Element:
@@ -35,42 +41,36 @@ def interval_element(surrogate: int, tt: int, start: int, end: int) -> Element:
     )
 
 
-@pytest.mark.parametrize("engine_class", ENGINES)
 class TestEngineContract:
-    def test_append_and_get(self, engine_class):
-        engine = engine_class()
+    def test_append_and_get(self, engine):
         element = event_element(1, 10, 5)
         engine.append(element)
         assert engine.get(1) == element
         assert len(engine) == 1
 
-    def test_duplicate_surrogate_rejected(self, engine_class):
-        engine = engine_class()
+    def test_duplicate_surrogate_rejected(self, engine):
         engine.append(event_element(1, 10, 5))
         with pytest.raises(ValueError):
             engine.append(event_element(1, 20, 5))
 
-    def test_get_missing(self, engine_class):
+    def test_get_missing(self, engine):
         with pytest.raises(ElementNotFound):
-            engine_class().get(42)
+            engine.get(42)
 
-    def test_close_element(self, engine_class):
-        engine = engine_class()
+    def test_close_element(self, engine):
         engine.append(event_element(1, 10, 5))
         closed = engine.close_element(1, Timestamp(20))
         assert closed.tt_stop == Timestamp(20)
         assert engine.get(1).tt_stop == Timestamp(20)
         assert list(engine.current()) == []
 
-    def test_double_close_rejected(self, engine_class):
-        engine = engine_class()
+    def test_double_close_rejected(self, engine):
         engine.append(event_element(1, 10, 5))
         engine.close_element(1, Timestamp(20))
         with pytest.raises(ValueError):
             engine.close_element(1, Timestamp(30))
 
-    def test_as_of(self, engine_class):
-        engine = engine_class()
+    def test_as_of(self, engine):
         engine.append(event_element(1, 10, 5))
         engine.append(event_element(2, 20, 15))
         engine.close_element(1, Timestamp(30))
@@ -80,23 +80,20 @@ class TestEngineContract:
         assert [e.element_surrogate for e in engine.as_of(Timestamp(30))] == [2]
         assert [e.element_surrogate for e in engine.as_of(FOREVER)] == [2]
 
-    def test_valid_at_events(self, engine_class):
-        engine = engine_class()
+    def test_valid_at_events(self, engine):
         engine.append(event_element(1, 10, 5))
         engine.append(event_element(2, 20, 5))
         engine.append(event_element(3, 30, 7))
         assert sorted(e.element_surrogate for e in engine.valid_at(Timestamp(5))) == [1, 2]
 
-    def test_valid_at_intervals(self, engine_class):
-        engine = engine_class()
+    def test_valid_at_intervals(self, engine):
         engine.append(interval_element(1, 10, 0, 10))
         engine.append(interval_element(2, 20, 5, 15))
         assert sorted(e.element_surrogate for e in engine.valid_at(Timestamp(7))) == [1, 2]
         assert [e.element_surrogate for e in engine.valid_at(Timestamp(12))] == [2]
         assert [e.element_surrogate for e in engine.valid_at(Timestamp(15))] == []
 
-    def test_valid_at_sees_only_current(self, engine_class):
-        engine = engine_class()
+    def test_valid_at_sees_only_current(self, engine):
         engine.append(event_element(1, 10, 5))
         engine.close_element(1, Timestamp(20))
         assert list(engine.valid_at(Timestamp(5))) == []
@@ -104,8 +101,7 @@ class TestEngineContract:
             e.element_surrogate for e in engine.valid_at(Timestamp(5), as_of_tt=Timestamp(15))
         ] == [1]
 
-    def test_valid_overlapping(self, engine_class):
-        engine = engine_class()
+    def test_valid_overlapping(self, engine):
         engine.append(interval_element(1, 10, 0, 10))
         engine.append(interval_element(2, 20, 20, 30))
         engine.append(event_element(3, 30, 25))
@@ -118,8 +114,7 @@ class TestEngineContract:
         narrow = Interval(Timestamp(10), Timestamp(20))
         assert list(engine.valid_overlapping(narrow)) == []
 
-    def test_scan_in_transaction_order(self, engine_class):
-        engine = engine_class()
+    def test_scan_in_transaction_order(self, engine):
         for surrogate, tt in ((1, 10), (2, 20), (3, 30)):
             engine.append(event_element(surrogate, tt, 0))
         assert [e.element_surrogate for e in engine.scan()] == [1, 2, 3]
@@ -136,9 +131,10 @@ class TestEngineEquivalence:
             max_size=25,
         )
     )
-    def test_random_streams(self, script):
+    def test_random_streams(self, tmp_path_factory, script):
+        path = str(tmp_path_factory.mktemp("equivalence") / "stream.wal")
         memory = MemoryEngine()
-        sqlite = SQLiteEngine()
+        logfile = LogFileEngine(path, fsync=False)
         tt = 0
         surrogate = 0
         live = []
@@ -147,21 +143,24 @@ class TestEngineEquivalence:
             if is_delete and live:
                 victim = live.pop(0)
                 memory.close_element(victim, Timestamp(tt))
-                sqlite.close_element(victim, Timestamp(tt))
+                logfile.close_element(victim, Timestamp(tt))
             else:
                 surrogate += 1
                 element = event_element(surrogate, tt, tt - vt_offset)
                 memory.append(element)
-                sqlite.append(element)
+                logfile.append(element)
                 live.append(surrogate)
+        logfile.close()
+        reopened = LogFileEngine(path, fsync=False)  # the answers survive a replay
         for probe in range(0, tt + 2):
             stamp = Timestamp(probe)
             assert sorted(e.element_surrogate for e in memory.as_of(stamp)) == sorted(
-                e.element_surrogate for e in sqlite.as_of(stamp)
+                e.element_surrogate for e in reopened.as_of(stamp)
             )
             assert sorted(e.element_surrogate for e in memory.valid_at(stamp)) == sorted(
-                e.element_surrogate for e in sqlite.valid_at(stamp)
+                e.element_surrogate for e in reopened.valid_at(stamp)
             )
+        reopened.close()
 
 
 @st.composite
@@ -265,83 +264,3 @@ class TestLiveIndexReads:
                     )
                 ]
                 assert list(engine.valid_overlapping(window)) == expected, (name, window)
-
-
-class TestSQLitePersistence:
-    def test_file_roundtrip(self, tmp_path):
-        path = str(tmp_path / "engine.db")
-        with SQLiteEngine(path) as engine:
-            engine.append(
-                Element(
-                    element_surrogate=7,
-                    object_surrogate="alice",
-                    tt_start=Timestamp(10),
-                    vt=Timestamp(5),
-                    time_invariant={"ssn": "123"},
-                    time_varying={"salary": 99},
-                    user_times={"signed": Timestamp(3)},
-                )
-            )
-        with SQLiteEngine(path) as engine:
-            element = engine.get(7)
-            assert element.object_surrogate == "alice"
-            assert element.time_invariant == {"ssn": "123"}
-            assert element.time_varying == {"salary": 99}
-            assert element.user_times == {"signed": Timestamp(3)}
-            assert element.vt == Timestamp(5)
-            assert engine.max_surrogate() == 7
-
-    def test_unbounded_interval_roundtrip(self):
-        engine = SQLiteEngine()
-        engine.append(
-            Element(
-                element_surrogate=1,
-                object_surrogate=None,
-                tt_start=Timestamp(10),
-                vt=Interval(Timestamp(5), FOREVER),
-            )
-        )
-        element = engine.get(1)
-        assert element.vt.end is FOREVER
-        assert element.valid_at(Timestamp(10**9))
-
-
-class TestBusyRetry:
-    """Transient SQLITE_BUSY/LOCKED errors are retried with backoff."""
-
-    def test_transient_lock_is_absorbed(self):
-        from repro.observability import metrics
-        from repro.storage import sqlite_backend
-
-        failures = iter([True, True, False])
-
-        def flaky():
-            if next(failures):
-                raise sqlite3.OperationalError("database is locked")
-            return "done"
-
-        with metrics.enabled_scope(fresh=True) as registry:
-            assert sqlite_backend._with_busy_retry(flaky) == "done"
-        assert registry.snapshot()["counters"]["storage.sqlite.busy_retries"] == 2
-
-    def test_persistent_lock_still_surfaces(self):
-        from repro.storage import sqlite_backend
-
-        def held():
-            raise sqlite3.OperationalError("database is locked")
-
-        with pytest.raises(sqlite3.OperationalError, match="locked"):
-            sqlite_backend._with_busy_retry(held)
-
-    def test_non_busy_errors_are_not_retried(self):
-        from repro.storage import sqlite_backend
-
-        calls = []
-
-        def broken():
-            calls.append(1)
-            raise sqlite3.OperationalError("no such table: elements")
-
-        with pytest.raises(sqlite3.OperationalError, match="no such table"):
-            sqlite_backend._with_busy_retry(broken)
-        assert len(calls) == 1

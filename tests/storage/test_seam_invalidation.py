@@ -1,6 +1,6 @@
 """Seam-bug regressions: caches that must notice deletes.
 
-Three historically fragile seams, pinned here:
+Two historically fragile seams, pinned here:
 
 * **Cold-segment delete patches** (satellite 1).  A logical delete
   whose victim lives in a compressed cold segment rewrites that
@@ -16,10 +16,9 @@ Three historically fragile seams, pinned here:
   must drop it, and a compaction rewrite and a vacuum must both still
   produce the reference bytes.
 
-* **Delete-blind epochs** (satellite 2).  A logical delete changes
-  liveness without changing the element count, so anything keyed on an
-  epoch derived from ``len()`` (SQLite before the fix) kept serving the
-  pre-delete answer: ``mutation_count()`` must advance on a delete.
+A third seam, delete-blind epochs (a logical delete changes liveness
+but not ``len()``, so ``mutation_count()`` must advance on it), is
+pinned per engine in ``tests/query/test_query_cache.py::TestMutationCount``.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from repro.relation.temporal_relation import TemporalRelation
 from repro.server import protocol
 from repro.server.http import Response
 from repro.storage.memory import MemoryEngine
-from repro.storage.sqlite_backend import SQLiteEngine
 from repro.storage.tiered import TierManager
 from repro.storage.vacuum import vacuum_relation
 
@@ -279,15 +277,3 @@ class TestWireFragmentSeams:
                     assert bodies == [expected, expected]
             finally:
                 sys.setswitchinterval(interval)
-
-
-class TestDeleteBlindEpochs:
-    def test_sqlite_mutation_count_advances_on_delete(self):
-        with tempfile.TemporaryDirectory() as data_dir:
-            engine = SQLiteEngine(f"{data_dir}/seams.db")
-            relation = make_relation(engine)
-            stored = relation.insert("alpha", Timestamp(1))
-            before = engine.mutation_count()
-            relation.delete(stored.element_surrogate)
-            assert engine.mutation_count() == before + 1
-            assert len(engine) == 1  # history retained: len() alone is blind

@@ -11,8 +11,8 @@ Three groups:
 * relation-level strategies (``insert_rows``, ``json_safe_attributes``)
   producing the ``(object_surrogate, vt, attributes)`` rows that
   :meth:`TemporalRelation.append_many` ingests -- attribute values are
-  JSON-safe so the same workload replays through the SQLite and
-  log-file engines -- and ``wire_elements``, whole stored elements
+  JSON-safe so the same workload replays through the log-file engine
+  and the wire -- and ``wire_elements``, whole stored elements
   covering everything the canonical wire codec has to spell;
 * ``specialization_declarations`` -- declared-specialization lists in
   the textual form :func:`repro.core.taxonomy.registry.parse` accepts,
@@ -46,7 +46,7 @@ SMALL_TICKS = st.integers(min_value=0, max_value=60)
 OBJECTS = st.sampled_from(["alpha", "beta", "gamma", "delta"])
 
 #: Attribute values that survive a JSON round-trip unchanged (the
-#: SQLite and log-file engines serialize attributes as JSON).
+#: log-file engine and the wire serialize attributes as JSON).
 JSON_SAFE_VALUES = st.one_of(
     st.integers(min_value=-(10**9), max_value=10**9),
     st.text(max_size=8),
@@ -462,9 +462,7 @@ def run_standing_view_workload(relation, ops, check_after_every_op=True):
         elif kind == "vacuum":
             vacuum_relation(relation, Timestamp(op[1]))
         elif kind == "compact":
-            index = getattr(relation.engine, "transaction_index", None)
-            if index is not None:
-                index.store.compact()
+            relation.engine.transaction_index.store.compact()
         else:  # pragma: no cover - strategy and runner must stay in sync
             raise AssertionError(f"unknown workload op {op!r}")
         if check_after_every_op:
