@@ -59,7 +59,7 @@ from repro.workloads.base import seeded
 def build_events(count, offset_of, specializations=(), segment_size=None):
     schema = TemporalSchema(name="r", specializations=list(specializations))
     clock = SimulatedWallClock(start=0)
-    engine = MemoryEngine(maintain_vt_index=False, segment_size=segment_size)
+    engine = MemoryEngine(segment_size=segment_size)
     relation = TemporalRelation(schema, clock=clock, keep_backlog=False, engine=engine)
     rows = [("o", Timestamp(10 * i + offset_of(i)), {}) for i in range(count)]
     clock.advance_to(Timestamp(0))
@@ -118,7 +118,7 @@ def bench_overlap(relation, window) -> Dict[str, Any]:
 
 
 def bench_current_rebuild(relation) -> Dict[str, Any]:
-    store = relation.engine.transaction_index.store
+    store = relation.engine.store
 
     def run():
         store.invalidate_view()

@@ -51,14 +51,13 @@ SERVER_READS = 200
 
 
 def build_relation(count: int) -> TemporalRelation:
-    """A general relation (no vt index, no declarations): the uncached
-    timeslice is an honest full scan, which is exactly the work the
-    cache claims to spare."""
+    """A general relation (no declarations): the uncached timeslice
+    is the work the cache claims to spare."""
     schema = TemporalSchema(name="cachebench", time_varying=("reading",))
     relation = TemporalRelation(
         schema,
         clock=LogicalClock(start=1),
-        engine=MemoryEngine(maintain_vt_index=False),
+        engine=MemoryEngine(),
         keep_backlog=False,
     )
     rng = seeded(1992)

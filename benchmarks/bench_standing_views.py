@@ -7,9 +7,9 @@ result -- where the naive alternative recomputes the query from scratch
 on every poll.  At 100k elements of history the maintained path must
 be >= 10x faster than recomputation, and byte-identical to it.
 
-The baseline relation is the general case (no valid-time index, no
-declared specializations): exactly the engine a standing query would
-otherwise rescan.  Three view shapes ride the same stream:
+The baseline relation is the general case (no declared
+specializations): exactly the relation a standing query would otherwise
+re-run against.  Three view shapes ride the same stream:
 
 * ``timeslice`` -- ``valid_at(vt)`` over the current state;
 * ``overlap``   -- ``valid_overlapping([start, end))``;
@@ -57,7 +57,7 @@ def build_relation(count: int) -> TemporalRelation:
     relation = TemporalRelation(
         schema,
         clock=LogicalClock(start=1),
-        engine=MemoryEngine(maintain_vt_index=False),
+        engine=MemoryEngine(),
         keep_backlog=False,
     )
     rng = seeded(1992)

@@ -64,9 +64,7 @@ def build_relation(count: int, tier_dir: Optional[str]) -> Tuple[TemporalRelatio
     still hot (ahead of auto-demotion's hot reserve)."""
     schema = TemporalSchema(name="r", time_varying=("payload",))
     clock = SimulatedWallClock(start=0)
-    engine = MemoryEngine(
-        maintain_vt_index=False, segment_size=SEGMENT, tier_dir=tier_dir
-    )
+    engine = MemoryEngine(segment_size=SEGMENT, tier_dir=tier_dir)
     relation = TemporalRelation(schema, clock=clock, keep_backlog=False, engine=engine)
     rng = seeded(1992)
     span = 10 * count
@@ -103,7 +101,7 @@ def measured_build(count: int, tier_dir: Optional[str]) -> Tuple[TemporalRelatio
     gc.collect()
     tracemalloc.start()
     relation, _clock = build_relation(count, tier_dir)
-    store = relation.engine.transaction_index.store
+    store = relation.engine.store
     if store.tiering is not None:
         store.compact()
         store.tiering.release_all()
@@ -176,7 +174,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     with tempfile.TemporaryDirectory(prefix="repro-bench-tier-") as tier_dir:
         flat_relation, flat_resident = measured_build(count, tier_dir=None)
         tiered_relation, tiered_resident = measured_build(count, tier_dir)
-        store = tiered_relation.engine.transaction_index.store
+        store = tiered_relation.engine.store
         assert store.cold_base > 0, "nothing demoted -- bench is vacuous"
         footprint_ratio = flat_resident / max(tiered_resident, 1)
         disk = store.tiering.statistics()["tier_bytes_written"]

@@ -387,7 +387,7 @@ def _cmd_compact(arguments: argparse.Namespace) -> int:
         print(f"cannot compact {path}: {error}", file=sys.stderr)
         return 2
     try:
-        store = engine.transaction_index.store
+        store = engine.store
         report = store.compact()
         stats = store.statistics()
         print(

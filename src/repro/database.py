@@ -17,7 +17,7 @@ from repro.query import tql
 from repro.relation.errors import SchemaError
 from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
-from repro.storage.base import StorageEngine
+from repro.storage.memory import MemoryEngine
 
 
 class TemporalDatabase:
@@ -30,7 +30,7 @@ class TemporalDatabase:
     # -- catalog ------------------------------------------------------------------
 
     def create_relation(
-        self, schema: TemporalSchema, engine: Optional[StorageEngine] = None
+        self, schema: TemporalSchema, engine: Optional[MemoryEngine] = None
     ) -> TemporalRelation:
         """Create and register a relation under its schema name."""
         if schema.name in self._relations:

@@ -59,7 +59,7 @@ def tiered_active(relation: TemporalRelation) -> bool:
     Advertised by the planner so ``explain`` can say when a query may be
     served partly from compressed segment files rather than memory.
     """
-    return relation.engine.transaction_index.store.cold_base > 0
+    return relation.engine.store.cold_base > 0
 
 
 def scan(
@@ -73,7 +73,7 @@ def scan(
     <repro.storage.segments.SegmentedStore.select>` bisects the window,
     zone-prunes, runs the column kernel and materializes last.
     """
-    return relation.engine.transaction_index.store.select(spec, stats)
+    return relation.engine.store.select(spec, stats)
 
 
 # -- baseline -------------------------------------------------------------------
@@ -110,12 +110,12 @@ def timeslice_monotone_events(
     valid times are sorted along the transaction order, so the matching
     run is found by binary search -- "valid time can be approximated
     with transaction time" (Section 3.2)."""
-    index = relation.engine.transaction_index
-    size = len(index)
+    store = relation.engine.store
+    size = len(store)
     target = vt.microseconds
 
     def key(position: int) -> int:
-        value = index.element_at(position).vt.microseconds  # type: ignore[union-attr]
+        value = store.element_at(position).vt.microseconds  # type: ignore[union-attr]
         return -value if descending else value
 
     goal = -target if descending else target
@@ -130,7 +130,7 @@ def timeslice_monotone_events(
     examined = 0
     position = low
     while position < size:
-        element = index.element_at(position)
+        element = store.element_at(position)
         examined += 1
         if element.vt != vt:
             break
@@ -146,13 +146,13 @@ def timeslice_sequential_intervals(relation: TemporalRelation, vt: Timestamp) ->
     """Sequential interval relations: intervals are disjoint and ordered,
     so at most one (current) interval contains the point; binary search
     for the last interval starting at or before it."""
-    index = relation.engine.transaction_index
-    size = len(index)
+    store = relation.engine.store
+    size = len(store)
     if size == 0:
         return [], 0
 
     def start_of(position: int) -> int:
-        return encode_point(index.element_at(position).vt.start)  # type: ignore[union-attr]
+        return encode_point(store.element_at(position).vt.start)  # type: ignore[union-attr]
 
     low, high = 0, size
     target = vt.microseconds
@@ -169,7 +169,7 @@ def timeslice_sequential_intervals(relation: TemporalRelation, vt: Timestamp) ->
     # scan back over the (rare) ties and deleted predecessors.
     position = low - 1
     while position >= 0:
-        element = index.element_at(position)
+        element = store.element_at(position)
         examined += 1
         if isinstance(element.vt, Interval) and element.vt.contains_point(vt):
             if element.is_current:

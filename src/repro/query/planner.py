@@ -458,17 +458,6 @@ class Planner:
                 narrowed,
             )
         decisions.append("bounded-tt-window: pruned -- no bounded region declared")
-        if not getattr(self.relation.engine, "has_vt_index", False):
-            decisions.append(
-                "columnar-scan: no valid-time index; zone maps prune, "
-                "then the timeslice kernel runs on the stamp columns"
-            )
-            return self._scan_plan(
-                "columnar-scan",
-                "no valid-time index available; zone-map pruning, then "
-                "column kernels with late element materialization",
-                spec,
-            )
         return PlannedQuery(
             strategy="engine-index",
             explanation="engine valid-time index (sorted index / interval tree)",

@@ -58,7 +58,6 @@ from repro.relation.lifeline import Lifeline
 from repro.relation.schema import TemporalSchema
 from repro.relation.surrogate import SurrogateGenerator
 from repro.storage.backlog import Backlog
-from repro.storage.base import StorageEngine
 from repro.storage.columnar import ScanSpec
 from repro.storage.memory import MemoryEngine
 
@@ -79,7 +78,7 @@ class TemporalRelation:
         self,
         schema: TemporalSchema,
         clock: Optional[TransactionClock] = None,
-        engine: Optional[StorageEngine] = None,
+        engine: Optional[MemoryEngine] = None,
         keep_backlog: bool = True,
     ) -> None:
         self.schema = schema
@@ -99,8 +98,8 @@ class TemporalRelation:
             self._adopt_stored()
 
     def _adopt_stored(self) -> None:
-        """Re-seed surrogates, the clock, and constraint monitors from
-        storage.
+        """Re-seed surrogates, the clock, constraint monitors and the
+        backlog from storage.
 
         The clock must move past every persisted transaction time:
         otherwise a reopened relation would re-issue stamps at or below
@@ -119,6 +118,10 @@ class TemporalRelation:
         self._surrogates.reserve_through(high)
         if high_tt >= 0:
             self.clock.reserve_through(Timestamp(high_tt, "microsecond"))
+        if self._backlog is not None:
+            # Without the stored history a delete of an adopted element
+            # would fail in the backlog after the engine had closed it.
+            self._backlog = Backlog.from_elements(self.engine.scan())
 
     # -- update operations ----------------------------------------------------------
 
@@ -425,7 +428,7 @@ class TemporalRelation:
 
         O(1): the engine's segmented store tracks liveness.
         """
-        return self.engine.transaction_index.store.live_count()
+        return self.engine.store.live_count()
 
     def as_of(self, tt: TimePoint) -> List[Element]:
         """Rollback: the historical state at transaction time *tt* (the
@@ -592,7 +595,7 @@ class TemporalRelation:
         swap, a bulk ``extend()`` straight into the engine), which the
         version counter alone cannot see.
         """
-        # Every engine carries a monotone mutation_count() (deletes and
+        # The engine's mutation_count() is monotone (deletes and
         # rebalances advance it even though they preserve len(), so
         # there is deliberately no element-count fallback).
         return (id(self.engine), self.engine.mutation_count())
@@ -609,9 +612,7 @@ class TemporalRelation:
         epoch = self._engine_epoch()
         if self._statistics is None or self._statistics_epoch != epoch:
             stats: Dict[str, int] = {"version": self._version, "elements": len(self.engine)}
-            engine_stats = getattr(self.engine, "index_statistics", None)
-            if callable(engine_stats):
-                stats.update(engine_stats())
+            stats.update(self.engine.index_statistics())
             self._statistics = stats
             self._statistics_epoch = epoch
         return dict(self._statistics)

@@ -14,7 +14,7 @@ with ``Retry-After`` instead of buffering without limit.
 
 Reads never wait for the writer.  A read request grabs the relation's
 current pin (an immutable snapshot handle) and evaluates the query as
-a rollback to that pin in a reader thread pool: every engine's pinned
+a rollback to that pin in a reader thread pool: the engine's pinned
 scans are thread-safe under a single writer, so reads genuinely
 overlap WAL fsyncs.
 
@@ -223,13 +223,9 @@ class TemporalServer:
         # server lets go of the engines.
         for name in self.database.names():
             engine = self.database.relation(name).engine
-            sync = getattr(engine, "sync", None)
-            if callable(sync):
-                sync()
+            engine.sync()
             if self.config.close_engines:
-                close = getattr(engine, "close", None)
-                if callable(close):
-                    close()
+                engine.close()
         self._reader_pool.shutdown(wait=True)
         # Restore the process-global instrumentation state the server
         # found (test isolation: one server must not leave metrics on).
@@ -251,7 +247,7 @@ class TemporalServer:
         Its current hot rows are encoded here, so that its first readers do
         not pay for it (a 480-row range body: ~3 ms to encode, ~0.2 ms to join)."""
         self.database.attach(relation)
-        store = relation.engine.transaction_index.store
+        store = relation.engine.store
         hot = store.elements_range(store.cold_base, len(store))
         protocol.fill_fragments(row for row in hot if row.is_current)
         self._pins[relation.schema.name] = relation.pin_epoch()

@@ -16,9 +16,10 @@ accelerates replay with cached states.
 from __future__ import annotations
 
 import enum
+from dataclasses import replace
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.chronos.timestamp import TimePoint, Timestamp
+from repro.chronos.timestamp import FOREVER, TimePoint, Timestamp
 from repro.relation.element import Element, frozen_record, trusted
 from repro.relation.errors import ElementNotFound
 
@@ -74,6 +75,31 @@ class Backlog:
     def __init__(self) -> None:
         self._operations: List[Operation] = []
         self._live: Dict[int, Element] = {}  # current state, maintained eagerly
+
+    @classmethod
+    def from_elements(cls, elements: Iterable[Element]) -> "Backlog":
+        """The backlog of a stored element set (a relation adopting a
+        reopened log): an INSERT of the open element at each
+        ``tt_start`` and a DELETE at each ``tt_stop``, in stamp order.
+        A modification's halves share a stamp and are recorded as two
+        coincident operations, DELETE first."""
+        events = []
+        for element in elements:
+            events.append((element.tt_start.microseconds, 1, element))
+            if not element.is_current:
+                events.append((element.tt_stop.microseconds, 0, element))
+        events.sort(key=lambda event: event[:2])
+        backlog = cls()
+        last: Optional[int] = None
+        for tt, is_insert, element in events:
+            if is_insert:
+                backlog.record_insert(replace(element, tt_stop=FOREVER), coincident=tt == last)
+            else:
+                backlog.record_delete(
+                    element.element_surrogate, element.tt_stop, coincident=tt == last
+                )
+            last = tt
+        return backlog
 
     # -- appending -------------------------------------------------------------
 

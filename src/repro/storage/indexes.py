@@ -1,84 +1,24 @@
-"""Secondary indexes exploiting append order and specializations.
+"""The valid-time event index, exploiting specializations.
 
-* :class:`TransactionTimeIndex` -- elements arrive in increasing
-  ``tt_start`` order, so rollback candidates form a prefix found by
-  binary search (no B-tree needed; this is the paper's observation that
-  append-only relations make transaction-time access cheap).
-* :class:`ValidTimeEventIndex` -- a sorted projection of event valid
-  times onto store positions.  When the relation is declared
-  *non-decreasing* or *sequential* (Section 3.2), insertions arrive
-  already sorted and the index degenerates to an append -- the "valid
-  time can be approximated with transaction time" payoff; otherwise bulk
-  writers leave an unsorted tail that the first reader settles.
+:class:`ValidTimeEventIndex` is a sorted projection of event valid
+times onto store positions.  When the relation is declared
+*non-decreasing* or *sequential* (Section 3.2), insertions arrive
+already sorted and the index degenerates to an append -- the "valid
+time can be approximated with transaction time" payoff; otherwise bulk
+writers leave an unsorted tail that the first reader settles.
+(Transaction-time access needs no index: elements arrive in increasing
+``tt_start`` order, so the :class:`~repro.storage.segments.SegmentedStore`
+bisects its stamp run.)
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Iterator, Optional, Sequence
+from typing import Sequence
 
-from repro.chronos.timestamp import TimePoint, Timestamp
 from repro.observability import metrics as _metrics
-from repro.relation.element import Element
 from repro.storage.columnar import NEG_SENTINEL
-from repro.storage.segments import SegmentedStore
-from repro.storage.tiered import TierManager
-
-
-class TransactionTimeIndex:
-    """Binary-searchable run of insertion transaction times.
-
-    Backed by a :class:`~repro.storage.segments.SegmentedStore`, so the
-    same structure serves both the classic prefix/window binary searches
-    and the segment-at-a-time consumers (zone-map pruning, the
-    materialized current-state view).
-    """
-
-    def __init__(
-        self,
-        segment_size: Optional[int] = None,
-        tier_dir: Optional[str] = None,
-        tier_manager: Optional["TierManager"] = None,
-    ) -> None:
-        self._store = SegmentedStore(
-            segment_size=segment_size, tier_dir=tier_dir, tier_manager=tier_manager
-        )
-
-    @property
-    def store(self) -> SegmentedStore:
-        """The underlying segmented store (zone maps, current view)."""
-        return self._store
-
-    def append(self, element: Element) -> None:
-        self._store.append(element)
-
-    def extend(self, batch: Sequence[Element]) -> None:
-        """Append a whole batch with one ordering pass, no per-element
-        method dispatch.  Validates before mutating, so a bad batch
-        leaves the index untouched."""
-        self._store.extend(batch)
-
-    def replace(self, position: int, element: Element) -> None:
-        """Swap in a closed version of the element at *position*."""
-        self._store.replace(position, element)
-
-    def prefix_through(self, tt: TimePoint) -> Iterator[Element]:
-        """Elements inserted at or before *tt* (rollback candidates)."""
-        if isinstance(tt, Timestamp):
-            yield from self._store.elements_range(0, self._store.position_right(tt.microseconds))
-        elif tt.is_positive:  # FOREVER
-            yield from self._store
-        # NEGATIVE_INFINITY: empty prefix
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def __iter__(self) -> Iterator[Element]:
-        return iter(self._store)
-
-    def element_at(self, position: int) -> Element:
-        return self._store.element_at(position)
 
 
 class ValidTimeEventIndex:

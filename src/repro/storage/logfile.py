@@ -21,8 +21,8 @@ attribute values must be JSON-serializable (the same contract as the
 wire protocol).
 
 :class:`LogFileEngine` turns the format into a live storage engine: a
-write-ahead log on disk, mirrored by a
-:class:`~repro.storage.memory.MemoryEngine` that serves every read.
+:class:`~repro.storage.memory.MemoryEngine` that writes every mutation
+to a write-ahead log on disk before applying it.
 Single appends flush and fsync per operation (each acknowledged update
 is durable); :meth:`LogFileEngine.extend` writes the whole batch as one
 frame and fsyncs once -- the batched-ingestion durability
@@ -38,14 +38,12 @@ import os
 from typing import IO, Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.chronos.interval import Interval
-from repro.chronos.timestamp import TimePoint, Timestamp
+from repro.chronos.timestamp import Timestamp
 from repro.observability import metrics as _metrics
 from repro.relation.element import Element, build_trusted, frozen_map
 from repro.storage import wal
 from repro.storage.backlog import Backlog, Operation, OperationKind
-from repro.storage.base import StorageEngine
 from repro.storage.columnar import decode_point, encode_point
-from repro.storage.indexes import TransactionTimeIndex
 from repro.storage.memory import MemoryEngine
 from repro.storage.wal import RecoveryReport, recover_file
 
@@ -316,17 +314,17 @@ def _raw_delete_record(operation: Operation) -> Dict[str, Any]:
     }
 
 
-class LogFileEngine(StorageEngine):
-    """A durable storage engine: framed write-ahead log + memory mirror.
+class LogFileEngine(MemoryEngine):
+    """A durable storage engine: a :class:`MemoryEngine` that logs first.
 
     The write protocol is *validate, write, apply*: every mutation is
-    validated against the in-memory mirror first (a rejected mutation
+    validated against the in-memory state first (a rejected mutation
     touches nothing), then written and fsynced to the log, and only
-    then applied to the mirror -- so the mirror never acknowledges
-    state that is not durable, and a failed disk write (ENOSPC, fsync
-    error) leaves the mirror exactly as it was.  Reads are served
-    entirely by the mirror (and therefore enjoy its transaction-time /
-    valid-time indexes).
+    then applied in memory -- so memory never acknowledges state that
+    is not durable, and a failed disk write (ENOSPC, fsync error) leaves
+    it exactly as it was.  Reads are the inherited in-memory ones (with
+    their transaction-time / valid-time indexes and the same
+    pinned-paths-only thread-safety guarantee).
 
     Durability granularity is the point of the class:
 
@@ -339,14 +337,9 @@ class LogFileEngine(StorageEngine):
 
     Re-opening an existing log first runs torn-tail recovery
     (:attr:`last_recovery` reports what it did), then replays the
-    committed prefix into the mirror, runs of insertions in bulk.
-    Legacy v0 JSON-lines logs are detected and kept in their own
-    format; new logs are v1.
-
-    Reads are served by the memory mirror, so epoch-pinned reads are
-    safe from other threads while the single writer appends (same
-    guarantee -- and same pinned-paths-only caveat -- as
-    :class:`MemoryEngine`).
+    committed prefix through the in-memory mutators, runs of insertions
+    in bulk.  Legacy v0 JSON-lines logs are detected and kept in their
+    own format; new logs are v1.
     """
 
     def __init__(
@@ -356,9 +349,9 @@ class LogFileEngine(StorageEngine):
         segment_size: Optional[int] = None,
         tier_dir: Optional[str] = None,
     ) -> None:
+        super().__init__(segment_size=segment_size, tier_dir=tier_dir)
         self._path = path
         self._fsync = fsync
-        self._mirror = MemoryEngine(segment_size=segment_size, tier_dir=tier_dir)
         self._failed = False
         self.last_recovery: Optional[RecoveryReport] = None
         self._format = "v1"
@@ -382,7 +375,8 @@ class LogFileEngine(StorageEngine):
         self._format = report.format
         # Runs of consecutive insertions replay through one bulk extend
         # (every batch here is committed, so a run may span batches);
-        # deletions apply in order between the runs.
+        # deletions apply in order between the runs.  Replay applies in
+        # memory only: the records are already in the log.
         run: List[Element] = []
         for batch in batches:
             for record in batch:
@@ -390,10 +384,10 @@ class LogFileEngine(StorageEngine):
                 if operation.kind is OperationKind.INSERT:
                     run.append(operation.element)  # type: ignore[arg-type]
                 else:
-                    self._mirror.extend(run)
+                    super().extend(run)
                     run = []
-                    self._mirror.close_element(operation.element_surrogate, operation.tt)
-        self._mirror.extend(run)
+                    super().close_element(operation.element_surrogate, operation.tt)
+        super().extend(run)
 
     # -- log writing --------------------------------------------------------------
 
@@ -482,75 +476,29 @@ class LogFileEngine(StorageEngine):
     # -- mutation -----------------------------------------------------------------
 
     def append(self, element: Element) -> None:
-        self._mirror.validate_append(element)  # raises before any I/O
+        self.validate_append(element)  # raises before any I/O
         self._commit(self._encode_batch([self._insert_record(element)]))
-        self._mirror.append(element)  # cannot fail: validated above
+        super().append(element)  # cannot fail: validated above
 
     def extend(self, elements: Iterable[Element]) -> int:
         """Store a batch with one buffered write and one fsync."""
         batch = list(elements)
         if not batch:
             return 0
-        self._mirror.validate_extend(batch)  # all-or-nothing; raises before I/O
+        self.validate_extend(batch)  # all-or-nothing; raises before I/O
         records = [self._insert_record(element) for element in batch]
         self._commit(self._encode_batch(records))
-        self._mirror.extend(batch)
-        return len(batch)
+        return super().extend(batch)
 
     def close_element(self, element_surrogate: int, tt_stop: Timestamp) -> Element:
-        closed = self._mirror.validate_close(element_surrogate, tt_stop)
+        self.validate_close(element_surrogate, tt_stop)
         record = {
             "op": OperationKind.DELETE.value,
             "tt": tt_stop.microseconds,
             "surrogate": element_surrogate,
         }
         self._commit(self._encode_batch([record]))
-        self._mirror.close_element(element_surrogate, tt_stop)
-        return closed
-
-    # -- lookup: delegate to the mirror -------------------------------------------
-
-    @property
-    def transaction_index(self) -> TransactionTimeIndex:
-        """The mirror's segmented tt index -- the planner's specialized
-        strategies (and segment pruning) work on log-backed relations
-        exactly as on in-memory ones."""
-        return self._mirror.transaction_index
-
-    @property
-    def has_vt_index(self) -> bool:
-        return self._mirror.has_vt_index
-
-    def mutation_count(self) -> int:
-        return self._mirror.mutation_count()
-
-    def index_statistics(self):
-        return self._mirror.index_statistics()
-
-    def get(self, element_surrogate: int) -> Element:
-        return self._mirror.get(element_surrogate)
-
-    def scan(self) -> Iterator[Element]:
-        return self._mirror.scan()
-
-    def __len__(self) -> int:
-        return len(self._mirror)
-
-    def current(self) -> Iterator[Element]:
-        return self._mirror.current()
-
-    def as_of(self, tt: TimePoint) -> Iterator[Element]:
-        return self._mirror.as_of(tt)
-
-    def valid_at(
-        self, vt: Timestamp, as_of_tt: Optional[TimePoint] = None
-    ) -> Iterator[Element]:
-        return self._mirror.valid_at(vt, as_of_tt)
-
-    def valid_overlapping(
-        self, window: Interval, as_of_tt: Optional[TimePoint] = None
-    ) -> Iterator[Element]:
-        return self._mirror.valid_overlapping(window, as_of_tt)
+        return super().close_element(element_surrogate, tt_stop)
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -569,7 +517,7 @@ class LogFileEngine(StorageEngine):
             if not self._failed:
                 self._sync()
             self._handle.close()
-        self._mirror.close()
+        super().close()
 
     def __enter__(self) -> "LogFileEngine":
         return self

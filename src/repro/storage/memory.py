@@ -1,9 +1,11 @@
-"""The in-memory tuple-store engine.
+"""The storage engine.
 
-Elements live in an append-ordered :class:`TransactionTimeIndex`; event
+Elements live in an append-ordered :class:`SegmentedStore`; event
 relations additionally maintain a :class:`ValidTimeEventIndex` and
 interval relations an :class:`IntervalTree`, giving the physical
-operators the planner chooses among.
+operators the planner chooses among.  The durable
+:class:`~repro.storage.logfile.LogFileEngine` is this engine with a
+write-ahead log in front of every mutation.
 """
 
 from __future__ import annotations
@@ -15,15 +17,22 @@ from repro.chronos.interval import Interval
 from repro.chronos.timestamp import TimePoint, Timestamp
 from repro.observability import metrics as _metrics
 from repro.relation.element import Element
-from repro.storage.base import StorageEngine
-from repro.storage.columnar import ScanSpec, encode_point
-from repro.storage.indexes import TransactionTimeIndex, ValidTimeEventIndex
+from repro.relation.errors import ElementNotFound
+from repro.storage.columnar import encode_point
+from repro.storage.indexes import ValidTimeEventIndex
 from repro.storage.interval_tree import IntervalTree
+from repro.storage.segments import SegmentedStore
 from repro.storage.tiered import TierManager
 
 
-class MemoryEngine(StorageEngine):
-    """Append-ordered in-memory storage with secondary indexes.
+class MemoryEngine:
+    """Append-only bitemporal storage with secondary indexes.
+
+    Elements are appended in strictly increasing insertion-transaction-
+    time order (the transaction clock guarantees this).  Logical
+    deletion closes an element's existence interval; nothing is ever
+    physically removed (Section 2: the historical states are preserved
+    so that rollback is possible).
 
     Epoch-pinned reads (rollback prefixes and ``as_of`` scan specs over
     the append-only store) are safe from other threads while a single
@@ -36,30 +45,37 @@ class MemoryEngine(StorageEngine):
 
     def __init__(
         self,
-        maintain_vt_index: bool = True,
         segment_size: Optional[int] = None,
         tier_dir: Optional[str] = None,
         tier_manager: Optional["TierManager"] = None,
     ) -> None:
-        self._tt_index = TransactionTimeIndex(
+        #: The segmented transaction-time store every read plans against:
+        #: :func:`repro.query.operators.scan` runs each range-shaped read
+        #: on it.
+        self.store = SegmentedStore(
             segment_size=segment_size, tier_dir=tier_dir, tier_manager=tier_manager
         )
         self._positions: Dict[int, int] = {}
-        self._maintain_vt_index = maintain_vt_index
         self._vt_events: Optional[ValidTimeEventIndex] = None
         self._vt_intervals: Optional[IntervalTree[int]] = None
 
+    def sync(self) -> None:
+        """A durability barrier; memory holds nothing to flush."""
+
     def close(self) -> None:
         """Release tier resources held by the segmented store."""
-        self._tt_index.store.close()
+        self.store.close()
+
+    def _not_found(self, element_surrogate: int) -> ElementNotFound:
+        return ElementNotFound(f"no element with surrogate {element_surrogate}")
 
     # -- validation without mutation ----------------------------------------------
     #
-    # The write-then-apply engines (the log-file WAL) must know that a
-    # mutation will be accepted *before* making it durable, because the
-    # in-memory apply that follows the disk write is not allowed to
-    # fail.  These raise exactly what the mutators would, touch nothing,
-    # and cover every check the mutators perform.
+    # The log-file engine must know that a mutation will be accepted
+    # *before* making it durable, because the in-memory apply that
+    # follows the disk write is not allowed to fail.  These raise
+    # exactly what the mutators would, touch nothing, and cover every
+    # check the mutators perform.
 
     def validate_append(self, element: Element) -> None:
         """Raise iff :meth:`append` would; mutates nothing."""
@@ -67,7 +83,7 @@ class MemoryEngine(StorageEngine):
             raise ValueError(
                 f"element surrogate {element.element_surrogate} already stored"
             )
-        self._tt_index.store.validate_tts([element.tt_start.microseconds])
+        self.store.validate_tts([element.tt_start.microseconds])
 
     def validate_extend(self, batch: Iterable[Element]) -> None:
         """Raise iff :meth:`extend` would reject the batch; mutates nothing."""
@@ -82,31 +98,28 @@ class MemoryEngine(StorageEngine):
                 if surrogate in self._positions or surrogate in seen:
                     raise ValueError(f"element surrogate {surrogate} already stored")
                 seen.add(surrogate)
-        self._tt_index.store.validate_tts(
-            [element.tt_start.microseconds for element in batch]
-        )
+        self.store.validate_tts([element.tt_start.microseconds for element in batch])
 
     def validate_close(self, element_surrogate: int, tt_stop: Timestamp) -> Element:
         """The element :meth:`close_element` would produce; mutates nothing."""
         position = self._positions.get(element_surrogate)
         if position is None:
             raise self._not_found(element_surrogate)
-        return self._tt_index.element_at(position).closed(tt_stop)
+        return self.store.element_at(position).closed(tt_stop)
 
     # -- mutation -----------------------------------------------------------------
 
     def append(self, element: Element) -> None:
+        """Store a new element (its ``tt_start`` exceeds all stored ones)."""
         if element.element_surrogate in self._positions:
             raise ValueError(
                 f"element surrogate {element.element_surrogate} already stored"
             )
         if _metrics.enabled():
             _metrics.registry().counter("storage.memory.appends").inc()
-        position = len(self._tt_index)
+        position = len(self.store)
         self._positions[element.element_surrogate] = position
-        self._tt_index.append(element)
-        if not self._maintain_vt_index:
-            return
+        self.store.append(element)
         if isinstance(element.vt, Interval):
             if self._vt_intervals is None:
                 self._vt_intervals = IntervalTree()
@@ -119,18 +132,19 @@ class MemoryEngine(StorageEngine):
     def extend(self, elements: Iterable[Element]) -> int:
         """Bulk append: one validation pass, then O(batch) index work.
 
-        The transaction-time index is extended with two list extends,
-        event valid times and positions are appended to the valid-time
-        index's unsorted tail (the first live reader settles it, so a
-        relation that is only read through its declared tt window never
-        pays), and interval entries are bulk-loaded into the (lazily
-        rebuilt) interval tree.  A batch that fails validation leaves the
-        engine untouched.
+        The batch must be in strictly increasing ``tt_start`` order past
+        every stored one; returns the number stored.  The store is
+        extended with two list extends, event valid times and positions
+        are appended to the valid-time index's unsorted tail (the first
+        live reader settles it, so a relation that is only read through
+        its declared tt window never pays), and interval entries are
+        bulk-loaded into the (lazily rebuilt) interval tree.  A batch
+        that fails validation leaves the engine untouched.
         """
         batch = list(elements)
         if not batch:
             return 0
-        base = len(self._tt_index)
+        base = len(self.store)
         surrogates = [element.element_surrogate for element in batch]
         fresh = set(surrogates)
         if len(fresh) != len(surrogates) or self._positions.keys() & fresh:
@@ -139,8 +153,8 @@ class MemoryEngine(StorageEngine):
                 if surrogate in self._positions or surrogate in seen:
                     raise ValueError(f"element surrogate {surrogate} already stored")
                 seen.add(surrogate)
-        # The tt index validates ordering itself, before mutating anything.
-        self._tt_index.extend(batch)
+        # The store validates ordering itself, before mutating anything.
+        self.store.extend(batch)
         if _metrics.enabled():
             # Per batch, not per element: amortized accounting keeps the
             # enabled overhead off the bulk-ingest hot path.
@@ -148,8 +162,6 @@ class MemoryEngine(StorageEngine):
             registry.counter("storage.memory.batch_appends").inc()
             registry.counter("storage.memory.rows_appended").inc(len(batch))
         self._positions.update(zip(surrogates, range(base, base + len(batch))))
-        if not self._maintain_vt_index:
-            return len(batch)
         event_keys: List[int] = []
         event_positions: List[int] = []
         interval_items = []
@@ -171,56 +183,55 @@ class MemoryEngine(StorageEngine):
         return len(batch)
 
     def close_element(self, element_surrogate: int, tt_stop: Timestamp) -> Element:
+        """Logically delete an element; returns the closed record."""
         position = self._positions.get(element_surrogate)
         if position is None:
             raise self._not_found(element_surrogate)
-        closed = self._tt_index.element_at(position).closed(tt_stop)
-        self._tt_index.replace(position, closed)
+        closed = self.store.element_at(position).closed(tt_stop)
+        self.store.replace(position, closed)
         return closed
 
     # -- lookup -------------------------------------------------------------------
 
     def get(self, element_surrogate: int) -> Element:
+        """The (latest) record of the element, or raise :class:`ElementNotFound`."""
         position = self._positions.get(element_surrogate)
         if position is None:
             raise self._not_found(element_surrogate)
-        return self._tt_index.element_at(position)
+        return self.store.element_at(position)
 
     def scan(self) -> Iterator[Element]:
+        """All stored elements, in insertion order (the full bitemporal set)."""
         if _metrics.enabled():
             # One increment per scan call (with the whole length), not
             # per yielded element: scans are always full passes here.
-            _metrics.registry().counter("storage.memory.rows_scanned").inc(
-                len(self._tt_index)
-            )
-        return iter(self._tt_index)
+            _metrics.registry().counter("storage.memory.rows_scanned").inc(len(self.store))
+        return iter(self.store)
 
     def __len__(self) -> int:
-        return len(self._tt_index)
+        """Number of stored elements (including logically deleted ones)."""
+        return len(self.store)
 
     def current(self) -> Iterator[Element]:
         """O(live) via the store's materialized current-state view."""
         if _metrics.enabled():
             _metrics.registry().counter("storage.memory.current_view_reads").inc()
-        return self._tt_index.store.iter_current()
+        return self.store.iter_current()
 
     # -- temporal access, exploiting indexes -----------------------------------------
 
     def as_of(self, tt: TimePoint) -> Iterator[Element]:
-        """Rollback via binary search on the append-ordered tt index."""
-        return (
-            element
-            for element in self._tt_index.prefix_through(tt)
-            if element.stored_during(tt)
-        )
-
-    def _kernel_read(self, spec: ScanSpec) -> List[Element]:
-        """A read the valid-time indexes cannot serve (a rollback state,
-        or indexing off): the column kernel over the whole tt range --
-        :meth:`TemporalRelation.valid_at` narrows by declaration first."""
-        if _metrics.enabled():
-            _metrics.registry().counter("storage.memory.vt_index_misses").inc()
-        return self._tt_index.store.select(spec)[0]
+        """Rollback: binary search for the prefix inserted at or before
+        *tt*, then keep what was stored at *tt*."""
+        store = self.store
+        prefix: Iterable[Element]
+        if isinstance(tt, Timestamp):
+            prefix = store.elements_range(0, store.position_right(tt.microseconds))
+        elif tt.is_positive:  # FOREVER
+            prefix = store
+        else:  # NEGATIVE_INFINITY: empty prefix
+            return iter(())
+        return (element for element in prefix if element.stored_during(tt))
 
     def _fetch_live(self, candidates: List[int]) -> Iterator[Element]:
         """The still-current elements among the valid-time indexes'
@@ -232,7 +243,7 @@ class MemoryEngine(StorageEngine):
         if _metrics.enabled():
             _metrics.registry().counter("storage.memory.vt_index_hits").inc()
         candidates.sort()
-        store = self._tt_index.store
+        store = self.store
         columns = store.columns
         base, live = columns.base, columns.live
         cold = bisect_left(candidates, base)
@@ -240,11 +251,10 @@ class MemoryEngine(StorageEngine):
         found += store.fetch_elements(0, [p for p in candidates[cold:] if live[p - base]])
         return iter(found)
 
-    def valid_at(
-        self, vt: Timestamp, as_of_tt: Optional[TimePoint] = None
-    ) -> Iterator[Element]:
-        if as_of_tt is not None or not self._maintain_vt_index:
-            return iter(self._kernel_read(ScanSpec.of(vt, as_of_tt)))
+    def valid_at(self, vt: Timestamp) -> Iterator[Element]:
+        """Valid timeslice of the current state: facts true in reality
+        at *vt*.  A rollback-state slice is a scan spec
+        (:meth:`TemporalRelation.valid_at` with ``as_of_tt``)."""
         candidates: List[int] = []
         if self._vt_intervals is not None:
             candidates.extend(self._vt_intervals.stab(vt))
@@ -252,11 +262,8 @@ class MemoryEngine(StorageEngine):
             candidates.extend(self._vt_events.at(vt.microseconds))
         return self._fetch_live(candidates)
 
-    def valid_overlapping(
-        self, window: Interval, as_of_tt: Optional[TimePoint] = None
-    ) -> Iterator[Element]:
-        if as_of_tt is not None or not self._maintain_vt_index:
-            return iter(self._kernel_read(ScanSpec.of(window, as_of_tt)))
+    def valid_overlapping(self, window: Interval) -> Iterator[Element]:
+        """Current elements whose valid time intersects *window*."""
         candidates: List[int] = []
         if self._vt_intervals is not None:
             candidates.extend(self._vt_intervals.overlapping(window))
@@ -269,15 +276,17 @@ class MemoryEngine(StorageEngine):
 
     # -- introspection ------------------------------------------------------------------
 
-    @property
-    def transaction_index(self) -> TransactionTimeIndex:
-        return self._tt_index
-
     def mutation_count(self) -> int:
-        """The segmented store's mutation counter: appends, extends,
-        and delete patches (including cold-segment ones) all advance
-        it."""
-        return self._tt_index.store.mutations
+        """Monotone counter advancing on *every* state change.
+
+        Appends, batch extends and logical deletes (including cold-
+        segment patches) all advance it.  ``(id(engine),
+        mutation_count())`` is the storage half of every epoch key --
+        statistics snapshots, plan/result caches -- so an under-count
+        serves stale answers.  ``len()`` is deliberately not an
+        acceptable substitute: it is delete-blind.
+        """
+        return self.store.mutations
 
     @property
     def event_index(self) -> Optional[ValidTimeEventIndex]:
@@ -287,16 +296,10 @@ class MemoryEngine(StorageEngine):
     def interval_index(self) -> Optional[IntervalTree]:
         return self._vt_intervals
 
-    @property
-    def has_vt_index(self) -> bool:
-        """Whether valid-time indexing is on (capability, not whether an
-        index has materialized yet -- an empty engine still counts)."""
-        return self._maintain_vt_index
-
     def index_statistics(self) -> Dict[str, int]:
         """Counters benchmarks read (e.g. in-order append ratio)."""
         stats = {"elements": len(self)}
-        stats.update(self._tt_index.store.statistics())
+        stats.update(self.store.statistics())
         if self._vt_events is not None:
             stats["vt_appends_in_order"] = self._vt_events.appended_in_order
             stats["vt_inserts_out_of_order"] = self._vt_events.inserted_out_of_order

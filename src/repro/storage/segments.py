@@ -1,6 +1,6 @@
 """Segmented transaction-time storage with zone-map pruning.
 
-The append-ordered run every engine keeps is here organised into
+The append-ordered run the engine keeps (``engine.store``) is organised into
 *segments*: elements accumulate in a mutable **head** segment which
 seals into immutable segments of :data:`DEFAULT_SEGMENT_SIZE` elements.
 Each sealed segment carries a :class:`ZoneMap` -- its transaction-time
@@ -220,9 +220,9 @@ class SegmentedStore:
     def validate_tts(self, tts: Sequence[int]) -> None:
         """Check that *tts* can extend the store, mutating nothing.
 
-        Raises the same ``ValueError`` the mutators would; engines that
-        must not fail after a durable write (the log-file engine's
-        validate/write/apply protocol) call this first.
+        Raises the same ``ValueError`` the mutators would; the log-file
+        engine, which must not fail after a durable write (its
+        validate/write/apply protocol), calls this first.
         """
         last = self._tts[-1] if self._tts else None
         for tt in tts:

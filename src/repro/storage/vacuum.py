@@ -22,7 +22,7 @@ from typing import Optional
 
 from repro.chronos.timestamp import Timestamp
 from repro.relation.temporal_relation import TemporalRelation
-from repro.storage.base import StorageEngine
+from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
 
 
@@ -43,15 +43,25 @@ class VacuumReport:
         return self.purged / self.total if self.total else 0.0
 
 
-def vacuum_engine(engine: StorageEngine, horizon: Timestamp) -> "tuple[MemoryEngine, VacuumReport]":
+def vacuum_engine(engine: MemoryEngine, horizon: Timestamp) -> "tuple[MemoryEngine, VacuumReport]":
     """A new engine holding only elements visible at or after *horizon*.
 
     An element survives iff its existence interval extends to the
     horizon (``tt_stop > horizon``) -- current elements always survive.
     Rollback answers for ``tt >= horizon``, current queries, and valid
     timeslices are unchanged (asserted by the test suite).
+
+    A log-backed engine is refused with ``ValueError``: its log *is* the
+    durable history, and a rebuilt in-memory engine would acknowledge
+    later writes without logging them.  Vacuuming durable history needs
+    log rotation.
     """
-    old_store = engine.transaction_index.store
+    if isinstance(engine, LogFileEngine):
+        raise ValueError(
+            f"cannot vacuum the log-backed engine at {engine.path}: "
+            "vacuuming durable history needs log rotation"
+        )
+    old_store = engine.store
     # Epoch key for the carry-over below: anything derived from the old
     # store is only reusable if the store is unchanged when installed.
     epoch = old_store.mutations
@@ -87,13 +97,9 @@ def vacuum_engine(engine: StorageEngine, horizon: Timestamp) -> "tuple[MemoryEng
         # keep full read access without touching the reused files.
         tier_manager = old_store.detach_tiering()
         tier_manager.begin_rebuild(range(cold_unchanged))
-    compacted = MemoryEngine(
-        maintain_vt_index=getattr(engine, "has_vt_index", True),
-        segment_size=old_store.segment_size,
-        tier_manager=tier_manager,
-    )
+    compacted = MemoryEngine(segment_size=old_store.segment_size, tier_manager=tier_manager)
     compacted.extend(survivors)
-    new_store = compacted.transaction_index.store
+    new_store = compacted.store
     if (
         tier_manager is None
         and old_store.mutations == epoch
@@ -125,7 +131,8 @@ def vacuum_engine(engine: StorageEngine, horizon: Timestamp) -> "tuple[MemoryEng
 
 
 def vacuum_relation(relation: TemporalRelation, horizon: Timestamp) -> VacuumReport:
-    """Vacuum a relation in place (replaces its engine).
+    """Vacuum a relation in place (replaces its engine; a log-backed
+    one is refused, see :func:`vacuum_engine`).
 
     The relation's backlog, if kept, still holds full history; callers
     wanting the space back should also compact it

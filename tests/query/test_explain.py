@@ -186,12 +186,12 @@ class TestJoinStrategies:
         assert_report_shape(report, "interval-merge-join")
 
 
-def build_segmented(specializations, offsets, segment_size=8, name="r", vt_index=True):
+def build_segmented(specializations, offsets, segment_size=8, name="r"):
     """Events at tt = 10*i with a small segment size (sealed segments
     appear at realistic test sizes)."""
     schema = TemporalSchema(name=name, specializations=list(specializations))
     clock = SimulatedWallClock(start=0)
-    engine = MemoryEngine(maintain_vt_index=vt_index, segment_size=segment_size)
+    engine = MemoryEngine(segment_size=segment_size)
     relation = TemporalRelation(schema, clock=clock, keep_backlog=False, engine=engine)
     for i, offset in enumerate(offsets):
         clock.advance_to(Timestamp(10 * i))
@@ -244,10 +244,16 @@ class TestSegmentPruning:
         assert report.segments_scanned is not None
         assert "segments  :" in report.render()
 
-    def test_columnar_scan_without_vt_index(self):
-        relation, _clock = build_segmented([], [0] * 64, vt_index=False)
-        report = relation.explain(ValidTimeslice(Scan(relation), Timestamp(0)))
-        assert_report_shape(report, "columnar-scan")
+    def test_pinned_timeslice_reports_columnar_counts(self):
+        relation, _clock = build_segmented([], [0] * 64)
+        # The live timeslice is the valid-time index's (no segment
+        # lines); its pinned spelling runs the kernel on the columns.
+        live = relation.explain(ValidTimeslice(Scan(relation), Timestamp(0)))
+        assert_report_shape(live, "engine-index")
+        assert "segments  :" not in live.render()
+        pin = relation.pin_epoch().as_of
+        report = relation.explain(BitemporalSlice(Scan(relation), vt=Timestamp(0), tt=pin))
+        assert_report_shape(report, "bitemporal-prefix")
         assert report.segments_scanned == 1
         assert report.segments_pruned == 7
         assert report.returned == 1

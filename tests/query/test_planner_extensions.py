@@ -1,5 +1,4 @@
-"""Tests for planner extensions: granularity-degenerate windows and
-index-free engine behaviour."""
+"""Tests for planner extensions: granularity-degenerate windows."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +8,6 @@ from repro.core.taxonomy.event_isolated import Degenerate
 from repro.query import NaiveExecutor, Planner, Scan, ValidTimeslice
 from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
-from repro.storage.memory import MemoryEngine
 
 
 def build_granular_degenerate(count=200):
@@ -53,47 +51,3 @@ class TestGranularDegenerate:
             e.element_surrogate for e in slow
         )
 
-
-class TestIndexFreeEngine:
-    def build(self):
-        schema = TemporalSchema(name="nf", time_varying=("v",))
-        clock = SimulatedWallClock(start=0)
-        relation = TemporalRelation(
-            schema,
-            clock=clock,
-            engine=MemoryEngine(maintain_vt_index=False),
-            keep_backlog=False,
-        )
-        for i in range(50):
-            clock.advance_to(Timestamp(10 * i))
-            relation.insert("o", Timestamp(10 * i - (i % 7)), {"v": i})
-        return relation
-
-    def test_valid_at_falls_back_to_scan(self):
-        relation = self.build()
-        probe = relation.all_elements()[20].vt
-        matches = list(relation.engine.valid_at(probe))
-        assert len(matches) >= 1
-        assert all(e.valid_at(probe) for e in matches)
-
-    def test_valid_overlapping_falls_back(self):
-        from repro.chronos.interval import Interval
-
-        relation = self.build()
-        window = Interval(Timestamp(100), Timestamp(150))
-        fallback = sorted(
-            e.element_surrogate for e in relation.engine.valid_overlapping(window)
-        )
-        indexed_relation_engine = MemoryEngine()
-        for element in relation.engine.scan():
-            indexed_relation_engine.append(element)
-        indexed = sorted(
-            e.element_surrogate for e in indexed_relation_engine.valid_overlapping(window)
-        )
-        assert fallback == indexed
-
-    def test_index_statistics_reflect_configuration(self):
-        relation = self.build()
-        stats = relation.engine.index_statistics()
-        assert stats["elements"] == 50
-        assert "vt_appends_in_order" not in stats

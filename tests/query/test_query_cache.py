@@ -338,7 +338,7 @@ def run_cache_differential(relation, ops):
         elif kind == "vacuum":
             vacuum_relation(relation, Timestamp(op[1]))
         elif kind == "compact":
-            relation.engine.transaction_index.store.compact()
+            relation.engine.store.compact()
         elif kind == "extend":
             _out_of_band_extend(relation, op[1])
         elif kind == "query":
@@ -360,13 +360,6 @@ class TestCacheDifferential:
     @given(ops=cache_workload())
     def test_flat_memory(self, ops):
         run_cache_differential(make_relation(MemoryEngine()), ops)
-
-    @settings(max_examples=15, deadline=None)
-    @given(ops=cache_workload())
-    def test_memory_without_vt_index(self, ops):
-        run_cache_differential(
-            make_relation(MemoryEngine(maintain_vt_index=False)), ops
-        )
 
     @settings(max_examples=15, deadline=None)
     @given(ops=cache_workload())

@@ -116,8 +116,8 @@ class TestEquivalence:
         )
         moved = relation.append_many([("a", Timestamp(4), {"site": "y", "reading": 4})])
         closed = relation.delete(inserted.element_surrogate)
-        engine.transaction_index.store.compact()
-        assert engine.transaction_index.store.cold_base >= 2
+        engine.store.compact()
+        assert engine.store.cold_base >= 2
         cold = engine.get(bulk[0].element_surrogate)
         assert cold is not bulk[0]  # decoded from its .seg file
         for element in (inserted, *bulk, *moved, closed, cold):

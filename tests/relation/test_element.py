@@ -117,7 +117,7 @@ class TestLayout:
         inserted = relation.insert("a", Timestamp(1), {"site": "x", "reading": 1})
         bulk = relation.append_many([("b", Timestamp(2), {"reading": 2}), ("c", Timestamp(3))])
         closed = relation.delete(bulk[1].element_surrogate)
-        engine.transaction_index.store.compact()
+        engine.store.compact()
         decoded = engine.get(inserted.element_surrogate)
         engine.close()
         reopened = LogFileEngine(wal)

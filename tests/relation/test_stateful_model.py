@@ -2,37 +2,87 @@
 
 A hypothesis state machine drives a :class:`TemporalRelation` through
 random insert / logical-delete / modify sequences while maintaining a
-plain-Python reference model of every historical state.  Invariants
+plain-Python reference model of every historical state.  The relation
+is drawn per example: a storage topology from
+:func:`tests.strategies.topologies`, either in memory or log-backed.
+The log-backed arm has a ``reopen`` rule: close the log, replay it
+under a fresh relation on the same clock, and continue.  Invariants
 checked after every step:
 
 * the current state matches the model;
 * rollback at every past transaction time matches the model's recorded
   state sequence (stepwise-constant semantics, Section 2);
 * element surrogates are never reused;
-* the backlog view reconstructs exactly the same states.
+* the backlog view reconstructs exactly the same states (a reopened
+  relation rebuilds its backlog from the replayed elements).
 """
+
+import os
+import shutil
+import tempfile
 
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.chronos.clock import SimulatedWallClock
 from repro.chronos.duration import Duration
 from repro.chronos.timestamp import Timestamp
 from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
+from repro.storage.logfile import LogFileEngine
+from tests.strategies import topologies
 
 
 class TemporalRelationMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.clock = SimulatedWallClock(start=0)
-        schema = TemporalSchema(name="model", time_varying=("v",), enforce_key=False)
-        self.relation = TemporalRelation(schema, clock=self.clock)
+        self.schema = TemporalSchema(name="model", time_varying=("v",), enforce_key=False)
+        self.topology = None
+        self.relation = None
+        #: The log-backed arm's directory (None: the in-memory arm).
+        self.directory = None
         #: tt microseconds -> frozenset of live surrogates after that txn
         self.state_history = {}
         self.live = set()
         self.all_surrogates = set()
+
+    @initialize(topology=topologies(), logged=st.booleans())
+    def open_relation(self, topology, logged):
+        self.topology = topology
+        if logged:
+            self.directory = tempfile.mkdtemp(prefix="stateful-model-")
+        self.relation = self._open()
+
+    def _open(self):
+        if self.directory is None:
+            return self.topology.relation(self.schema, clock=self.clock)
+        tier_dir = os.path.join(self.directory, "tier") if self.topology.tiered else None
+        engine = LogFileEngine(
+            os.path.join(self.directory, "model.wal"),
+            fsync=False,
+            segment_size=self.topology.segment_size,
+            tier_dir=tier_dir,
+        )
+        relation = TemporalRelation(self.schema, clock=self.clock, engine=engine)
+        if self.topology.current_view:
+            relation.views.register_current()
+        return relation
+
+    def teardown(self):
+        try:
+            if self.relation is not None:
+                self.topology.close(self.relation)
+        finally:
+            if self.directory is not None:
+                shutil.rmtree(self.directory, ignore_errors=True)
 
     def _record(self, tt):
         self.state_history[tt.microseconds] = frozenset(self.live)
@@ -69,6 +119,13 @@ class TemporalRelationMachine(RuleBasedStateMachine):
         self.live.discard(old)
         self.live.add(replacement.element_surrogate)
         self._record(replacement.tt_start)
+
+    @precondition(lambda self: self.directory is not None)
+    @rule()
+    def reopen(self):
+        self.topology.close(self.relation)
+        self.relation = None  # teardown must not close it twice if the reopen raises
+        self.relation = self._open()
 
     @invariant()
     def current_state_matches_model(self):

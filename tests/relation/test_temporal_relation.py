@@ -228,3 +228,28 @@ class TestLogFileBackedRelation:
             second = relation.insert("b", Timestamp(195), {"v": 2})
             assert second.element_surrogate > first.element_surrogate
             assert len(relation) == 2
+
+    def test_reopened_relation_deletes_and_modifies_adopted_elements(self, tmp_path):
+        path = str(tmp_path / "persisted.wal")
+        schema = TemporalSchema(name="persisted", time_varying=("v",))
+        clock = SimulatedWallClock(start=100)
+        with LogFileEngine(path) as engine:
+            relation = TemporalRelation(schema, clock=clock, engine=engine)
+            first = relation.insert("a", Timestamp(95), {"v": 1})
+            clock.advance(Duration(5))
+            second = relation.insert("b", Timestamp(96), {"v": 2})
+        clock.advance(Duration(5))
+        with LogFileEngine(path) as engine:
+            relation = TemporalRelation(schema, clock=clock, engine=engine)
+            version = relation.version
+            relation.delete(first.element_surrogate)
+            clock.advance(Duration(5))
+            third = relation.modify(second.element_surrogate, attributes={"v": 3})
+            assert relation.version == version + 2
+            assert [e.element_surrogate for e in relation.current()] == [third.element_surrogate]
+            # The rebuilt backlog holds the adopted history too.
+            assert set(relation.backlog().state_at(Timestamp(105))) == {
+                first.element_surrogate,
+                second.element_surrogate,
+            }
+            assert set(relation.backlog().current_state()) == {third.element_surrogate}

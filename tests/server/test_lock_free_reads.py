@@ -137,7 +137,7 @@ def test_pinned_slices_match_the_oracle_beside_a_live_writer(tmp_path, specializ
         sys.setswitchinterval(interval)
         relation.engine.close()
 
-    store = relation.engine.transaction_index.store
+    store = relation.engine.store
     assert store.cold_base > 0, "the writer never demoted a segment"
     assert len(observations) >= READERS * 8
     for kind, parameter, epoch, rows in observations:

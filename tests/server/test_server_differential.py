@@ -253,7 +253,7 @@ def _history_relation(topology: str, tmp_path) -> TemporalRelation:
         ]
     )
     if topology != "memory":
-        cold = engine.transaction_index.store.compact()["cold"]
+        cold = engine.store.compact()["cold"]
         assert cold >= 6, cold
     return relation
 

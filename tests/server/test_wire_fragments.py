@@ -257,7 +257,7 @@ def test_attaching_a_relation_encodes_its_current_hot_rows_only(tmp_path) -> Non
     engine = MemoryEngine(segment_size=8, tier_dir=str(tmp_path))
     relation = _relation(engine)
     _populate(relation, 68)
-    store = engine.transaction_index.store
+    store = engine.store
     store.compact()
     assert 0 < store.cold_base < len(store)
     closed = relation.delete(relation.as_of(FOREVER)[-1].element_surrogate)

@@ -40,10 +40,10 @@ from repro.storage.tiered import TierManager
 from tests.storage.test_segments import replay, segment_workloads, signature
 
 
-def build_events(offsets, specializations=(), segment_size=8, vt_index=False):
+def build_events(offsets, specializations=(), segment_size=8):
     schema = TemporalSchema(name="r", specializations=list(specializations))
     clock = SimulatedWallClock(start=0)
-    engine = MemoryEngine(maintain_vt_index=vt_index, segment_size=segment_size)
+    engine = MemoryEngine(segment_size=segment_size)
     relation = TemporalRelation(schema, clock=clock, keep_backlog=False, engine=engine)
     for i, offset in enumerate(offsets):
         clock.advance_to(Timestamp(10 * i))
@@ -54,7 +54,7 @@ def build_events(offsets, specializations=(), segment_size=8, vt_index=False):
 def build_intervals(spans, segment_size=8):
     schema = TemporalSchema(name="r", valid_time_kind=ValidTimeKind.INTERVAL)
     clock = SimulatedWallClock(start=0)
-    engine = MemoryEngine(maintain_vt_index=False, segment_size=segment_size)
+    engine = MemoryEngine(segment_size=segment_size)
     relation = TemporalRelation(schema, clock=clock, keep_backlog=False, engine=engine)
     for i, (start, end) in enumerate(spans):
         clock.advance_to(Timestamp(10 * i))
@@ -77,7 +77,7 @@ def stored_at(columns, lo, hi, tt):
 class TestStampColumnEncoding:
     def test_event_rows_use_unit_intervals(self):
         relation, _clock = build_events([3, 7])
-        columns = relation.engine.transaction_index.store.columns
+        columns = relation.engine.store.columns
         assert list(columns.tt_start) == [0, 10 * S]
         # Open existence intervals carry the positive sentinel.
         assert list(columns.tt_stop) == [POS_SENTINEL, POS_SENTINEL]
@@ -90,7 +90,7 @@ class TestStampColumnEncoding:
 
     def test_interval_rows_keep_half_open_bounds(self):
         relation, _clock = build_intervals([(5, 20), (30, 40)])
-        columns = relation.engine.transaction_index.store.columns
+        columns = relation.engine.store.columns
         assert list(columns.vt_start) == [5 * S, 30 * S]
         assert list(columns.vt_stop) == [20 * S, 40 * S]
         # Half-open: the end point itself is excluded.
@@ -103,10 +103,10 @@ class TestStampColumnEncoding:
     def test_unbounded_interval_endpoints_become_sentinels(self):
         schema = TemporalSchema(name="r", valid_time_kind=ValidTimeKind.INTERVAL)
         clock = SimulatedWallClock(start=0)
-        engine = MemoryEngine(maintain_vt_index=False, segment_size=8)
+        engine = MemoryEngine(segment_size=8)
         relation = TemporalRelation(schema, clock=clock, keep_backlog=False, engine=engine)
         relation.insert("o", Interval(Timestamp(5), FOREVER), {})
-        columns = engine.transaction_index.store.columns
+        columns = engine.store.columns
         assert list(columns.vt_start) == [5 * S]
         assert list(columns.vt_stop) == [POS_SENTINEL]
         assert NEG_SENTINEL < 0 < POS_SENTINEL
@@ -118,7 +118,7 @@ class TestStampColumnEncoding:
         clock.advance_to(Timestamp(1000))
         victim = relation.all_elements()[1]
         relation.delete(victim.element_surrogate)
-        columns = relation.engine.transaction_index.store.columns
+        columns = relation.engine.store.columns
         assert bytes(columns.live) == b"\x01\x00\x01"
         assert columns.tt_stop[1] == 1000 * S
         assert positions(columns, 0, 3, ScanSpec()) == [0, 2]
@@ -132,7 +132,7 @@ class TestStampColumnEncoding:
         relation, clock = build_events([5, 0, 5, 3, 5, 0])
         clock.advance_to(Timestamp(1000))
         relation.delete(relation.all_elements()[2].element_surrogate)
-        columns = relation.engine.transaction_index.store.columns
+        columns = relation.engine.store.columns
         spec = ScanSpec(vt_lo=0, vt_hi=60 * S)
         # A clipped range takes the plain pass and caches nothing...
         assert positions(columns, 1, 5, spec) == [1, 3, 4]
@@ -147,7 +147,7 @@ class TestStampColumnEncoding:
         longer one drops it -- a write -> read loop holds one entry per
         sealed segment plus one for the head, however long it runs."""
         relation, clock = build_events([], segment_size=8)  # flat: demotion re-bases the keys
-        store = relation.engine.transaction_index.store
+        store = relation.engine.store
         for i in range(60):
             clock.advance_to(Timestamp(10 * i))
             relation.insert("o", Timestamp((7 * i) % 50), {})
@@ -163,7 +163,7 @@ class TestStampColumnEncoding:
         relation, clock = build_events([5, 0, 5, 3, 5, 0])  # tt 0, 10, .. 50
         clock.advance_to(Timestamp(1000))
         relation.delete(relation.all_elements()[2].element_surrogate)
-        columns = relation.engine.transaction_index.store.columns
+        columns = relation.engine.store.columns
         everything = Interval(Timestamp(0), Timestamp(60))
         cases = {
             # Row 2 was closed at 1000: after as_of, so still stored then...
@@ -188,7 +188,7 @@ class TestStampColumnEncoding:
         columns = StampColumns()
         assert columns.memory_bytes() == 0
         relation, _clock = build_events([0] * 10)
-        sidecar = relation.engine.transaction_index.store.columns
+        sidecar = relation.engine.store.columns
         assert sidecar.memory_bytes() == 10 * (4 * 8 + 1)
 
 
@@ -236,7 +236,7 @@ class TestScanSpec:
             for element in victims:
                 relation.delete(element.element_surrogate)
         stored = relation.all_elements()
-        zone = memory.transaction_index.store.zone_of(0)
+        zone = memory.store.zone_of(0)
         assert zone.live == survivors
 
         def satisfies(element, vt, as_of, tt_lo, tt_hi):
@@ -285,7 +285,6 @@ class TestLateMaterialization:
         degenerate, _ = build_events([0] * 64, specializations=["degenerate"])
         clock.advance_to(Timestamp(1000))
         cases = [
-            (relation, ValidTimeslice(Scan(relation), Timestamp(0)), "columnar-scan"),
             (relation, Rollback(Scan(relation), Timestamp(300)), "rollback-prefix"),
             (
                 relation,
@@ -317,10 +316,12 @@ class TestLateMaterialization:
 
     def test_examined_counts_only_surviving_segments(self):
         relation, _clock = build_events([0] * 64)
-        report = relation.explain(ValidTimeslice(Scan(relation), Timestamp(0)))
-        assert report.examined == 8
-        assert report.segments_scanned == 1
-        assert report.segments_pruned == 7
+        stats = operators.SegmentStats()
+        matches, examined = operators.scan(relation, ScanSpec.of(Timestamp(0)), stats)
+        assert len(matches) == 1
+        assert examined == stats.positions_examined == 8
+        assert stats.scanned == 1
+        assert stats.pruned == 7
 
     def test_stats_accumulate_across_calls(self):
         relation, _clock = build_events([0] * 32)
@@ -332,7 +333,7 @@ class TestLateMaterialization:
 
     def test_each_execute_starts_fresh_stats(self):
         relation, _clock = build_events([0] * 32)
-        plan = Planner(relation).plan(ValidTimeslice(Scan(relation), Timestamp(0)))
+        plan = Planner(relation).plan(Rollback(Scan(relation), Timestamp(100)))
         plan.execute()
         first = plan.segment_stats
         counted = first.positions_examined
@@ -351,7 +352,7 @@ class TestCurrentStateFeed:
         clock.advance_to(Timestamp(2000))
         for element in relation.all_elements()[::3]:
             relation.delete(element.element_surrogate)
-        store = relation.engine.transaction_index.store
+        store = relation.engine.store
         store.invalidate_view()
         from_columns = signature(relation.engine.current())
         from_objects = signature(e for e in relation.engine.scan() if e.is_current)
@@ -450,7 +451,7 @@ def test_kernel_matches_naive_executor(workload):
     predicates (snapshot reducibility's oracle) -- and the relation's
     pinned and un-pinned ``valid_at`` / ``valid_overlapping`` versus a
     plain-list filter -- on a never-sealing flat store, tiny and default
-    segment sizes, a log-file engine's mirror, and the compressed cold
+    segment sizes, the log-file engine, and the compressed cold
     tier with a one-segment decode cache -- after the same randomized interleaving of appends, batches, logical
     deletes, and vacuums."""
     ops, probes = workload

@@ -19,6 +19,8 @@ from hypothesis import given, settings, strategies as st
 from repro.chronos.timestamp import Timestamp
 from repro.observability import metrics
 from repro.relation.element import Element
+from repro.relation.schema import TemporalSchema
+from repro.relation.temporal_relation import TemporalRelation
 from repro.storage import wal
 from repro.storage.backlog import OperationKind
 from repro.storage.logfile import LogFileEngine, read_log_batches
@@ -445,10 +447,13 @@ def assert_same_state(engine, reference):
     stored = list(reference.scan())
     assert list(engine.scan()) == stored
     assert list(engine.current()) == list(reference.current())
+    pinned, expected = (
+        TemporalRelation(TemporalSchema(name="r"), engine=e) for e in (engine, reference)
+    )
     for vt in {element.vt for element in stored}:
         assert list(engine.valid_at(vt)) == list(reference.valid_at(vt))
-        assert list(engine.valid_at(vt, stored[-1].tt_start)) == list(
-            reference.valid_at(vt, stored[-1].tt_start)
+        assert pinned.valid_at(vt, stored[-1].tt_start) == expected.valid_at(
+            vt, stored[-1].tt_start
         )
 
 

@@ -7,6 +7,8 @@ from repro.chronos.interval import Interval
 from repro.chronos.timestamp import FOREVER, NEGATIVE_INFINITY, Timestamp
 from repro.relation.element import Element
 from repro.relation.errors import ElementNotFound
+from repro.relation.schema import TemporalSchema
+from repro.relation.temporal_relation import TemporalRelation
 from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
 from repro.storage.tiered import TierManager
@@ -97,9 +99,9 @@ class TestEngineContract:
         engine.append(event_element(1, 10, 5))
         engine.close_element(1, Timestamp(20))
         assert list(engine.valid_at(Timestamp(5))) == []
-        assert [
-            e.element_surrogate for e in engine.valid_at(Timestamp(5), as_of_tt=Timestamp(15))
-        ] == [1]
+        # A slice of a rollback state is the relation's pinned scan.
+        relation = TemporalRelation(TemporalSchema(name="r"), engine=engine)
+        assert [e.element_surrogate for e in relation.valid_at(Timestamp(5), Timestamp(15))] == [1]
 
     def test_valid_overlapping(self, engine):
         engine.append(interval_element(1, 10, 0, 10))

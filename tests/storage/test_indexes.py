@@ -8,9 +8,10 @@ from hypothesis import given, strategies as st
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import FOREVER, NEGATIVE_INFINITY, Timestamp
 from repro.relation.element import Element
-from repro.storage.indexes import TransactionTimeIndex, ValidTimeEventIndex
+from repro.storage.indexes import ValidTimeEventIndex
 from repro.storage.interval_tree import IntervalTree
 from repro.storage.memory import MemoryEngine
+from repro.storage.segments import SegmentedStore
 
 
 def event_element(surrogate: int, tt: int, vt: int) -> Element:
@@ -32,27 +33,30 @@ def interval_element(surrogate: int, tt: int, vt_start: int, vt_end: int) -> Ele
 
 
 class TestTransactionTimeIndex:
+    """The transaction-time index is the store's append order: elements
+    arrive in increasing ``tt_start`` order, so rollback candidates form
+    a prefix the store bisects (no B-tree needed)."""
+
     def test_prefix_binary_search(self):
-        index = TransactionTimeIndex()
+        engine = MemoryEngine()
         for surrogate, tt in ((1, 10), (2, 20), (3, 30)):
-            index.append(event_element(surrogate, tt, 0))
-        assert [e.element_surrogate for e in index.prefix_through(Timestamp(20))] == [1, 2]
-        assert [e.element_surrogate for e in index.prefix_through(Timestamp(9))] == []
-        assert len(list(index.prefix_through(FOREVER))) == 3
-        assert list(index.prefix_through(NEGATIVE_INFINITY)) == []
+            engine.append(event_element(surrogate, tt, 0))
+        assert [e.element_surrogate for e in engine.as_of(Timestamp(20))] == [1, 2]
+        assert [e.element_surrogate for e in engine.as_of(Timestamp(9))] == []
+        assert len(list(engine.as_of(FOREVER))) == 3
+        assert list(engine.as_of(NEGATIVE_INFINITY)) == []
 
     def test_rejects_non_increasing(self):
-        index = TransactionTimeIndex()
-        index.append(event_element(1, 10, 0))
+        store = SegmentedStore()
+        store.append(event_element(1, 10, 0))
         with pytest.raises(ValueError, match="strictly increasing"):
-            index.append(event_element(2, 10, 0))
+            store.append(event_element(2, 10, 0))
 
     def test_replace(self):
-        index = TransactionTimeIndex()
-        index.append(event_element(1, 10, 0))
-        closed = index.element_at(0).closed(Timestamp(99))
-        index.replace(0, closed)
-        assert not index.element_at(0).is_current
+        store = SegmentedStore()
+        store.append(event_element(1, 10, 0))
+        store.replace(0, store.element_at(0).closed(Timestamp(99)))
+        assert not store.element_at(0).is_current
 
 
 class TestValidTimeEventIndex:

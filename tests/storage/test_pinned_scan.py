@@ -58,7 +58,7 @@ def test_a_close_never_leaves_its_zone_looking_dead(monkeypatch):
     pins.append(relation.pin_epoch().as_of.microseconds)
     clock.advance_to(Timestamp(clock.peek().ticks + 10))
     relation.delete(stored[3].element_surrogate)
-    zone = relation.engine.transaction_index.store.zone_of(0)
+    zone = relation.engine.store.zone_of(0)
     assert zone.live == 0 and zone.max_closed_tt_stop > pins[0]
 
 

@@ -58,7 +58,7 @@ class TestColdPatchInvalidation:
         with relation.bulk() as batch:
             for i in range(count):
                 batch.insert(f"o{i}", Timestamp(i), {"reading": i})
-        migrated = engine.transaction_index.store.compact()
+        migrated = engine.store.compact()
         assert migrated.get("cold", 0) >= 2, migrated
         return relation, engine
 
@@ -101,7 +101,7 @@ class TestColdPatchInvalidation:
             # All 12 elements sit in sealed segments (12 = 3 full
             # segments of 4), so zone-map liveness must sum exactly.
             zones_live = sum(
-                zone.live for zone in engine.transaction_index.store._zones
+                zone.live for zone in engine.store._zones
             )
             assert zones_live == 7
 
@@ -126,7 +126,7 @@ def _populate(relation: TemporalRelation, count: int = 24) -> None:
 
 
 def _compact(relation: TemporalRelation) -> None:
-    relation.engine.transaction_index.store.compact()
+    relation.engine.store.compact()
 
 
 class TestWireFragmentSeams:

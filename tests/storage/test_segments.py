@@ -16,14 +16,13 @@ from repro.relation.temporal_relation import TemporalRelation
 from repro.storage.columnar import ScanSpec
 from repro.storage.memory import MemoryEngine
 from repro.storage.segments import DEFAULT_SEGMENT_SIZE, SegmentedStore
-from repro.storage.vacuum import vacuum_relation
-from tests.strategies import OBJECTS, SMALL_TICKS, insert_rows, json_safe_attributes
+from tests.strategies import OBJECTS, SMALL_TICKS, insert_rows, json_safe_attributes, vacuum
 
 
-def build_relation(segment_size=None, count=0, vt_index=True):
+def build_relation(segment_size=None, count=0):
     schema = TemporalSchema(name="r", time_varying=("reading",))
     clock = SimulatedWallClock(start=0)
-    engine = MemoryEngine(maintain_vt_index=vt_index, segment_size=segment_size)
+    engine = MemoryEngine(segment_size=segment_size)
     relation = TemporalRelation(schema, clock=clock, keep_backlog=False, engine=engine)
     for i in range(count):
         clock.advance_to(Timestamp(10 * i))
@@ -34,7 +33,7 @@ def build_relation(segment_size=None, count=0, vt_index=True):
 class TestSealing:
     def test_head_seals_at_segment_size(self):
         relation, _clock = build_relation(segment_size=8, count=20)
-        store = relation.engine.transaction_index.store
+        store = relation.engine.store
         assert store.sealed_count == 2
         assert store.head_start == 16
         segments = store.segments()
@@ -46,13 +45,13 @@ class TestSealing:
         relation.append_many(
             [("o", Timestamp(i), {"reading": i}) for i in range(17)]
         )
-        store = relation.engine.transaction_index.store
+        store = relation.engine.store
         assert store.sealed_count == 2
         assert len(store) == 17
 
     def test_zone_map_covers_segment(self):
         relation, _clock = build_relation(segment_size=8, count=16)
-        store = relation.engine.transaction_index.store
+        store = relation.engine.store
         zone = store.zone_of(0)
         assert zone.tt_lo == Timestamp(0).microseconds
         assert zone.tt_hi == Timestamp(70).microseconds
@@ -69,7 +68,7 @@ class TestSealing:
         for i, vt in enumerate([5, 3, 8, 1]):  # out of valid-time order
             clock.advance_to(Timestamp(10 * i))
             relation.insert("o", Timestamp(vt), {})
-        store = engine.transaction_index.store
+        store = engine.store
         assert store.sealed_count == 1
         assert not store.zone_of(0).vt_sorted
 
@@ -106,7 +105,7 @@ class TestSealing:
 class TestZoneMaintenance:
     def test_close_updates_sealed_zone(self):
         relation, clock = build_relation(segment_size=8, count=16)
-        store = relation.engine.transaction_index.store
+        store = relation.engine.store
         victim = relation.all_elements()[3]
         clock.advance_to(Timestamp(1_000))
         relation.delete(victim.element_surrogate)
@@ -117,7 +116,7 @@ class TestZoneMaintenance:
 
     def test_alive_at_prunes_dead_segment(self):
         relation, clock = build_relation(segment_size=8, count=16)
-        store = relation.engine.transaction_index.store
+        store = relation.engine.store
         clock.advance_to(Timestamp(1_000))
         for element in relation.all_elements()[:8]:
             relation.delete(element.element_surrogate)
@@ -131,7 +130,7 @@ class TestZoneMaintenance:
 class TestCurrentStateView:
     def test_view_tracks_appends_and_closes(self):
         relation, clock = build_relation(segment_size=8, count=12)
-        store = relation.engine.transaction_index.store
+        store = relation.engine.store
         victim = relation.all_elements()[0]
         clock.advance_to(Timestamp(900))
         relation.delete(victim.element_surrogate)
@@ -141,7 +140,7 @@ class TestCurrentStateView:
 
     def test_invalidate_then_lazy_rebuild(self):
         relation, _clock = build_relation(segment_size=8, count=12)
-        store = relation.engine.transaction_index.store
+        store = relation.engine.store
         expected = list(store.iter_current())
         store.invalidate_view()
         assert not store.view_valid
@@ -155,8 +154,8 @@ class TestCurrentStateView:
             relation.delete(element.element_surrogate)
         before = [e.element_surrogate for e in relation.current()]
         clock.advance_to(Timestamp(2_000))
-        vacuum_relation(relation, Timestamp(1_000))
-        store = relation.engine.transaction_index.store
+        vacuum(relation, Timestamp(1_000))
+        store = relation.engine.store
         assert not store.view_valid  # vacuum dropped the view
         assert [e.element_surrogate for e in relation.current()] == before
         assert store.view_valid  # and reading it rebuilt it
@@ -223,7 +222,7 @@ def replay(ops, segment_size, engine=None):
             if stored:
                 relation.delete(stored[op[1] % len(stored)].element_surrogate)
         else:  # vacuum at a horizon inside the history so far
-            vacuum_relation(relation, Timestamp(op[1] % (tick + 1)))
+            vacuum(relation, Timestamp(op[1] % (tick + 1)))
     return relation
 
 

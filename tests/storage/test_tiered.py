@@ -234,7 +234,7 @@ def test_tiered_compact_preserves_answers(workload):
     reference = all_answers(replay(ops, 100_000), probes)
     relation = replay(ops, 4, engine=tiered_engine(cache_segments=2))
     try:
-        relation.engine.transaction_index.store.compact()
+        relation.engine.store.compact()
         compacted = all_answers(relation, probes)
     finally:
         relation.engine.close()
@@ -255,7 +255,7 @@ class TestVacuumTiering:
 
     def test_unchanged_segments_not_rewritten(self, tmp_path):
         engine = self._grow(tier_dir=str(tmp_path))
-        store = engine.transaction_index.store
+        store = engine.store
         manager = store.tiering
         cold = store._cold
         assert cold > 0
@@ -265,14 +265,14 @@ class TestVacuumTiering:
         }
         compacted, report = vacuum_engine(engine, ts(0))
         assert report.purged == 0
-        new_store = compacted.transaction_index.store
+        new_store = compacted.store
         assert new_store.tiering is manager
         for ordinal in range(min(cold, new_store._cold)):
             assert os.stat(manager.path_of(ordinal)).st_mtime_ns == stamps[ordinal]
 
     def test_purge_invalidates_only_from_first_purged(self, tmp_path):
         engine = self._grow(tier_dir=str(tmp_path))
-        store = engine.transaction_index.store
+        store = engine.store
         manager = store.tiering
         cold = store._cold
         # Close one element in the third segment: everything before it
@@ -284,7 +284,7 @@ class TestVacuumTiering:
         }
         compacted, report = vacuum_engine(engine, ts(60, "second"))
         assert report.purged == 1
-        new_store = compacted.transaction_index.store
+        new_store = compacted.store
         retained = min(cold, 20 // 8, new_store._cold)
         for ordinal in range(retained):
             assert os.stat(manager.path_of(ordinal)).st_mtime_ns == stamps[ordinal]
@@ -298,20 +298,20 @@ class TestVacuumTiering:
         vacuum_engine(engine, ts(1005, "second"))
         # The retired store was rehydrated into plain memory: same
         # answers, no dependence on files the rebuild reused or removed.
-        assert engine.transaction_index.store.tiering is None
+        assert engine.store.tiering is None
         assert [repr(e) for e in engine.scan()] == before
 
     def test_flat_store_carries_sorted_cache_prefix(self):
         engine = MemoryEngine(segment_size=8)
         for i in range(48):
             engine.append(make_element(i))
-        store = engine.transaction_index.store
+        store = engine.store
         store.columns.sorted_starts(0, 8)
         store.columns.sorted_starts(40, 48)
         engine.close_element(44, ts(1000))
         compacted, report = vacuum_engine(engine, ts(2000))
         assert report.purged == 1
-        carried = set(compacted.transaction_index.store.columns._sorted_cache)
+        carried = set(compacted.store.columns._sorted_cache)
         assert (0, 8) in carried  # before first purge: reused
         assert (40, 48) not in carried  # spans the purge: dropped
 
@@ -329,7 +329,7 @@ class TestCompactionCrashMatrix:
         engine = LogFileEngine(wal, fsync=False, segment_size=4, tier_dir=tier)
         for i in range(12):
             engine.append(make_element(i))
-        store = engine.transaction_index.store
+        store = engine.store
         store.compact()  # v1: everything cold, no patches
         engine.close_element(1, ts(100))  # patch in cold segment 0
         target = store.tiering.path_of(0)
@@ -353,7 +353,7 @@ class TestCompactionCrashMatrix:
                 handle.write(v2[:cut])  # torn rewrite (worst case)
             reopened = LogFileEngine(wal, fsync=False, segment_size=4, tier_dir=tier)
             assert reference_answers(reopened) == want, f"cut at byte {cut}"
-            reopened.transaction_index.store.compact()
+            reopened.store.compact()
             assert reference_answers(reopened) == want, f"cut at byte {cut}"
             # After recovery + compaction the file is whole again:
             # CRC-valid and carrying the folded (post-patch) rows.
@@ -368,7 +368,7 @@ class TestCompactionCrashMatrix:
         engine = LogFileEngine(wal, fsync=False, segment_size=4, tier_dir=tier)
         for i in range(8):
             engine.append(make_element(i))
-        engine.transaction_index.store.compact()
+        engine.store.compact()
         engine.close()
         # A crash between tmp write and rename leaves *.tmp trash.
         trash = os.path.join(tier, "seg-000000.seg.tmp")
@@ -395,7 +395,7 @@ class TestTieredObservability:
         for i in range(24):
             clock.advance_to(Timestamp(100 * (i + 1)))
             relation.insert(f"o{i}", Timestamp(100 * (i + 1)), {"reading": i})
-        store = engine.transaction_index.store
+        store = engine.store
         store.compact()
         assert store.cold_base > 0
         report = explain_query(relation, "SELECT * FROM r AS OF 1200")
@@ -416,7 +416,7 @@ class TestTieredObservability:
         for i in range(64):
             clock.advance_to(Timestamp(i))
             relation.insert(f"o{i}", Timestamp(i), {"reading": i})
-        assert relation.engine.transaction_index.store.cold_base > 0
+        assert relation.engine.store.cold_base > 0
         plan = Planner(relation).plan(Rollback(Scan(relation), Timestamp(60)))
         assert plan.strategy == "rollback-prefix"
         cold = []
@@ -430,7 +430,7 @@ class TestTieredObservability:
         engine = MemoryEngine(segment_size=4, tier_dir=str(tmp_path))
         for i in range(24):
             engine.append(make_element(i))
-        store = engine.transaction_index.store
+        store = engine.store
         store.compact()
         stats = store.statistics()
         assert stats["segments_cold"] > 0
@@ -453,7 +453,7 @@ class TestTierManagerHousekeeping:
         engine = MemoryEngine(segment_size=4, tier_manager=manager)
         for i in range(32):
             engine.append(make_element(i))
-        store = engine.transaction_index.store
+        store = engine.store
         store.compact()
         assert store._cold >= 4
         # Touch every cold segment; with a one-slot cache at most one
@@ -479,7 +479,7 @@ class TestTierManagerHousekeeping:
         engine = MemoryEngine(segment_size=4, tier_manager=manager)
         for i in range(32):
             engine.append(make_element(i))
-        store = engine.transaction_index.store
+        store = engine.store
         store.compact()
         engine.close_element(5, ts(999))  # a patch in cold segment 1
         cached = manager.element_at(1, 2)  # one cached row beside undecoded ones

@@ -1,5 +1,6 @@
 """Tests for specialization-aware vacuuming."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chronos.clock import SimulatedWallClock
@@ -8,6 +9,7 @@ from repro.query import NaiveExecutor, Planner, Scan, ValidTimeslice
 from repro.relation.element import Element
 from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
+from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
 from repro.storage.vacuum import (
     tt_horizon_for_valid_floor,
@@ -74,6 +76,34 @@ class TestVacuumEngine:
         assert sorted(e.element_surrogate for e in compacted.current()) == current
 
 
+class TestLogBackedRefusal:
+    """The log is the durable history: swapping in a rebuilt in-memory
+    engine would acknowledge later writes without logging them."""
+
+    def test_vacuum_refuses_and_keeps_the_relation_durable(self, tmp_path):
+        path = str(tmp_path / "x.wal")
+        schema = TemporalSchema(name="x", time_varying=("v",))
+        clock = SimulatedWallClock(start=0)
+        engine = LogFileEngine(path, fsync=False)
+        relation = TemporalRelation(schema, clock=clock, engine=engine)
+        for tick, step in enumerate(("insert", "delete", "insert")):
+            clock.advance_to(Timestamp(10 * (tick + 1)))
+            if step == "insert":
+                first = relation.insert("o", Timestamp(tick), {"v": tick})
+            else:
+                relation.delete(first.element_surrogate)
+        with pytest.raises(ValueError, match="log rotation"):
+            vacuum_relation(relation, Timestamp(10**6))
+        assert relation.engine is engine
+        clock.advance_to(Timestamp(40))
+        relation.insert("p", Timestamp(3), {"v": 3})
+        live = sorted(e.element_surrogate for e in relation.current())
+        assert len(live) == 2
+        engine.close()
+        with LogFileEngine(path, fsync=False) as reopened:
+            assert sorted(e.element_surrogate for e in reopened.current()) == live
+
+
 class TestHorizonFromValidFloor:
     def test_bounded_relation_gives_horizon(self):
         schema = TemporalSchema(
@@ -132,7 +162,7 @@ class TestStatisticsFreshness:
             name="x", time_varying=("v",), specializations=list(specializations)
         )
         clock = SimulatedWallClock(start=0)
-        engine = MemoryEngine(maintain_vt_index=False, segment_size=8)
+        engine = MemoryEngine(segment_size=8)
         relation = TemporalRelation(
             schema, clock=clock, keep_backlog=False, engine=engine
         )
@@ -147,8 +177,7 @@ class TestStatisticsFreshness:
         for element in relation.all_elements()[:30]:
             relation.delete(element.element_surrogate)
         vacuum_relation(relation, Timestamp(10**6))
-        assert relation.engine.has_vt_index is False
-        assert relation.engine.transaction_index.store.segment_size == 8
+        assert relation.engine.store.segment_size == 8
 
     def test_post_vacuum_query_replans_with_fresh_counts(self):
         # Declared bounds make the small-relation rule applicable, so

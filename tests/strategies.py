@@ -34,8 +34,10 @@ from repro.chronos.timestamp import FOREVER, NEGATIVE_INFINITY, Timestamp
 from repro.core.taxonomy.base import Stamped
 from repro.relation.element import Element
 from repro.relation.temporal_relation import TemporalRelation
+from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
 from repro.storage.tiered import TierManager
+from repro.storage.vacuum import vacuum_relation
 
 # Keep coordinates small enough that all arithmetic stays fast but large
 # enough to exercise every ordering of endpoints.
@@ -391,6 +393,21 @@ def _workload_vt(schema, tick, length):
     return Interval(Timestamp(tick), Timestamp(tick + length))
 
 
+def vacuum(relation, horizon) -> None:
+    """:func:`vacuum_relation`, except that a log-backed relation must
+    refuse (its log is the durable history) and keep its engine."""
+    engine = relation.engine
+    if not isinstance(engine, LogFileEngine):
+        vacuum_relation(relation, horizon)
+        return
+    try:
+        vacuum_relation(relation, horizon)
+    except ValueError:
+        assert relation.engine is engine
+    else:
+        raise AssertionError("a log-backed relation was vacuumed")
+
+
 def run_standing_view_workload(relation, ops, check_after_every_op=True):
     """Drive *ops* against *relation*; differentially check every view.
 
@@ -402,8 +419,6 @@ def run_standing_view_workload(relation, ops, check_after_every_op=True):
     production maintenance schedule would.  Returns the registered
     views so callers can make end-state assertions.
     """
-    from repro.storage.vacuum import vacuum_relation
-
     views = []
     serial = 0
 
@@ -460,9 +475,9 @@ def run_standing_view_workload(relation, ops, check_after_every_op=True):
                     )
                 )
         elif kind == "vacuum":
-            vacuum_relation(relation, Timestamp(op[1]))
+            vacuum(relation, Timestamp(op[1]))
         elif kind == "compact":
-            relation.engine.transaction_index.store.compact()
+            relation.engine.store.compact()
         else:  # pragma: no cover - strategy and runner must stay in sync
             raise AssertionError(f"unknown workload op {op!r}")
         if check_after_every_op:

@@ -9,9 +9,9 @@ order.  Views register *mid-workload*, so they must also absorb
 pre-existing state correctly.
 
 Runs the same randomized scripts across every engine topology the repo
-ships: flat memory, memory without the valid-time index, small
-segments, small segments spilling to the compressed cold tier, and
-the durable write-ahead-log engine.
+ships: flat memory, small segments, small segments spilling to the
+compressed cold tier, and the durable write-ahead-log engine (which
+refuses vacuum).
 """
 
 import tempfile
@@ -53,13 +53,6 @@ class TestEventTopologies:
     @given(ops=standing_view_ops())
     def test_flat_memory(self, ops):
         run_standing_view_workload(make_relation(MemoryEngine()), ops)
-
-    @settings(max_examples=15, deadline=None)
-    @given(ops=standing_view_ops())
-    def test_memory_without_vt_index(self, ops):
-        run_standing_view_workload(
-            make_relation(MemoryEngine(maintain_vt_index=False)), ops
-        )
 
     @settings(max_examples=15, deadline=None)
     @given(ops=standing_view_ops())
