@@ -6,7 +6,7 @@ integer loops over the stamp columns (with Elements materialized only
 for survivors) beats evaluating the same predicates per Python object.
 
 The comparison is apples-to-apples: one store, queried twice -- once
-through ``operators.scan(spec)`` (the kernel), once through the
+through ``engine.store.select(spec)`` (the kernel), once through the
 reference that evaluates the same predicate on every ``Element``
 (``operators.timeslice_full_scan`` / ``NaiveExecutor``, the suite's
 oracles).  The workload scatters valid times widely so zone maps cannot
@@ -97,7 +97,7 @@ def compare(label: str, run, reference) -> Dict[str, Any]:
 def bench_timeslice(relation, probe) -> Dict[str, Any]:
     def run():
         stats = operators.SegmentStats()
-        rows, _examined = operators.scan(relation, ScanSpec.of(probe), stats)
+        rows, _examined = relation.engine.store.select(ScanSpec.of(probe), stats)
         return rows, stats
 
     return compare(
@@ -110,7 +110,7 @@ def bench_overlap(relation, window) -> Dict[str, Any]:
     # range, so the kernel-vs-object comparison covers every row.
     def run():
         stats = operators.SegmentStats()
-        rows, _examined = operators.scan(relation, ScanSpec.of(window), stats)
+        rows, _examined = relation.engine.store.select(ScanSpec.of(window), stats)
         return rows, stats
 
     query = ValidOverlap(Scan(relation), window)
@@ -122,12 +122,12 @@ def bench_current_rebuild(relation) -> Dict[str, Any]:
 
     def run():
         store.invalidate_view()
-        return list(relation.engine.current()), None
+        return relation.current(), None
 
     def reference():
         # The same surrogate -> position view, built by probing
         # ``is_current`` on every historical object, then read back.
-        elements = store.elements_list()
+        elements = list(store)
         view = {}
         for position, element in enumerate(elements):
             if element.is_current:

@@ -60,18 +60,19 @@ def build_events(count, specializations, offset_of, segment_size=None):
 def run_timeslice(relation, probe, spec_only=False) -> Dict[str, Any]:
     """The planned timeslice beside the naive full scan.  With
     *spec_only* the timeslice's :class:`ScanSpec` runs straight through
-    :func:`operators.scan` instead (zone maps prune, then the column
-    kernel) -- the planner answers an undeclared timeslice from the
-    valid-time index."""
+    the store's kernel, ``engine.store.select`` (zone maps prune, then
+    the column kernel) -- the engine answers an undeclared live
+    timeslice from the valid-time index."""
     query = ValidTimeslice(Scan(relation), probe)
     executor = NaiveExecutor()
     naive_ms = best_of(lambda: NaiveExecutor().run(query))
     executor.run(query)
     if spec_only:
         spec = ScanSpec.of(probe)
-        plan_ms = best_of(lambda: operators.scan(relation, spec))
+        store = relation.engine.store
+        plan_ms = best_of(lambda: store.select(spec))
         stats = operators.SegmentStats()
-        strategy, (_matches, examined) = "scan-spec", operators.scan(relation, spec, stats)
+        strategy, (_matches, examined) = "scan-spec", store.select(spec, stats)
     else:
         plan = Planner(relation).plan(query)
         plan_ms = best_of(lambda: Planner(relation).plan(query).execute())
@@ -151,11 +152,11 @@ def bench_current(count: int, segment_size: Optional[int]) -> Dict[str, Any]:
         if i % 10 != 0:
             relation.delete(element.element_surrogate)
 
-    view_ms = best_of(lambda: list(relation.engine.current()))
+    view_ms = best_of(relation.current)
     scan_ms = best_of(
         lambda: [e for e in relation.engine.scan() if e.is_current]
     )
-    examined = len(list(relation.engine.current()))
+    examined = len(relation.current())
     live = relation.live_count()
     history = len(relation.engine)
     print(

@@ -41,13 +41,13 @@ def test_rollback_snapshot_cached(benchmark, populated):
 
 def test_rollback_tuple_store_prefix(benchmark, populated):
     relation, _backlog, _cache, mid_tt = populated
-    state = benchmark(lambda: list(relation.engine.as_of(mid_tt)))
+    state = benchmark(relation.as_of, mid_tt)
     assert state
 
 
 def test_representations_agree(populated):
     relation, backlog, cache, mid_tt = populated
-    from_engine = sorted(e.element_surrogate for e in relation.engine.as_of(mid_tt))
+    from_engine = sorted(e.element_surrogate for e in relation.as_of(mid_tt))
     assert from_engine == sorted(backlog.state_at(mid_tt))
     assert from_engine == sorted(cache.state_at(mid_tt))
 

@@ -114,13 +114,13 @@ def measured_build(count: int, tier_dir: Optional[str]) -> Tuple[TemporalRelatio
 def compare(
     label: str, tiered_relation, flat_relation, spec, reference, object_repeats: int = 5
 ) -> Dict[str, Any]:
-    """Time *spec* on the tiered relation's kernels against *reference*
-    (the same predicate on every decoded object of that relation); check
-    both against the flat store's answer."""
+    """Time *spec* on the tiered relation's kernels (``engine.store.select``)
+    against *reference* (the same predicate on every decoded object of
+    that relation); check both against the flat store's answer."""
 
     def tiered_run():
         stats = operators.SegmentStats()
-        rows, _examined = operators.scan(tiered_relation, spec, stats)
+        rows, _examined = tiered_relation.engine.store.select(spec, stats)
         return rows, stats
 
     kernel_ms = best_of(lambda: tiered_run()[0])
@@ -131,7 +131,7 @@ def compare(
     # deterministic decode work -- few repeats are stable.
     object_ms = best_of(reference, repeats=object_repeats)
     object_rows = reference()
-    flat_rows, _examined = operators.scan(flat_relation, spec)
+    flat_rows, _examined = flat_relation.engine.store.select(spec)
     ledger = [repr(e) for e in kernel_rows]
     identical = ledger == [repr(e) for e in object_rows] and ledger == [
         repr(e) for e in flat_rows

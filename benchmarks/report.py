@@ -325,7 +325,7 @@ def e12(inserts) -> Dict[str, Any]:
     mid = elements[len(elements) // 2].tt_start
     replay_ms = best_of(lambda: backlog.state_at(mid))
     cache_ms = best_of(lambda: cache.state_at(mid))
-    prefix_ms = best_of(lambda: list(relation.engine.as_of(mid)))
+    prefix_ms = best_of(lambda: relation.as_of(mid))
     rows = [
         ("backlog replay", f"{replay_ms:.3f} ms"),
         (f"snapshot cache ({cache.snapshot_count} snapshots)", f"{cache_ms:.3f} ms"),

@@ -6,28 +6,28 @@ alongside wall-clock time.  Operators that exploit structure only apply
 when the relation's declared specializations license them; the planner
 is responsible for that reasoning.
 
-Every read whose candidate set is a transaction-time range -- rollback
-prefixes, degenerate points and ticks, bounded windows, bitemporal
-slices, undeclared full-range passes -- is one
-:class:`~repro.storage.columnar.ScanSpec` executed by :func:`scan`: the
-window is derived from the declared offset region
-(:func:`repro.query.planner.windowed`), and the engine's
-:class:`~repro.storage.segments.SegmentedStore` bisects it, consults
-each sealed segment's zone map, runs the column kernel on the survivors
-and materializes elements last.  Callers pass a :class:`SegmentStats` to
-receive the scanned/pruned counts ``explain()`` reports.
+Every other read -- rollback prefixes, degenerate points and ticks,
+bounded windows, bitemporal slices, current states, undeclared
+timeslices -- is one :class:`~repro.storage.columnar.ScanSpec` handed to
+:meth:`MemoryEngine.select <repro.storage.memory.MemoryEngine.select>`,
+which picks the access path from the spec.  The window is derived from
+the declared offset region (:func:`repro.query.planner.windowed`);
+callers pass a :class:`SegmentStats` to receive the scanned/pruned
+counts ``explain()`` reports.  What remains here are the reference full
+scans, the binary searches declared orderings license, and the merge
+joins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import TimePoint, Timestamp
 from repro.relation.element import Element
 from repro.relation.temporal_relation import TemporalRelation
-from repro.storage.columnar import ScanSpec, encode_point
+from repro.storage.columnar import encode_point
 
 Result = Tuple[List[Element], int]
 
@@ -51,29 +51,6 @@ class SegmentStats:
     #: Work units served from the cold tier (compressed segment files)
     #: rather than in-memory state -- the tiered-storage accounting.
     cold_segments: int = 0
-
-
-def tiered_active(relation: TemporalRelation) -> bool:
-    """Does this relation's store have cold (demoted) segments?
-
-    Advertised by the planner so ``explain`` can say when a query may be
-    served partly from compressed segment files rather than memory.
-    """
-    return relation.engine.store.cold_base > 0
-
-
-def scan(
-    relation: TemporalRelation,
-    spec: ScanSpec,
-    stats: Optional[SegmentStats] = None,
-) -> Result:
-    """Execute *spec*: the one range-shaped access path.
-
-    :meth:`SegmentedStore.select
-    <repro.storage.segments.SegmentedStore.select>` bisects the window,
-    zone-prunes, runs the column kernel and materializes last.
-    """
-    return relation.engine.store.select(spec, stats)
 
 
 # -- baseline -------------------------------------------------------------------
@@ -180,21 +157,6 @@ def timeslice_sequential_intervals(relation: TemporalRelation, vt: Timestamp) ->
     return matches, examined
 
 
-# -- engine-delegated access ------------------------------------------------------------
-
-
-def timeslice_engine_index(relation: TemporalRelation, vt: Timestamp) -> Result:
-    """Delegate to the engine's own valid-time index (sorted event index
-    or interval tree)."""
-    results = list(relation.engine.valid_at(vt))
-    return results, len(results)
-
-
-def overlap_engine_index(relation: TemporalRelation, window: Interval) -> Result:
-    results = list(relation.engine.valid_overlapping(window))
-    return results, len(results)
-
-
 def merge_join_events(
     left_relation: TemporalRelation,
     right_relation: TemporalRelation,
@@ -208,11 +170,11 @@ def merge_join_events(
     -- O(n + m + matches) instead of the nested loop's O(n * m).
     Runs of equal stamps cross-product, as they must.
 
-    Inputs come from ``engine.current()`` -- O(live) via the
+    Inputs come from ``relation.current()`` -- O(live) via the
     materialized current-state view, instead of filtering full history.
     """
-    left = list(left_relation.engine.current())
-    right = list(right_relation.engine.current())
+    left = left_relation.current()
+    right = right_relation.current()
     pairs: List[Tuple[Element, Element]] = []
     examined = len(left) + len(right)
     i = j = 0
@@ -257,11 +219,11 @@ def merge_join_intervals(
     the current frontier -- work stays proportional to matches for the
     common case of bounded overlap fan-out.
 
-    Inputs come from ``engine.current()`` -- O(live) via the
+    Inputs come from ``relation.current()`` -- O(live) via the
     materialized current-state view, instead of filtering full history.
     """
-    left = list(left_relation.engine.current())
-    right = list(right_relation.engine.current())
+    left = left_relation.current()
+    right = right_relation.current()
     pairs: List[Tuple[Element, Element]] = []
     examined = len(left) + len(right)
     frontier = 0

@@ -8,10 +8,10 @@ Figure 1), so a query need only look at the transaction-time window
 that region allows.  :func:`windowed` *computes* that window from the
 schema's declared offset region with the algebra in
 :mod:`repro.core.taxonomy.regions` -- for the planner, which hands
-:func:`repro.query.operators.scan` one
-:class:`~repro.storage.columnar.ScanSpec` (the strategy names are labels
-over the derived window, not separate code paths), and for the
-relation's own pinned read methods alike.
+:meth:`MemoryEngine.select <repro.storage.memory.MemoryEngine.select>`
+one :class:`~repro.storage.columnar.ScanSpec` (the strategy names are
+labels over the derived window, not separate code paths), and for the
+relation's own read methods alike.
 
 Rules, in preference order, for a valid timeslice:
 
@@ -27,8 +27,8 @@ Rules, in preference order, for a valid timeslice:
    and ordered; binary search;
 4. any declared bounded region -- the window the region permits (one- or
    two-sided);
-5. no declaration -- the full range: the engine's own valid-time index
-   when it has one, otherwise a zone-pruned columnar pass.
+5. no declaration -- the full range: the engine's valid-time index
+   (event index or interval tree), which every engine keeps.
 
 Rollback and bitemporal queries always bisect the append order
 (uniqueness and monotonicity of transaction time need no declaration).
@@ -217,7 +217,7 @@ class Planner:
             )
         if plan.segment_stats is not None:
             decisions.append("columnar: stamp-column kernel with late materialization")
-        if plan.segment_stats is not None and operators.tiered_active(self.relation):
+        if plan.segment_stats is not None and self.relation.engine.store.cold_base > 0:
             decisions.append(
                 "tiered: cold segments served from compressed segment files "
                 "(lazy per-column decode)"
@@ -252,8 +252,8 @@ class Planner:
         if isinstance(query, ast.ValidTimeslice) and self._is_scan(query.child):
             return self._plan_timeslice(query.vt, decisions)
         if isinstance(query, ast.ValidOverlap) and self._is_scan(query.child):
+            spec = ScanSpec.of(query.window)
             if self.relation.schema.is_event:
-                spec = ScanSpec.of(query.window)
                 narrowed = windowed(self.relation.schema, spec)
                 if narrowed != spec:
                     decisions.append(
@@ -270,13 +270,12 @@ class Planner:
                 )
             else:
                 decisions.append(
-                    "bounded-tt-window-overlap: pruned -- needs the in-memory tt index "
-                    "and an event relation"
+                    "bounded-tt-window-overlap: pruned -- not an event relation"
                 )
             return PlannedQuery(
                 strategy="engine-overlap",
                 explanation="engine valid-time index (sorted index / interval tree)",
-                _thunk=lambda: operators.overlap_engine_index(self.relation, query.window),
+                _thunk=lambda: self.relation.engine.select(spec),
             )
         if isinstance(query, ast.CurrentState) and self._is_scan(query.child):
             decisions.append(
@@ -286,7 +285,7 @@ class Planner:
             return PlannedQuery(
                 strategy="current",
                 explanation="current-state read (materialized view when available)",
-                _thunk=lambda: _count_all(list(self.relation.engine.current())),
+                _thunk=lambda: self.relation.engine.select(ScanSpec.of()),
             )
         if isinstance(query, ast.TemporalJoin):
             return self._plan_join(query, decisions)
@@ -367,13 +366,13 @@ class Planner:
         return None
 
     def _scan_plan(self, strategy: str, explanation: str, spec: ScanSpec) -> PlannedQuery:
-        """A plan that runs *spec* through :func:`operators.scan`."""
+        """A plan that runs *spec* through the engine's one read."""
         # The thunk reads the plan's stats at call time: execute() swaps
         # in a fresh SegmentStats per run.
         plan = PlannedQuery(
             strategy=strategy,
             explanation=explanation,
-            _thunk=lambda: operators.scan(self.relation, spec, plan.segment_stats),
+            _thunk=lambda: self.relation.engine.select(spec, plan.segment_stats),
             segment_stats=operators.SegmentStats(),
         )
         return plan
@@ -461,7 +460,7 @@ class Planner:
         return PlannedQuery(
             strategy="engine-index",
             explanation="engine valid-time index (sorted index / interval tree)",
-            _thunk=lambda: operators.timeslice_engine_index(self.relation, vt),
+            _thunk=lambda: self.relation.engine.select(spec),
         )
 
     def _specialized_timeslice_available(self, is_event: bool, narrowed: bool) -> bool:
@@ -485,7 +484,3 @@ def _run_naive(query: ast.QueryNode) -> Tuple[list, int]:
     executor = NaiveExecutor()
     results = executor.run(query)
     return results, executor.examined
-
-
-def _count_all(results: list) -> Tuple[list, int]:
-    return results, len(results)

@@ -26,6 +26,7 @@ from repro.core.taxonomy.regions import OffsetRegion
 from repro.core.taxonomy.registry import parse
 from repro.relation.element import FrozenMap, frozen_map
 from repro.relation.errors import SchemaError
+from repro.storage.columnar import NEG_SENTINEL, POS_SENTINEL
 
 
 class ValidTimeKind(enum.Enum):
@@ -139,7 +140,9 @@ class TemporalSchema:
         return self._role_map.get(attribute)
 
     def check_valid_time(self, vt: Any) -> None:
-        """Reject valid time-stamps of the wrong kind."""
+        """Reject valid time-stamps of the wrong kind, and stamps storage
+        cannot keep: a coordinate at or beyond a sentinel would read back
+        as an unbounded endpoint."""
         if self.is_event and not isinstance(vt, Timestamp):
             raise SchemaError(
                 f"relation {self.name!r} is event-stamped; got valid time {vt!r}"
@@ -147,6 +150,11 @@ class TemporalSchema:
         if not self.is_event and not isinstance(vt, Interval):
             raise SchemaError(
                 f"relation {self.name!r} is interval-stamped; got valid time {vt!r}"
+            )
+        if not representable(vt):
+            raise SchemaError(
+                f"valid time {vt!r} lies at or beyond the +-2**62 microsecond "
+                "coordinates storage reserves for unbounded endpoints"
             )
 
     def split_attributes(
@@ -187,6 +195,14 @@ class TemporalSchema:
 
     def specialization_names(self) -> List[str]:
         return [spec.name for spec in self.specializations]
+
+
+def representable(vt: Any) -> bool:
+    """Does every Timestamp in *vt* lie strictly between the sentinel
+    coordinates (FOREVER / NEGATIVE_INFINITY endpoints always do)?"""
+    if isinstance(vt, Interval):
+        return representable(vt.start) and representable(vt.end)
+    return not isinstance(vt, Timestamp) or NEG_SENTINEL < vt.microseconds < POS_SENTINEL
 
 
 def _declared_region(specializations: Sequence[Specialization]) -> Optional[OffsetRegion]:

@@ -55,7 +55,7 @@ from repro.relation.element import EMPTY_MAP, Element, FrozenMap, ValidTime, bui
 from repro.relation.schema import AttributeRole
 from repro.relation.errors import ElementNotFound, KeyViolation, SchemaError
 from repro.relation.lifeline import Lifeline
-from repro.relation.schema import TemporalSchema
+from repro.relation.schema import TemporalSchema, representable
 from repro.relation.surrogate import SurrogateGenerator
 from repro.storage.backlog import Backlog
 from repro.storage.columnar import ScanSpec
@@ -207,7 +207,7 @@ class TemporalRelation:
                 attributes: Optional[Mapping[str, Any]] = None
             else:
                 object_surrogate, vt, attributes = row  # type: ignore[misc]
-            if not isinstance(vt, stamp_kind):
+            if not (isinstance(vt, stamp_kind) and representable(vt)):
                 schema.check_valid_time(vt)
             invariant: Dict[str, Any] = {}
             varying: Dict[str, Any] = {}
@@ -360,11 +360,8 @@ class TemporalRelation:
         if not self.schema.key or not self.schema.enforce_key:
             return
         key = self.schema.key_of(invariant)
-        if isinstance(vt, Interval):
-            candidates = self.engine.valid_overlapping(vt)
-        else:
-            candidates = self.engine.valid_at(vt)
-        for other in candidates:
+        # Unnarrowed: a live full-window spec is served by the vt index.
+        for other in self.engine.select(ScanSpec.of(vt))[0]:
             if other.element_surrogate == exclude:
                 continue
             try:
@@ -416,12 +413,10 @@ class TemporalRelation:
     # -- reading ------------------------------------------------------------------------
 
     def current(self) -> List[Element]:
-        """The current historical state.
-
-        On segmented engines this reads the materialized current-state
-        view -- O(live elements), independent of history length.
-        """
-        return list(self.engine.current())
+        """The current historical state: the store's materialized
+        current-state view -- O(live elements), independent of history
+        length."""
+        return self._scan(ScanSpec.of())
 
     def live_count(self) -> int:
         """Number of current elements without materializing them.
@@ -431,37 +426,30 @@ class TemporalRelation:
         return self.engine.store.live_count()
 
     def as_of(self, tt: TimePoint) -> List[Element]:
-        """Rollback: the historical state at transaction time *tt* (the
-        engine's prefix read: no valid-time window for declarations to
-        narrow)."""
-        return list(self.engine.as_of(tt))
+        """Rollback: the historical state at transaction time *tt* (a
+        prefix read: no valid-time window for declarations to narrow)."""
+        return self._scan(ScanSpec.of(as_of=tt))
 
     def valid_at(self, vt: Timestamp, as_of_tt: Optional[TimePoint] = None) -> List[Element]:
-        """Valid timeslice (optionally combined with rollback).
-
-        With *as_of_tt* the read is a :class:`ScanSpec` confined to the
-        transaction-time window the declared specializations allow.
-        """
-        if as_of_tt is None:
-            return list(self.engine.valid_at(vt))
+        """Valid timeslice (optionally combined with rollback), confined
+        to the transaction-time window the declared specializations
+        allow."""
         return self._scan(ScanSpec.of(vt, as_of_tt))
 
     def valid_overlapping(
         self, window: Interval, as_of_tt: Optional[TimePoint] = None
     ) -> List[Element]:
-        if as_of_tt is None:
-            return list(self.engine.valid_overlapping(window))
         return self._scan(ScanSpec.of(window, as_of_tt))
 
     def _scan(self, spec: ScanSpec) -> List[Element]:
-        """Run *spec* through the scan contract, narrowed by declaration
-        exactly as the planner narrows it.  Lock-free beside the single
-        writer when the spec is pinned at or below the published epoch
-        (the server's reader pool relies on this)."""
-        # Imported here: both modules import this one.
-        from repro.query import operators, planner
+        """Run *spec* through the engine's one read, narrowed by
+        declaration exactly as the planner narrows it.  Lock-free beside
+        the single writer when the spec is pinned at or below the
+        published epoch (the server's reader pool relies on this)."""
+        # Imported here: the planner imports this module.
+        from repro.query import planner
 
-        return operators.scan(self, planner.windowed(self.schema, spec))[0]
+        return self.engine.select(planner.windowed(self.schema, spec))[0]
 
     def lifeline(self, object_surrogate: Hashable) -> Lifeline:
         """One object's full history (its per-surrogate partition)."""

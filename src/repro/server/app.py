@@ -14,15 +14,18 @@ with ``Retry-After`` instead of buffering without limit.
 
 Reads never wait for the writer.  A read request grabs the relation's
 current pin (an immutable snapshot handle) and evaluates the query as
-a rollback to that pin in a reader thread pool: the engine's pinned
-scans are thread-safe under a single writer, so reads genuinely
-overlap WAL fsyncs.
+a rollback to that pin in a reader thread pool: every route read
+(current, timeslice, overlap, rollback) is a scan spec with ``as_of``
+set, and :meth:`MemoryEngine.select
+<repro.storage.memory.MemoryEngine.select>` is thread-safe under a
+single writer exactly for those, so reads genuinely overlap WAL fsyncs.
 
-TQL execution and EXPLAIN use the planner's full strategy surface
-(current-state views, valid-time indexes, columnar kernels), which is
-not pinned-safe -- so they run under the write lock, and therefore
-report exactly the strategies the embedded library would choose: the
-differential suite holds the server to that.
+TQL execution, EXPLAIN and standing-view reads issue *live* specs (the
+current-state view, the valid-time indexes), which are not pin-safe --
+so they run under the write lock, and TQL reports exactly the
+strategies the embedded library would choose: the differential suite
+holds the server to that.  Those live specs are the whole list of reads
+that still wait for the writer.
 
 Graceful shutdown stops accepting connections, drains the writer
 queue, lets in-flight requests finish, and fsyncs every WAL before
@@ -705,7 +708,8 @@ class TemporalServer:
         if cached is not None:
             return cached
         # Pinned current state == rollback to the pin: stored-at-pin
-        # elements whose existence interval is still open at the pin.
+        # elements whose existence interval is still open at the pin
+        # (a pinned spec, so the kernel runs lock-free).
         elements = await self._pinned_read(lambda: list(relation.as_of(pin.as_of)))
         return self._cache_put(key, self._rows_response(pin, elements), len(elements))
 

@@ -32,7 +32,7 @@ from repro.storage.indexes import ValidTimeEventIndex
 from repro.storage.interval_tree import IntervalTree
 from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
-from repro.storage.segments import Segment, SegmentedStore, ZoneMap
+from repro.storage.segments import SegmentedStore, ZoneMap
 from repro.storage.snapshot import SnapshotCache
 from repro.storage.wal import RecoveryReport, recover_file
 
@@ -46,7 +46,6 @@ __all__ = [
     "IntervalTree",
     "LogFileEngine",
     "MemoryEngine",
-    "Segment",
     "SegmentedStore",
     "ZoneMap",
     "SnapshotCache",

@@ -32,7 +32,7 @@ lock); single-threaded callers get it for free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.chronos.timestamp import Timestamp
 
@@ -55,11 +55,12 @@ class EpochPin:
     elements: int
     #: The relation's mutation-version counter at pin time.
     version: int
+    #: The pin as a rollback coordinate (microsecond granularity), built
+    #: once: every read of the pin passes it.
+    as_of: Timestamp = field(init=False, repr=False, compare=False)
 
-    @property
-    def as_of(self) -> Timestamp:
-        """The pin as a rollback coordinate (microsecond granularity)."""
-        return Timestamp(self.tt_micro, "microsecond")
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "as_of", Timestamp(self.tt_micro, "microsecond"))
 
     def clamp(self, tt: Timestamp) -> Timestamp:
         """*tt* bounded by the pin: a rollback request later than the

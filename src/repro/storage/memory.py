@@ -2,8 +2,9 @@
 
 Elements live in an append-ordered :class:`SegmentedStore`; event
 relations additionally maintain a :class:`ValidTimeEventIndex` and
-interval relations an :class:`IntervalTree`, giving the physical
-operators the planner chooses among.  The durable
+interval relations an :class:`IntervalTree`.  :meth:`MemoryEngine.select`
+is the one read: it picks among those structures from the scan spec
+alone.  The durable
 :class:`~repro.storage.logfile.LogFileEngine` is this engine with a
 write-ahead log in front of every mutation.
 """
@@ -11,14 +12,14 @@ write-ahead log in front of every mutation.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.chronos.interval import Interval
-from repro.chronos.timestamp import TimePoint, Timestamp
+from repro.chronos.timestamp import Timestamp
 from repro.observability import metrics as _metrics
 from repro.relation.element import Element
 from repro.relation.errors import ElementNotFound
-from repro.storage.columnar import encode_point
+from repro.storage.columnar import NEG_SENTINEL, POS_SENTINEL, ScanSpec, decode_point
 from repro.storage.indexes import ValidTimeEventIndex
 from repro.storage.interval_tree import IntervalTree
 from repro.storage.segments import SegmentedStore
@@ -34,13 +35,13 @@ class MemoryEngine:
     physically removed (Section 2: the historical states are preserved
     so that rollback is possible).
 
-    Epoch-pinned reads (rollback prefixes and ``as_of`` scan specs over
-    the append-only store) are safe from other threads while a single
-    writer mutates: list appends and element replacement are atomic
-    under the GIL, and the pinned predicate excludes anything the writer
-    adds or closes after the pin.  Only the *pinned* read paths carry
-    this guarantee -- current-view iteration and the valid-time indexes
-    (whose live reads settle a pending tail) do not.
+    Every read is one :class:`~repro.storage.columnar.ScanSpec` through
+    :meth:`select`.  A pinned spec (``as_of`` set) is safe from other
+    threads while a single writer mutates: list appends and element
+    replacement are atomic under the GIL, and the pinned predicate
+    excludes anything the writer adds or closes after the pin.  A live
+    spec is not -- it may read the current-state view or a valid-time
+    index, which the writer reorganizes.
     """
 
     def __init__(
@@ -49,9 +50,8 @@ class MemoryEngine:
         tier_dir: Optional[str] = None,
         tier_manager: Optional["TierManager"] = None,
     ) -> None:
-        #: The segmented transaction-time store every read plans against:
-        #: :func:`repro.query.operators.scan` runs each range-shaped read
-        #: on it.
+        #: The segmented transaction-time store: :meth:`select` runs every
+        #: pinned or declaration-narrowed read on it.
         self.store = SegmentedStore(
             segment_size=segment_size, tier_dir=tier_dir, tier_manager=tier_manager
         )
@@ -212,28 +212,56 @@ class MemoryEngine:
         """Number of stored elements (including logically deleted ones)."""
         return len(self.store)
 
-    def current(self) -> Iterator[Element]:
-        """O(live) via the store's materialized current-state view."""
-        if _metrics.enabled():
-            _metrics.registry().counter("storage.memory.current_view_reads").inc()
-        return self.store.iter_current()
+    # -- the one read ---------------------------------------------------------------
 
-    # -- temporal access, exploiting indexes -----------------------------------------
+    def select(self, spec: ScanSpec, stats=None) -> Tuple[List[Element], int]:
+        """The elements satisfying *spec*, in tt order, and how many were
+        examined -- every read of the engine.
 
-    def as_of(self, tt: TimePoint) -> Iterator[Element]:
-        """Rollback: binary search for the prefix inserted at or before
-        *tt*, then keep what was stored at *tt*."""
-        store = self.store
-        prefix: Iterable[Element]
-        if isinstance(tt, Timestamp):
-            prefix = store.elements_range(0, store.position_right(tt.microseconds))
-        elif tt.is_positive:  # FOREVER
-            prefix = store
-        else:  # NEGATIVE_INFINITY: empty prefix
-            return iter(())
-        return (element for element in prefix if element.stored_during(tt))
+        The spec alone picks the access path:
 
-    def _fetch_live(self, candidates: List[int]) -> Iterator[Element]:
+        * live, full tt window, no vt window -- the store's materialized
+          current-state view, O(live);
+        * live, full tt window, a vt window -- the valid-time index
+          (event index or interval tree), live candidates only;
+        * anything else (every pinned spec, every live spec declarations
+          narrowed) -- :meth:`SegmentedStore.select`: bisect, zone-prune,
+          column kernel, late materialization; *stats* (a
+          ``SegmentStats``) receives its scanned/pruned counts.
+
+        A read is safe on a reader thread beside the single writer
+        exactly when ``spec.as_of`` is set: the first two paths read
+        structures the writer reorganizes (the view's dict, the index's
+        unsorted tail), the kernel path reads nothing past the pin.
+        """
+        if (
+            spec.as_of is not None
+            or spec.tt_lo > NEG_SENTINEL
+            or spec.tt_hi < POS_SENTINEL
+        ):
+            return self.store.select(spec, stats)
+        if spec.vt_lo is None:
+            if _metrics.enabled():
+                _metrics.registry().counter("storage.memory.current_view_reads").inc()
+            found = list(self.store.iter_current())
+        else:
+            found = self._fetch_live(self._vt_candidates(spec.vt_lo, spec.vt_hi))  # type: ignore[arg-type]
+        return found, len(found)
+
+    def _vt_candidates(self, vt_lo: int, vt_hi: int) -> List[int]:
+        """Positions whose valid time may meet ``[vt_lo, vt_hi)``."""
+        candidates: List[int] = []
+        if self._vt_intervals is not None:
+            if vt_hi == vt_lo + 1:
+                candidates.extend(self._vt_intervals.stab(decode_point(vt_lo)))
+            else:
+                window = Interval(decode_point(vt_lo), decode_point(vt_hi))
+                candidates.extend(self._vt_intervals.overlapping(window))
+        if self._vt_events is not None:
+            candidates.extend(self._vt_events.between(vt_lo, vt_hi))
+        return candidates
+
+    def _fetch_live(self, candidates: List[int]) -> List[Element]:
         """The still-current elements among the valid-time indexes'
         candidate positions, in position order -- append order, so the
         index path yields the same canonical tt order as the kernel.
@@ -249,30 +277,7 @@ class MemoryEngine:
         cold = bisect_left(candidates, base)
         found = [e for e in store.fetch_elements(0, candidates[:cold]) if e.is_current]
         found += store.fetch_elements(0, [p for p in candidates[cold:] if live[p - base]])
-        return iter(found)
-
-    def valid_at(self, vt: Timestamp) -> Iterator[Element]:
-        """Valid timeslice of the current state: facts true in reality
-        at *vt*.  A rollback-state slice is a scan spec
-        (:meth:`TemporalRelation.valid_at` with ``as_of_tt``)."""
-        candidates: List[int] = []
-        if self._vt_intervals is not None:
-            candidates.extend(self._vt_intervals.stab(vt))
-        if self._vt_events is not None:
-            candidates.extend(self._vt_events.at(vt.microseconds))
-        return self._fetch_live(candidates)
-
-    def valid_overlapping(self, window: Interval) -> Iterator[Element]:
-        """Current elements whose valid time intersects *window*."""
-        candidates: List[int] = []
-        if self._vt_intervals is not None:
-            candidates.extend(self._vt_intervals.overlapping(window))
-        if self._vt_events is not None:
-            # Sentinel-encoded bounds bracket an unbounded window too.
-            candidates.extend(
-                self._vt_events.between(encode_point(window.start), encode_point(window.end))
-            )
-        return self._fetch_live(candidates)
+        return found
 
     # -- introspection ------------------------------------------------------------------
 

@@ -11,15 +11,15 @@ whether any match is possible before touching a single element.
 This extends the paper's leverage from "which algorithm" to "which
 data": declared specializations (Figure 1 offset regions, Section 3.1)
 tighten the transaction window first, and the zone maps then discard
-whole segments inside that window.  The physical operators in
-:mod:`repro.query.operators` report how many segments they scanned and
-pruned, surfaced by ``explain``.
+whole segments inside that window.  :meth:`SegmentedStore.select`
+reports how many segments it scanned and pruned, surfaced by
+``explain``.
 
 One further facility lives here because every consumer shares it: the
 **materialized current-state view** -- an insertion-ordered map of live
 elements maintained incrementally on append/close (and rebuilt lazily
-after it is invalidated, e.g. by vacuum), making ``current()`` O(live)
-instead of O(history).
+after it is invalidated, e.g. by vacuum), making a current-state read
+O(live) instead of O(history).
 """
 
 from __future__ import annotations
@@ -95,52 +95,6 @@ class ZoneMap:
             f"ZoneMap(tt=[{self.tt_lo}, {self.tt_hi}], vt=[{self.vt_lo}, {self.vt_hi}], "
             f"live={self.live}, vt_sorted={self.vt_sorted})"
         )
-
-
-class Segment:
-    """A contiguous run of the store: ``positions [start, stop)``.
-
-    Sealed segments carry a :class:`ZoneMap`; the mutable head segment
-    has ``zone = None`` and is always scanned.
-    """
-
-    __slots__ = ("ordinal", "start", "stop", "zone", "_elements", "_store")
-
-    def __init__(
-        self,
-        ordinal: int,
-        start: int,
-        stop: int,
-        zone: Optional[ZoneMap],
-        elements: Optional[List[Element]],
-        store: Optional["SegmentedStore"] = None,
-    ) -> None:
-        self.ordinal = ordinal
-        self.start = start
-        self.stop = stop
-        self.zone = zone
-        self._elements = elements  # the store's backing list, not a copy
-        self._store = store  # set instead of elements for cold segments
-
-    @property
-    def sealed(self) -> bool:
-        return self.zone is not None
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-    def __iter__(self) -> Iterator[Element]:
-        elements = self._elements
-        if elements is None:
-            # Cold segment: materialize through the tier manager.
-            yield from self._store.elements_range(self.start, self.stop)  # type: ignore[union-attr]
-            return
-        for position in range(self.start, self.stop):
-            yield elements[position]
-
-    def __repr__(self) -> str:
-        kind = "sealed" if self.sealed else "head"
-        return f"Segment(#{self.ordinal} [{self.start}:{self.stop}] {kind})"
 
 
 class SegmentedStore:
@@ -491,47 +445,11 @@ class SegmentedStore:
     # -- segment access ------------------------------------------------------------
 
     @property
-    def head_start(self) -> int:
-        """First position of the mutable head segment."""
-        return len(self._zones) * self.segment_size
-
-    @property
     def sealed_count(self) -> int:
         return len(self._zones)
 
-    def sealed_segments(self) -> Iterator[Segment]:
-        size = self.segment_size
-        elements = self._elements
-        cold = self._cold
-        for ordinal, zone in enumerate(self._zones):
-            start = ordinal * size
-            if ordinal < cold:
-                yield Segment(ordinal, start, start + size, zone, None, self)
-            else:
-                yield Segment(ordinal, start, start + size, zone, elements)  # type: ignore[arg-type]
-
-    def segments(self) -> List[Segment]:
-        """All segments in position order, the head (possibly empty) last."""
-        listed = list(self.sealed_segments())
-        head_start = self.head_start
-        if head_start < len(self._elements):
-            listed.append(
-                Segment(len(self._zones), head_start, len(self._elements), None, self._elements)
-            )
-        return listed
-
     def zone_of(self, ordinal: int) -> ZoneMap:
         return self._zones[ordinal]
-
-    # -- position search -----------------------------------------------------------
-
-    def position_left(self, tt_micro: int) -> int:
-        """First position with ``tt_start >= tt_micro``."""
-        return bisect.bisect_left(self._tts, tt_micro)
-
-    def position_right(self, tt_micro: int) -> int:
-        """First position with ``tt_start > tt_micro``."""
-        return bisect.bisect_right(self._tts, tt_micro)
 
     # -- element access ------------------------------------------------------------
 
@@ -543,17 +461,6 @@ class SegmentedStore:
             ordinal, local = divmod(position, self.segment_size)
             return self.tiering.element_at(ordinal, local)  # type: ignore[union-attr]
         return element
-
-    def elements_list(self) -> List[Element]:
-        """The backing list (read-only by convention; no copy).
-
-        With cold segments present this materializes the whole run --
-        scan-shaped callers should prefer :meth:`elements_range` /
-        :meth:`fetch_elements`, which touch only what they need.
-        """
-        if self._cold:
-            return self.elements_range(0, len(self._elements))
-        return self._elements  # type: ignore[return-value]
 
     def elements_range(self, lo: int, hi: int) -> List[Element]:
         """Elements for positions ``[lo, hi)``, cold segments decoded
@@ -620,8 +527,8 @@ class SegmentedStore:
         pin's position is read, and the sealed count is read once, so a
         segment sealing meanwhile is scanned as the head it was.
         """
-        start = self.position_left(spec.tt_lo)
-        stop = self.position_right(spec.tt_hi)
+        start = bisect.bisect_left(self._tts, spec.tt_lo)
+        stop = bisect.bisect_right(self._tts, spec.tt_hi)
         if stop <= start:
             return [], 0
         size = self.segment_size

@@ -244,7 +244,7 @@ class CurrentStateView(StandingView):
         self._stale = False
 
     def snapshot(self) -> List[Element]:
-        return list(self._relation.engine.current())
+        return self._relation.current()
 
     def __len__(self) -> int:
         return self._relation.live_count()
@@ -316,7 +316,7 @@ class TimesliceView(_FrontierView):
         return _vt_lower_bound(element) > self.vt
 
     def _recompute_elements(self) -> Iterable[Element]:
-        return self._relation.engine.valid_at(self.vt)
+        return self._relation.valid_at(self.vt)
 
 
 class OverlapView(_FrontierView):
@@ -339,7 +339,7 @@ class OverlapView(_FrontierView):
         return not (_vt_lower_bound(element) < self.window.end)
 
     def _recompute_elements(self) -> Iterable[Element]:
-        return self._relation.engine.valid_overlapping(self.window)
+        return self._relation.valid_overlapping(self.window)
 
 
 class ConstraintWatchView(StandingView):
@@ -378,7 +378,7 @@ class ConstraintWatchView(StandingView):
     def _recompute_elements(self) -> Iterable[Element]:
         return (
             element
-            for element in self._relation.engine.current()
+            for element in self._relation.current()
             if self._predicate(element)
         )
 

@@ -59,7 +59,7 @@ class TestMemoryEngine:
     def test_vt_index_hit(self, registry):
         relation, _clock = build()
         relation.append_many(rows(10))
-        list(relation.engine.valid_at(Timestamp(50)))
+        relation.valid_at(Timestamp(50))
         counters = registry.snapshot()["counters"]
         assert counters.get("storage.memory.vt_index_hits", 0) == 1
 

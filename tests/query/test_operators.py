@@ -39,20 +39,20 @@ class TestFullScans:
 class TestScanRollback:
     def test_prefix_examines_only_prefix(self):
         relation = build_events([0] * 100)
-        results, examined = operators.scan(relation, ScanSpec.of(as_of=Timestamp(95)))
+        results, examined = relation.engine.store.select(ScanSpec.of(as_of=Timestamp(95)))
         assert len(results) == 10
         assert examined == 10
 
     def test_forever_is_the_current_state(self):
         relation = build_events([0] * 10)
         relation.delete(relation.all_elements()[4].element_surrogate)
-        results, examined = operators.scan(relation, ScanSpec.of(as_of=FOREVER))
+        results, examined = relation.engine.store.select(ScanSpec.of(as_of=FOREVER))
         assert len(results) == 9
         assert examined == 10
 
     def test_negative_infinity_is_an_empty_window(self):
         relation = build_events([0] * 10)
-        assert operators.scan(relation, ScanSpec.of(as_of=NEGATIVE_INFINITY)) == ([], 0)
+        assert relation.engine.store.select(ScanSpec.of(as_of=NEGATIVE_INFINITY)) == ([], 0)
 
 
 class TestScanPointWindow:
@@ -61,7 +61,7 @@ class TestScanPointWindow:
     def test_point_lookup(self):
         relation = build_events([0] * 50, specializations=["degenerate"])
         spec = ScanSpec.of(Timestamp(250)).narrowed(250 * S, 250 * S)
-        results, examined = operators.scan(relation, spec)
+        results, examined = relation.engine.store.select(spec)
         assert len(results) == 1
         assert examined == 1
 
@@ -70,7 +70,7 @@ class TestScanBoundedWindow:
     def test_two_sided(self):
         relation = build_events([3] * 200, specializations=["strongly bounded(5s, 5s)"])
         spec = ScanSpec.of(Timestamp(503)).narrowed(498 * S, 508 * S)
-        results, examined = operators.scan(relation, spec)
+        results, examined = relation.engine.store.select(spec)
         assert len(results) == 1
         assert examined <= 2
 
@@ -78,7 +78,7 @@ class TestScanBoundedWindow:
         """Retroactive side only: scan the suffix from vt on."""
         relation = build_events([-3] * 50)
         spec = ScanSpec.of(Timestamp(247)).narrowed(247 * S, None)
-        results, examined = operators.scan(relation, spec)
+        results, examined = relation.engine.store.select(spec)
         assert len(results) == 1
         # Elements with tt >= vt: positions 25..49 (suffix scan).
         assert examined == 25
@@ -86,20 +86,20 @@ class TestScanBoundedWindow:
     def test_upper_side_only(self):
         relation = build_events([3] * 50)
         spec = ScanSpec.of(Timestamp(253)).narrowed(None, 253 * S)
-        results, examined = operators.scan(relation, spec)
+        results, examined = relation.engine.store.select(spec)
         assert len(results) == 1
         assert examined == 26  # prefix through vt
 
     def test_full_range_scans_all(self):
         relation = build_events([0] * 10)
-        _results, examined = operators.scan(relation, ScanSpec.of(Timestamp(50)))
+        _results, examined = relation.engine.store.select(ScanSpec.of(Timestamp(50)))
         assert examined == 10
 
     def test_overlap_window(self):
         relation = build_events([3] * 50)
         window = Interval(Timestamp(100), Timestamp(140))
         spec = ScanSpec.of(window).narrowed(95 * S, 145 * S)
-        results, examined = operators.scan(relation, spec)
+        results, examined = relation.engine.store.select(spec)
         assert [e.vt for e in results] == [Timestamp(v) for v in (103, 113, 123, 133)]
         assert examined == 5  # tt 100..140
 
@@ -186,8 +186,8 @@ class TestScanBitemporal:
         relation = build_events([0] * 20)
         victim = relation.all_elements()[3]
         relation.delete(victim.element_surrogate)
-        results, examined = operators.scan(
-            relation, ScanSpec.of(victim.vt, as_of=Timestamp(100))
+        results, examined = relation.engine.store.select(
+            ScanSpec.of(victim.vt, as_of=Timestamp(100))
         )
         assert [e.element_surrogate for e in results] == [victim.element_surrogate]
         assert examined <= 11

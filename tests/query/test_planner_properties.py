@@ -31,12 +31,12 @@ from repro.query import (
     Scan,
     ValidOverlap,
     ValidTimeslice,
-    operators,
 )
 from repro.core.constraints import EnforcementMode
 from repro.core.taxonomy.regions import enumerate_regions
 from repro.relation.schema import TemporalSchema, ValidTimeKind
 from repro.relation.temporal_relation import TemporalRelation
+from repro.storage.memory import MemoryEngine
 from tests.strategies import (
     EVENT_DECLARATIONS,
     compliant_vt_ticks,
@@ -85,21 +85,21 @@ def surrogates(elements) -> list:
 
 @contextmanager
 def scan_calls():
-    """Every ``operators.scan`` made inside the block, as ``(spec,
+    """Every ``MemoryEngine.select`` made inside the block, as ``(spec,
     examined)`` -- how much a relation read method looked at."""
     calls = []
-    real = operators.scan
+    real = MemoryEngine.select
 
-    def recording(relation, spec, stats=None):
-        results, examined = real(relation, spec, stats)
+    def recording(engine, spec, stats=None):
+        results, examined = real(engine, spec, stats)
         calls.append((spec, examined))
         return results, examined
 
-    operators.scan = recording
+    MemoryEngine.select = recording
     try:
         yield calls
     finally:
-        operators.scan = real
+        MemoryEngine.select = real
 
 
 def count_in_window(relation, tt_lo, tt_hi) -> int:

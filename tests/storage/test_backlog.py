@@ -7,6 +7,7 @@ from repro.chronos.timestamp import FOREVER, Timestamp
 from repro.relation.element import Element
 from repro.relation.errors import ElementNotFound
 from repro.storage.backlog import Backlog, Operation, OperationKind
+from repro.storage.columnar import ScanSpec
 from repro.storage.memory import MemoryEngine
 from repro.storage.snapshot import SnapshotCache
 
@@ -233,6 +234,7 @@ class TestBacklogEngineAgreement:
                 backlog.record_insert(element)
                 live.append(surrogate)
         for probe in range(0, tt + 2):
-            assert sorted(e.element_surrogate for e in engine.as_of(Timestamp(probe))) == sorted(
+            rollback = engine.select(ScanSpec.of(as_of=Timestamp(probe)))[0]
+            assert sorted(e.element_surrogate for e in rollback) == sorted(
                 backlog.state_at(Timestamp(probe))
             )

@@ -317,7 +317,7 @@ class TestLateMaterialization:
     def test_examined_counts_only_surviving_segments(self):
         relation, _clock = build_events([0] * 64)
         stats = operators.SegmentStats()
-        matches, examined = operators.scan(relation, ScanSpec.of(Timestamp(0)), stats)
+        matches, examined = relation.engine.store.select(ScanSpec.of(Timestamp(0)), stats)
         assert len(matches) == 1
         assert examined == stats.positions_examined == 8
         assert stats.scanned == 1
@@ -327,7 +327,7 @@ class TestLateMaterialization:
         relation, _clock = build_events([0] * 32)
         stats = operators.SegmentStats()
         for _ in range(2):
-            matches, examined = operators.scan(relation, ScanSpec.of(Timestamp(0)), stats)
+            matches, examined = relation.engine.store.select(ScanSpec.of(Timestamp(0)), stats)
         assert stats.positions_examined == 2 * examined > 0
         assert stats.materialized == 2 * len(matches)
 
@@ -354,7 +354,7 @@ class TestCurrentStateFeed:
             relation.delete(element.element_surrogate)
         store = relation.engine.store
         store.invalidate_view()
-        from_columns = signature(relation.engine.current())
+        from_columns = signature(relation.current())
         from_objects = signature(e for e in relation.engine.scan() if e.is_current)
         assert from_columns == from_objects
         assert len(from_columns) == relation.live_count()
@@ -364,7 +364,7 @@ class TestCurrentStateFeed:
 
 
 def kernel_and_oracle(relation, probes):
-    """``scan(spec)`` answers beside ``NaiveExecutor``'s, per query shape."""
+    """``engine.select(spec)`` answers beside ``NaiveExecutor``'s, per query shape."""
     a, b, c = (Timestamp(p) for p in probes)
     lo, hi = sorted((probes[0], probes[1] + 1))
     if lo == hi:  # probes can collide; Interval requires start < end
@@ -381,7 +381,7 @@ def kernel_and_oracle(relation, probes):
     }
     naive = NaiveExecutor()
     return {
-        name: (signature(operators.scan(relation, spec)[0]), signature(naive.run(query)))
+        name: (signature(relation.engine.select(spec)[0]), signature(naive.run(query)))
         for name, (spec, query) in cases.items()
     }
 

@@ -23,6 +23,7 @@ from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
 from repro.storage import wal
 from repro.storage.backlog import OperationKind
+from repro.storage.columnar import ScanSpec
 from repro.storage.logfile import LogFileEngine, read_log_batches
 from repro.storage.memory import MemoryEngine
 from repro.storage.wal import recover_file, sidecar_path
@@ -446,12 +447,12 @@ def assert_same_state(engine, reference):
     the valid-time index at every stored valid time."""
     stored = list(reference.scan())
     assert list(engine.scan()) == stored
-    assert list(engine.current()) == list(reference.current())
+    assert engine.select(ScanSpec.of()) == reference.select(ScanSpec.of())
     pinned, expected = (
         TemporalRelation(TemporalSchema(name="r"), engine=e) for e in (engine, reference)
     )
     for vt in {element.vt for element in stored}:
-        assert list(engine.valid_at(vt)) == list(reference.valid_at(vt))
+        assert engine.select(ScanSpec.of(vt)) == reference.select(ScanSpec.of(vt))
         assert pinned.valid_at(vt, stored[-1].tt_start) == expected.valid_at(
             vt, stored[-1].tt_start
         )

@@ -7,11 +7,13 @@ from repro.chronos.interval import Interval
 from repro.chronos.timestamp import FOREVER, NEGATIVE_INFINITY, Timestamp
 from repro.relation.element import Element
 from repro.relation.errors import ElementNotFound
-from repro.relation.schema import TemporalSchema
+from repro.relation.schema import TemporalSchema, ValidTimeKind
 from repro.relation.temporal_relation import TemporalRelation
+from repro.storage.columnar import ScanSpec
 from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
 from repro.storage.tiered import TierManager
+from tests.strategies import topologies
 
 
 @pytest.fixture(params=["MemoryEngine", "LogFileEngine"])
@@ -23,6 +25,11 @@ def engine(request, tmp_path):
         fresh = LogFileEngine(str(tmp_path / "engine.wal"), fsync=False)
     yield fresh
     fresh.close()
+
+
+def read(engine, vt=None, as_of=None):
+    """The engine's one read of ``ScanSpec.of(vt, as_of)``."""
+    return engine.select(ScanSpec.of(vt, as_of))[0]
 
 
 def event_element(surrogate: int, tt: int, vt: int, who="obj") -> Element:
@@ -64,7 +71,7 @@ class TestEngineContract:
         closed = engine.close_element(1, Timestamp(20))
         assert closed.tt_stop == Timestamp(20)
         assert engine.get(1).tt_stop == Timestamp(20)
-        assert list(engine.current()) == []
+        assert read(engine) == []
 
     def test_double_close_rejected(self, engine):
         engine.append(event_element(1, 10, 5))
@@ -76,29 +83,29 @@ class TestEngineContract:
         engine.append(event_element(1, 10, 5))
         engine.append(event_element(2, 20, 15))
         engine.close_element(1, Timestamp(30))
-        assert [e.element_surrogate for e in engine.as_of(Timestamp(9))] == []
-        assert [e.element_surrogate for e in engine.as_of(Timestamp(10))] == [1]
-        assert sorted(e.element_surrogate for e in engine.as_of(Timestamp(25))) == [1, 2]
-        assert [e.element_surrogate for e in engine.as_of(Timestamp(30))] == [2]
-        assert [e.element_surrogate for e in engine.as_of(FOREVER)] == [2]
+        assert [e.element_surrogate for e in read(engine, as_of=Timestamp(9))] == []
+        assert [e.element_surrogate for e in read(engine, as_of=Timestamp(10))] == [1]
+        assert sorted(e.element_surrogate for e in read(engine, as_of=Timestamp(25))) == [1, 2]
+        assert [e.element_surrogate for e in read(engine, as_of=Timestamp(30))] == [2]
+        assert [e.element_surrogate for e in read(engine, as_of=FOREVER)] == [2]
 
     def test_valid_at_events(self, engine):
         engine.append(event_element(1, 10, 5))
         engine.append(event_element(2, 20, 5))
         engine.append(event_element(3, 30, 7))
-        assert sorted(e.element_surrogate for e in engine.valid_at(Timestamp(5))) == [1, 2]
+        assert sorted(e.element_surrogate for e in read(engine, Timestamp(5))) == [1, 2]
 
     def test_valid_at_intervals(self, engine):
         engine.append(interval_element(1, 10, 0, 10))
         engine.append(interval_element(2, 20, 5, 15))
-        assert sorted(e.element_surrogate for e in engine.valid_at(Timestamp(7))) == [1, 2]
-        assert [e.element_surrogate for e in engine.valid_at(Timestamp(12))] == [2]
-        assert [e.element_surrogate for e in engine.valid_at(Timestamp(15))] == []
+        assert sorted(e.element_surrogate for e in read(engine, Timestamp(7))) == [1, 2]
+        assert [e.element_surrogate for e in read(engine, Timestamp(12))] == [2]
+        assert [e.element_surrogate for e in read(engine, Timestamp(15))] == []
 
     def test_valid_at_sees_only_current(self, engine):
         engine.append(event_element(1, 10, 5))
         engine.close_element(1, Timestamp(20))
-        assert list(engine.valid_at(Timestamp(5))) == []
+        assert read(engine, Timestamp(5)) == []
         # A slice of a rollback state is the relation's pinned scan.
         relation = TemporalRelation(TemporalSchema(name="r"), engine=engine)
         assert [e.element_surrogate for e in relation.valid_at(Timestamp(5), Timestamp(15))] == [1]
@@ -108,13 +115,13 @@ class TestEngineContract:
         engine.append(interval_element(2, 20, 20, 30))
         engine.append(event_element(3, 30, 25))
         window = Interval(Timestamp(8), Timestamp(26))
-        assert sorted(e.element_surrogate for e in engine.valid_overlapping(window)) == [
+        assert sorted(e.element_surrogate for e in read(engine, window)) == [
             1,
             2,
             3,
         ]
         narrow = Interval(Timestamp(10), Timestamp(20))
-        assert list(engine.valid_overlapping(narrow)) == []
+        assert read(engine, narrow) == []
 
     def test_scan_in_transaction_order(self, engine):
         for surrogate, tt in ((1, 10), (2, 20), (3, 30)):
@@ -156,11 +163,11 @@ class TestEngineEquivalence:
         reopened = LogFileEngine(path, fsync=False)  # the answers survive a replay
         for probe in range(0, tt + 2):
             stamp = Timestamp(probe)
-            assert sorted(e.element_surrogate for e in memory.as_of(stamp)) == sorted(
-                e.element_surrogate for e in reopened.as_of(stamp)
+            assert sorted(e.element_surrogate for e in read(memory, as_of=stamp)) == sorted(
+                e.element_surrogate for e in read(reopened, as_of=stamp)
             )
-            assert sorted(e.element_surrogate for e in memory.valid_at(stamp)) == sorted(
-                e.element_surrogate for e in reopened.valid_at(stamp)
+            assert sorted(e.element_surrogate for e in read(memory, stamp)) == sorted(
+                e.element_surrogate for e in read(reopened, stamp)
             )
         reopened.close()
 
@@ -186,8 +193,8 @@ def mixed_store_scripts(draw):
 
 
 class TestLiveIndexReads:
-    """Un-pinned ``valid_at`` / ``valid_overlapping`` come from the
-    valid-time indexes' positions filtered by the live bitmap; whatever
+    """Un-pinned point and window specs come from the valid-time
+    indexes' positions filtered by the live bitmap; whatever
     the mix of stamps and the interleaving of bulks, single rows and
     deletes, they equal a plain-list filter, in exact tt order."""
 
@@ -254,7 +261,7 @@ class TestLiveIndexReads:
         for name, engine in engines.items():
             for probe in range(0, 19, 3):
                 vt = Timestamp(probe)
-                assert list(engine.valid_at(vt)) == [e for e in current if e.valid_at(vt)], name
+                assert read(engine, vt) == [e for e in current if e.valid_at(vt)], name
             for window in windows:
                 expected = [
                     e
@@ -265,4 +272,83 @@ class TestLiveIndexReads:
                         else window.contains_point(e.vt)
                     )
                 ]
-                assert list(engine.valid_overlapping(window)) == expected, (name, window)
+                assert read(engine, window) == expected, (name, window)
+
+
+def vt_stamps(kind):
+    """Event ticks, or ``(start, length, open_ended)`` interval stamps."""
+    if kind == "event":
+        return st.integers(0, 12)
+    return st.tuples(st.integers(0, 12), st.integers(1, 6), st.booleans())
+
+
+def as_valid_time(stamp):
+    if isinstance(stamp, int):
+        return Timestamp(stamp)
+    start, length, open_ended = stamp
+    return Interval(Timestamp(start), FOREVER if open_ended else Timestamp(start + length))
+
+
+def meets(element, vt) -> bool:
+    """Object-level valid-time predicate: a point or a window."""
+    if isinstance(vt, Timestamp):
+        return element.valid_at(vt)
+    if isinstance(element.vt, Interval):
+        return element.vt.overlaps(vt)
+    return vt.contains_point(element.vt)
+
+
+class TestSelectBranches:
+    """``engine.select(spec)`` picks the view, the vt index or the kernel
+    from the spec alone; whichever fires, the answer is a plain filter
+    over ``engine.scan()`` in tt order -- and where the view or index
+    fires, it is also exactly the kernel's answer."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(topologies(), st.sampled_from(["event", "interval"]), st.data())
+    def test_every_branch_equals_a_plain_filter(self, topology, kind, data):
+        schema = TemporalSchema(name="r", valid_time_kind=ValidTimeKind(kind))
+        relation = topology.relation(schema)
+        try:
+            for _ in range(data.draw(st.integers(1, 8), label="steps")):
+                step = data.draw(st.sampled_from(["insert", "bulk", "delete"]))
+                live = relation.current()
+                # (a delete with nothing live inserts, so something is stored)
+                if step == "delete" and live:
+                    relation.delete(data.draw(st.sampled_from(live)).element_surrogate)
+                elif step == "bulk":
+                    stamps = data.draw(st.lists(vt_stamps(kind), min_size=1, max_size=7))
+                    relation.append_many([("o", as_valid_time(stamp)) for stamp in stamps])
+                else:
+                    relation.insert("o", as_valid_time(data.draw(vt_stamps(kind))))
+            self.check(relation.engine, data)
+        finally:
+            topology.close(relation)
+
+    @staticmethod
+    def check(engine, data):
+        stored = list(engine.scan())
+        last_tick = stored[-1].tt_start.microseconds // Timestamp(1).microseconds
+        tick = st.integers(-1, last_tick + 2)
+        lo, width = data.draw(st.integers(0, 12)), data.draw(st.integers(1, 8))
+        valid_times = [None, Timestamp(data.draw(st.integers(0, 14))), as_valid_time((lo, width, False))]
+        pins = [None, Timestamp(data.draw(tick, label="as_of"))]
+        first, span = data.draw(tick, label="tt_lo"), data.draw(st.integers(0, last_tick + 2))
+        windows = [None, (Timestamp(first).microseconds, Timestamp(first + span).microseconds)]
+        for vt in valid_times:
+            for as_of in pins:
+                for window in windows:
+                    spec = ScanSpec.of(vt, as_of)
+                    if window is not None:
+                        spec = spec.narrowed(*window)
+                    expected = [
+                        element
+                        for element in stored
+                        if spec.tt_lo <= element.tt_start.microseconds <= spec.tt_hi
+                        and (element.is_current if as_of is None else element.stored_during(as_of))
+                        and (vt is None or meets(element, vt))
+                    ]
+                    found, _examined = engine.select(spec)
+                    assert found == expected, (spec, vt, as_of)
+                    if as_of is None and window is None:  # the view or the index
+                        assert found == engine.store.select(spec)[0], spec

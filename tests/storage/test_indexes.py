@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import FOREVER, NEGATIVE_INFINITY, Timestamp
 from repro.relation.element import Element
+from repro.storage.columnar import ScanSpec
 from repro.storage.indexes import ValidTimeEventIndex
 from repro.storage.interval_tree import IntervalTree
 from repro.storage.memory import MemoryEngine
@@ -41,10 +42,13 @@ class TestTransactionTimeIndex:
         engine = MemoryEngine()
         for surrogate, tt in ((1, 10), (2, 20), (3, 30)):
             engine.append(event_element(surrogate, tt, 0))
-        assert [e.element_surrogate for e in engine.as_of(Timestamp(20))] == [1, 2]
-        assert [e.element_surrogate for e in engine.as_of(Timestamp(9))] == []
-        assert len(list(engine.as_of(FOREVER))) == 3
-        assert list(engine.as_of(NEGATIVE_INFINITY)) == []
+        def rollback(tt):
+            return engine.select(ScanSpec.of(as_of=tt))[0]
+
+        assert [e.element_surrogate for e in rollback(Timestamp(20))] == [1, 2]
+        assert [e.element_surrogate for e in rollback(Timestamp(9))] == []
+        assert len(rollback(FOREVER)) == 3
+        assert rollback(NEGATIVE_INFINITY) == []
 
     def test_rejects_non_increasing(self):
         store = SegmentedStore()
@@ -287,13 +291,13 @@ class TestIntervalTreeIncrementalInsert:
         engine = MemoryEngine()
         for i in range(10):
             engine.append(interval_element(i, 10 * i, 10 * i, 10 * i + 25))
-        assert len(list(engine.valid_at(Timestamp(30)))) > 0  # force build
+        assert engine.select(ScanSpec.of(Timestamp(30)))[0]  # force build
         tree = engine.interval_index
         assert tree is not None
         before = tree.rebuilds
         for i in range(10, 40):
             engine.append(interval_element(i, 10 * i, 10 * i, 10 * i + 25))
-            engine.valid_at(Timestamp(10 * i + 1))
+            engine.select(ScanSpec.of(Timestamp(10 * i + 1)))
         assert engine.interval_index is tree
         assert tree.rebuilds == before
 

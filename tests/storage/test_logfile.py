@@ -6,10 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chronos.interval import Interval
-from repro.chronos.timestamp import FOREVER, Timestamp
+from repro.chronos.timestamp import FOREVER, NEGATIVE_INFINITY, Timestamp
 from repro.relation.element import Element
+from repro.relation.errors import SchemaError
+from repro.relation.schema import TemporalSchema, ValidTimeKind
+from repro.relation.temporal_relation import TemporalRelation
 from repro.storage.backlog import Backlog
+from repro.storage.columnar import POS_SENTINEL
 from repro.storage.logfile import (
+    LogFileEngine,
     dump_backlog,
     dump_operations,
     load_backlog,
@@ -195,3 +200,55 @@ class TestModificationLineage:
         loaded = load_backlog(path)
         assert set(loaded.state_at(Timestamp(50))) == {1, 3}
         assert set(loaded.state_at(Timestamp(49))) == {1}
+
+
+def micro(coordinate):
+    return Timestamp(coordinate, "microsecond")
+
+
+class TestSentinelCoordinates:
+    """A valid time at or beyond the +-2**62 microsecond sentinels would
+    read back from the log as an unbounded endpoint, so the write
+    boundary refuses it; every stamp it accepts round-trips exactly."""
+
+    CASES = {
+        "event": (
+            [micro(POS_SENTINEL - 1), micro(1 - POS_SENTINEL), Timestamp(10)],
+            [micro(POS_SENTINEL), micro(POS_SENTINEL + 5), micro(-POS_SENTINEL)],
+        ),
+        "interval": (
+            [
+                Interval(Timestamp(10), micro(POS_SENTINEL - 1)),
+                Interval(micro(1 - POS_SENTINEL), Timestamp(10)),
+                Interval(Timestamp(10), FOREVER),
+                Interval(NEGATIVE_INFINITY, Timestamp(10)),
+            ],
+            [
+                Interval(Timestamp(10), micro(POS_SENTINEL)),
+                Interval(Timestamp(10), micro(POS_SENTINEL + 1)),
+                Interval(micro(-POS_SENTINEL), Timestamp(10)),
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_refused_at_the_write_boundary_and_exact_after_reopen(self, tmp_path, kind):
+        accepted, refused = self.CASES[kind]
+        path = str(tmp_path / "r.wal")
+        schema = TemporalSchema(name="r", valid_time_kind=ValidTimeKind(kind))
+        engine = LogFileEngine(path, fsync=False)
+        relation = TemporalRelation(schema, engine=engine)
+        stored = [relation.insert("o", vt) for vt in accepted]
+        for vt in refused:
+            with pytest.raises(SchemaError):
+                relation.insert("o", vt)
+            with pytest.raises(SchemaError):  # the whole batch
+                relation.append_many([("o", accepted[0]), ("o", vt)])
+            with pytest.raises(SchemaError):
+                relation.modify(stored[0].element_surrogate, vt=vt)
+        stored += relation.append_many([("o", vt) for vt in accepted])
+        assert relation.all_elements() == stored
+        engine.close()
+        with LogFileEngine(path, fsync=False) as reopened:
+            assert list(reopened.scan()) == stored
+            assert [element.vt for element in reopened.scan()] == accepted + accepted

@@ -77,7 +77,7 @@ class TestColdPatchInvalidation:
             )  # guaranteed to sit in the oldest (cold) segment
             relation.delete(victim.element_surrogate)
 
-            survivors = {e.element_surrogate for e in engine.current()}
+            survivors = {e.element_surrogate for e in relation.current()}
             assert victim.element_surrogate not in survivors
             assert len(survivors) == 11
             # The epoch-keyed caches saw the patch.

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.chronos.clock import SimulatedWallClock
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import FOREVER, Timestamp
-from repro.query import NaiveExecutor, Rollback, Scan, ValidTimeslice, operators
+from repro.query import NaiveExecutor, Rollback, Scan, ValidTimeslice
 from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
 from repro.storage.columnar import ScanSpec
@@ -35,10 +35,11 @@ class TestSealing:
         relation, _clock = build_relation(segment_size=8, count=20)
         store = relation.engine.store
         assert store.sealed_count == 2
-        assert store.head_start == 16
-        segments = store.segments()
-        assert [len(s) for s in segments] == [8, 8, 4]
-        assert [s.sealed for s in segments] == [True, True, False]
+        assert len(store) == 20  # two sealed segments of 8, a head of 4
+        assert [store.zone_of(ordinal).tt_hi for ordinal in (0, 1)] == [
+            Timestamp(70).microseconds,
+            Timestamp(150).microseconds,
+        ]
 
     def test_extend_seals_full_blocks(self):
         relation, _clock = build_relation(segment_size=8)
@@ -234,25 +235,23 @@ def signature(elements):
 
 
 def all_answers(relation, probes):
-    """Every engine read path, in engine-reported order."""
+    """Every engine read path -- each branch of ``engine.select`` and the
+    store's kernel directly -- in engine-reported order."""
     a, b, c = (Timestamp(p) for p in probes)
     lo, hi = sorted((probes[0], probes[1] + 1))
     if lo == hi:  # probes can collide; Interval requires start < end
         hi += 1
+    select, kernel = relation.engine.select, relation.engine.store.select
     return {
         "scan": signature(relation.engine.scan()),
-        "current": signature(relation.engine.current()),
-        "as_of": signature(relation.engine.as_of(a)),
-        "as_of_forever": signature(relation.engine.as_of(FOREVER)),
-        "valid_at": signature(relation.engine.valid_at(b)),
-        "overlap": signature(
-            relation.engine.valid_overlapping(
-                Interval(Timestamp(lo), Timestamp(hi))
-            )
-        ),
-        "rollback_op": signature(operators.scan(relation, ScanSpec.of(as_of=c))[0]),
-        "bitemporal_op": signature(operators.scan(relation, ScanSpec.of(b, c))[0]),
-        "timeslice_op": signature(operators.scan(relation, ScanSpec.of(b))[0]),
+        "current": signature(select(ScanSpec.of())[0]),
+        "as_of": signature(select(ScanSpec.of(as_of=a))[0]),
+        "as_of_forever": signature(select(ScanSpec.of(as_of=FOREVER))[0]),
+        "valid_at": signature(select(ScanSpec.of(b))[0]),
+        "overlap": signature(select(ScanSpec.of(Interval(Timestamp(lo), Timestamp(hi))))[0]),
+        "rollback_op": signature(kernel(ScanSpec.of(as_of=c))[0]),
+        "bitemporal_op": signature(kernel(ScanSpec.of(b, c))[0]),
+        "timeslice_op": signature(kernel(ScanSpec.of(b))[0]),
     }
 
 

@@ -342,7 +342,7 @@ class TestCompactionCrashMatrix:
         engine.close()
 
         def reference_answers(eng):
-            return [repr(e) for e in eng.scan()] + [repr(e) for e in eng.current()]
+            return [repr(e) for e in eng.scan()] + [repr(e) for e in eng.select(ScanSpec.of())[0]]
 
         clean = LogFileEngine(wal, fsync=False, segment_size=4, tier_dir=tier)
         want = reference_answers(clean)

@@ -9,6 +9,7 @@ from repro.query import NaiveExecutor, Planner, Scan, ValidTimeslice
 from repro.relation.element import Element
 from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
+from repro.storage.columnar import ScanSpec
 from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
 from repro.storage.vacuum import (
@@ -73,7 +74,7 @@ class TestVacuumEngine:
         relation = workload.relation
         current = sorted(e.element_surrogate for e in relation.current())
         compacted, _report = vacuum_engine(relation.engine, Timestamp(horizon))
-        assert sorted(e.element_surrogate for e in compacted.current()) == current
+        assert sorted(e.element_surrogate for e in compacted.select(ScanSpec.of())[0]) == current
 
 
 class TestLogBackedRefusal:
@@ -101,7 +102,7 @@ class TestLogBackedRefusal:
         assert len(live) == 2
         engine.close()
         with LogFileEngine(path, fsync=False) as reopened:
-            assert sorted(e.element_surrogate for e in reopened.current()) == live
+            assert sorted(e.element_surrogate for e in reopened.select(ScanSpec.of())[0]) == live
 
 
 class TestHorizonFromValidFloor:
