@@ -28,7 +28,7 @@ def build(bound_seconds: int) -> TemporalRelation:
     )
     rng = seeded(bound_seconds)
     clock = SimulatedWallClock(start=0)
-    relation = TemporalRelation(schema, clock=clock, keep_backlog=False)
+    relation = TemporalRelation(schema, clock=clock)
     for i in range(SIZE):
         clock.advance_to(Timestamp(SPACING * i))
         offset = rng.randint(-bound_seconds, bound_seconds)

@@ -60,7 +60,7 @@ def build_events(count, offset_of, specializations=(), segment_size=None):
     schema = TemporalSchema(name="r", specializations=list(specializations))
     clock = SimulatedWallClock(start=0)
     engine = MemoryEngine(segment_size=segment_size)
-    relation = TemporalRelation(schema, clock=clock, keep_backlog=False, engine=engine)
+    relation = TemporalRelation(schema, clock=clock, engine=engine)
     rows = [("o", Timestamp(10 * i + offset_of(i)), {}) for i in range(count)]
     clock.advance_to(Timestamp(0))
     relation.append_many(rows)

@@ -37,7 +37,7 @@ CONSTRAINT_SETS = {
 def insert_stream(specializations):
     schema = TemporalSchema(name="stream", specializations=specializations)
     clock = SimulatedWallClock(start=100)
-    relation = TemporalRelation(schema, clock=clock, keep_backlog=False)
+    relation = TemporalRelation(schema, clock=clock)
     for i in range(SIZE):
         clock.advance_to(Timestamp(100 + 10 * i))
         relation.insert("obj", Timestamp(100 + 10 * i - 4), {})

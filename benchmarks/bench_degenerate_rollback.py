@@ -23,7 +23,7 @@ SIZE = 20_000
 def degenerate_relation():
     schema = TemporalSchema(name="sensor_feed", specializations=["degenerate"])
     clock = SimulatedWallClock(start=0)
-    relation = TemporalRelation(schema, clock=clock, keep_backlog=False)
+    relation = TemporalRelation(schema, clock=clock)
     for i in range(SIZE):
         clock.advance_to(Timestamp(5 * i))
         relation.insert("feed", Timestamp(5 * i), {})

@@ -21,7 +21,7 @@ def build(name):
         name=name, time_varying=("k",), specializations=["globally non-decreasing"]
     )
     clock = SimulatedWallClock(start=0)
-    relation = TemporalRelation(schema, clock=clock, keep_backlog=False)
+    relation = TemporalRelation(schema, clock=clock)
     for i in range(SIZE):
         clock.advance_to(Timestamp(10 * i))
         relation.insert("o", Timestamp(5 * i), {"k": i % 7})

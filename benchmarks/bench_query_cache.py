@@ -58,7 +58,6 @@ def build_relation(count: int) -> TemporalRelation:
         schema,
         clock=LogicalClock(start=1),
         engine=MemoryEngine(),
-        keep_backlog=False,
     )
     rng = seeded(1992)
     span = 2 * count

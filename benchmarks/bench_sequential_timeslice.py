@@ -24,7 +24,7 @@ SIZE = 20_000
 def sequential_events():
     schema = TemporalSchema(name="paced", specializations=["globally sequential"])
     clock = SimulatedWallClock(start=0)
-    relation = TemporalRelation(schema, clock=clock, keep_backlog=False)
+    relation = TemporalRelation(schema, clock=clock)
     for i in range(SIZE):
         clock.advance_to(Timestamp(10 * i))
         relation.insert("obj", Timestamp(10 * i - 4), {})
@@ -64,7 +64,7 @@ def test_planner_interval_timeslice(benchmark, sequential_intervals):
         specializations=[IntervalGloballySequential()],
     )
     clock = SimulatedWallClock(start=0)
-    single = TemporalRelation(schema, clock=clock, keep_backlog=False)
+    single = TemporalRelation(schema, clock=clock)
     for element in elements:
         if element.object_surrogate == badge:
             clock.advance_to(element.tt_start)

@@ -55,9 +55,7 @@ def test_representations_agree(populated):
 def _drive(engine_factory, updates: int = 1_000):
     schema = TemporalSchema(name="drive", time_varying=("v",))
     clock = SimulatedWallClock(start=0)
-    relation = TemporalRelation(
-        schema, clock=clock, engine=engine_factory(), keep_backlog=False
-    )
+    relation = TemporalRelation(schema, clock=clock, engine=engine_factory())
     for i in range(updates):
         clock.advance_to(Timestamp(10 * i))
         relation.insert("obj", Timestamp(10 * i - 3), {"v": i})

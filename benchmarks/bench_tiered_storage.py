@@ -65,7 +65,7 @@ def build_relation(count: int, tier_dir: Optional[str]) -> Tuple[TemporalRelatio
     schema = TemporalSchema(name="r", time_varying=("payload",))
     clock = SimulatedWallClock(start=0)
     engine = MemoryEngine(segment_size=SEGMENT, tier_dir=tier_dir)
-    relation = TemporalRelation(schema, clock=clock, keep_backlog=False, engine=engine)
+    relation = TemporalRelation(schema, clock=clock, engine=engine)
     rng = seeded(1992)
     span = 10 * count
     tick = 0

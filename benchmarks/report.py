@@ -206,7 +206,7 @@ def check_baseline(
 def build_events(size, specializations, offset_of):
     schema = TemporalSchema(name="r", specializations=specializations)
     clock = SimulatedWallClock(start=0)
-    relation = TemporalRelation(schema, clock=clock, keep_backlog=False)
+    relation = TemporalRelation(schema, clock=clock)
     for i in range(size):
         clock.advance_to(Timestamp(10 * i))
         relation.insert("o", Timestamp(10 * i + offset_of(i)), {})
@@ -346,7 +346,7 @@ def e16(size) -> Dict[str, Any]:
             name=name, time_varying=("k",), specializations=["globally non-decreasing"]
         )
         clock = SimulatedWallClock(start=0)
-        relation = TemporalRelation(schema, clock=clock, keep_backlog=False)
+        relation = TemporalRelation(schema, clock=clock)
         for i in range(size):
             clock.advance_to(Timestamp(10 * i))
             relation.insert("o", Timestamp(5 * i), {"k": i % 7})

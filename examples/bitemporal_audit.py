@@ -42,7 +42,8 @@ def main() -> None:
     total = sum(e.attributes["amount"] for e in state)
     print(f"\nrollback to tt={closing.ticks}s: {len(state)} entries, balance {total}")
 
-    # The backlog is the audit log itself; snapshots accelerate replay.
+    # The backlog is the audit log, derived from the stored history;
+    # snapshots accelerate replay.
     backlog = relation.backlog()
     cache = SnapshotCache(backlog, interval=64)
     cache.refresh()

@@ -30,6 +30,10 @@ Rules, in preference order, for a valid timeslice:
 5. no declaration -- the full range: the engine's valid-time index
    (event index or interval tree), which every engine keeps.
 
+"Declared" means guaranteed: only a schema that REJECTs violating
+elements licenses a rule, so RECORD and WARN declarations license
+nothing (``TemporalSchema.guaranteed_specializations``).
+
 Rollback and bitemporal queries always bisect the append order
 (uniqueness and monotonicity of transaction time need no declaration).
 Any tree shape the rules do not cover falls back to the reference
@@ -43,7 +47,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from repro.chronos.timestamp import Timestamp
-from repro.core.constraints import EnforcementMode
 from repro.observability import metrics as _metrics
 from repro.core.taxonomy.event_inter import (
     GloballyNonDecreasing,
@@ -67,15 +70,11 @@ def windowed(schema: TemporalSchema, spec: ScanSpec) -> ScanSpec:
     and valid time inside the spec's window has ``tt`` inside
     :meth:`OffsetRegion.tt_window`; a granularity-relative degenerate
     declaration (``floor(vt) = floor(tt)``, no fixed region) confines
-    it to the ticks the window touches.  No declaration, declarations
-    recorded rather than enforced, an interval relation, or an unbounded
-    valid-time side leaves the full range.  Schema-static: thread-safe.
+    it to the ticks the window touches.  No guaranteed declaration, an
+    interval relation, or an unbounded valid-time side leaves the full
+    range.  Schema-static: thread-safe.
     """
-    if (
-        spec.vt_lo is None
-        or not schema.is_event
-        or schema.enforcement is not EnforcementMode.REJECT
-    ):
+    if spec.vt_lo is None or not schema.is_event:
         return spec
     first = spec.vt_lo if spec.vt_lo > NEG_SENTINEL else None
     last = spec.vt_hi - 1 if spec.vt_hi < POS_SENTINEL else None
@@ -152,15 +151,17 @@ class Planner:
     # -- declared-semantics predicates --------------------------------------------
 
     def _has(self, *classes: type) -> bool:
-        """Is one of *classes* declared (per relation, not per partition)?
+        """Is one of *classes* guaranteed (per relation, not per partition)?
 
         Per-partition orderings do NOT license global binary search --
         only the global forms do -- so PerPartition wrappers are
-        deliberately not unwrapped here.
+        deliberately not unwrapped here.  A declaration that is only
+        recorded or warned about guarantees nothing
+        (``TemporalSchema.guaranteed_specializations``).
         """
         return any(
             isinstance(spec, classes)
-            for spec in self.relation.schema.insertion_specializations
+            for spec in self.relation.schema.guaranteed_specializations
         )
 
     def relation_statistics(self) -> dict:
@@ -330,7 +331,7 @@ class Planner:
                 )
             return any(
                 isinstance(spec, ordered_types)
-                for spec in relation.schema.insertion_specializations
+                for spec in relation.schema.guaranteed_specializations
             )
 
         if not (declared_ordered(left_relation) and declared_ordered(right_relation)):

@@ -82,21 +82,28 @@ class TemporalSchema:
             resolved.append(parse(spec) if isinstance(spec, str) else spec)
         self.specializations = tuple(resolved)
         # Declarations are immutable from here on, so what they license
-        # is derived once -- the planner and lock-free reader threads
-        # both only read it.
-        #: Specializations relative to insertion time (the ones that
-        #: constrain where a fact's stamps lie when it is stored).
-        self.insertion_specializations: Tuple[Specialization, ...] = tuple(
-            spec
-            for spec in resolved
-            if getattr(spec, "time_reference", TimeReference.INSERTION) is TimeReference.INSERTION
+        # is derived once -- the planner, standing views, vacuum and
+        # lock-free reader threads only read it.
+        #: The insertion-relative declarations storage guarantees: the
+        #: ones that constrain where a stored fact's stamps lie.  Only
+        #: REJECT refuses a violating element, so under RECORD or WARN
+        #: nothing is guaranteed and no declaration licenses a plan.
+        self.guaranteed_specializations: Tuple[Specialization, ...] = (
+            tuple(
+                spec
+                for spec in resolved
+                if getattr(spec, "time_reference", TimeReference.INSERTION)
+                is TimeReference.INSERTION
+            )
+            if self.enforcement is EnforcementMode.REJECT
+            else ()
         )
         self.declared_degenerate: Optional[Degenerate] = next(
-            (s for s in self.insertion_specializations if isinstance(s, Degenerate)), None
+            (s for s in self.guaranteed_specializations if isinstance(s, Degenerate)), None
         )
-        #: The intersection of the declared Figure 1 regions, or None
-        #: without one (nothing declared, or contradictory declarations).
-        self.declared_offset_region = _declared_region(self.insertion_specializations)
+        #: The intersection of the guaranteed Figure 1 regions, or None
+        #: without one (nothing guaranteed, or contradictory declarations).
+        self.declared_offset_region = _declared_region(self.guaranteed_specializations)
         # Attribute-name -> role, resolved once; the per-update hot path
         # (split_attributes) does a single dict probe per attribute
         # instead of three tuple scans.

@@ -79,14 +79,12 @@ class TemporalRelation:
         schema: TemporalSchema,
         clock: Optional[TransactionClock] = None,
         engine: Optional[MemoryEngine] = None,
-        keep_backlog: bool = True,
     ) -> None:
         self.schema = schema
         self.clock = clock if clock is not None else LogicalClock(granularity=schema.granularity)
         self.engine = engine if engine is not None else MemoryEngine()
         self.constraints = ConstraintSet(schema.specializations, mode=schema.enforcement)
         self._surrogates = SurrogateGenerator()
-        self._backlog = Backlog() if keep_backlog else None
         self._version = 0
         self._statistics: Optional[Dict[str, int]] = None
         self._statistics_epoch: Optional[Tuple[int, int]] = None
@@ -98,8 +96,8 @@ class TemporalRelation:
             self._adopt_stored()
 
     def _adopt_stored(self) -> None:
-        """Re-seed surrogates, the clock, constraint monitors and the
-        backlog from storage.
+        """Re-seed surrogates, the clock and constraint monitors from
+        storage.
 
         The clock must move past every persisted transaction time:
         otherwise a reopened relation would re-issue stamps at or below
@@ -118,10 +116,6 @@ class TemporalRelation:
         self._surrogates.reserve_through(high)
         if high_tt >= 0:
             self.clock.reserve_through(Timestamp(high_tt, "microsecond"))
-        if self._backlog is not None:
-            # Without the stored history a delete of an adopted element
-            # would fail in the backlog after the engine had closed it.
-            self._backlog = Backlog.from_elements(self.engine.scan())
 
     # -- update operations ----------------------------------------------------------
 
@@ -147,8 +141,6 @@ class TemporalRelation:
         )
         self.constraints.observe(element)  # may raise; storage untouched then
         self.engine.append(element)
-        if self._backlog is not None:
-            self._backlog.record_insert(element)
         self._bump_version()
         if self._views is not None:
             self._views.record_insert(element)
@@ -165,11 +157,11 @@ class TemporalRelation:
         constraint (against stored elements *and* the batch itself), and
         every declared specialization in one amortized pass over the
         batch (:meth:`repro.core.constraints.ConstraintSet.observe_batch`)
-        -- then committed with one bulk engine write, one backlog
-        extension, and one metadata refresh.
+        -- then committed with one bulk engine write and one metadata
+        refresh.
 
         On any violation the batch is rejected whole: relation, engine
-        indexes, backlog, and constraint-monitor state are untouched
+        indexes and constraint-monitor state are untouched
         (transaction stamps and surrogates may have been consumed, as
         with a rejected single :meth:`insert`).
         """
@@ -240,8 +232,6 @@ class TemporalRelation:
         ]
         self.constraints.observe_batch(elements)  # may raise; nothing stored then
         self.engine.extend(elements)
-        if self._backlog is not None:
-            self._backlog.record_insert_many(elements)
         self._bump_version()
         if self._views is not None:
             self._views.record_insert_many(elements)
@@ -281,8 +271,6 @@ class TemporalRelation:
         tt = self.clock.now()
         self._enforce_deletion_constraints(old.closed(tt))
         closed = self.engine.close_element(element_surrogate, tt)
-        if self._backlog is not None:
-            self._backlog.record_delete(element_surrogate, tt)
         self._bump_version()
         if self._views is not None:
             self._views.record_close(closed)
@@ -327,8 +315,6 @@ class TemporalRelation:
         self.constraints.observe(replacement)
         closed = self.engine.close_element(element_surrogate, tt)
         self.engine.append(replacement)
-        if self._backlog is not None:
-            self._backlog.record_modification(element_surrogate, replacement)
         self._bump_version()
         if self._views is not None:
             self._views.record_modify(closed, replacement)
@@ -503,12 +489,10 @@ class TemporalRelation:
         return self._query_cache
 
     def backlog(self) -> Backlog:
-        """The operation-log view (kept incrementally when enabled)."""
-        if self._backlog is None:
-            raise SchemaError(
-                f"relation {self.schema.name!r} was created with keep_backlog=False"
-            )
-        return self._backlog
+        """The operation-log view [JMRS90] of the stored history, rebuilt
+        from the engine on each call (O(n log n)).  It reflects a vacuum;
+        later writes do not reach a backlog already returned."""
+        return Backlog.from_elements(self.engine.scan())
 
     def explain(self, query: Any, execute: bool = True, timer: Optional[TimerSource] = None):
         """EXPLAIN one query (TQL text or algebra tree) on this relation.

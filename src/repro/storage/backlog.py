@@ -7,10 +7,13 @@ exactly that: an append-only sequence of operations, each stamped with
 one transaction time.  Any historical state is recovered by replaying
 the prefix of operations up to the wanted transaction time.
 
-The backlog is the ground truth the other engines are tested against:
-``MemoryEngine.as_of(t)`` must equal ``Backlog.state_at(t)`` for every
-t (property-tested), and :class:`repro.storage.snapshot.SnapshotCache`
-accelerates replay with cached states.
+A relation stores its history once, in its engine;
+``TemporalRelation.backlog()`` derives this representation from it
+(:meth:`Backlog.from_elements`).  The backlog is the ground truth the
+engine is tested against: ``relation.as_of(t)`` must equal
+``Backlog.state_at(t)`` for every t (property-tested), and
+:class:`repro.storage.snapshot.SnapshotCache` accelerates replay with
+cached states.
 """
 
 from __future__ import annotations
@@ -78,11 +81,11 @@ class Backlog:
 
     @classmethod
     def from_elements(cls, elements: Iterable[Element]) -> "Backlog":
-        """The backlog of a stored element set (a relation adopting a
-        reopened log): an INSERT of the open element at each
-        ``tt_start`` and a DELETE at each ``tt_stop``, in stamp order.
-        A modification's halves share a stamp and are recorded as two
-        coincident operations, DELETE first."""
+        """The backlog of a stored element set (``relation.backlog()``):
+        an INSERT of the open element at each ``tt_start`` and a DELETE
+        at each ``tt_stop``, in stamp order.  A modification's halves
+        share a stamp and are recorded as two coincident operations,
+        DELETE first."""
         events = []
         for element in elements:
             events.append((element.tt_start.microseconds, 1, element))
@@ -93,7 +96,9 @@ class Backlog:
         last: Optional[int] = None
         for tt, is_insert, element in events:
             if is_insert:
-                backlog.record_insert(replace(element, tt_stop=FOREVER), coincident=tt == last)
+                if not element.is_current:  # a live element is already open
+                    element = replace(element, tt_stop=FOREVER)
+                backlog.record_insert(element, coincident=tt == last)
             else:
                 backlog.record_delete(
                     element.element_surrogate, element.tt_stop, coincident=tt == last
@@ -119,36 +124,6 @@ class Backlog:
             )
         self._operations.append(_insert_of(element))
         self._live[element.element_surrogate] = element
-
-    def record_insert_many(self, elements: Iterable[Element]) -> None:
-        """Record a batch of insertions with one amortized order check.
-
-        The batch is validated in full (ordering against the existing
-        log, internal ordering, surrogate freshness) before any entry is
-        appended, so a bad batch leaves the backlog untouched.
-        """
-        batch = list(elements)
-        if not batch:
-            return
-        last = self._operations[-1].tt.microseconds if self._operations else None
-        tts = [element.tt_start.microseconds for element in batch]
-        for tt in tts:
-            if last is not None and tt <= last:
-                raise ValueError(
-                    f"operations must carry strictly increasing transaction times; "
-                    f"got {tt} after {last}"
-                )
-            last = tt
-        surrogates = [element.element_surrogate for element in batch]
-        fresh = set(surrogates)
-        if len(fresh) != len(surrogates) or self._live.keys() & fresh:
-            staged: set = set()
-            for surrogate in surrogates:
-                if surrogate in self._live or surrogate in staged:
-                    raise ValueError(f"element surrogate {surrogate} already current")
-                staged.add(surrogate)
-        self._operations.extend([_insert_of(element) for element in batch])
-        self._live.update(zip(surrogates, batch))
 
     def record_delete(
         self, element_surrogate: int, tt: Timestamp, *, coincident: bool = False
@@ -232,55 +207,6 @@ class Backlog:
                 open_element = by_surrogate[operation.element_surrogate]
                 by_surrogate[operation.element_surrogate] = open_element.closed(operation.tt)
         return list(by_surrogate.values())
-
-    # -- maintenance ------------------------------------------------------------------
-
-    def compact(self, horizon: Timestamp) -> "Backlog":
-        """A smaller backlog answering the same queries for tt >= horizon.
-
-        Operations at or before the horizon collapse into synthetic
-        insertions of the horizon state; history before the horizon is
-        discarded (the usual vacuuming trade-off for transaction time).
-        """
-        compacted = Backlog()
-        horizon_state = self.state_at(horizon)
-        for surrogate in sorted(horizon_state, key=lambda s: horizon_state[s].tt_start.microseconds):
-            compacted._operations.append(
-                Operation(
-                    OperationKind.INSERT,
-                    horizon_state[surrogate].tt_start,
-                    surrogate,
-                    horizon_state[surrogate],
-                )
-            )
-            compacted._live[surrogate] = horizon_state[surrogate]
-        for operation in self._operations:
-            if operation.tt <= horizon:
-                continue
-            if operation.kind is OperationKind.INSERT:
-                compacted._operations.append(operation)
-                compacted._live[operation.element_surrogate] = operation.element  # type: ignore[assignment]
-            elif operation.element_surrogate in compacted._live:
-                compacted._operations.append(operation)
-                del compacted._live[operation.element_surrogate]
-        return compacted
-
-    def compact_in_place(self, horizon: Timestamp) -> int:
-        """Vacuum this backlog's own history up to *horizon*.
-
-        Same semantics as :meth:`compact`, but rewrites this instance's
-        operation prefix instead of returning a copy -- the in-place
-        analogue used when an engine-level vacuum wants the backlog's
-        space back too.  Returns the number of operations discarded.
-        Anything derived from the old prefix (snapshot caches) detects
-        the rewrite and rebuilds
-        (:class:`repro.storage.snapshot.SnapshotCache`).
-        """
-        compacted = self.compact(horizon)
-        discarded = len(self._operations) - len(compacted._operations)
-        self._operations = compacted._operations
-        self._live = compacted._live
-        return discarded
 
     # -- introspection ------------------------------------------------------------------
 

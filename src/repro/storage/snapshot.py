@@ -29,39 +29,10 @@ class SnapshotCache:
         self._snapshots: List[Dict[int, Element]] = []
         self._covered = 0  # how many operations have been absorbed
 
-    def _absorbed_prefix_changed(self, operations) -> bool:
-        """Has the backlog been rewritten under the cached snapshots?
-
-        The cache assumes the backlog is append-only.  A vacuum
-        (``Backlog.compact_in_place``) truncates or rewrites the
-        operation prefix, so every cached state may be wrong.  Detected
-        by fingerprint: the absorbed prefix must still be at least as
-        long as what was absorbed, and the stamp at every snapshot
-        boundary must still be the stamp the snapshot was taken at.
-        """
-        if self._covered > len(operations):
-            return True
-        for ordinal, stamp in enumerate(self._snapshot_tts):
-            boundary = (ordinal + 1) * self._interval - 1
-            if operations[boundary].tt.microseconds != stamp:
-                return True
-        return False
-
-    def _reset(self) -> None:
-        self._snapshot_tts = []
-        self._snapshots = []
-        self._covered = 0
-
     def refresh(self) -> None:
-        """Absorb newly appended operations into the snapshot sequence.
-
-        If the backlog shrank or its absorbed prefix changed (a vacuum
-        rewrote history), the cached snapshots are discarded and rebuilt
-        from the new prefix instead of silently serving stale states.
-        """
+        """Absorb newly appended operations into the snapshot sequence
+        (a backlog only ever grows, so the absorbed prefix stands)."""
         operations = self._backlog.operations
-        if self._absorbed_prefix_changed(operations):
-            self._reset()
         while self._covered + self._interval <= len(operations):
             upto = self._covered + self._interval
             base: Dict[int, Element] = (

@@ -132,12 +132,9 @@ def vacuum_engine(engine: MemoryEngine, horizon: Timestamp) -> "tuple[MemoryEngi
 
 def vacuum_relation(relation: TemporalRelation, horizon: Timestamp) -> VacuumReport:
     """Vacuum a relation in place (replaces its engine; a log-backed
-    one is refused, see :func:`vacuum_engine`).
-
-    The relation's backlog, if kept, still holds full history; callers
-    wanting the space back should also compact it
-    (:meth:`repro.storage.backlog.Backlog.compact`).
-    """
+    one is refused, see :func:`vacuum_engine`).  The relation's
+    ``backlog()`` is derived from the engine, so it shows the vacuumed
+    history."""
     compacted, report = vacuum_engine(relation.engine, horizon)
     relation.engine = compacted
     # The swap happened outside the relation's own mutators; bump the
@@ -152,7 +149,8 @@ def tt_horizon_for_valid_floor(
 ) -> Optional[Timestamp]:
     """The transaction horizon implied by a valid-time interest floor.
 
-    Uses the declared offset region (the planner's reasoning, reused):
+    Uses the guaranteed offset region (the planner's reasoning, reused;
+    a declaration that is only recorded or warned about guarantees none):
     with ``vt - tt <= upper``, elements relevant to any ``vt >=
     valid_floor`` have ``tt >= valid_floor - upper``.  Returns None when
     no upper offset is declared (the relation may store facts arbitrarily

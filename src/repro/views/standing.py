@@ -16,8 +16,9 @@ journals a bounded suffix of the stream for subscribers
 registered view.
 
 Maintenance plans follow the paper's specialization semantics
-(:func:`compile_maintenance_plan`): a relation declared *degenerate* or
-*sequential* / *non-decreasing* updates its timeslice and overlap views
+(:func:`compile_maintenance_plan`): a relation that rejects violations
+of an exact *degenerate* or a global *sequential* / *non-decreasing*
+declaration updates its timeslice and overlap views
 with an O(1) boundary check -- once the monotone valid-time frontier
 moves past the slice point, insert deltas are skipped without probing
 -- while a general relation probes each delta's membership.  Either
@@ -47,13 +48,17 @@ from typing import (
     Iterable,
     List,
     NamedTuple,
-    Optional,
     Sequence,
     Tuple,
 )
 
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import Timestamp
+from repro.core.taxonomy.event_inter import GloballyNonDecreasing, GloballySequential
+from repro.core.taxonomy.interval_inter import (
+    IntervalGloballyNonDecreasing,
+    IntervalGloballySequential,
+)
 from repro.observability import metrics as _metrics
 from repro.relation.element import Element
 from repro.relation.errors import SchemaError
@@ -61,6 +66,16 @@ from repro.relation.errors import SchemaError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.relation.schema import TemporalSchema
     from repro.relation.temporal_relation import TemporalRelation
+
+
+#: The orderings whose valid times never move backwards in transaction
+#: order (the ``sequential-frontier`` plan).
+_GLOBAL_ORDERINGS = (
+    GloballySequential,
+    GloballyNonDecreasing,
+    IntervalGloballySequential,
+    IntervalGloballyNonDecreasing,
+)
 
 
 @dataclass(frozen=True)
@@ -96,27 +111,28 @@ class DeltaFeed(NamedTuple):
 def compile_maintenance_plan(schema: "TemporalSchema") -> str:
     """Pick the cheapest sound maintenance plan the declarations license.
 
-    * ``degenerate-boundary`` -- the relation is declared *degenerate*
-      (valid time coincides with transaction time), so valid times
-      follow the strictly increasing transaction clock: a range-shaped
-      view closes its insert frontier the moment one delta passes the
-      slice boundary.
-    * ``sequential-frontier`` -- declared *sequential* or
-      *non-decreasing* (events or intervals): valid times never move
-      backwards, so the same monotone-frontier argument applies.
-    * ``probe`` -- no usable ordering declaration (or the schema merely
-      *records* violations instead of rejecting them, in which case the
-      ordering cannot be trusted): probe each delta's membership, still
-      O(1) per delta.
-    """
-    from repro.core.constraints import EnforcementMode
+    Chosen by type from ``schema.guaranteed_specializations`` and the
+    ``declared_degenerate`` derived from it (empty / None unless the
+    schema REJECTs violations: a recorded ordering cannot be trusted):
 
-    if schema.enforcement is not EnforcementMode.REJECT:
-        return "probe"
-    names = [name.lower() for name in schema.specialization_names()]
-    if schema.is_event and any("degenerate" in name for name in names):
+    * ``degenerate-boundary`` -- an event relation guaranteed exactly
+      *degenerate* (valid time equals transaction time, no granularity),
+      so valid times follow the strictly increasing transaction clock:
+      a range-shaped view closes its insert frontier the moment one
+      delta passes the slice boundary.  Within a granularity tick valid
+      times are unordered, so a granularity-relative form does not
+      qualify.
+    * ``sequential-frontier`` -- a *global* sequential or non-decreasing
+      ordering (events or intervals): valid times never move backwards,
+      so the same monotone-frontier argument applies.  A per-partition
+      ordering is not a global one and does not qualify.
+    * ``probe`` -- otherwise: probe each delta's membership, still O(1)
+      per delta.
+    """
+    degenerate = schema.declared_degenerate
+    if schema.is_event and degenerate is not None and degenerate.granularity is None:
         return "degenerate-boundary"
-    if any("sequential" in name or "non-decreasing" in name for name in names):
+    if any(isinstance(spec, _GLOBAL_ORDERINGS) for spec in schema.guaranteed_specializations):
         return "sequential-frontier"
     return "probe"
 

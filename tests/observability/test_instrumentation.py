@@ -26,7 +26,7 @@ def build(engine=None, specializations=()):
     schema = TemporalSchema(name="r", specializations=list(specializations))
     clock = SimulatedWallClock(start=0)
     return (
-        TemporalRelation(schema, clock=clock, keep_backlog=False, engine=engine),
+        TemporalRelation(schema, clock=clock, engine=engine),
         clock,
     )
 

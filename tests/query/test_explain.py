@@ -29,7 +29,7 @@ from repro.storage.memory import MemoryEngine
 def build_events(specializations, offsets, name="r"):
     schema = TemporalSchema(name=name, specializations=list(specializations))
     clock = SimulatedWallClock(start=0)
-    relation = TemporalRelation(schema, clock=clock, keep_backlog=False)
+    relation = TemporalRelation(schema, clock=clock)
     for i, offset in enumerate(offsets):
         clock.advance_to(Timestamp(10 * i))
         relation.insert("o", Timestamp(10 * i + offset), {})
@@ -43,7 +43,7 @@ def build_intervals(name, spans, specializations):
         specializations=specializations,
     )
     clock = SimulatedWallClock(start=0)
-    relation = TemporalRelation(schema, clock=clock, keep_backlog=False)
+    relation = TemporalRelation(schema, clock=clock)
     for i, (start, end) in enumerate(spans):
         clock.advance_to(Timestamp(10 * i))
         relation.insert("o", Interval(Timestamp(start), Timestamp(end)), {})
@@ -75,7 +75,7 @@ class TestTimesliceStrategies:
             name="g", specializations=[Degenerate(granularity="minute")]
         )
         clock = SimulatedWallClock(start=0)
-        relation = TemporalRelation(schema, clock=clock, keep_backlog=False)
+        relation = TemporalRelation(schema, clock=clock)
         for i in range(60):
             base = 60 * i
             clock.advance_to(Timestamp(base + 30))
@@ -92,7 +92,7 @@ class TestTimesliceStrategies:
     def test_monotone_binary_search_descending(self):
         schema = TemporalSchema(name="arch", specializations=["globally non-increasing"])
         clock = SimulatedWallClock(start=0)
-        relation = TemporalRelation(schema, clock=clock, keep_backlog=False)
+        relation = TemporalRelation(schema, clock=clock)
         for i in range(30):
             clock.advance_to(Timestamp(10 * i))
             relation.insert("dig", Timestamp(-10 * i), {})
@@ -192,7 +192,7 @@ def build_segmented(specializations, offsets, segment_size=8, name="r"):
     schema = TemporalSchema(name=name, specializations=list(specializations))
     clock = SimulatedWallClock(start=0)
     engine = MemoryEngine(segment_size=segment_size)
-    relation = TemporalRelation(schema, clock=clock, keep_backlog=False, engine=engine)
+    relation = TemporalRelation(schema, clock=clock, engine=engine)
     for i, offset in enumerate(offsets):
         clock.advance_to(Timestamp(10 * i))
         relation.insert("o", Timestamp(10 * i + offset), {})

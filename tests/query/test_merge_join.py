@@ -12,7 +12,7 @@ from repro.relation.temporal_relation import TemporalRelation
 def build(name, valid_times, declared=("globally non-decreasing",), deletions=()):
     schema = TemporalSchema(name=name, time_varying=("k",), specializations=list(declared))
     clock = SimulatedWallClock(start=0)
-    relation = TemporalRelation(schema, clock=clock, keep_backlog=False)
+    relation = TemporalRelation(schema, clock=clock)
     stored = []
     for i, vt in enumerate(valid_times):
         clock.advance_to(Timestamp(10 * i))
@@ -70,7 +70,7 @@ class TestIntervalMergeJoin:
             specializations=[IntervalGloballyNonDecreasing()],
         )
         clock = SimulatedWallClock(start=0)
-        relation = TemporalRelation(schema, clock=clock, keep_backlog=False)
+        relation = TemporalRelation(schema, clock=clock)
         for i, (start, end) in enumerate(spans):
             clock.advance_to(Timestamp(10 * i))
             relation.insert("o", Interval(Timestamp(start), Timestamp(end)), {})

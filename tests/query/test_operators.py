@@ -15,7 +15,7 @@ S = Timestamp(1).microseconds
 def build_events(offsets, specializations=()):
     schema = TemporalSchema(name="r", specializations=list(specializations))
     clock = SimulatedWallClock(start=0)
-    relation = TemporalRelation(schema, clock=clock, keep_backlog=False)
+    relation = TemporalRelation(schema, clock=clock)
     for i, offset in enumerate(offsets):
         clock.advance_to(Timestamp(10 * i))
         relation.insert("o", Timestamp(10 * i + offset), {})
@@ -109,7 +109,7 @@ class TestMonotoneOperators:
         # Duplicate valid times: the full run must be returned.
         schema = TemporalSchema(name="m")
         clock = SimulatedWallClock(start=0)
-        relation = TemporalRelation(schema, clock=clock, keep_backlog=False)
+        relation = TemporalRelation(schema, clock=clock)
         for i, vt in enumerate([0, 10, 10, 10, 20]):
             clock.advance_to(Timestamp(10 * i))
             relation.insert("o", Timestamp(vt), {})
@@ -119,7 +119,7 @@ class TestMonotoneOperators:
     def test_descending(self):
         schema = TemporalSchema(name="m")
         clock = SimulatedWallClock(start=0)
-        relation = TemporalRelation(schema, clock=clock, keep_backlog=False)
+        relation = TemporalRelation(schema, clock=clock)
         for i, vt in enumerate([30, 20, 20, 10]):
             clock.advance_to(Timestamp(10 * i))
             relation.insert("o", Timestamp(vt), {})
@@ -145,7 +145,7 @@ class TestSequentialIntervalOperator:
     def build_intervals(self):
         schema = TemporalSchema(name="weeks", valid_time_kind=ValidTimeKind.INTERVAL)
         clock = SimulatedWallClock(start=0)
-        relation = TemporalRelation(schema, clock=clock, keep_backlog=False)
+        relation = TemporalRelation(schema, clock=clock)
         for week in range(10):
             clock.advance_to(Timestamp(100 * week + 90))
             relation.insert(

@@ -13,7 +13,7 @@ from repro.relation.temporal_relation import TemporalRelation
 def build(offsets, specializations=("strongly bounded(5s, 5s)",)):
     schema = TemporalSchema(name="r", specializations=list(specializations))
     clock = SimulatedWallClock(start=0)
-    relation = TemporalRelation(schema, clock=clock, keep_backlog=False)
+    relation = TemporalRelation(schema, clock=clock)
     for i, offset in enumerate(offsets):
         clock.advance_to(Timestamp(10 * i))
         relation.insert("o", Timestamp(10 * i + offset), {})

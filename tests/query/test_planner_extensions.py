@@ -14,7 +14,7 @@ def build_granular_degenerate(count=200):
     """Samples stored within the same minute as their measurement."""
     schema = TemporalSchema(name="g", specializations=[Degenerate(granularity="minute")])
     clock = SimulatedWallClock(start=0)
-    relation = TemporalRelation(schema, clock=clock, keep_backlog=False)
+    relation = TemporalRelation(schema, clock=clock)
     for i in range(count):
         base = 60 * i
         clock.advance_to(Timestamp(base + 30))

@@ -14,6 +14,7 @@ storage topology (:func:`tests.strategies.topologies`).
 
 from __future__ import annotations
 
+import warnings
 from contextlib import contextmanager
 
 import pytest
@@ -29,10 +30,12 @@ from repro.query import (
     Planner,
     Rollback,
     Scan,
+    TemporalJoin,
     ValidOverlap,
     ValidTimeslice,
 )
 from repro.core.constraints import EnforcementMode
+from repro.core.taxonomy import IntervalGloballySequential
 from repro.core.taxonomy.regions import enumerate_regions
 from repro.relation.schema import TemporalSchema, ValidTimeKind
 from repro.relation.temporal_relation import TemporalRelation
@@ -312,27 +315,111 @@ def test_calendric_declarations_narrow_like_any_other():
     assert len(relation.valid_at(probe, as_of_tt=relation.pin_epoch().as_of)) == 1
 
 
-def test_recorded_declarations_license_no_narrowing():
-    """RECORD mode stores violating elements, so the declared region says
-    nothing about where a match may lie."""
+def _event_relation(name, declared, mode, valid_times):
+    """*valid_times* stored at tt 10, 20, ...; *mode* keeps the violators."""
     schema = TemporalSchema(
-        name="r",
-        time_varying=("v",),
-        specializations=["degenerate"],
-        enforcement=EnforcementMode.RECORD,
+        name=name, time_varying=("v",), specializations=[declared], enforcement=mode
     )
     clock = SimulatedWallClock(start=0)
     relation = TemporalRelation(schema, clock=clock)
-    for i in range(20):
-        clock.advance_to(Timestamp(10 * i))
-        relation.insert("o", Timestamp(10 * i + (7 if i == 12 else 0)), {"v": i})
-    violator = Timestamp(127)  # stored at 120: not degenerate, recorded anyway
-    pin = relation.pin_epoch().as_of
-    assert [e.vt for e in relation.valid_at(violator, as_of_tt=pin)] == [violator]
-    query = ValidTimeslice(Scan(relation), violator)
-    assert surrogates(Planner(relation).plan(query).execute()) == surrogates(
-        NaiveExecutor().run(query)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # WARN mode warns once per violation
+        for i, vt in enumerate(valid_times):
+            clock.advance_to(Timestamp(10 * (i + 1)))
+            relation.insert("o", Timestamp(vt), {"v": i})
+    return relation
+
+
+def _degenerate(mode):
+    # Stored at 130 with vt 137: not degenerate, stored anyway.
+    stamps = [10 * (i + 1) + (7 if i == 12 else 0) for i in range(20)]
+    relation = _event_relation("r", "degenerate", mode, stamps)
+    return relation, ValidTimeslice(Scan(relation), Timestamp(137))
+
+
+def _ordered_events(declared, valid_times, probe):
+    def build(mode):
+        relation = _event_relation("r", declared, mode, valid_times)
+        return relation, ValidTimeslice(Scan(relation), Timestamp(probe))
+
+    return build
+
+
+def _sequential_intervals(mode):
+    schema = TemporalSchema(
+        name="weeks",
+        valid_time_kind=ValidTimeKind.INTERVAL,
+        time_varying=("v",),
+        specializations=[IntervalGloballySequential()],
+        enforcement=mode,
     )
+    clock = SimulatedWallClock(start=0)
+    relation = TemporalRelation(schema, clock=clock)
+    spans = [(100 * i, 100 * i + 50) for i in range(10)] + [(110, 400)]  # overlaps
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for i, (start, end) in enumerate(spans):
+            clock.advance_to(Timestamp(100 * i + 60))
+            relation.insert("o", Interval(Timestamp(start), Timestamp(end)), {"v": i})
+    return relation, ValidTimeslice(Scan(relation), Timestamp(120))
+
+
+def _merge_join(mode):
+    left = _event_relation("l", "globally non-decreasing", mode, [*range(10, 100, 10), 15])
+    right = _event_relation(
+        "r", "globally non-decreasing", EnforcementMode.REJECT, [10, *range(15, 100, 5)]
+    )
+    return left, TemporalJoin(CurrentState(Scan(left)), CurrentState(Scan(right)))
+
+
+_UNGUARANTEED_CASES = {
+    "degenerate": _degenerate,
+    "non-decreasing": _ordered_events("globally non-decreasing", [*range(10, 110, 10), 15], 15),
+    "sequential": _ordered_events("globally sequential", [*range(10, 110, 10), 15], 15),
+    "non-increasing": _ordered_events("globally non-increasing", [*range(100, 0, -10), 95], 95),
+    "sequential-intervals": _sequential_intervals,
+    "merge-join": _merge_join,
+}
+
+
+def _answer(rows) -> list:
+    return sorted(
+        tuple(e.element_surrogate for e in row) if isinstance(row, tuple)
+        else row.element_surrogate
+        for row in rows
+    )
+
+
+def _assert_planned_equals_reference(case, mode):
+    relation, query = _UNGUARANTEED_CASES[case](mode)
+    assert len(relation.constraints.recorded) == 1  # the one stored violator
+    expected = _answer(NaiveExecutor().run(query))
+    assert _answer(Planner(relation).plan(query).execute()) == expected
+    if isinstance(query, ValidTimeslice):  # the relation's own (pinned) read
+        pin = relation.pin_epoch().as_of
+        assert _answer(relation.valid_at(query.vt, as_of_tt=pin)) == expected
+
+
+def test_recorded_declarations_license_no_narrowing():
+    """RECORD mode stores violating elements, so the declared region says
+    nothing about where a match may lie."""
+    _assert_planned_equals_reference("degenerate", EnforcementMode.RECORD)
+
+
+@pytest.mark.parametrize(
+    "case, mode",
+    [
+        pytest.param(case, mode, id=f"{case}-{mode.value}")
+        for case in sorted(_UNGUARANTEED_CASES)
+        for mode in (EnforcementMode.RECORD, EnforcementMode.WARN)
+        if (case, mode) != ("degenerate", EnforcementMode.RECORD)  # the test above
+    ],
+)
+def test_unguaranteed_declarations_license_nothing(case, mode):
+    """RECORD and WARN store violating elements, so a declaration says
+    nothing about where a match may lie: no binary search, sequential
+    search, merge join or narrowed window may answer for it."""
+    _assert_planned_equals_reference(case, mode)
 
 
 @st.composite

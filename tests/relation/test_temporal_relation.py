@@ -160,12 +160,6 @@ class TestBacklogView:
             from_backlog = sorted(backlog.state_at(Timestamp(tt)))
             assert from_engine == from_backlog, tt
 
-    def test_backlog_disabled(self, clock):
-        schema = TemporalSchema(name="nolog")
-        relation = TemporalRelation(schema, clock=clock, keep_backlog=False)
-        with pytest.raises(SchemaError):
-            relation.backlog()
-
 
 class TestIntervalRelation:
     def test_interval_inserts_and_timeslice(self, clock):

@@ -71,43 +71,6 @@ class TestBacklog:
         assert elements[2].tt_stop is FOREVER
 
 
-class TestCompaction:
-    def test_compacted_answers_match_after_horizon(self):
-        backlog = Backlog()
-        backlog.record_insert(event_element(1, 10, 1))
-        backlog.record_insert(event_element(2, 20, 2))
-        backlog.record_delete(1, Timestamp(25))
-        backlog.record_insert(event_element(3, 30, 3))
-        backlog.record_delete(2, Timestamp(35))
-        for i in range(4, 11):
-            backlog.record_insert(event_element(i, i * 10, i))
-        compacted = backlog.compact(Timestamp(37))
-        assert len(compacted) < len(backlog)
-        for tt in (37, 40, 75, 100, 200):
-            assert sorted(compacted.state_at(Timestamp(tt))) == sorted(
-                backlog.state_at(Timestamp(tt))
-            ), tt
-
-    def test_compaction_discards_dead_prefix(self):
-        backlog = Backlog()
-        backlog.record_insert(event_element(1, 10, 5))
-        backlog.record_delete(1, Timestamp(20))
-        backlog.record_insert(event_element(2, 30, 25))
-        compacted = backlog.compact(Timestamp(25))
-        assert len(compacted) == 1  # only element 2 remains
-
-    def test_compact_in_place_matches_compact(self):
-        backlog = Backlog()
-        for i in range(1, 8):
-            backlog.record_insert(event_element(i, i * 10, i))
-        backlog.record_delete(1, Timestamp(75))
-        reference = backlog.compact(Timestamp(40))
-        discarded = backlog.compact_in_place(Timestamp(40))
-        assert discarded == 8 - len(reference)
-        for tt in (40, 50, 75, 100):
-            assert backlog.state_at(Timestamp(tt)) == reference.state_at(Timestamp(tt))
-
-
 class TestCoincidentStamps:
     def test_coincident_allows_equal_stamps(self):
         backlog = Backlog()
@@ -157,35 +120,6 @@ class TestSnapshotCache:
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             SnapshotCache(Backlog(), interval=0)
-
-    def test_cache_invalidated_by_in_place_vacuum(self):
-        """Regression: a vacuum rewrites the backlog's operation prefix
-        under the cache; cached snapshots must be discarded, not served
-        stale."""
-        backlog = Backlog()
-        for i in range(1, 13):
-            backlog.record_insert(event_element(i, i * 10, i))
-        backlog.record_delete(1, Timestamp(125))
-        backlog.record_delete(2, Timestamp(126))
-        cache = SnapshotCache(backlog, interval=4)
-        cache.refresh()
-        assert cache.snapshot_count > 0
-        backlog.compact_in_place(Timestamp(126))
-        for tt in (126, 127, 130, 200):
-            assert cache.state_at(Timestamp(tt)) == backlog.state_at(Timestamp(tt))
-
-    def test_cache_invalidated_when_backlog_shrinks_below_coverage(self):
-        backlog = Backlog()
-        for i in range(1, 30):
-            backlog.record_insert(event_element(i, i * 10, i))
-        for i in range(1, 28):
-            backlog.record_delete(i, Timestamp(300 + i), coincident=(i > 1))
-        cache = SnapshotCache(backlog, interval=8)
-        cache.refresh()
-        covered_before = cache.snapshot_count
-        backlog.compact_in_place(Timestamp(330))  # history collapses hard
-        assert len(backlog) < covered_before * 8
-        assert cache.state_at(Timestamp(400)) == backlog.state_at(Timestamp(400))
 
     @settings(max_examples=30, deadline=None)
     @given(

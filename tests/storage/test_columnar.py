@@ -44,7 +44,7 @@ def build_events(offsets, specializations=(), segment_size=8):
     schema = TemporalSchema(name="r", specializations=list(specializations))
     clock = SimulatedWallClock(start=0)
     engine = MemoryEngine(segment_size=segment_size)
-    relation = TemporalRelation(schema, clock=clock, keep_backlog=False, engine=engine)
+    relation = TemporalRelation(schema, clock=clock, engine=engine)
     for i, offset in enumerate(offsets):
         clock.advance_to(Timestamp(10 * i))
         relation.insert("o", Timestamp(10 * i + offset), {})
@@ -55,7 +55,7 @@ def build_intervals(spans, segment_size=8):
     schema = TemporalSchema(name="r", valid_time_kind=ValidTimeKind.INTERVAL)
     clock = SimulatedWallClock(start=0)
     engine = MemoryEngine(segment_size=segment_size)
-    relation = TemporalRelation(schema, clock=clock, keep_backlog=False, engine=engine)
+    relation = TemporalRelation(schema, clock=clock, engine=engine)
     for i, (start, end) in enumerate(spans):
         clock.advance_to(Timestamp(10 * i))
         relation.insert("o", Interval(Timestamp(start), Timestamp(end)), {})
@@ -104,7 +104,7 @@ class TestStampColumnEncoding:
         schema = TemporalSchema(name="r", valid_time_kind=ValidTimeKind.INTERVAL)
         clock = SimulatedWallClock(start=0)
         engine = MemoryEngine(segment_size=8)
-        relation = TemporalRelation(schema, clock=clock, keep_backlog=False, engine=engine)
+        relation = TemporalRelation(schema, clock=clock, engine=engine)
         relation.insert("o", Interval(Timestamp(5), FOREVER), {})
         columns = engine.store.columns
         assert list(columns.vt_start) == [5 * S]
@@ -226,7 +226,7 @@ class TestScanSpec:
         memory = MemoryEngine(segment_size=8)
         schema = TemporalSchema(name="r")
         clock = SimulatedWallClock(start=0)
-        relation = TemporalRelation(schema, clock=clock, keep_backlog=False, engine=memory)
+        relation = TemporalRelation(schema, clock=clock, engine=memory)
         for i in range(8):
             clock.advance_to(Timestamp(10 * i))
             relation.insert("o", Timestamp(10 * i + i % 3), {})

@@ -23,7 +23,7 @@ def build_relation(segment_size=None, count=0):
     schema = TemporalSchema(name="r", time_varying=("reading",))
     clock = SimulatedWallClock(start=0)
     engine = MemoryEngine(segment_size=segment_size)
-    relation = TemporalRelation(schema, clock=clock, keep_backlog=False, engine=engine)
+    relation = TemporalRelation(schema, clock=clock, engine=engine)
     for i in range(count):
         clock.advance_to(Timestamp(10 * i))
         relation.insert("o", Timestamp(10 * i), {"reading": i})
@@ -65,7 +65,7 @@ class TestSealing:
         schema = TemporalSchema(name="r")
         clock = SimulatedWallClock(start=0)
         engine = MemoryEngine(segment_size=4)
-        relation = TemporalRelation(schema, clock=clock, keep_backlog=False, engine=engine)
+        relation = TemporalRelation(schema, clock=clock, engine=engine)
         for i, vt in enumerate([5, 3, 8, 1]):  # out of valid-time order
             clock.advance_to(Timestamp(10 * i))
             relation.insert("o", Timestamp(vt), {})
@@ -208,7 +208,7 @@ def replay(ops, segment_size, engine=None):
     clock = SimulatedWallClock(start=0)
     if engine is None:
         engine = MemoryEngine(segment_size=segment_size)
-    relation = TemporalRelation(schema, clock=clock, keep_backlog=False, engine=engine)
+    relation = TemporalRelation(schema, clock=clock, engine=engine)
     tick = 0
     for op in ops:
         tick += 100

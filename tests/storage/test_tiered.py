@@ -389,9 +389,7 @@ class TestTieredObservability:
         schema = TemporalSchema(name="r", time_varying=("reading",))
         clock = SimulatedWallClock(start=0)
         engine = tiered_engine()
-        relation = TemporalRelation(
-            schema, clock=clock, keep_backlog=False, engine=engine
-        )
+        relation = TemporalRelation(schema, clock=clock, engine=engine)
         for i in range(24):
             clock.advance_to(Timestamp(100 * (i + 1)))
             relation.insert(f"o{i}", Timestamp(100 * (i + 1)), {"reading": i})
@@ -412,7 +410,7 @@ class TestTieredObservability:
         schema = TemporalSchema(name="r", time_varying=("reading",))
         clock = SimulatedWallClock(start=0)
         engine = MemoryEngine(segment_size=8, tier_manager=TierManager())
-        relation = TemporalRelation(schema, clock=clock, keep_backlog=False, engine=engine)
+        relation = TemporalRelation(schema, clock=clock, engine=engine)
         for i in range(64):
             clock.advance_to(Timestamp(i))
             relation.insert(f"o{i}", Timestamp(i), {"reading": i})

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.chronos.clock import SimulatedWallClock
 from repro.chronos.timestamp import Timestamp
+from repro.core.constraints import EnforcementMode
 from repro.query import NaiveExecutor, Planner, Scan, ValidTimeslice
 from repro.relation.element import Element
 from repro.relation.schema import TemporalSchema
@@ -25,7 +26,7 @@ class TestVacuumEngine:
     def build(self, deletions=True):
         schema = TemporalSchema(name="x", time_varying=("v",))
         clock = SimulatedWallClock(start=0)
-        relation = TemporalRelation(schema, clock=clock, keep_backlog=False)
+        relation = TemporalRelation(schema, clock=clock)
         elements = []
         for i in range(20):
             clock.advance_to(Timestamp(10 * i))
@@ -55,6 +56,17 @@ class TestVacuumEngine:
             assert sorted(
                 e.element_surrogate for e in relation.as_of(Timestamp(tt))
             ) == expected
+
+    def test_backlog_is_the_vacuumed_history(self):
+        relation = self.build()  # 20 inserts and 5 deletes: 25 operations
+        vacuum_relation(relation, Timestamp(10**6))
+        backlog = relation.backlog()
+        assert len(backlog) == 15  # the purged elements' operations are gone
+
+        def by_surrogate(elements):
+            return sorted(elements, key=lambda e: e.element_surrogate)
+
+        assert by_surrogate(backlog.to_elements()) == by_surrogate(relation.all_elements())
 
     def test_report_fractions(self):
         relation = self.build()
@@ -115,6 +127,16 @@ class TestHorizonFromValidFloor:
         # upper offset is +30s, so tt >= 1000 - 30.
         assert horizon == Timestamp(970)
 
+    def test_recorded_bound_gives_none(self):
+        """A RECORD-mode bound stores its violators, so it implies no horizon."""
+        schema = TemporalSchema(
+            name="b",
+            specializations=["strongly bounded(10s, 30s)"],
+            enforcement=EnforcementMode.RECORD,
+        )
+        relation = TemporalRelation(schema, clock=SimulatedWallClock(start=0))
+        assert tt_horizon_for_valid_floor(relation, Timestamp(1_000)) is None
+
     def test_unbounded_above_gives_none(self):
         schema = TemporalSchema(name="p", specializations=["predictive"])
         relation = TemporalRelation(schema, clock=SimulatedWallClock(start=0))
@@ -125,7 +147,7 @@ class TestHorizonFromValidFloor:
             name="b", specializations=["strongly bounded(5s, 5s)"]
         )
         clock = SimulatedWallClock(start=0)
-        relation = TemporalRelation(schema, clock=clock, keep_backlog=False)
+        relation = TemporalRelation(schema, clock=clock)
         elements = []
         for i in range(100):
             clock.advance_to(Timestamp(10 * i))
@@ -165,7 +187,7 @@ class TestStatisticsFreshness:
         clock = SimulatedWallClock(start=0)
         engine = MemoryEngine(segment_size=8)
         relation = TemporalRelation(
-            schema, clock=clock, keep_backlog=False, engine=engine
+            schema, clock=clock, engine=engine
         )
         for i in range(count):
             clock.advance_to(Timestamp(10 * i))

@@ -16,12 +16,17 @@ refuses vacuum).
 
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chronos.clock import LogicalClock
+from repro.chronos.clock import LogicalClock, SimulatedWallClock
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import Timestamp
+from repro.core.constraints import EnforcementMode
+from repro.core.taxonomy.event_inter import GloballyNonDecreasing
+from repro.core.taxonomy.event_isolated import Degenerate
+from repro.core.taxonomy.partition import PerPartition
 from repro.relation.schema import TemporalSchema, ValidTimeKind
 from repro.relation.temporal_relation import TemporalRelation
 from repro.storage.memory import MemoryEngine
@@ -132,6 +137,51 @@ class TestDeclaredOrderings:
             relation.delete(victim.element_surrogate)
         for view in views:
             assert view.snapshot() == view.recompute(), view.name
+
+    @pytest.mark.parametrize(
+        "declared, mode, rows, probe",
+        [
+            # A per-object order is not a global one: b's 50 follows a's 100.
+            pytest.param(
+                PerPartition(GloballyNonDecreasing()), EnforcementMode.REJECT,
+                [("a", 10, 100), ("b", 20, 50)], 50, id="per-object-non-decreasing",
+            ),
+            # Within one second, valid times are unordered.
+            pytest.param(
+                Degenerate("second"), EnforcementMode.REJECT,
+                [("a", 1_000_000, 1_600_000), ("b", 1_100_000, 1_500_000)], 1_500_000,
+                id="degenerate-per-second",
+            ),
+            # A recorded ordering stores its violator.
+            pytest.param(
+                GloballyNonDecreasing(), EnforcementMode.RECORD,
+                [("a", 10, 100), ("b", 20, 50)], 50, id="recorded-non-decreasing",
+            ),
+        ],
+    )
+    def test_unguaranteed_orderings_probe(self, declared, mode, rows, probe):
+        """Only an exact degenerate or a global ordering that storage
+        guarantees licenses a frontier plan; anything else probes."""
+        schema = TemporalSchema(
+            name="standing",
+            granularity="microsecond",
+            specializations=[declared],
+            enforcement=mode,
+        )
+        clock = SimulatedWallClock(start=0, granularity="microsecond")
+        relation = TemporalRelation(schema, clock=clock)
+        registry = relation.views
+        at = Timestamp(probe, "microsecond")
+        views = [
+            registry.register_timeslice("slice", at),
+            registry.register_overlap("window", Interval(at, Timestamp(probe + 1, "microsecond"))),
+        ]
+        for object_surrogate, tt, vt in rows:
+            clock.advance_to(Timestamp(tt, "microsecond"))
+            relation.insert(object_surrogate, Timestamp(vt, "microsecond"))
+        for view in views:
+            assert view.plan == "probe", view.name
+            assert view.snapshot() == view.recompute() != [], view.name
 
 
 class TestCrossTopologyAgreement:
