@@ -2,10 +2,12 @@
 
 "In globally sequential relations ... valid time can be approximated
 with transaction time, yielding an append-only relation that can
-support historical (as well as transaction time) queries."  Historical
-(valid-time) queries on a sequential event relation run as binary
-searches along the transaction order; we compare against the reference
-full scan and measure the sequential-interval variant too.
+support historical (as well as transaction time) queries."  The
+declaration makes the valid-time event index a plain append, so a
+historical (valid-time) query on a sequential event relation is one
+bisect of it (the ``monotone-binary-search`` label); we compare against
+the reference full scan and measure the sequential-interval variant
+(one stab of the interval tree) too.
 """
 
 import pytest

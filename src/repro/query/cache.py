@@ -8,10 +8,10 @@ module memoizes the first two stages of answering one:
   (statements are never mutated after parse, so instances are shared);
 * **plan cache** -- (query fingerprint, epoch) ->
   :class:`~repro.query.planner.PlannedQuery`, skipping strategy
-  selection and statistics probes for repeated shapes.  It is one
+  selection for repeated shapes.  It is one
   :class:`LRUCache` per relation (``relation.query_cache``).
 
-The epoch key is the one ``relation_statistics()`` already uses --
+The epoch key is :func:`epoch_key` --
 ``(relation.version, id(engine), engine.mutation_count())``.  Entries
 are never actively invalidated: any mutation (including vacuum engine
 swaps, cold-segment delete patches, and out-of-band ``extend()``
@@ -215,8 +215,8 @@ def epoch_key(relation: Any) -> Tuple[Any, ...]:
 
     ``relation.version`` advances once per relation-level mutation (and
     on vacuum's engine swap); ``(id(engine), mutation_count())``
-    catches everything that bypasses the relation -- the same
-    discipline ``relation_statistics()`` uses.
+    catches everything that bypasses the relation -- the same pair
+    standing views sync on (``TemporalRelation._engine_epoch``).
     """
     engine = relation.engine
     return (relation.version, id(engine), engine.mutation_count())

@@ -2,20 +2,19 @@
 
 Each operator returns ``(results, examined)`` where *examined* counts
 the stored elements it touched -- the work metric the benchmarks report
-alongside wall-clock time.  Operators that exploit structure only apply
-when the relation's declared specializations license them; the planner
-is responsible for that reasoning.
+alongside wall-clock time.
 
-Every other read -- rollback prefixes, degenerate points and ticks,
-bounded windows, bitemporal slices, current states, undeclared
-timeslices -- is one :class:`~repro.storage.columnar.ScanSpec` handed to
+Every planned temporal read -- rollback prefixes, degenerate points and
+ticks, bounded windows, bitemporal slices, current states, timeslices
+under a declared ordering or none -- is one
+:class:`~repro.storage.columnar.ScanSpec` handed to
 :meth:`MemoryEngine.select <repro.storage.memory.MemoryEngine.select>`,
 which picks the access path from the spec.  The window is derived from
 the declared offset region (:func:`repro.query.planner.windowed`);
 callers pass a :class:`SegmentStats` to receive the scanned/pruned
 counts ``explain()`` reports.  What remains here are the reference full
-scans, the binary searches declared orderings license, and the merge
-joins.
+scans benchmarks and tests compare against, and the merge joins
+declared orderings license.
 """
 
 from __future__ import annotations
@@ -23,11 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.chronos.interval import Interval
 from repro.chronos.timestamp import TimePoint, Timestamp
 from repro.relation.element import Element
 from repro.relation.temporal_relation import TemporalRelation
-from repro.storage.columnar import encode_point
 
 Result = Tuple[List[Element], int]
 
@@ -74,86 +71,6 @@ def rollback_full_scan(relation: TemporalRelation, tt: TimePoint) -> Result:
         examined += 1
         if element.stored_during(tt):
             matches.append(element)
-    return matches, examined
-
-
-# -- monotone valid-time access ------------------------------------------------------
-
-
-def timeslice_monotone_events(
-    relation: TemporalRelation, vt: Timestamp, descending: bool = False
-) -> Result:
-    """Event relations declared non-decreasing (or non-increasing):
-    valid times are sorted along the transaction order, so the matching
-    run is found by binary search -- "valid time can be approximated
-    with transaction time" (Section 3.2)."""
-    store = relation.engine.store
-    size = len(store)
-    target = vt.microseconds
-
-    def key(position: int) -> int:
-        value = store.element_at(position).vt.microseconds  # type: ignore[union-attr]
-        return -value if descending else value
-
-    goal = -target if descending else target
-    low, high = 0, size
-    while low < high:
-        mid = (low + high) // 2
-        if key(mid) < goal:
-            low = mid + 1
-        else:
-            high = mid
-    matches = []
-    examined = 0
-    position = low
-    while position < size:
-        element = store.element_at(position)
-        examined += 1
-        if element.vt != vt:
-            break
-        if element.is_current:
-            matches.append(element)
-        position += 1
-    # Binary-search probes also examined ~log2(n) elements.
-    examined += max(size.bit_length(), 1)
-    return matches, examined
-
-
-def timeslice_sequential_intervals(relation: TemporalRelation, vt: Timestamp) -> Result:
-    """Sequential interval relations: intervals are disjoint and ordered,
-    so at most one (current) interval contains the point; binary search
-    for the last interval starting at or before it."""
-    store = relation.engine.store
-    size = len(store)
-    if size == 0:
-        return [], 0
-
-    def start_of(position: int) -> int:
-        return encode_point(store.element_at(position).vt.start)  # type: ignore[union-attr]
-
-    low, high = 0, size
-    target = vt.microseconds
-    while low < high:
-        mid = (low + high) // 2
-        if start_of(mid) <= target:
-            low = mid + 1
-        else:
-            high = mid
-    matches = []
-    examined = max(size.bit_length(), 1)
-    # Sequentiality makes intervals disjoint across the whole relation,
-    # but a logically deleted interval may coexist with its correction;
-    # scan back over the (rare) ties and deleted predecessors.
-    position = low - 1
-    while position >= 0:
-        element = store.element_at(position)
-        examined += 1
-        if isinstance(element.vt, Interval) and element.vt.contains_point(vt):
-            if element.is_current:
-                matches.append(element)
-            position -= 1
-            continue
-        break
     return matches, examined
 
 

@@ -20,15 +20,22 @@ Rules, in preference order, for a valid timeslice:
    (Section 3.1: treat the relation as a rollback relation);
    granularity-relative degenerate -- the one tick containing the probe;
 2. event relation declared *non-decreasing* / *sequential* (or
-   *non-increasing*) -- binary search along the transaction order
-   (Section 3.2: "valid time can be approximated with transaction
-   time");
+   *non-increasing*) -- valid time follows transaction order (Section
+   3.2: "valid time can be approximated with transaction time"), so the
+   valid-time event index is an append-only run and one bisect of it
+   answers the timeslice;
 3. interval relation declared *sequential* -- intervals are disjoint
-   and ordered; binary search;
+   and ordered; one stab of the interval tree;
 4. any declared bounded region -- the window the region permits (one- or
    two-sided);
 5. no declaration -- the full range: the engine's valid-time index
    (event index or interval tree), which every engine keeps.
+
+Rules 2, 3 and 5 hand the engine the same un-narrowed spec; the
+strategy name records which declaration licensed the read.  Every plan
+but the merge joins and the reference fallback is one
+:meth:`~repro.storage.memory.MemoryEngine.select`, and the choice
+depends on the schema and the query alone, never on the stored data.
 
 "Declared" means guaranteed: only a schema that REJECTs violating
 elements licenses a rule, so RECORD and WARN declarations license
@@ -99,15 +106,16 @@ class PlannedQuery:
     considered, why the pruned ones did not apply, and which one fired
     -- the audit trail ``explain`` renders.
 
-    ``segment_stats`` is present for pruning-capable strategies (the
-    operator fills it in during execution); each execute starts a fresh
-    one, so re-running a plan (benchmark repetitions, a plan-cache hit)
-    reports one run.
+    ``segment_stats`` is present when the store's kernel serves the
+    plan's spec (the kernel fills it in during execution); each execute
+    starts a fresh one, so re-running a plan (benchmark repetitions, a
+    plan-cache hit) reports one run.
     """
 
     strategy: str
     explanation: str
-    _thunk: Callable[[], Tuple[list, int]]
+    #: Runs the plan; receives this run's ``segment_stats`` (or None).
+    _thunk: Callable[[Optional[operators.SegmentStats]], Tuple[list, int]]
     decisions: List[str] = field(default_factory=list)
     examined: int = field(default=0, init=False)
     segment_stats: Optional[operators.SegmentStats] = None
@@ -116,12 +124,12 @@ class PlannedQuery:
         if self.segment_stats is not None:
             self.segment_stats = operators.SegmentStats()
         if not _metrics.enabled():
-            results, examined = self._thunk()
+            results, examined = self._thunk(self.segment_stats)
             self.examined = examined
             return results
         registry = _metrics.registry()
         with registry.timer(f"query.execute_seconds.{self.strategy}"):
-            results, examined = self._thunk()
+            results, examined = self._thunk(self.segment_stats)
         self.examined = examined
         registry.counter(f"query.plans.{self.strategy}").inc()
         registry.counter("query.elements_examined").inc(examined)
@@ -164,23 +172,6 @@ class Planner:
             for spec in self.relation.schema.guaranteed_specializations
         )
 
-    def relation_statistics(self) -> dict:
-        """The relation's planner-visible metadata.
-
-        :meth:`TemporalRelation.statistics` caches it per relation
-        version *and* storage epoch, so changes that bypass the
-        relation's own mutators -- a vacuum swapping the engine out, a
-        bulk ``extend()`` straight into the engine -- still refresh it
-        and a later query re-plans against fresh counts.
-        """
-        return self.relation.statistics()
-
-    #: Below this many stored elements, specialized-strategy setup
-    #: (binary-search bracketing, window arithmetic) costs more than it
-    #: saves; the planner falls through to a plain full scan.  The
-    #: degenerate point lookup is exempt -- it has no setup cost.
-    SMALL_RELATION_THRESHOLD = 8
-
     # -- planning -----------------------------------------------------------------------
 
     def plan(self, query: ast.QueryNode) -> PlannedQuery:
@@ -214,7 +205,7 @@ class Planner:
             plan = PlannedQuery(
                 strategy="naive",
                 explanation="no applicable rule; reference executor",
-                _thunk=lambda: _run_naive(query),
+                _thunk=lambda _stats: _run_naive(query),
             )
         if plan.segment_stats is not None:
             decisions.append("columnar: stamp-column kernel with late materialization")
@@ -236,7 +227,7 @@ class Planner:
             decisions.append(
                 "rollback query: transaction-time monotonicity needs no declaration"
             )
-            return self._scan_plan(
+            return self._read_plan(
                 "rollback-prefix",
                 "transaction times are append-ordered; binary search + prefix, "
                 "zone maps skip dead segments",
@@ -244,7 +235,7 @@ class Planner:
             )
         if isinstance(query, ast.BitemporalSlice) and self._is_scan(query.child):
             decisions.append("bitemporal slice: tt prefix is free, vt filters the prefix")
-            return self._scan_plan(
+            return self._read_plan(
                 "bitemporal-prefix",
                 "tt-prefix by binary search, vt filter on the prefix; zone maps "
                 "skip segments dead at tt or outside vt",
@@ -260,7 +251,7 @@ class Planner:
                     decisions.append(
                         "bounded-tt-window-overlap: declared offset region prunes the scan"
                     )
-                    return self._scan_plan(
+                    return self._read_plan(
                         "bounded-tt-window-overlap",
                         "declared bounds confine the window's matches to a "
                         "transaction-time range; zone maps skip segments inside it",
@@ -273,20 +264,20 @@ class Planner:
                 decisions.append(
                     "bounded-tt-window-overlap: pruned -- not an event relation"
                 )
-            return PlannedQuery(
-                strategy="engine-overlap",
-                explanation="engine valid-time index (sorted index / interval tree)",
-                _thunk=lambda: self.relation.engine.select(spec),
+            return self._read_plan(
+                "engine-overlap",
+                "engine valid-time index (sorted index / interval tree)",
+                spec,
             )
         if isinstance(query, ast.CurrentState) and self._is_scan(query.child):
             decisions.append(
                 "current query: the engine's current-state path (materialized "
                 "view on segmented engines -- O(live), not O(history))"
             )
-            return PlannedQuery(
-                strategy="current",
-                explanation="current-state read (materialized view when available)",
-                _thunk=lambda: self.relation.engine.select(ScanSpec.of()),
+            return self._read_plan(
+                "current",
+                "current-state read (materialized view when available)",
+                ScanSpec.of(),
             )
         if isinstance(query, ast.TemporalJoin):
             return self._plan_join(query, decisions)
@@ -347,7 +338,7 @@ class Planner:
                     "both inputs declared non-decreasing; single merge pass over "
                     "valid-time-sorted current states"
                 ),
-                _thunk=lambda: operators.merge_join_events(
+                _thunk=lambda _stats: operators.merge_join_events(
                     left_relation, right_relation, query.condition
                 ),
             )
@@ -359,24 +350,23 @@ class Planner:
                     "both interval inputs declared non-decreasing; plane-sweep "
                     "overlap join over start-sorted current states"
                 ),
-                _thunk=lambda: operators.merge_join_intervals(
+                _thunk=lambda _stats: operators.merge_join_intervals(
                     left_relation, right_relation, query.condition
                 ),
             )
         decisions.append("merge-join: pruned -- mixed event/interval inputs")
         return None
 
-    def _scan_plan(self, strategy: str, explanation: str, spec: ScanSpec) -> PlannedQuery:
-        """A plan that runs *spec* through the engine's one read."""
-        # The thunk reads the plan's stats at call time: execute() swaps
-        # in a fresh SegmentStats per run.
-        plan = PlannedQuery(
+    def _read_plan(self, strategy: str, explanation: str, spec: ScanSpec) -> PlannedQuery:
+        """A plan that runs *spec* through the engine's one read; the
+        strategy is its label.  It reports segment counts exactly when
+        the store's kernel serves the spec (:attr:`ScanSpec.kernel_served`)."""
+        return PlannedQuery(
             strategy=strategy,
             explanation=explanation,
-            _thunk=lambda: self.relation.engine.select(spec, plan.segment_stats),
-            segment_stats=operators.SegmentStats(),
+            _thunk=lambda stats: self.relation.engine.select(spec, stats),
+            segment_stats=operators.SegmentStats() if spec.kernel_served else None,
         )
-        return plan
 
     def _plan_timeslice(self, vt: Timestamp, decisions: List[str]) -> PlannedQuery:
         is_event = self.relation.schema.is_event
@@ -386,64 +376,49 @@ class Planner:
         if degenerate is not None and is_event:
             if degenerate.granularity is None:
                 decisions.append("degenerate: declared -- timeslice is a tt point lookup")
-                return self._scan_plan(
+                return self._read_plan(
                     "degenerate-rollback",
                     "vt = tt declared; timeslice is a tt-index point lookup",
                     narrowed,
                 )
             tick = degenerate.granularity.name.lower()
             decisions.append(f"degenerate({tick}): declared -- timeslice scans one tt tick")
-            return self._scan_plan(
+            return self._read_plan(
                 "degenerate-tick-window",
                 f"vt = tt within one {tick} declared; timeslice scans a "
                 "single granularity tick of the tt index",
                 narrowed,
             )
         decisions.append("degenerate: pruned -- not declared (or not an event relation)")
-        if self._specialized_timeslice_available(is_event, narrowed != spec):
-            count = self.relation_statistics().get("elements", len(self.relation.engine))
-            if count < self.SMALL_RELATION_THRESHOLD:
-                decisions.append(
-                    f"small-relation: {count} elements < threshold "
-                    f"{self.SMALL_RELATION_THRESHOLD}; specialized-strategy "
-                    "setup skipped, full scan instead"
-                )
-                return PlannedQuery(
-                    strategy="small-relation-scan",
-                    explanation=(
-                        "relation is below the small-relation threshold; a full "
-                        "scan beats binary-search/window setup"
-                    ),
-                    _thunk=lambda: operators.timeslice_full_scan(self.relation, vt),
-                )
+        # A declared ordering makes the valid-time index an append-ordered
+        # run (Section 3.2), so the un-narrowed spec's index read *is* the
+        # binary search: the label names the declaration, not another path.
         if is_event and self._has(GloballySequential, GloballyNonDecreasing):
             decisions.append(
                 "monotone-binary-search: globally sequential/non-decreasing declared"
             )
-            return PlannedQuery(
-                strategy="monotone-binary-search",
-                explanation=(
-                    "valid times non-decreasing along transaction order; "
-                    "binary search for the matching run"
-                ),
-                _thunk=lambda: operators.timeslice_monotone_events(self.relation, vt),
+            return self._read_plan(
+                "monotone-binary-search",
+                "valid times non-decreasing along transaction order; one "
+                "bisect of the append-ordered valid-time index",
+                spec,
             )
         if is_event and self._has(GloballyNonIncreasing):
             decisions.append("monotone-binary-search: globally non-increasing declared")
-            return PlannedQuery(
-                strategy="monotone-binary-search-descending",
-                explanation="valid times non-increasing along transaction order",
-                _thunk=lambda: operators.timeslice_monotone_events(
-                    self.relation, vt, descending=True
-                ),
+            return self._read_plan(
+                "monotone-binary-search-descending",
+                "valid times non-increasing along transaction order; one "
+                "bisect of the valid-time index",
+                spec,
             )
         decisions.append("monotone-binary-search: pruned -- no global event ordering declared")
         if not is_event and self._has(IntervalGloballySequential):
             decisions.append("sequential-interval-search: sequential intervals declared")
-            return PlannedQuery(
-                strategy="sequential-interval-search",
-                explanation="sequential intervals are disjoint and ordered; binary search",
-                _thunk=lambda: operators.timeslice_sequential_intervals(self.relation, vt),
+            return self._read_plan(
+                "sequential-interval-search",
+                "sequential intervals are disjoint and ordered; one stab of "
+                "the interval tree",
+                spec,
             )
         if narrowed != spec:
             bounded = (narrowed.tt_lo > NEG_SENTINEL) + (narrowed.tt_hi < POS_SENTINEL)
@@ -451,30 +426,18 @@ class Planner:
             decisions.append(
                 f"bounded-tt-window: declared offset region prunes to a {sides} window"
             )
-            return self._scan_plan(
+            return self._read_plan(
                 "bounded-tt-window",
                 f"declared bounds confine matches to a {sides} "
                 "transaction-time window; zone maps skip segments inside it",
                 narrowed,
             )
         decisions.append("bounded-tt-window: pruned -- no bounded region declared")
-        return PlannedQuery(
-            strategy="engine-index",
-            explanation="engine valid-time index (sorted index / interval tree)",
-            _thunk=lambda: self.relation.engine.select(spec),
+        return self._read_plan(
+            "engine-index",
+            "engine valid-time index (sorted index / interval tree)",
+            spec,
         )
-
-    def _specialized_timeslice_available(self, is_event: bool, narrowed: bool) -> bool:
-        """Would a non-degenerate specialized timeslice strategy fire?
-
-        Consulted by the small-relation rule: setup cost only matters
-        when there is a setup to skip.
-        """
-        if is_event:
-            return narrowed or self._has(
-                GloballySequential, GloballyNonDecreasing, GloballyNonIncreasing
-            )
-        return self._has(IntervalGloballySequential)
 
     @staticmethod
     def _is_scan(node: ast.QueryNode) -> bool:

@@ -86,8 +86,6 @@ class TemporalRelation:
         self.constraints = ConstraintSet(schema.specializations, mode=schema.enforcement)
         self._surrogates = SurrogateGenerator()
         self._version = 0
-        self._statistics: Optional[Dict[str, int]] = None
-        self._statistics_epoch: Optional[Tuple[int, int]] = None
         self._views: Optional["ViewRegistry"] = None
         self._query_cache: Optional["LRUCache"] = None
         #: object surrogate -> its last stored time-invariant map (Section 2)
@@ -530,7 +528,7 @@ class TemporalRelation:
             version=self._version,
         )
 
-    # -- planner-visible metadata ---------------------------------------------------
+    # -- metadata ------------------------------------------------------------------
 
     @property
     def version(self) -> int:
@@ -542,15 +540,14 @@ class TemporalRelation:
 
     def _bump_version(self) -> None:
         self._version += 1
-        self._statistics = None
 
     def notify_engine_replaced(self) -> None:
         """Tell the relation its engine was swapped out from under it.
 
         Vacuum (and anything else that rebinds ``relation.engine``)
         must call this: it bumps the version so every version-keyed
-        cache -- the relation's own statistics, planner snapshots,
-        prepared-query plans -- re-derives against the new engine.
+        cache -- the plan cache among them -- re-derives against the
+        new engine.
         Standing views re-derive too, but their delta journal stands:
         the swap preserved the logical state, so subscribers miss
         nothing.
@@ -573,21 +570,12 @@ class TemporalRelation:
         return (id(self.engine), self.engine.mutation_count())
 
     def statistics(self) -> Dict[str, int]:
-        """Planner-visible metadata, recomputed at most once per epoch.
-
-        Includes the element count, the relation version, and whatever
-        counters the engine exposes (e.g. the memory engine's in-order
-        append ratio).  Batched ingestion refreshes this once per batch;
-        out-of-band engine changes (vacuum, direct extends) invalidate
-        via the storage epoch.
-        """
-        epoch = self._engine_epoch()
-        if self._statistics is None or self._statistics_epoch != epoch:
-            stats: Dict[str, int] = {"version": self._version, "elements": len(self.engine)}
-            stats.update(self.engine.index_statistics())
-            self._statistics = stats
-            self._statistics_epoch = epoch
-        return dict(self._statistics)
+        """The element count, the relation version, and whatever counters
+        the engine exposes (e.g. the memory engine's in-order append
+        ratio) -- computed per call from O(1) counters."""
+        stats: Dict[str, int] = {"version": self._version, "elements": len(self.engine)}
+        stats.update(self.engine.index_statistics())
+        return stats
 
     def __len__(self) -> int:
         return len(self.engine)

@@ -118,6 +118,14 @@ class ScanSpec:
         stamp = encode_point(as_of)
         return cls(tt_hi=stamp, as_of=stamp, vt_lo=vt_lo, vt_hi=vt_hi)
 
+    @property
+    def kernel_served(self) -> bool:
+        """Does the store's column kernel answer this spec?  Every pinned
+        spec and every spec with a narrowed transaction-time window does;
+        a live full-window spec reads the current view or the valid-time
+        index instead."""
+        return self.as_of is not None or self.tt_lo > NEG_SENTINEL or self.tt_hi < POS_SENTINEL
+
     def narrowed(self, tt_lo: Optional[int], tt_hi: Optional[int]) -> "ScanSpec":
         """This spec with its transaction-time window intersected with
         ``[tt_lo, tt_hi]`` (``None`` leaves that side alone)."""

@@ -11,9 +11,13 @@ The first query builds the tree from whatever has accumulated; after
 that, single appends insert **incrementally** -- descend by center and
 either join a node's spanning lists or grow a new leaf -- so an
 append/query workload no longer rebuilds the whole tree per mutation.
-Bulk loads into an already-built tree insert the same way; bulk loads
-into an empty (or never-queried) tree just accumulate and build once on
-the next query.  ``rebuilds`` counts full builds for regression tests.
+A leaf that lands deeper than twice the bit length of the item count
+rebuilds the highest subtree on its path that one child dominates (a
+scapegoat rebuild), so in-order appends -- each starting past every
+center -- cannot grow a chain.  Bulk loads into an already-built tree
+insert the same way; bulk loads into an empty (or never-queried) tree
+just accumulate and build once on the next query.  ``rebuilds`` counts
+full builds for regression tests.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ def _insort_by_end_desc(items: List[Tuple[int, int, "Payload"]], item: Tuple[int
 
 
 class _Node(Generic[Payload]):
-    __slots__ = ("center", "by_start", "by_end", "left", "right")
+    __slots__ = ("center", "by_start", "by_end", "left", "right", "size")
 
     def __init__(
         self,
@@ -69,6 +73,18 @@ class _Node(Generic[Payload]):
         self.by_end = sorted(spanning, key=lambda item: item[1], reverse=True)
         self.left = left
         self.right = right
+        #: Items in this subtree (the scapegoat rebuild's balance test).
+        self.size = len(spanning) + (left.size if left else 0) + (right.size if right else 0)
+
+    def items(self) -> Iterator[Tuple[int, int, Payload]]:
+        """Every item in this subtree."""
+        stack: List[Optional[_Node[Payload]]] = [self]
+        while stack:
+            node = stack.pop()
+            if node is not None:
+                yield from node.by_start
+                stack.append(node.left)
+                stack.append(node.right)
 
 
 class IntervalTree(Generic[Payload]):
@@ -126,37 +142,28 @@ class IntervalTree(Generic[Payload]):
         """Payloads of intervals sharing at least a point with *window*."""
         self._ensure_built()
         low, high = encode_point(window.start), encode_point(window.end)
-        seen: set = set()
         stack = [self._root]
         while stack:
             node = stack.pop()
             if node is None:
                 continue
             if high <= node.center:
-                # Only spanning intervals starting before `high` can overlap.
+                # Only spanning intervals starting before `high` can
+                # overlap; the right subtree starts past the center.
                 for start, _end, payload in node.by_start:
                     if start >= high:
                         break
-                    if id(payload) not in seen:
-                        seen.add(id(payload))
-                        yield payload
+                    yield payload
                 stack.append(node.left)
-                # Spanning intervals of right subtree all start > center >= high? No:
-                # right subtree intervals start after center, i.e. >= center; they
-                # start at > center, and high <= center implies no overlap.
             elif low > node.center:
                 for _start, end, payload in node.by_end:
                     if end <= low:
                         break
-                    if id(payload) not in seen:
-                        seen.add(id(payload))
-                        yield payload
+                    yield payload
                 stack.append(node.right)
             else:
                 for _start, _end, payload in node.by_start:
-                    if id(payload) not in seen:
-                        seen.add(id(payload))
-                        yield payload
+                    yield payload
                 stack.append(node.left)
                 stack.append(node.right)
 
@@ -169,32 +176,60 @@ class IntervalTree(Generic[Payload]):
             self.rebuilds += 1
 
     def _insert(self, item: Tuple[int, int, Payload]) -> None:
-        """Place one item into the built tree without rebuilding.
+        """Place one item into the built tree without a full rebuild.
 
         Descend exactly the partition rule :meth:`_build` uses; an item
         spanning a node's center joins that node's sorted lists at the
         position a stable re-sort would have given it, and an item that
         falls off the frontier grows a new leaf whose center it spans --
         so every node keeps the invariant ``start <= center < end`` for
-        its spanning intervals, which is all the queries rely on.
+        its spanning intervals, which is all the queries rely on.  A
+        leaf deeper than ``2 * bit_length(n)`` triggers
+        :meth:`_rebuild_scapegoat`.
         """
         start, end, _payload = item
-        node = self._root
-        assert node is not None
+        assert self._root is not None
+        path = [self._root]
         while True:
+            node = path[-1]
+            node.size += 1
             if end <= node.center:
                 if node.left is None:
                     node.left = _Node((start + end) // 2, [item], None, None)
-                    return
-                node = node.left
+                    path.append(node.left)
+                    break
+                path.append(node.left)
             elif start > node.center:
                 if node.right is None:
                     node.right = _Node((start + end) // 2, [item], None, None)
-                    return
-                node = node.right
+                    path.append(node.right)
+                    break
+                path.append(node.right)
             else:
                 _insort_by_start(node.by_start, item)
                 _insort_by_end_desc(node.by_end, item)
+                return
+        if len(path) > 2 * len(self._items).bit_length():
+            self._rebuild_scapegoat(path)
+
+    def _rebuild_scapegoat(self, path: List[_Node[Payload]]) -> None:
+        """Rebuild the highest node on *path* (root to new leaf) whose
+        child on the path holds more than three quarters of its subtree.
+
+        A path with no such node is already balanced enough: its depth
+        is within ``log_4/3(n)``.  Not a full build, so ``rebuilds``
+        does not count it.
+        """
+        for depth in range(len(path) - 1):
+            node = path[depth]
+            if 4 * path[depth + 1].size > 3 * node.size:
+                rebuilt = self._build(list(node.items()))
+                if depth == 0:
+                    self._root = rebuilt
+                elif path[depth - 1].left is node:
+                    path[depth - 1].left = rebuilt
+                else:
+                    path[depth - 1].right = rebuilt
                 return
 
     def _build(

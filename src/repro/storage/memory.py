@@ -19,7 +19,7 @@ from repro.chronos.timestamp import Timestamp
 from repro.observability import metrics as _metrics
 from repro.relation.element import Element
 from repro.relation.errors import ElementNotFound
-from repro.storage.columnar import NEG_SENTINEL, POS_SENTINEL, ScanSpec, decode_point
+from repro.storage.columnar import ScanSpec, decode_point
 from repro.storage.indexes import ValidTimeEventIndex
 from repro.storage.interval_tree import IntervalTree
 from repro.storage.segments import SegmentedStore
@@ -224,21 +224,17 @@ class MemoryEngine:
           current-state view, O(live);
         * live, full tt window, a vt window -- the valid-time index
           (event index or interval tree), live candidates only;
-        * anything else (every pinned spec, every live spec declarations
-          narrowed) -- :meth:`SegmentedStore.select`: bisect, zone-prune,
-          column kernel, late materialization; *stats* (a
-          ``SegmentStats``) receives its scanned/pruned counts.
+        * anything else (``spec.kernel_served``: every pinned spec, every
+          live spec declarations narrowed) -- :meth:`SegmentedStore.select`:
+          bisect, zone-prune, column kernel, late materialization; *stats*
+          (a ``SegmentStats``) receives its scanned/pruned counts.
 
         A read is safe on a reader thread beside the single writer
         exactly when ``spec.as_of`` is set: the first two paths read
         structures the writer reorganizes (the view's dict, the index's
         unsorted tail), the kernel path reads nothing past the pin.
         """
-        if (
-            spec.as_of is not None
-            or spec.tt_lo > NEG_SENTINEL
-            or spec.tt_hi < POS_SENTINEL
-        ):
+        if spec.kernel_served:
             return self.store.select(spec, stats)
         if spec.vt_lo is None:
             if _metrics.enabled():

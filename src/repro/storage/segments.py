@@ -56,7 +56,7 @@ class ZoneMap:
     insertion stamps never change after sealing).
     """
 
-    __slots__ = ("tt_lo", "tt_hi", "vt_lo", "vt_hi", "live", "max_closed_tt_stop", "vt_sorted")
+    __slots__ = ("tt_lo", "tt_hi", "vt_lo", "vt_hi", "live", "max_closed_tt_stop")
 
     def __init__(
         self,
@@ -66,7 +66,6 @@ class ZoneMap:
         vt_hi: int,
         live: int,
         max_closed_tt_stop: int,
-        vt_sorted: bool,
     ) -> None:
         self.tt_lo = tt_lo
         self.tt_hi = tt_hi
@@ -74,7 +73,6 @@ class ZoneMap:
         self.vt_hi = vt_hi
         self.live = live
         self.max_closed_tt_stop = max_closed_tt_stop
-        self.vt_sorted = vt_sorted
 
     def may_contain_vt(self, lo: int, hi: int) -> bool:
         """Could any element's valid time intersect ``[lo, hi]``?"""
@@ -93,7 +91,7 @@ class ZoneMap:
     def __repr__(self) -> str:
         return (
             f"ZoneMap(tt=[{self.tt_lo}, {self.tt_hi}], vt=[{self.vt_lo}, {self.vt_hi}], "
-            f"live={self.live}, vt_sorted={self.vt_sorted})"
+            f"live={self.live})"
         )
 
 
@@ -408,20 +406,14 @@ class SegmentedStore:
         vt_hi = NEG_SENTINEL
         live = 0
         max_closed = NEG_SENTINEL
-        vt_sorted = True
-        previous_key: Optional[int] = None
         for position in range(start, stop):
             element = elements[position]
             vt = element.vt
             if isinstance(vt, Interval):
                 lo = encode_point(vt.start)
                 hi = encode_point(vt.end)
-                vt_sorted = False  # the sorted flag covers event runs only
             else:
                 lo = hi = vt.microseconds
-                if previous_key is not None and lo < previous_key:
-                    vt_sorted = False
-                previous_key = lo
             if lo < vt_lo:
                 vt_lo = lo
             if hi > vt_hi:
@@ -439,7 +431,6 @@ class SegmentedStore:
             vt_hi=vt_hi,
             live=live,
             max_closed_tt_stop=max_closed,
-            vt_sorted=vt_sorted,
         )
 
     # -- segment access ------------------------------------------------------------

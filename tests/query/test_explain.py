@@ -20,7 +20,6 @@ from repro.query import (
     ValidOverlap,
     ValidTimeslice,
 )
-from repro.query.planner import Planner
 from repro.relation.schema import TemporalSchema, ValidTimeKind
 from repro.relation.temporal_relation import TemporalRelation
 from repro.storage.memory import MemoryEngine
@@ -275,24 +274,15 @@ class TestSegmentPruning:
 
 
 class TestSmallRelationThreshold:
-    def test_below_threshold_falls_to_full_scan(self):
-        count = Planner.SMALL_RELATION_THRESHOLD - 1
-        relation = build_events(["globally non-decreasing"], [3] * count)
-        report = relation.explain(ValidTimeslice(Scan(relation), Timestamp(13)))
-        assert_report_shape(report, "small-relation-scan")
-        assert any(
-            f"threshold {Planner.SMALL_RELATION_THRESHOLD}" in decision
-            for decision in report.decisions
-        )
+    """There is none: a relation of a few elements plans as a large one."""
 
-    def test_at_threshold_keeps_specialized_strategy(self):
-        count = Planner.SMALL_RELATION_THRESHOLD
-        relation = build_events(["globally non-decreasing"], [3] * count)
-        report = relation.explain(ValidTimeslice(Scan(relation), Timestamp(13)))
+    def test_single_element_keeps_its_declared_strategy(self):
+        relation = build_events(["globally non-decreasing"], [3])
+        report = relation.explain(ValidTimeslice(Scan(relation), Timestamp(3)))
         assert_report_shape(report, "monotone-binary-search")
+        assert report.returned == 1
 
     def test_degenerate_is_exempt(self):
-        # The degenerate point lookup has no setup cost to skip.
         relation = build_events(["degenerate"], [0] * 2)
         report = relation.explain(ValidTimeslice(Scan(relation), Timestamp(10)))
         assert_report_shape(report, "degenerate-rollback")

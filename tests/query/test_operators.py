@@ -1,9 +1,10 @@
-"""Direct unit tests for the physical operators."""
+"""Unit tests for the physical operators and the reads plans make."""
 
 from repro.chronos.clock import SimulatedWallClock
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import FOREVER, NEGATIVE_INFINITY, Timestamp
-from repro.query import operators
+from repro.core.taxonomy import IntervalGloballySequential
+from repro.query import NaiveExecutor, Planner, Scan, ValidTimeslice, operators
 from repro.relation.schema import TemporalSchema, ValidTimeKind
 from repro.relation.temporal_relation import TemporalRelation
 from repro.storage.columnar import ScanSpec
@@ -104,46 +105,72 @@ class TestScanBoundedWindow:
         assert examined == 5  # tt 100..140
 
 
+def planned_timeslice(relation, vt, strategy):
+    """The planned timeslice at *vt*: it carries the *strategy* label and
+    answers what the reference executor answers."""
+    query = ValidTimeslice(Scan(relation), vt)
+    plan = Planner(relation).plan(query)
+    assert plan.strategy == strategy
+    results = plan.execute()
+    expected = NaiveExecutor().run(query)
+    assert sorted(e.element_surrogate for e in results) == sorted(
+        e.element_surrogate for e in expected
+    )
+    return results, plan.examined
+
+
 class TestMonotoneOperators:
+    """Declared orderings label a read of the valid-time index."""
+
     def test_ascending_run_collection(self):
         # Duplicate valid times: the full run must be returned.
-        schema = TemporalSchema(name="m")
+        schema = TemporalSchema(name="m", specializations=["globally non-decreasing"])
         clock = SimulatedWallClock(start=0)
         relation = TemporalRelation(schema, clock=clock)
         for i, vt in enumerate([0, 10, 10, 10, 20]):
             clock.advance_to(Timestamp(10 * i))
             relation.insert("o", Timestamp(vt), {})
-        results, _examined = operators.timeslice_monotone_events(relation, Timestamp(10))
+        results, _examined = planned_timeslice(
+            relation, Timestamp(10), "monotone-binary-search"
+        )
         assert len(results) == 3
 
     def test_descending(self):
-        schema = TemporalSchema(name="m")
+        schema = TemporalSchema(name="m", specializations=["globally non-increasing"])
         clock = SimulatedWallClock(start=0)
         relation = TemporalRelation(schema, clock=clock)
         for i, vt in enumerate([30, 20, 20, 10]):
             clock.advance_to(Timestamp(10 * i))
             relation.insert("o", Timestamp(vt), {})
-        results, _examined = operators.timeslice_monotone_events(
-            relation, Timestamp(20), descending=True
+        results, _examined = planned_timeslice(
+            relation, Timestamp(20), "monotone-binary-search-descending"
         )
         assert len(results) == 2
 
     def test_miss_returns_empty(self):
-        relation = build_events([0] * 10)
-        results, _examined = operators.timeslice_monotone_events(relation, Timestamp(55))
+        relation = build_events([0] * 10, specializations=["globally non-decreasing"])
+        results, _examined = planned_timeslice(
+            relation, Timestamp(55), "monotone-binary-search"
+        )
         assert results == []
 
     def test_skips_deleted_elements(self):
-        relation = build_events([0] * 10)
+        relation = build_events([0] * 10, specializations=["globally non-decreasing"])
         victim = relation.all_elements()[5]
         relation.delete(victim.element_surrogate)
-        results, _ = operators.timeslice_monotone_events(relation, victim.vt)
+        results, _ = planned_timeslice(relation, victim.vt, "monotone-binary-search")
         assert results == []
 
 
 class TestSequentialIntervalOperator:
+    """Declared sequential intervals label one stab of the interval tree."""
+
     def build_intervals(self):
-        schema = TemporalSchema(name="weeks", valid_time_kind=ValidTimeKind.INTERVAL)
+        schema = TemporalSchema(
+            name="weeks",
+            valid_time_kind=ValidTimeKind.INTERVAL,
+            specializations=[IntervalGloballySequential()],
+        )
         clock = SimulatedWallClock(start=0)
         relation = TemporalRelation(schema, clock=clock)
         for week in range(10):
@@ -155,8 +182,8 @@ class TestSequentialIntervalOperator:
 
     def test_hit(self):
         relation = self.build_intervals()
-        results, examined = operators.timeslice_sequential_intervals(
-            relation, Timestamp(350)
+        results, examined = planned_timeslice(
+            relation, Timestamp(350), "sequential-interval-search"
         )
         assert len(results) == 1
         assert results[0].vt.start == Timestamp(300)
@@ -164,19 +191,27 @@ class TestSequentialIntervalOperator:
 
     def test_gap_miss(self):
         relation = self.build_intervals()
-        results, _ = operators.timeslice_sequential_intervals(relation, Timestamp(380))
+        results, _ = planned_timeslice(
+            relation, Timestamp(380), "sequential-interval-search"
+        )
         assert results == []
 
     def test_before_first(self):
         relation = self.build_intervals()
-        results, _ = operators.timeslice_sequential_intervals(relation, Timestamp(-5))
+        results, _ = planned_timeslice(
+            relation, Timestamp(-5), "sequential-interval-search"
+        )
         assert results == []
 
     def test_empty_relation(self):
-        schema = TemporalSchema(name="w", valid_time_kind=ValidTimeKind.INTERVAL)
+        schema = TemporalSchema(
+            name="w",
+            valid_time_kind=ValidTimeKind.INTERVAL,
+            specializations=[IntervalGloballySequential()],
+        )
         relation = TemporalRelation(schema, clock=SimulatedWallClock(start=0))
-        results, examined = operators.timeslice_sequential_intervals(
-            relation, Timestamp(0)
+        results, examined = planned_timeslice(
+            relation, Timestamp(0), "sequential-interval-search"
         )
         assert results == [] and examined == 0
 

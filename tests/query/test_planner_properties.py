@@ -62,25 +62,6 @@ EXPECTED_TIMESLICE_STRATEGY = {
     ("retroactively bounded(30s)",): "bounded-tt-window",
 }
 
-#: Strategies with per-query setup cost; below the planner's
-#: small-relation threshold they yield to a plain full scan.  The
-#: degenerate point lookup and the engine-index fallback are exempt.
-STRATEGIES_WITH_SETUP = {
-    "monotone-binary-search",
-    "monotone-binary-search-descending",
-    "bounded-tt-window",
-    "sequential-interval-search",
-}
-
-
-def expected_timeslice_strategy(declared: str, relation) -> str:
-    if (
-        declared in STRATEGIES_WITH_SETUP
-        and len(relation.engine) < Planner.SMALL_RELATION_THRESHOLD
-    ):
-        return "small-relation-scan"
-    return declared
-
 
 def surrogates(elements) -> list:
     return sorted(e.element_surrogate for e in elements)
@@ -175,7 +156,7 @@ def event_workloads(draw):
 @given(event_workloads())
 def test_timeslice_matches_naive_and_uses_declared_path(workload):
     topology, names, relation, vt, _tt, _width = workload
-    expected = expected_timeslice_strategy(EXPECTED_TIMESLICE_STRATEGY[names], relation)
+    expected = EXPECTED_TIMESLICE_STRATEGY[names]
     query = ValidTimeslice(Scan(relation), vt)
     assert_plan_agrees(relation, query, expected)
     # Probe an exactly-stored valid time too, not just a random one.
@@ -217,7 +198,7 @@ def test_every_figure1_region_narrows_the_scan(name, data):
     never examines more elements than the derived transaction-time
     window ``[vt - upper, vt - lower]`` holds."""
     specialization, (low, high) = data.draw(region_declarations(name))
-    count = data.draw(st.integers(min_value=Planner.SMALL_RELATION_THRESHOLD, max_value=30))
+    count = data.draw(st.integers(min_value=1, max_value=30))
     schema = TemporalSchema(name="r", time_varying=("v",), specializations=[specialization])
     topology = data.draw(topologies())
     relation = topology.relation(schema, clock=SimulatedWallClock(start=0))
@@ -463,7 +444,5 @@ def sequential_interval_workloads(draw):
 def test_sequential_interval_timeslice_matches_naive(workload):
     relation, vt = workload
     assert_plan_agrees(
-        relation,
-        ValidTimeslice(Scan(relation), vt),
-        expected_timeslice_strategy("sequential-interval-search", relation),
+        relation, ValidTimeslice(Scan(relation), vt), "sequential-interval-search"
     )

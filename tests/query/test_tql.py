@@ -160,11 +160,10 @@ class TestExecution:
             tql.parse("SELECT COUNT(x) FROM temps")
 
     def test_explain_reports_strategy(self, relation):
-        # Four stored elements sit below the planner's small-relation
-        # threshold, so the declared bounded window yields to a scan.
+        # Four stored elements still read the declared bounded window:
+        # the plan depends on the schema, not on the relation's size.
         text = tql.explain("SELECT celsius FROM temps VALID AT 940s", relation)
-        assert "strategy  : small-relation-scan" in text
-        assert "small-relation" in text
+        assert "strategy  : bounded-tt-window" in text
         assert "timeslice" in text
 
     def test_explain_rollback(self, relation):

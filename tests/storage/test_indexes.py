@@ -287,6 +287,32 @@ class TestIntervalTreeIncrementalInsert:
             assert sorted(tree.stab(Timestamp(i))) == [i - 2, i - 1, i]
         assert tree.rebuilds == 1
 
+    def test_in_order_appends_keep_the_tree_shallow(self):
+        """Each in-order interval starts past every center, so without a
+        rebalance it hangs as a new right leaf and the tree is a chain."""
+        tree = IntervalTree()
+        tree.add(self.iv(0, 7), 0)
+        assert list(tree.stab(Timestamp(3))) == [0]  # the early build
+        count = 2000
+        for i in range(1, count):
+            tree.add(self.iv(10 * i, 10 * i + 7), i)
+        depth, stack = 0, [(tree._root, 1)]
+        while stack:
+            node, level = stack.pop()
+            if node is not None:
+                depth = max(depth, level)
+                stack += [(node.left, level + 1), (node.right, level + 1)]
+        assert depth <= 2 * count.bit_length() + 2
+        batch = IntervalTree()
+        for i in range(count):
+            batch.add(self.iv(10 * i, 10 * i + 7), i)
+        for probe in (0, 3, 9, 4321, 10 * (count - 1) + 6, 10 * count):
+            point = Timestamp(probe)
+            assert sorted(tree.stab(point)) == sorted(batch.stab(point))
+        window = self.iv(995, 1_213)
+        assert sorted(tree.overlapping(window)) == sorted(batch.overlapping(window))
+        assert tree.rebuilds == 1
+
     def test_engine_preserves_index_identity_across_appends(self):
         engine = MemoryEngine()
         for i in range(10):

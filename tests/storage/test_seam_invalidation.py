@@ -6,8 +6,8 @@ Two historically fragile seams, pinned here:
   whose victim lives in a compressed cold segment rewrites that
   segment out-of-line.  Everything derived downstream -- the store's
   materialized current view, zone-map liveness, the relation's
-  epoch-keyed ``statistics()`` cache, the planner's per-epoch metadata
-  cache, and any registered standing view -- must observe the patch.
+  ``statistics()``, and any registered standing view -- must observe
+  the patch.
 
 * **Wire fragments**.  An element a store holds -- hot, or
   decoded by the cold tier -- keeps its canonical JSON fragment once
@@ -35,7 +35,6 @@ import pytest
 
 from repro.chronos.clock import LogicalClock
 from repro.chronos.timestamp import FOREVER, Timestamp
-from repro.query.planner import Planner
 from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
 from repro.server import protocol
@@ -65,11 +64,9 @@ class TestColdPatchInvalidation:
     def test_cold_delete_refreshes_current_view_and_statistics(self):
         with tempfile.TemporaryDirectory() as tier_dir:
             relation, engine = self._grown_cold(tier_dir)
-            planner = Planner(relation)
             view = relation.views.register_current(name="cold-check")
             # Warm every cache with the pre-delete state.
             assert relation.statistics()["live_elements"] == 12
-            assert planner.relation_statistics()["live_elements"] == 12
             assert len(view.snapshot()) == 12
 
             victim = min(
@@ -80,9 +77,8 @@ class TestColdPatchInvalidation:
             survivors = {e.element_surrogate for e in relation.current()}
             assert victim.element_surrogate not in survivors
             assert len(survivors) == 11
-            # The epoch-keyed caches saw the patch.
+            # The statistics saw the patch.
             assert relation.statistics()["live_elements"] == 11
-            assert planner.relation_statistics()["live_elements"] == 11
             # And the standing view agrees with recomputation.
             assert view.snapshot() == view.recompute()
             assert len(view.snapshot()) == 11

@@ -59,19 +59,6 @@ class TestSealing:
         assert zone.vt_lo == Timestamp(0).microseconds
         assert zone.vt_hi == Timestamp(70).microseconds
         assert zone.live == 8
-        assert zone.vt_sorted  # valid times arrived in order
-
-    def test_vt_sorted_flag_detects_disorder(self):
-        schema = TemporalSchema(name="r")
-        clock = SimulatedWallClock(start=0)
-        engine = MemoryEngine(segment_size=4)
-        relation = TemporalRelation(schema, clock=clock, engine=engine)
-        for i, vt in enumerate([5, 3, 8, 1]):  # out of valid-time order
-            clock.advance_to(Timestamp(10 * i))
-            relation.insert("o", Timestamp(vt), {})
-        store = engine.store
-        assert store.sealed_count == 1
-        assert not store.zone_of(0).vt_sorted
 
     def test_ordering_violation_message_unchanged(self):
         store = SegmentedStore(segment_size=4)
