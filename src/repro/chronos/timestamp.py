@@ -96,8 +96,10 @@ class Timestamp:
         self._granularity = gran
         # Cached eagerly: every comparison, hash, and index key is the
         # microsecond coordinate, and the enum property walk dominates
-        # ingestion profiles otherwise.
-        self._micro = ticks * gran.value
+        # ingestion profiles otherwise.  At microsecond granularity it is
+        # the ticks themselves: one int, not an equal second one.
+        unit = gran.value
+        self._micro = ticks if unit == 1 else ticks * unit
 
     @property
     def ticks(self) -> int:
@@ -136,7 +138,7 @@ class Timestamp:
             stamp = new(cls)
             stamp._ticks = tick
             stamp._granularity = gran
-            stamp._micro = tick * unit
+            stamp._micro = tick if unit == 1 else tick * unit
             append(stamp)
         return stamps
 

@@ -97,6 +97,20 @@ class Stamped:
     attributes: Mapping[str, Any] = field(default_factory=dict)
 
 
+def time_reference_of(spec: Any) -> TimeReference:
+    """The transaction time *spec* is relative to.
+
+    A declaration that wraps another (``OnEndpoint``, ``OnBothEndpoints``
+    and ``DeterminedAs`` wrap a ``base``, ``PerPartition`` an ``inner``)
+    has no reference of its own: it is the wrapped one's.  Declarations
+    without one (inter-element properties) refer to insertion time.
+    """
+    wrapped = getattr(spec, "base", None) or getattr(spec, "inner", None)
+    if wrapped is not None:
+        return time_reference_of(wrapped)
+    return getattr(spec, "time_reference", TimeReference.INSERTION)
+
+
 def transaction_time(element: StampedElement, reference: TimeReference) -> Optional[Timestamp]:
     """The transaction time the property refers to, or None.
 

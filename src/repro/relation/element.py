@@ -196,7 +196,9 @@ class Element(_ElementSlots):
         )
 
 
-_set_wire = _ElementSlots._wire.__set__  # type: ignore[attr-defined]
+#: ``set_fragment(element, fragment)`` stores a stored element's wire memo
+#: (``b""`` arms it, bytes fill it) with a plain slot store.
+set_fragment = _ElementSlots._wire.__set__  # type: ignore[attr-defined]
 
 
 build_trusted = trusted(Element)  # stored elements: read-only maps, taken as they are
@@ -206,4 +208,4 @@ def arm(elements: Iterable[Element]) -> None:
     """Let *elements* keep their wire fragment from first encode on: only a
     store holding them may, as a stored element and its maps never change."""
     for element in elements:
-        _set_wire(element, b"")
+        set_fragment(element, b"")

@@ -20,7 +20,7 @@ from repro.chronos.granularity import Granularity, GranularityLike, as_granulari
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import Timestamp
 from repro.core.constraints import EnforcementMode
-from repro.core.taxonomy.base import Specialization, TimeReference
+from repro.core.taxonomy.base import Specialization, TimeReference, time_reference_of
 from repro.core.taxonomy.event_isolated import Degenerate, EventSpecialization
 from repro.core.taxonomy.regions import OffsetRegion
 from repro.core.taxonomy.registry import parse
@@ -92,8 +92,7 @@ class TemporalSchema:
             tuple(
                 spec
                 for spec in resolved
-                if getattr(spec, "time_reference", TimeReference.INSERTION)
-                is TimeReference.INSERTION
+                if time_reference_of(spec) is TimeReference.INSERTION
             )
             if self.enforcement is EnforcementMode.REJECT
             else ()

@@ -50,7 +50,7 @@ from repro.chronos.interval import Interval
 from repro.chronos.timestamp import TimePoint, Timestamp
 from repro.core.constraints import ConstraintSet
 from repro.observability import metrics as _metrics
-from repro.core.taxonomy.base import TimeReference
+from repro.core.taxonomy.base import TimeReference, time_reference_of
 from repro.relation.element import EMPTY_MAP, Element, FrozenMap, ValidTime, build_trusted
 from repro.relation.schema import AttributeRole
 from repro.relation.errors import ElementNotFound, KeyViolation, SchemaError
@@ -386,7 +386,7 @@ class TemporalRelation:
 
         failures = []
         for spec in self.constraints.specializations:
-            if getattr(spec, "time_reference", None) is TimeReference.DELETION:
+            if time_reference_of(spec) is TimeReference.DELETION:
                 failures.extend(spec.violations([closed_preview]))
         if not failures:
             return

@@ -331,14 +331,10 @@ class TemporalServer:
         if error is not None:
             return self._error_response(error)
         assert elements is not None
-        pin = self._pins[op.relation_name]
-        return Response.json(
-            {
-                "elements": protocol.elements_to_json(elements),
-                "count": len(elements),
-                "epoch": pin.to_json(),
-            }
-        )
+        envelope = {"count": len(elements), "epoch": self._pins[op.relation_name].to_json()}
+        # Joined from the fragments a durable engine framed the rows with.
+        body = protocol.element_rows_body(envelope, elements, key="elements", fill=False)
+        return Response(status=200, body=body)
 
     # -- delta subscriptions ----------------------------------------------------------
 

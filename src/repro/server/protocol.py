@@ -4,30 +4,36 @@ The request/response surface mirrors the temporal-backend schema style
 of the tkg-context-engine exemplars -- typed request models with
 up-front validation -- rendered here with stdlib dataclasses instead
 of pydantic.  Every temporal coordinate on the wire is a microsecond
-integer on the shared exact time-line (the same convention as the
-log-file WAL codec, which this module reuses); unbounded endpoints use
-the WAL's sentinel coordinates.
+integer on the shared exact time-line; unbounded endpoints use the
+storage sentinel coordinates.
 
-The element codec is *canonical*: elements are serialized with sorted
-keys and emitted in ``(tt_start, element_surrogate)`` order, so the
-same logical state produces byte-identical payloads regardless of
-which engine (or which index iteration order) produced it.  The
-differential suite asserts exactly this.
+The element codec is *canonical* and lives in storage
+(:mod:`repro.storage.codec`, re-exported here), because a row's wire
+fragment is also the element its log record carries: elements are
+serialized with sorted keys and emitted in ``(tt_start,
+element_surrogate)`` order, so the same logical state produces
+byte-identical payloads regardless of which engine (or which index
+iteration order) produced it.  The differential suite asserts exactly
+this.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from json.encoder import c_make_encoder, encode_basestring_ascii  # type: ignore[attr-defined]
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.chronos.granularity import Granularity
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import Timestamp
 from repro.relation.element import Element, ValidTime
 from repro.relation.schema import TemporalSchema
+from repro.storage.codec import (  # re-exported: the wire codec is storage's
+    canonical_json as canonical_json,
+    element_to_json as element_to_json,
+    fill_fragment as fill_fragment,
+    fill_fragments as fill_fragments,
+)
 from repro.storage.columnar import decode_point, encode_point
-from repro.storage.logfile import _encode_element
 
 
 class ProtocolError(ValueError):
@@ -35,18 +41,6 @@ class ProtocolError(ValueError):
 
 
 # -- element -> JSON ---------------------------------------------------------------
-
-
-def element_to_json(element: Element) -> Dict[str, Any]:
-    """One element in wire form: the WAL codec plus the existence stop.
-
-    (The WAL never records ``tt_stop`` on inserts -- deletion is its
-    own record -- but a query response must carry the full bitemporal
-    rectangle.)
-    """
-    record = _encode_element(element)
-    record["tt_stop"] = encode_point(element.tt_stop)
-    return record
 
 
 def _canonical_order(elements: Sequence[Element]) -> List[Element]:
@@ -58,28 +52,24 @@ def elements_to_json(elements: Sequence[Element]) -> List[Dict[str, Any]]:
     return [element_to_json(element) for element in _canonical_order(elements)]
 
 
-# Built once: JSONEncoder.encode builds a C encoder per call (~1.8 us a row).
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_ENCODE = _ENCODER.iterencode if c_make_encoder is None else c_make_encoder(
-    None, _ENCODER.default, encode_basestring_ascii, None, ":", ",", True, False, True
-)
+def element_rows_body(
+    envelope: Dict[str, Any],
+    elements: Sequence[Element],
+    key: str = "rows",
+    fill: bool = True,
+) -> bytes:
+    """The body of an element-row response: *envelope* plus *key*.
 
-
-def canonical_json(payload: Any) -> bytes:
-    """Sorted keys, compact separators: byte-stable for a given payload."""
-    return "".join(_ENCODE(payload, 0)).encode("utf-8")
-
-
-def element_rows_body(envelope: Dict[str, Any], elements: Sequence[Element]) -> bytes:
-    """The body of an element-row response: *envelope* plus ``"rows"``.
-
-    Byte-identical to ``canonical_json({**envelope, "rows":
+    Byte-identical to ``canonical_json({**envelope, key:
     elements_to_json(elements)})`` -- members in sorted-key order, rows
     in canonical order -- but joined from per-row byte fragments: an
     element a store holds is armed (``_wire == b""``) and keeps its
-    fragment from first encode on.  Every other element costs what it
+    fragment from first encode on, and the rows a durable engine has
+    just written arrive filled.  Every other element costs what it
     did -- a run of un-armed rows is one encoder call, a result with no
-    armed row one call in all -- and retains nothing.
+    filled or armed row one call in all -- and retains nothing.  With
+    ``fill=False`` (a write's acknowledgement, whose rows nobody has
+    read) armed rows are encoded like un-armed ones.
     """
     fragments: List[bytes] = []
     run: List[Dict[str, Any]] = []
@@ -91,29 +81,20 @@ def element_rows_body(envelope: Dict[str, Any], elements: Sequence[Element]) -> 
 
     for element in _canonical_order(elements):
         fragment = element._wire
-        if fragment is None:
+        if fragment is None or not (fragment or fill):
             run.append(element_to_json(element))
             continue
         if run:
             encode_run()
-        if not fragment:
-            fill_fragments((element,))
-            fragment = element._wire
-        fragments.append(fragment)
-    if not fragments:  # no armed row: the reference encoder's one call
-        return canonical_json({**envelope, "rows": run})
+        # The local, never a re-read of the slot: a writer may re-arm it.
+        fragments.append(fragment or fill_fragment(element))
+    if not fragments:  # nothing filled or to fill: the reference encoder's one call
+        return canonical_json({**envelope, key: run})
     encode_run()
-    members = {key: canonical_json(value) for key, value in envelope.items()}
-    members["rows"] = b"[" + b",".join(fragments) + b"]"
-    pairs = (canonical_json(key) + b":" + members[key] for key in sorted(members))
+    members = {name: canonical_json(value) for name, value in envelope.items()}
+    members[key] = b"[" + b",".join(fragments) + b"]"
+    pairs = (canonical_json(name) + b":" + members[name] for name in sorted(members))
     return b"{" + b",".join(pairs) + b"}"
-
-
-def fill_fragments(elements: Iterable[Element]) -> None:
-    """Encode every armed element of *elements* whose fragment is not yet filled."""
-    for element in elements:
-        if element._wire == b"":
-            object.__setattr__(element, "_wire", canonical_json(element_to_json(element)))
 
 
 def delta_to_json(delta: Any) -> Dict[str, Any]:
@@ -177,7 +158,7 @@ def decode_valid_time(raw: Any, schema: TemporalSchema) -> ValidTime:
                 f"relation {schema.name!r} is event-stamped; "
                 f"'vt' must be a microsecond integer, got {raw!r}"
             )
-        return Timestamp(raw, "microsecond")
+        return Timestamp(raw, Granularity.MICROSECOND)
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise ProtocolError(
             f"relation {schema.name!r} is interval-stamped; "
@@ -208,7 +189,7 @@ def decode_attributes(
                 raise ProtocolError(
                     f"user-defined time {name!r} must be a microsecond integer, got {value!r}"
                 )
-            decoded[name] = Timestamp(value, "microsecond")
+            decoded[name] = Timestamp(value, Granularity.MICROSECOND)
         else:
             decoded[name] = value
     return decoded

@@ -37,6 +37,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.chronos.granularity import Granularity
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import FOREVER, NEGATIVE_INFINITY, TimePoint, Timestamp
 
@@ -63,7 +64,7 @@ def decode_point(coordinate: int) -> TimePoint:
         return FOREVER
     if coordinate <= NEG_SENTINEL:
         return NEGATIVE_INFINITY
-    return Timestamp(coordinate, "microsecond")
+    return Timestamp(coordinate, Granularity.MICROSECOND)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,9 @@ Two formats are understood everywhere:
   ``{"op": "insert"|"delete", "tt": micro, "surrogate": n, ...}`` with
   insert lines carrying the full element payload.
 
+Either way an insert record's ``element`` is the row's canonical wire
+fragment (:mod:`repro.storage.codec`), encoded once per written row.
+
 Timestamps are microsecond integers on the shared exact time-line;
 attribute values must be JSON-serializable (the same contract as the
 wire protocol).
@@ -37,13 +40,18 @@ import json
 import os
 from typing import IO, Any, Dict, Iterable, Iterator, List, Optional
 
-from repro.chronos.interval import Interval
+from repro.chronos.granularity import Granularity
 from repro.chronos.timestamp import Timestamp
 from repro.observability import metrics as _metrics
-from repro.relation.element import Element, build_trusted, frozen_map
+from repro.relation.element import Element, set_fragment
 from repro.storage import wal
 from repro.storage.backlog import Backlog, Operation, OperationKind
-from repro.storage.columnar import decode_point, encode_point
+from repro.storage.codec import (
+    canonical_json,
+    element_fragment,
+    element_from_json,
+    insert_record,
+)
 from repro.storage.memory import MemoryEngine
 from repro.storage.wal import RecoveryReport, recover_file
 
@@ -63,60 +71,31 @@ SQLITE_REMOVED = (
     "at the previous release and re-ingest"
 )
 
-def _encode_element(element: Element) -> Dict[str, Any]:
-    record: Dict[str, Any] = {
-        "surrogate": element.element_surrogate,
-        "object": element.object_surrogate,
-        "tt_start": element.tt_start.microseconds,
-        "invariant": element.time_invariant,  # read-only maps need no copy
-        "varying": element.time_varying,
-        "user_times": {k: v.microseconds for k, v in element.user_times.items()},
-    }
-    if isinstance(element.vt, Interval):
-        record["vt"] = [encode_point(element.vt.start), encode_point(element.vt.end)]
-    else:
-        record["vt"] = element.vt.microseconds
-    return record
-
-
-def _decode_element(record: Dict[str, Any]) -> Element:
-    raw_vt = record["vt"]
-    if isinstance(raw_vt, list):
-        vt: Any = Interval(decode_point(raw_vt[0]), decode_point(raw_vt[1]))
-    else:
-        vt = Timestamp(raw_vt, "microsecond")
-    user = {key: Timestamp(value, "microsecond") for key, value in record["user_times"].items()}
-    return build_trusted(
-        record["surrogate"], record["object"], Timestamp(record["tt_start"], "microsecond"), vt,
-        frozen_map(record["invariant"]), frozen_map(record["varying"]), frozen_map(user),
-    )
-
-
 # -- operation <-> record codecs ----------------------------------------------------
 
 
-def _operation_record(
-    operation: Operation, replaced_by: Optional[int] = None
-) -> Dict[str, Any]:
+def _operation_record(operation: Operation, replaced_by: Optional[int] = None) -> bytes:
+    """One operation as its encoded log record (canonical JSON)."""
+    if operation.kind is OperationKind.INSERT:
+        fragment = element_fragment(operation.element)  # type: ignore[arg-type]
+        return insert_record(operation.element_surrogate, operation.tt.microseconds, fragment)
     record: Dict[str, Any] = {
         "op": operation.kind.value,
         "tt": operation.tt.microseconds,
         "surrogate": operation.element_surrogate,
     }
-    if operation.kind is OperationKind.INSERT:
-        record["element"] = _encode_element(operation.element)  # type: ignore[arg-type]
-    elif replaced_by is not None:
+    if replaced_by is not None:
         # Modification lineage: this deletion and the insertion of
         # `replaced_by` are two halves of one modification.
         record["replaced_by"] = replaced_by
-    return record
+    return canonical_json(record)
 
 
 def _decode_record(record: Dict[str, Any]) -> Operation:
     kind = OperationKind(record["op"])
-    tt = Timestamp(record["tt"], "microsecond")
+    tt = Timestamp(record["tt"], Granularity.MICROSECOND)
     if kind is OperationKind.INSERT:
-        return Operation(kind, tt, record["surrogate"], _decode_element(record["element"]))
+        return Operation(kind, tt, record["surrogate"], element_from_json(record["element"]))
     return Operation(kind, tt, record["surrogate"])
 
 
@@ -156,7 +135,7 @@ def dump_operations(operations: Iterable[Operation], stream: IO[str]) -> int:
     count = 0
     for position, operation in enumerate(ordered):
         record = _operation_record(operation, replaced_by=pairs.get(position))
-        stream.write(json.dumps(record, sort_keys=True))
+        stream.write(record.decode("utf-8"))
         stream.write("\n")
         count += 1
     return count
@@ -185,7 +164,7 @@ def dump_operations_framed(operations: Iterable[Operation], stream: IO[bytes]) -
             records = [_operation_record(ordered[position])]
             position += 1
         for record in records:
-            stream.write(wal.frame_record(record))
+            stream.write(wal.frame_payload(record))
         stream.write(wal.commit_marker(len(records)))
         count += len(records)
     return count
@@ -266,7 +245,7 @@ def load_backlog(path: str) -> Backlog:
         surrogate = pending_record["surrogate"]
         backlog.record_delete(
             surrogate,
-            Timestamp(pending_record["tt"], "microsecond"),
+            Timestamp(pending_record["tt"], Granularity.MICROSECOND),
             coincident=pending_record["tt"] == _last_tt(),
         )
         live_objects.pop(surrogate, None)
@@ -353,6 +332,7 @@ class LogFileEngine(MemoryEngine):
         self._path = path
         self._fsync = fsync
         self._failed = False
+        self._held: List[Element] = []  # the last write's rows (see _hold)
         self.last_recovery: Optional[RecoveryReport] = None
         self._format = "v1"
         if os.path.exists(path) and os.path.getsize(path) > 0:
@@ -391,31 +371,30 @@ class LogFileEngine(MemoryEngine):
 
     # -- log writing --------------------------------------------------------------
 
-    @staticmethod
-    def _insert_record(element: Element) -> Dict[str, Any]:
-        return {
-            "op": OperationKind.INSERT.value,
-            "tt": element.tt_start.microseconds,
-            "surrogate": element.element_surrogate,
-            "element": _encode_element(element),
-        }
-
-    def _encode_batch(self, records: List[Dict[str, Any]]) -> bytes:
-        """One committed batch in the engine's on-disk format."""
+    def _encode_batch(self, records: List[bytes]) -> bytes:
+        """One committed batch of encoded records in the engine's on-disk format."""
         if self._format == "v0":
             # Legacy logs stay JSON lines (no markers: each line is its
             # own commit, exactly as the v0 reader expects).
-            return b"".join(
-                json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
-                for record in records
-            )
+            return b"".join(record + b"\n" for record in records)
         if len(records) > 1:
             try:
-                return wal.frame_record({"op": wal.BATCH_OP, "ops": records})
+                return wal.frame_payload(wal.batch_payload(records))
             except ValueError:
                 pass  # too large for one frame: per-record frames under a marker
-        framed = b"".join(wal.frame_record(record) for record in records)
+        framed = b"".join(wal.frame_payload(record) for record in records)
         return framed + wal.commit_marker(len(records))
+
+    def _hold(self, rows: List[Element], fragments: List[bytes]) -> None:
+        """Leave the rows just written filled with the fragments their log
+        records carry -- the write's acknowledgement joins them -- and
+        re-arm the previous write's rows, so that a write's fragments
+        do not outlive the next write (a read fills a row for good)."""
+        for row in self._held:
+            set_fragment(row, b"")
+        for row, fragment in zip(rows, fragments):
+            set_fragment(row, fragment)
+        self._held = rows
 
     def _sync(self) -> None:
         self._handle.flush()
@@ -477,8 +456,11 @@ class LogFileEngine(MemoryEngine):
 
     def append(self, element: Element) -> None:
         self.validate_append(element)  # raises before any I/O
-        self._commit(self._encode_batch([self._insert_record(element)]))
+        fragment = element_fragment(element)
+        record = insert_record(element.element_surrogate, element.tt_start.microseconds, fragment)
+        self._commit(self._encode_batch([record]))
         super().append(element)  # cannot fail: validated above
+        self._hold([element], [fragment])
 
     def extend(self, elements: Iterable[Element]) -> int:
         """Store a batch with one buffered write and one fsync."""
@@ -486,17 +468,25 @@ class LogFileEngine(MemoryEngine):
         if not batch:
             return 0
         self.validate_extend(batch)  # all-or-nothing; raises before I/O
-        records = [self._insert_record(element) for element in batch]
+        fragments = [element_fragment(element) for element in batch]
+        records = [
+            insert_record(element.element_surrogate, element.tt_start.microseconds, fragment)
+            for element, fragment in zip(batch, fragments)
+        ]
         self._commit(self._encode_batch(records))
-        return super().extend(batch)
+        count = super().extend(batch)
+        self._hold(batch, fragments)
+        return count
 
     def close_element(self, element_surrogate: int, tt_stop: Timestamp) -> Element:
         self.validate_close(element_surrogate, tt_stop)
-        record = {
-            "op": OperationKind.DELETE.value,
-            "tt": tt_stop.microseconds,
-            "surrogate": element_surrogate,
-        }
+        record = canonical_json(
+            {
+                "op": OperationKind.DELETE.value,
+                "tt": tt_stop.microseconds,
+                "surrogate": element_surrogate,
+            }
+        )
         self._commit(self._encode_batch([record]))
         return super().close_element(element_surrogate, tt_stop)
 

@@ -8,7 +8,8 @@ A log file is a magic header followed by *frames*::
 
 Each payload is one UTF-8 JSON record.  Operation records carry the
 same keys as the v0 JSON-lines format (``op``/``tt``/``surrogate``/
-``element``).  A committed batch is written in one of two forms, which
+``element``); an insert record's ``element`` is the row's canonical
+fragment (:mod:`repro.storage.codec`), spliced in as bytes.  A committed batch is written in one of two forms, which
 readers accept side by side in one file:
 
 * **batch frame** -- ``{"op": "batch", "ops": [record, ...]}``: the whole
@@ -62,20 +63,27 @@ BATCH_OP = "batch"
 
 
 def frame_record(record: Mapping[str, Any]) -> bytes:
-    """Encode one record dict as a length-prefixed, CRC32-guarded frame.
+    """Encode one record dict as a length-prefixed, CRC32-guarded frame."""
+    return frame_payload(json.dumps(record).encode("utf-8"))
+
+
+def frame_payload(payload: bytes) -> bytes:
+    """Frame one already-encoded JSON record.
 
     Raises ``ValueError`` for a payload beyond :data:`MAX_RECORD_BYTES`:
     readers treat such a length as corruption, so writing it would lose
     the record and everything after it.
     """
-    # Keys stay in insertion order: sorting every small dict of a 500-row
-    # batch costs a fifth of the encode, and no reader depends on it.
-    payload = json.dumps(record).encode("utf-8")
     if len(payload) > MAX_RECORD_BYTES:
         raise ValueError(
             f"record of {len(payload)} bytes exceeds the {MAX_RECORD_BYTES}-byte frame bound"
         )
     return _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def batch_payload(records: List[bytes]) -> bytes:
+    """The batch record over already-encoded operation records."""
+    return b'{"op":"batch","ops":[' + b",".join(records) + b"]}"
 
 
 def commit_marker(count: int) -> bytes:

@@ -19,6 +19,7 @@ import json
 import pickle
 import sys
 import threading
+import time
 from typing import Any, Dict, List
 
 from hypothesis import given, settings
@@ -31,8 +32,9 @@ from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
 from repro.server import ServerConfig, protocol
 from repro.server.http import Response
+from repro.storage import codec
 from repro.storage.memory import MemoryEngine
-from tests.server.harness import running_server
+from tests.server.harness import connected_client, running_server
 from tests.strategies import JSON_SAFE_VALUES, wire_elements
 
 #: Envelope members sorting before ("count", "epoch", "row") and after
@@ -104,8 +106,9 @@ def _populate(relation: TemporalRelation, count: int) -> None:
 
 
 class _CountingEncoder:
-    """Stands in for ``protocol.canonical_json``: counts every call, and
-    tells the ones that encoded rows (a run of them, or one)."""
+    """Stands in for ``canonical_json`` (the codec's, which fills rows,
+    and the one protocol re-exports): counts every call, and tells the
+    ones that encoded rows (a run of them, or one)."""
 
     def __init__(self, monkeypatch) -> None:
         self.calls = 0
@@ -124,6 +127,7 @@ class _CountingEncoder:
             return original(payload)
 
         monkeypatch.setattr(protocol, "canonical_json", counting)
+        monkeypatch.setattr(codec, "canonical_json", counting)
 
     def reset(self) -> None:
         self.calls, self.runs, self.singles = 0, [], 0
@@ -295,3 +299,91 @@ def test_an_empty_result_has_an_empty_rows_member() -> None:
     assert Response.json({"view": {}, "count": 0}, rows=[]).body == (
         b'{"count":0,"rows":[],"view":{}}'
     )
+
+
+def test_a_body_joined_while_the_writer_re_arms_its_rows_is_the_reference() -> None:
+    # A durable engine re-arms the rows of its previous write while reader
+    # threads join bodies of them: a join must use the fragment it
+    # encoded, never re-read a slot the writer may have emptied again.
+    relation = _relation(MemoryEngine())
+    _populate(relation, 64)
+    rows = relation.as_of(FOREVER)
+    expected = reference_body({"count": 64}, rows)
+    stop = threading.Event()
+    joined: List[int] = []
+    wrong: List[bytes] = []
+
+    def re_arm() -> None:
+        while not stop.is_set():
+            arm(rows)
+
+    def join_bodies() -> None:
+        count = 0
+        deadline = time.monotonic() + 1.0
+        while time.monotonic() < deadline:
+            body = protocol.element_rows_body({"count": 64}, rows)
+            count += 1
+            if body != expected:
+                wrong.append(body)
+        joined.append(count)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    writer = threading.Thread(target=re_arm)
+    readers = [threading.Thread(target=join_bodies) for _ in range(3)]
+    writer.start()
+    try:
+        for reader in readers:
+            reader.start()
+        for reader in readers:
+            reader.join(timeout=30)
+    finally:
+        stop.set()
+        writer.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not writer.is_alive() and not any(reader.is_alive() for reader in readers)
+    assert len(joined) == 3 and min(joined) > 10
+    assert wrong == []
+
+
+def _ack_reference(body: bytes, elements: List[Element]) -> bytes:
+    """The write acknowledgement as the reference encoder builds it."""
+    epoch = json.loads(body)["epoch"]
+    return protocol.canonical_json(
+        {"elements": protocol.elements_to_json(elements), "count": len(elements), "epoch": epoch}
+    )
+
+
+def test_write_acks_are_the_reference_encoders_bytes(tmp_path) -> None:
+    config = ServerConfig(port=0, data_dir=str(tmp_path), close_engines=True, metrics=False)
+    rows = [[f"s{i % 3}", 10**9 + i, {"reading": i / 8, "note": "ü" * (i % 2)}] for i in range(40)]
+
+    async def scenario() -> None:
+        async with running_server(config) as server:
+            async with connected_client(server) as client:
+                for engine in ("memory", "logfile"):
+                    spec = {"name": engine, "engine": engine, "time_varying": ["reading", "note"]}
+                    assert (await client.create_relation(spec)).status in (200, 201)
+                    relation = server.database.relation(engine)
+                    bulk = await client.bulk(engine, rows)
+                    written = [
+                        relation.engine.get(row["surrogate"])
+                        for row in json.loads(bulk.body)["elements"]
+                    ]
+                    assert bulk.body == _ack_reference(bulk.body, written)
+                    single = await client.append(engine, "s9", 10**9 + 99, {"reading": 0.5})
+                    (stored,) = [
+                        relation.engine.get(row["surrogate"])
+                        for row in json.loads(single.body)["elements"]
+                    ]
+                    assert single.body == _ack_reference(single.body, [stored])
+                    closed = await client.delete(engine, written[0].element_surrogate)
+                    assert closed.body == _ack_reference(
+                        closed.body, [relation.engine.get(written[0].element_surrogate)]
+                    )
+                    # No write's fragments outlive the next write; acks fill nothing.
+                    assert all(row._wire == b"" for row in written)
+                    held = b"" if engine == "memory" else codec.element_fragment(stored)
+                    assert stored._wire == held  # a close re-arms nothing
+
+    asyncio.run(scenario())

@@ -21,7 +21,7 @@ from repro.observability import metrics
 from repro.relation.element import Element
 from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
-from repro.storage import wal
+from repro.storage import codec, wal
 from repro.storage.backlog import OperationKind
 from repro.storage.columnar import ScanSpec
 from repro.storage.logfile import LogFileEngine, read_log_batches
@@ -51,22 +51,14 @@ def signature(engine):
     )
 
 
-def v0_insert_line(surrogate, tt, vt, who=None):
-    from repro.storage.logfile import _encode_element
+def insert_record(element):
+    """*element*'s encoded log insert record."""
+    fragment = codec.element_fragment(element)
+    return codec.insert_record(element.element_surrogate, element.tt_start.microseconds, fragment)
 
-    element = event_element(surrogate, tt, vt, who=who)
-    return (
-        json.dumps(
-            {
-                "op": "insert",
-                "tt": tt,
-                "surrogate": surrogate,
-                "element": _encode_element(element),
-            },
-            sort_keys=True,
-        )
-        + "\n"
-    )
+
+def v0_insert_line(surrogate, tt, vt, who=None):
+    return insert_record(event_element(surrogate, tt, vt, who=who)).decode() + "\n"
 
 
 def v0_delete_line(surrogate, tt, **extra):
@@ -425,8 +417,8 @@ def batch_of(first_surrogate, count, tt):
 def legacy_batch_bytes(elements):
     """A batch as every release before batch frames wrote it: one frame
     per record, then the commit marker."""
-    records = [LogFileEngine._insert_record(element) for element in elements]
-    return b"".join(wal.frame_record(r) for r in records) + wal.commit_marker(len(records))
+    records = [insert_record(element) for element in elements]
+    return b"".join(wal.frame_payload(r) for r in records) + wal.commit_marker(len(records))
 
 
 def replayed_op_by_op(path):
@@ -588,7 +580,7 @@ class TestBatchFrames:
         assert result.committed_end == len(wal.MAGIC)
 
     def test_malformed_and_misplaced_batch_frames_are_damage(self, tmp_path):
-        record = LogFileEngine._insert_record(event_element(1, 10, 5))
+        record = json.loads(insert_record(event_element(1, 10, 5)))
         good = wal.frame_record({"op": wal.BATCH_OP, "ops": [record]})
         for bad in (
             {"op": wal.BATCH_OP},

@@ -38,6 +38,7 @@ from repro.chronos.timestamp import FOREVER, Timestamp
 from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
 from repro.server import protocol
+from repro.storage import codec
 from repro.server.http import Response
 from repro.storage.memory import MemoryEngine
 from repro.storage.tiered import TierManager
@@ -167,6 +168,7 @@ class TestWireFragmentSeams:
                 return original(payload)
 
             monkeypatch.setattr(protocol, "canonical_json", counting)
+            monkeypatch.setattr(codec, "canonical_json", counting)
             assert _fragment_body(relation, FOREVER) == body
             assert sum(1 for p in encoded if isinstance(p, dict) and "surrogate" in p) == 24
 
