@@ -706,7 +706,7 @@ class TemporalServer:
         # Pinned current state == rollback to the pin: stored-at-pin
         # elements whose existence interval is still open at the pin
         # (a pinned spec, so the kernel runs lock-free).
-        elements = await self._pinned_read(lambda: list(relation.as_of(pin.as_of)))
+        elements = await self._pinned_read(lambda: relation.as_of(pin.as_of))
         return self._cache_put(key, self._rows_response(pin, elements), len(elements))
 
     async def _handle_timeslice(self, request: Request, name: str) -> Response:
@@ -719,7 +719,7 @@ class TemporalServer:
         cached = self._cache_get(key)
         if cached is not None:
             return cached
-        elements = await self._pinned_read(lambda: list(relation.valid_at(vt, as_of_tt=as_of)))
+        elements = await self._pinned_read(lambda: relation.valid_at(vt, as_of_tt=as_of))
         return self._cache_put(key, self._rows_response(pin, elements), len(elements))
 
     async def _handle_overlap(self, request: Request, name: str) -> Response:
@@ -739,7 +739,7 @@ class TemporalServer:
         if cached is not None:
             return cached
         elements = await self._pinned_read(
-            lambda: list(relation.valid_overlapping(window, as_of_tt=as_of))
+            lambda: relation.valid_overlapping(window, as_of_tt=as_of)
         )
         return self._cache_put(key, self._rows_response(pin, elements), len(elements))
 
@@ -750,7 +750,7 @@ class TemporalServer:
         cached = self._cache_get(key)
         if cached is not None:
             return cached
-        elements = await self._pinned_read(lambda: list(relation.as_of(tt)))
+        elements = await self._pinned_read(lambda: relation.as_of(tt))
         return self._cache_put(key, self._rows_response(pin, elements), len(elements))
 
     # -- standing views + subscriptions -----------------------------------------------

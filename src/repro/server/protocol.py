@@ -47,8 +47,23 @@ def _canonical_order(elements: Sequence[Element]) -> List[Element]:
     return sorted(elements, key=lambda e: (e.tt_start.microseconds, e.element_surrogate))
 
 
+def _in_canonical_order(elements: Sequence[Element]) -> bool:
+    """Is ``tt_start`` strictly increasing over *elements*?  Then they are
+    in canonical order already: an engine read always is, since the store
+    refuses a ``tt_start`` that does not increase (§2: history is
+    append-only in transaction-time order)."""
+    last = float("-inf")
+    for element in elements:
+        stamp = element.tt_start._micro
+        if stamp <= last:
+            return False
+        last = stamp
+    return True
+
+
 def elements_to_json(elements: Sequence[Element]) -> List[Dict[str, Any]]:
-    """Canonically ordered wire form of a result set."""
+    """Canonically ordered wire form of a result set (the reference
+    encoder: it sorts whatever it is given)."""
     return [element_to_json(element) for element in _canonical_order(elements)]
 
 
@@ -70,31 +85,38 @@ def element_rows_body(
     filled or armed row one call in all -- and retains nothing.  With
     ``fill=False`` (a write's acknowledgement, whose rows nobody has
     read) armed rows are encoded like un-armed ones.
+
+    Rows in engine order (strictly increasing ``tt_start``) are not
+    sorted again, and the envelope's members are spliced onto the first
+    and last fragment, so one ``b",".join`` builds the whole body.
     """
-    fragments: List[bytes] = []
-    run: List[Dict[str, Any]] = []
-
-    def encode_run() -> None:
+    ordered = elements if _in_canonical_order(elements) else _canonical_order(elements)
+    fragments: List[bytes] = [element._wire for element in ordered]  # type: ignore[misc]
+    if not (fragments and all(fragments)):  # empty, or a row un-armed, armed or not to fill
+        fragments = []
+        run: List[Dict[str, Any]] = []
+        for element in ordered:
+            fragment = element._wire
+            if fragment is None or not (fragment or fill):
+                run.append(element_to_json(element))
+                continue
+            if run:
+                fragments.append(canonical_json(run)[1:-1])  # without the list's brackets
+                run.clear()
+            # The local, never a re-read of the slot: a writer may re-arm it.
+            fragments.append(fragment or fill_fragment(element))
+        if not fragments:  # nothing filled or to fill: the reference encoder's one call
+            return canonical_json({**envelope, key: run})
         if run:
-            fragments.append(canonical_json(run)[1:-1])  # without the list's brackets
-            run.clear()
-
-    for element in _canonical_order(elements):
-        fragment = element._wire
-        if fragment is None or not (fragment or fill):
-            run.append(element_to_json(element))
-            continue
-        if run:
-            encode_run()
-        # The local, never a re-read of the slot: a writer may re-arm it.
-        fragments.append(fragment or fill_fragment(element))
-    if not fragments:  # nothing filled or to fill: the reference encoder's one call
-        return canonical_json({**envelope, key: run})
-    encode_run()
-    members = {name: canonical_json(value) for name, value in envelope.items()}
-    members[key] = b"[" + b",".join(fragments) + b"]"
-    pairs = (canonical_json(name) + b":" + members[name] for name in sorted(members))
-    return b"{" + b",".join(pairs) + b"}"
+            fragments.append(canonical_json(run)[1:-1])
+    members = {name: canonical_json(value) for name, value in envelope.items() if name != key}
+    names = sorted([*members, key])
+    at = names.index(key)
+    before = b"".join(canonical_json(name) + b":" + members[name] + b"," for name in names[:at])
+    after = b"".join(b"," + canonical_json(name) + b":" + members[name] for name in names[at + 1 :])
+    fragments[0] = b"{" + before + canonical_json(key) + b":[" + fragments[0]
+    fragments[-1] += b"]" + after + b"}"
+    return b",".join(fragments)
 
 
 def delta_to_json(delta: Any) -> Dict[str, Any]:

@@ -154,6 +154,31 @@ class ScanSpec:
             return False
         return self.vt_lo is None or summary.may_contain_vt(self.vt_lo, self.vt_hi - 1)
 
+    def must_match(self, summary, rows: int) -> bool:
+        """Does every one of a sealed unit's *rows* rows satisfy this
+        spec?  The dual of :meth:`may_match`: True proves that the
+        kernel would return every position the transaction-time window
+        leaves of the unit.
+
+        ``summary.live == rows`` means no row is closed, so every row is
+        alive at any pin at or past its ``tt_start`` -- and every row's
+        ``tt_start`` is at most ``summary.tt_hi`` and the window's
+        ``tt_hi``.  For the valid time, ``[summary.vt_lo, summary.vt_hi]``
+        must lie inside ``[vt_lo, vt_hi)``: exact for events (the zone
+        keeps ``v``, the row ``[v, v+1)``), one microsecond conservative
+        for intervals (the zone keeps their exclusive ``end``; ``start <
+        end``, so a row between the zone's bounds meets the window).
+        """
+        if summary.live != rows:
+            return False
+        if self.as_of is not None and not (
+            min(summary.tt_hi, self.tt_hi) <= self.as_of < POS_SENTINEL
+        ):
+            return False
+        return self.vt_lo is None or (
+            self.vt_lo <= summary.vt_lo and summary.vt_hi < self.vt_hi  # type: ignore[operator]
+        )
+
 
 class StampColumns:
     """Append-only int64 stamp columns plus a live bitmap.

@@ -455,13 +455,26 @@ class SegmentedStore:
 
     def elements_range(self, lo: int, hi: int) -> List[Element]:
         """Elements for positions ``[lo, hi)``, cold segments decoded
-        per segment through the tier manager's cache."""
+        per segment through the tier manager's cache.
+
+        Safe on a reader thread beside a demotion: ``cold_base`` is read
+        once, and a hot slot the demotion has cleared since is re-read
+        from its (already registered) segment file.  Demotion clears
+        slots in position order and a list slice is atomic, so the
+        cleared slots of a slice are a prefix of it: testing the first
+        row is testing them all."""
+        tiering = self.tiering  # before cold_base: detach_tiering clears it last
         cold_base = self.cold_base
         if lo >= cold_base or lo >= hi:
-            return self._elements[lo:hi]  # type: ignore[return-value]
+            found = self._elements[lo:hi]
+            if found and found[0] is None:
+                return [
+                    element if element is not None else self.element_at(position)
+                    for position, element in enumerate(found, lo)
+                ]
+            return found  # type: ignore[return-value]
         size = self.segment_size
         out: List[Element] = []
-        tiering = self.tiering
         while lo < min(hi, cold_base):
             ordinal = lo // size
             start = ordinal * size
@@ -470,7 +483,7 @@ class SegmentedStore:
             out.extend(segment_elements[lo - start : take - start])
             lo = take
         if lo < hi:
-            out.extend(self._elements[lo:hi])  # type: ignore[arg-type]
+            out.extend(self.elements_range(lo, hi))
         return out
 
     def fetch_elements(self, base: int, positions: Sequence[int]) -> List[Element]:
@@ -508,10 +521,13 @@ class SegmentedStore:
         position range; sealed segments overlapping it are kept only
         when ``spec.may_match`` accepts their zone map (a zone map
         summarises the whole segment, so rejecting one is valid even
-        when the range clips it) and the head is always scanned; each
-        surviving unit runs the column kernel, and elements materialize
-        only for the positions it returns.  *stats* (a ``SegmentStats``)
-        receives the scanned/pruned counts.
+        when the range clips it) and the head is always scanned.  A kept
+        segment whose zone map ``spec.must_match`` accepts -- every row
+        matches, so every position the range leaves of it -- is one
+        :meth:`elements_range` slice; every other unit runs the column
+        kernel, and elements materialize only for the positions it
+        returns.  Both count the unit's positions as examined.  *stats*
+        (a ``SegmentStats``) receives the scanned/pruned counts.
 
         Safe on a reader thread beside the single writer when the spec
         is pinned at or below the published epoch: nothing past the
@@ -524,41 +540,47 @@ class SegmentedStore:
             return [], 0
         size = self.segment_size
         sealed = len(self._zones)
-        # A unit is (lo, hi, whole): whole units -- a sealed segment or the
-        # head the window did not clip -- recur across queries, so the
-        # kernel may answer them from a cached sorted projection.
-        units: List[Tuple[int, int, bool]] = []
+        # A unit is (lo, hi, whole, accepted): whole units -- a sealed
+        # segment or the head the window did not clip -- recur across
+        # queries, so the kernel may answer them from a cached sorted
+        # projection; an accepted unit is a sealed segment whose every
+        # row the zone map proves a match, served as one slice.
+        units: List[Tuple[int, int, bool, bool]] = []
         pruned = 0
         for ordinal in range(start // size, sealed):
             seg_lo = ordinal * size
             if seg_lo >= stop:
                 break
-            if spec.may_match(self._zones[ordinal]):
+            zone = self._zones[ordinal]
+            if spec.may_match(zone):
                 lo, hi = max(start, seg_lo), min(stop, seg_lo + size)
-                units.append((lo, hi, hi - lo == size))
+                units.append((lo, hi, hi - lo == size, spec.must_match(zone, size)))
             else:
                 pruned += 1
         head_lo = max(start, sealed * size)
         if head_lo < stop:
-            units.append((head_lo, stop, head_lo == sealed * size and stop == len(self)))
+            units.append((head_lo, stop, head_lo == sealed * size and stop == len(self), False))
         matches: List[Element] = []
         examined = 0
         tiering = self.tiering  # read once: vacuum's detach_tiering may clear it meanwhile
-        for lo, hi, whole in units:
+        for lo, hi, whole, accepted in units:
+            examined += hi - lo
+            if accepted:
+                matches.extend(self.elements_range(lo, hi))
+                continue
             columns, base = self.kernel_view(lo, hi)
             found = positions(columns, lo - base, hi - base, spec, whole)
             if isinstance(columns, ColdStampColumns):  # one tier call for the segment's rows
                 matches.extend(tiering.elements_at(base // size, found))  # type: ignore[union-attr]
             else:
                 matches.extend(self.fetch_elements(base, found))
-            examined += hi - lo
         if stats is not None:
             stats.scanned += len(units)
             stats.pruned += pruned
             stats.positions_examined += examined
             stats.materialized += len(matches)
             cold_base = self.cold_base
-            stats.cold_segments += sum(1 for lo, _hi, _whole in units if lo < cold_base)
+            stats.cold_segments += sum(1 for unit in units if unit[0] < cold_base)
         return matches, examined
 
     def __len__(self) -> int:

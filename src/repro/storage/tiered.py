@@ -242,6 +242,10 @@ class TieredSegment:
         if rows is None or any(row is None for row in rows):
             decoded = self.reader().elements()
             arm(decoded)
+            if rows is not None:  # rows decoded before keep their fragments
+                for local, row in enumerate(rows):
+                    if row is not None:
+                        decoded[local] = row
             for local, element in self.patches.items():
                 decoded[local] = element
             self._elements = list(decoded)

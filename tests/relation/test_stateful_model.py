@@ -11,7 +11,8 @@ checked after every step:
 
 * the current state matches the model;
 * rollback at every past transaction time matches the model's recorded
-  state sequence (stepwise-constant semantics, Section 2);
+  state sequence (stepwise-constant semantics, Section 2), and its
+  response body is the reference encoder's bytes for a full scan's rows;
 * element surrogates are never reused;
 * the backlog view reconstructs exactly the same states (a reopened
   relation rebuilds its backlog from the replayed elements).
@@ -36,6 +37,7 @@ from repro.chronos.duration import Duration
 from repro.chronos.timestamp import Timestamp
 from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
+from repro.server import protocol
 from repro.storage.logfile import LogFileEngine
 from tests.strategies import topologies
 
@@ -134,12 +136,22 @@ class TemporalRelationMachine(RuleBasedStateMachine):
 
     @invariant()
     def rollback_matches_every_recorded_state(self):
+        stored = self.relation.all_elements()
         for tt_micro, expected in self.state_history.items():
             stamp = Timestamp(tt_micro, "microsecond")
-            observed = frozenset(
-                e.element_surrogate for e in self.relation.as_of(stamp)
-            )
+            rows = self.relation.as_of(stamp)
+            observed = frozenset(e.element_surrogate for e in rows)
             assert observed == expected, f"rollback mismatch at tt={tt_micro}"
+            # Against a full scan: rows in its (engine = wire) order, which
+            # lets a body skip its sort, and the rollback route's body
+            # byte-equal to the reference encoder's.
+            reference = [e for e in stored if e.stored_during(stamp)]
+            assert [e.element_surrogate for e in rows] == [
+                e.element_surrogate for e in reference
+            ], f"rollback order mismatch at tt={tt_micro}"
+            assert protocol.element_rows_body({}, rows) == protocol.canonical_json(
+                {"rows": protocol.elements_to_json(reference)}
+            ), f"rollback body mismatch at tt={tt_micro}"
 
     @invariant()
     def backlog_agrees_with_engine(self):

@@ -22,6 +22,7 @@ import threading
 import time
 from typing import Any, Dict, List
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +36,7 @@ from repro.server.http import Response
 from repro.storage import codec
 from repro.storage.memory import MemoryEngine
 from tests.server.harness import connected_client, running_server
-from tests.strategies import JSON_SAFE_VALUES, wire_elements
+from tests.strategies import JSON_SAFE_VALUES, TOPOLOGIES, wire_elements
 
 #: Envelope members sorting before ("count", "epoch", "row") and after
 #: ("rows_total", "view", "zeta") the "rows" member the builder adds.
@@ -82,6 +83,135 @@ def test_body_equals_the_reference_encoder_in_every_memo_state(data) -> None:
             assert element._wire is None
         else:
             assert element._wire == row_fragment(element)
+
+
+#: The orders a body's rows arrive in: an engine read's canonical order,
+#: and every order the fallback sort must repair.
+ARRANGEMENTS = ("canonical", "shuffled", "reversed", "duplicated", "single")
+
+
+def _spread(elements: List[Element]) -> List[Element]:
+    """Copies of *elements* whose transaction times are distinct (the
+    canonical rank times 100 added to ``tt_start`` and a closed
+    ``tt_stop``), so their canonical order is strictly increasing in
+    ``tt_start`` -- the order an engine read arrives in."""
+    spread = []
+    for rank, element in enumerate(protocol._canonical_order(elements)):
+        shift = 100 * rank
+        stop = element.tt_stop
+        spread.append(
+            dataclasses.replace(
+                element,
+                tt_start=Timestamp(element.tt_start.ticks + shift),
+                tt_stop=stop if stop is FOREVER else Timestamp(stop.ticks + shift),
+            )
+        )
+    return spread
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_body_equals_the_reference_encoder_in_any_row_order(data) -> None:
+    elements = data.draw(wire_elements())
+    if data.draw(st.booleans()):
+        elements = _spread(elements)
+    canonical = protocol._canonical_order(elements)
+    arrangement = data.draw(st.sampled_from(ARRANGEMENTS))
+    if arrangement == "canonical":
+        rows = canonical
+    elif arrangement == "shuffled":
+        rows = data.draw(st.permutations(canonical))
+    elif arrangement == "reversed":
+        rows = canonical[::-1]
+    elif arrangement == "duplicated":
+        extra = data.draw(st.lists(st.sampled_from(canonical), max_size=4)) if canonical else []
+        rows = data.draw(st.permutations(canonical + extra))
+    else:
+        rows = canonical[:1]
+    key = data.draw(st.sampled_from(["rows", "elements"]))
+    # "count" sorts before both keys, "view" after both, "epoch" between.
+    envelope = data.draw(
+        st.dictionaries(st.sampled_from(["count", "epoch", "view"]), JSON_SAFE_VALUES, max_size=3)
+    )
+    fill = data.draw(st.booleans())
+    memo_states = st.sampled_from([UNARMED, ARMED, FILLED])
+    states = {id(element): data.draw(memo_states) for element in canonical}
+    for element in canonical:
+        if states[id(element)] != UNARMED:
+            arm((element,))
+        if states[id(element)] == FILLED:
+            protocol.element_rows_body({}, [element])
+    payload = {**envelope, key: protocol.elements_to_json(rows)}
+    expected = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    assert protocol.element_rows_body(envelope, rows, key=key, fill=fill) == expected
+    served = {id(element) for element in rows}
+    for element in canonical:
+        state = states[id(element)]
+        if state == UNARMED:
+            assert element._wire is None
+        elif state == ARMED and not (fill and id(element) in served):
+            assert element._wire == b""
+        else:
+            assert element._wire == row_fragment(element)
+
+
+class _CountingSort:
+    """Counts the body builder's fallback sorts into canonical order."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.calls = 0
+        original = protocol._canonical_order
+
+        def counting(elements):
+            self.calls += 1
+            return original(elements)
+
+        monkeypatch.setattr(protocol, "_canonical_order", counting)
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES, ids=repr)
+def test_engine_reads_and_acks_are_joined_without_a_sort(topology, monkeypatch) -> None:
+    schema = TemporalSchema(name="ordered", time_varying=("reading",))
+    relation = topology.relation(schema, clock=LogicalClock(start=1_000))
+    relation.append_many(
+        [(f"sensor-{i % 8}", Timestamp(i % 5), {"reading": i / 4}) for i in range(40)]
+    )
+    stored = relation.as_of(FOREVER)
+    pin = relation.pin_epoch().as_of.microseconds
+    for victim in stored[1::7]:  # closes in cold (patched) and hot segments
+        relation.delete(victim.element_surrogate)
+    second = Timestamp(1).microseconds
+    bulk = [["s", i * second, {"reading": i}] for i in range(6)]
+    sort = _CountingSort(monkeypatch)
+    bodies: List[bytes] = []
+
+    async def scenario() -> None:
+        async with running_server(ServerConfig(port=0, metrics=False), [relation]) as server:
+            async with connected_client(server) as client:
+                for response in (
+                    await client.current("ordered"),
+                    await client.timeslice("ordered", 2 * second),
+                    await client.overlap("ordered", second, 4 * second),
+                    await client.rollback("ordered", pin),
+                    await client.query("SELECT * FROM ordered VALID OVERLAPS [1s, 4s)"),
+                    await client.query(f"SELECT * FROM ordered AS OF {pin}us"),
+                    await client.bulk("ordered", bulk),
+                ):
+                    assert response.status == 200, response.body
+                    bodies.append(response.body)
+
+    try:
+        asyncio.run(scenario())
+        counts = [json.loads(body)["count"] for body in bodies]
+        assert min(counts) >= 2 and counts[3] == 40, counts
+        assert sort.calls == 0
+        rows = relation.as_of(FOREVER)
+        expected = reference_body({}, rows)  # the reference encoder always sorts
+        sort.calls = 0
+        assert protocol.element_rows_body({}, rows[1::2] + rows[::2]) == expected
+        assert sort.calls == 1
+    finally:
+        topology.close(relation)
 
 
 def _element(surrogate: int) -> Element:

@@ -346,6 +346,12 @@ def topologies():
     return st.builds(dataclasses.replace, st.sampled_from(_SHAPES), current_view=st.booleans())
 
 
+#: Every arm :func:`topologies` draws, for a suite that runs each one.
+TOPOLOGIES = tuple(
+    dataclasses.replace(shape, current_view=view) for shape in _SHAPES for view in (False, True)
+)
+
+
 # -- standing-view differential harness ------------------------------------------
 
 #: View kinds the workload runner can register mid-stream.  ``watch``
