@@ -158,12 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="writer-queue bound; a full queue answers 429 (default 64)",
     )
     serve.add_argument(
-        "--reader-threads",
-        type=int,
-        default=8,
-        help="reader pool width for pinned reads (default 8)",
-    )
-    serve.add_argument(
         "--data-dir",
         default=None,
         help="directory for durable engines created via POST /relations",
@@ -410,7 +404,6 @@ def _cmd_serve(arguments: argparse.Namespace) -> int:
         host=arguments.host,
         port=arguments.port,
         queue_limit=arguments.queue_limit,
-        reader_threads=arguments.reader_threads,
         metrics=not arguments.no_metrics,
         data_dir=arguments.data_dir,
         close_engines=True,

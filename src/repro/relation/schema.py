@@ -83,7 +83,7 @@ class TemporalSchema:
         self.specializations = tuple(resolved)
         # Declarations are immutable from here on, so what they license
         # is derived once -- the planner, standing views, vacuum and
-        # lock-free reader threads only read it.
+        # pinned reads only read it.
         #: The insertion-relative declarations storage guarantees: the
         #: ones that constrain where a stored fact's stamps lie.  Only
         #: REJECT refuses a violating element, so under RECORD or WARN

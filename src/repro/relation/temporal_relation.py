@@ -429,7 +429,7 @@ class TemporalRelation:
         """Run *spec* through the engine's one read, narrowed by
         declaration exactly as the planner narrows it.  Lock-free beside
         the single writer when the spec is pinned at or below the
-        published epoch (the server's reader pool relies on this)."""
+        published epoch: the library's promise to threaded readers."""
         # Imported here: the planner imports this module.
         from repro.query import planner
 

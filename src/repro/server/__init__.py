@@ -3,7 +3,7 @@
 A thin, stdlib-only network layer: hand-rolled HTTP/1.1 over asyncio
 streams (:mod:`repro.server.http`), JSON request/response schemas with
 a canonical element codec (:mod:`repro.server.protocol`), and the
-single-writer / many-reader application core
+single-writer / pinned-reader application core
 (:mod:`repro.server.app`).  Start one with::
 
     from repro.server import ServerConfig, TemporalServer

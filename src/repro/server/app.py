@@ -1,4 +1,4 @@
-"""The temporal database server: single writer, many pinned readers.
+"""The temporal database server: single writer, pinned readers, one thread.
 
 Concurrency model
 -----------------
@@ -12,20 +12,20 @@ write lock, then refreshes the relation's published
 queue bound itself: a full queue answers ``429 Too Many Requests``
 with ``Retry-After`` instead of buffering without limit.
 
-Reads never wait for the writer.  A read request grabs the relation's
-current pin (an immutable snapshot handle) and evaluates the query as
-a rollback to that pin in a reader thread pool: every route read
-(current, timeslice, overlap, rollback) is a scan spec with ``as_of``
-set, and :meth:`MemoryEngine.select
-<repro.storage.memory.MemoryEngine.select>` is thread-safe under a
-single writer exactly for those, so reads genuinely overlap WAL fsyncs.
+Every request runs on the event loop's thread.  A route read (current,
+timeslice, overlap, rollback) grabs the relation's current pin (an
+immutable snapshot handle) and evaluates the query inline as a scan
+spec with ``as_of`` set to that pin.  The writer task applies a write
+and publishes its pin with no ``await`` in between, so an inline read
+never sees a half-applied write and needs no lock; the pin names the
+epoch in the body and keys the response cache.  No read goes to a
+thread: under the interpreter lock a pool runs no Python in parallel,
+and its hand-off costs more than a narrowed read (EXPERIMENTS.md E28).
 
 TQL execution, EXPLAIN and standing-view reads issue *live* specs (the
-current-state view, the valid-time indexes), which are not pin-safe --
-so they run under the write lock, and TQL reports exactly the
-strategies the embedded library would choose: the differential suite
-holds the server to that.  Those live specs are the whole list of reads
-that still wait for the writer.
+current-state view, the valid-time indexes) and run under the write
+lock, so TQL reports exactly the strategies the embedded library would
+choose: the differential suite holds the server to that.
 
 Graceful shutdown stops accepting connections, drains the writer
 queue, lets in-flight requests finish, and fsyncs every WAL before
@@ -35,7 +35,6 @@ returning.
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
@@ -73,8 +72,6 @@ class ServerConfig:
     port: int = 0
     #: Writer-queue bound: admission control for ingest.
     queue_limit: int = 64
-    #: Reader thread-pool width.
-    reader_threads: int = 8
     #: Enable the process MetricsRegistry on startup.
     metrics: bool = True
     max_body_bytes: int = 16 * 1024 * 1024
@@ -124,9 +121,6 @@ class TemporalServer:
         self._writer_gate = asyncio.Event()
         self._writer_gate.set()
         self._write_lock = asyncio.Lock()
-        self._reader_pool = ThreadPoolExecutor(
-            max_workers=self.config.reader_threads, thread_name_prefix="repro-reader"
-        )
         self._server: Optional[asyncio.AbstractServer] = None
         self._writer_task: Optional["asyncio.Task[None]"] = None
         self._connections: set = set()
@@ -229,7 +223,6 @@ class TemporalServer:
             engine.sync()
             if self.config.close_engines:
                 engine.close()
-        self._reader_pool.shutdown(wait=True)
         # Restore the process-global instrumentation state the server
         # found (test isolation: one server must not leave metrics on).
         if self.config.metrics and not getattr(self, "_metrics_were_enabled", True):
@@ -349,13 +342,6 @@ class TemporalServer:
         if condition is not None:
             async with condition:
                 condition.notify_all()
-
-    # -- pinned reads -----------------------------------------------------------------
-
-    async def _pinned_read(self, fn: Callable[[], List[Element]]) -> List[Element]:
-        """Run a pin-consistent read, lock-free in the reader pool."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._reader_pool, fn)
 
     # -- connection handling ----------------------------------------------------------
 
@@ -704,9 +690,8 @@ class TemporalServer:
         if cached is not None:
             return cached
         # Pinned current state == rollback to the pin: stored-at-pin
-        # elements whose existence interval is still open at the pin
-        # (a pinned spec, so the kernel runs lock-free).
-        elements = await self._pinned_read(lambda: relation.as_of(pin.as_of))
+        # elements whose existence interval is still open at the pin.
+        elements = relation.as_of(pin.as_of)
         return self._cache_put(key, self._rows_response(pin, elements), len(elements))
 
     async def _handle_timeslice(self, request: Request, name: str) -> Response:
@@ -719,7 +704,7 @@ class TemporalServer:
         cached = self._cache_get(key)
         if cached is not None:
             return cached
-        elements = await self._pinned_read(lambda: relation.valid_at(vt, as_of_tt=as_of))
+        elements = relation.valid_at(vt, as_of_tt=as_of)
         return self._cache_put(key, self._rows_response(pin, elements), len(elements))
 
     async def _handle_overlap(self, request: Request, name: str) -> Response:
@@ -738,9 +723,7 @@ class TemporalServer:
         cached = self._cache_get(key)
         if cached is not None:
             return cached
-        elements = await self._pinned_read(
-            lambda: relation.valid_overlapping(window, as_of_tt=as_of)
-        )
+        elements = relation.valid_overlapping(window, as_of_tt=as_of)
         return self._cache_put(key, self._rows_response(pin, elements), len(elements))
 
     async def _handle_rollback(self, request: Request, name: str) -> Response:
@@ -750,7 +733,7 @@ class TemporalServer:
         cached = self._cache_get(key)
         if cached is not None:
             return cached
-        elements = await self._pinned_read(lambda: relation.as_of(tt))
+        elements = relation.as_of(tt)
         return self._cache_put(key, self._rows_response(pin, elements), len(elements))
 
     # -- standing views + subscriptions -----------------------------------------------

@@ -272,7 +272,7 @@ class TieredSegment:
 class TierManager:
     """Owns a tier directory and every demoted segment in it.
 
-    Thread-safe: concurrent readers (the server's reader pool) may
+    Thread-safe: concurrent reader threads of a library caller may
     materialize and decode under the manager lock while a single writer
     demotes or patches.
     """

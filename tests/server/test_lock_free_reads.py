@@ -1,10 +1,11 @@
 """Pinned reads stay lock-free beside a live writer.
 
 ``GET .../timeslice``, ``.../overlap``, ``.../current`` and
-``.../rollback`` run in the reader pool as scan specs pinned at the
-published epoch (or at an earlier committed one) -- bisect, zone maps,
-the column kernel and its cached sorted projections -- while the writer task
-appends, closes, seals segments and demotes them to the cold tier.  One
+``.../rollback`` run inline on the event loop as scan specs pinned at
+the published epoch (or at an earlier committed one) -- bisect, zone
+maps, the column kernel and its cached sorted projections -- between the
+writer task's commits, which append, close, seal segments and demote
+them to the cold tier.  One
 writer and four reader connections over real sockets; afterwards every
 response must equal the oracle's state at the epoch it reports, and
 neither side may have answered a 500 (an ``IndexError`` from a torn
@@ -152,7 +153,9 @@ def test_pinned_slices_match_the_oracle_beside_a_live_writer(tmp_path, specializ
                     await client.close()
 
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # hand the GIL over mid-scan, not every 5 ms
+    # Hand the GIL over mid-scan, not every 5 ms, should a read ever
+    # leave the loop thread again.
+    sys.setswitchinterval(1e-5)
     try:
         asyncio.run(scenario())
     finally:

@@ -1,11 +1,11 @@
 """A pinned scan spec beside the single writer.
 
-The server runs ``as_of`` specs in its reader pool with no lock, so a
-reader can land between any two statements of a writer mutation.  The
-stress test in ``tests/server/test_lock_free_reads.py`` runs the real
-interleaving; these replay, deterministically, each writer step a
-reader was found able to land inside, and assert the pinned answer is
-still the pinned state.
+The library promises that an ``as_of`` spec is safe with no lock on a
+thread beside the single writer, so a reader can land between any two
+statements of a writer mutation.  (The server no longer reads from
+threads: its route reads run on the event loop.)  These replay,
+deterministically, each writer step a reader was found able to land
+inside, and assert the pinned answer is still the pinned state.
 """
 
 from __future__ import annotations

@@ -233,3 +233,15 @@ class TestRetiredShardedDirectory:
             "shard-000.log",
             "shards.manifest",
         ]
+
+
+class TestServeFlags:
+    def test_reader_pool_flag_is_refused(self, capsys):
+        from repro.cli import _build_parser
+
+        parser = _build_parser()
+        assert parser.parse_args(["serve", "--port", "0"]).command == "serve"
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(["serve", "--reader-threads", "4"])
+        assert exit_info.value.code == 2
+        assert "--reader-threads" in capsys.readouterr().err
