@@ -50,8 +50,9 @@ PLAN_CACHE_ENTRIES = 128
 class LRUCache:
     """An LRU map bounded by entry count and (optionally) bytes.
 
-    Thread-safe (planner thunks may run from the server's reader
-    pool).  Hits, misses, and evictions feed the
+    Thread-safe: the library lets pinned reads, and so planner thunks,
+    run on a caller's threads (the server runs every read inline on its
+    event loop).  Hits, misses, and evictions feed the
     ``cache.*`` counters both in aggregate and per layer; the byte
     gauge is per layer (``cache.bytes.<layer>``).
     """

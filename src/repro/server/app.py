@@ -240,8 +240,9 @@ class TemporalServer:
     def attach_relation(self, relation: TemporalRelation) -> None:
         """Register a pre-built relation and publish its first pin.
 
-        Its current hot rows are encoded here, so that its first readers do
-        not pay for it (a 480-row range body: ~3 ms to encode, ~0.2 ms to join)."""
+        Its current hot rows are encoded here (~0.35 s for 100k rows), so
+        that its first readers do not pay for it (a 480-row range body:
+        ~1.7 ms to encode, ~0.2 ms to join)."""
         self.database.attach(relation)
         store = relation.engine.store
         hot = store.elements_range(store.cold_base, len(store))
@@ -255,27 +256,33 @@ class TemporalServer:
         while True:
             op = await self._queue.get()
             try:
-                await self._writer_gate.wait()
-                async with self._write_lock:
-                    try:
-                        elements = self._apply_write(op)
-                    except Exception as error:  # noqa: BLE001 - mapped to HTTP status
-                        self._writer_metrics(op, error=True)
-                        outcome: Tuple[Optional[List[Element]], Optional[BaseException]] = (
-                            None,
-                            error,
-                        )
-                    else:
-                        relation = self.database.relation(op.relation_name)
-                        self._pins[op.relation_name] = relation.pin_epoch()
-                        self._writer_metrics(op, error=False)
-                        outcome = (elements, None)
-                        await self._notify_subscribers(op.relation_name)
-                    if not op.future.done():
-                        op.future.set_result(outcome)
+                await self._run_write(op)
             finally:
+                del op  # answered: its payload is not kept until the next write
                 self._queue.task_done()
                 self._set_queue_gauge()
+
+    async def _run_write(self, op: _WriteOp) -> None:
+        await self._writer_gate.wait()
+        async with self._write_lock:
+            try:
+                elements = self._apply_write(op)
+            except Exception as error:  # noqa: BLE001 - mapped to HTTP status
+                self._writer_metrics(op, error=True)
+                # Without its traceback: the failed write's frames hold `op`,
+                # whose future would hold them back (a reference cycle).
+                outcome: Tuple[Optional[List[Element]], Optional[BaseException]] = (
+                    None,
+                    error.with_traceback(None),
+                )
+            else:
+                relation = self.database.relation(op.relation_name)
+                self._pins[op.relation_name] = relation.pin_epoch()
+                self._writer_metrics(op, error=False)
+                outcome = (elements, None)
+                await self._notify_subscribers(op.relation_name)
+            if not op.future.done():
+                op.future.set_result(outcome)
 
     def _apply_write(self, op: _WriteOp) -> List[Element]:
         relation = self.database.relation(op.relation_name)

@@ -29,6 +29,7 @@ from repro.relation.element import Element, ValidTime
 from repro.relation.schema import TemporalSchema
 from repro.storage.codec import (  # re-exported: the wire codec is storage's
     canonical_json as canonical_json,
+    element_fragment as element_fragment,
     element_to_json as element_to_json,
     fill_fragment as fill_fragment,
     fill_fragments as fill_fragments,
@@ -80,9 +81,8 @@ def element_rows_body(
     in canonical order -- but joined from per-row byte fragments: an
     element a store holds is armed (``_wire == b""``) and keeps its
     fragment from first encode on, and the rows a durable engine has
-    just written arrive filled.  Every other element costs what it
-    did -- a run of un-armed rows is one encoder call, a result with no
-    filled or armed row one call in all -- and retains nothing.  With
+    just written arrive filled.  Every other row is one
+    :func:`element_fragment` call and retains nothing.  With
     ``fill=False`` (a write's acknowledgement, whose rows nobody has
     read) armed rows are encoded like un-armed ones.
 
@@ -91,24 +91,16 @@ def element_rows_body(
     and last fragment, so one ``b",".join`` builds the whole body.
     """
     ordered = elements if _in_canonical_order(elements) else _canonical_order(elements)
+    if not ordered:
+        return canonical_json({**envelope, key: []})
     fragments: List[bytes] = [element._wire for element in ordered]  # type: ignore[misc]
-    if not (fragments and all(fragments)):  # empty, or a row un-armed, armed or not to fill
-        fragments = []
-        run: List[Dict[str, Any]] = []
-        for element in ordered:
-            fragment = element._wire
-            if fragment is None or not (fragment or fill):
-                run.append(element_to_json(element))
-                continue
-            if run:
-                fragments.append(canonical_json(run)[1:-1])  # without the list's brackets
-                run.clear()
-            # The local, never a re-read of the slot: a writer may re-arm it.
-            fragments.append(fragment or fill_fragment(element))
-        if not fragments:  # nothing filled or to fill: the reference encoder's one call
-            return canonical_json({**envelope, key: run})
-        if run:
-            fragments.append(canonical_json(run)[1:-1])
+    if not all(fragments):  # some row un-armed (None) or armed (b"")
+        # The snapshot, never a re-read of the slot: a writer may re-arm it.
+        fragments = [
+            fragment
+            or (fill_fragment(element) if fill and fragment == b"" else element_fragment(element))
+            for element, fragment in zip(ordered, fragments)
+        ]
     members = {name: canonical_json(value) for name, value in envelope.items() if name != key}
     names = sorted([*members, key])
     at = names.index(key)

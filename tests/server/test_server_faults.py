@@ -16,6 +16,7 @@ running server* and the claims move up a layer:
 from __future__ import annotations
 
 import asyncio
+import gc
 import os
 
 from repro.server import ServerConfig
@@ -224,3 +225,35 @@ def test_arm_disarm_roundtrip(tmp_path) -> None:
         assert disarm(engine) is False
     finally:
         engine.close()
+
+
+def test_a_failed_write_is_freed_without_the_cyclic_collector() -> None:
+    # The error a submitter is handed must not carry the traceback of the
+    # failed write: its frames hold the _WriteOp, whose future holds the
+    # error, so every failed write (and its decoded rows) would wait for
+    # a full collection.
+    spec = {"name": "r", "time_varying": ["v"], "specializations": ["retroactive"]}
+
+    def pending_ops() -> int:
+        return sum(1 for item in gc.get_objects() if type(item).__name__ == "_WriteOp")
+
+    async def scenario() -> None:
+        async with running_server() as server:
+            async with connected_client(server) as client:
+                assert (await client.create_relation(spec)).status == 200
+                assert (await client.bulk("r", [["a", 0, {"v": 1}]])).status == 200
+                missing = await client.delete("r", 10**6)
+                assert missing.status == 404, missing.body
+                assert pending_ops() == 0
+                future = 10**9 * MICRO  # after every transaction time: not retroactive
+                rows = [["b", 0, {"v": 2}], ["c", future, {"v": 3}]]
+                violated = await client.bulk("r", rows)
+                assert violated.status == 409, violated.body
+                assert pending_ops() == 0
+
+    gc.collect()
+    gc.disable()
+    try:
+        asyncio.run(scenario())
+    finally:
+        gc.enable()

@@ -6,8 +6,7 @@ elements_to_json(elements)})`` -- whatever mix of memo states the
 elements are in.  The memo rule is "armed = held by a store": a row a
 ``SegmentedStore`` holds (hot or cold) is encoded once and joined after
 that; a row no store holds (constructor-built, a copy, a pickle)
-costs what the reference costs -- one encoder call per run of them --
-and retains nothing.
+costs one row encoder call on every read and retains nothing.
 """
 
 from __future__ import annotations
@@ -27,7 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chronos.clock import LogicalClock
-from repro.chronos.timestamp import FOREVER, Timestamp
+from repro.chronos.granularity import Granularity
+from repro.chronos.interval import Interval
+from repro.chronos.timestamp import FOREVER, NEGATIVE_INFINITY, Timestamp
 from repro.relation.element import Element, arm
 from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
@@ -224,6 +225,74 @@ def _element(surrogate: int) -> Element:
     )
 
 
+#: Strings the escaper must spell: quotes, backslashes, control and
+#: non-ASCII characters (surrogate halves included).
+AWKWARD_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(
+        ['"', "\\", "\x00\x1f\x7f", "tab\tline\n", "caf\u00e9", "\u2028", "\ud800", "\U0001f321"]
+    ),
+)
+MICRO = Granularity.MICROSECOND
+STAMPS = st.builds(
+    Timestamp,
+    st.integers(min_value=-(2**61), max_value=2**61),
+    st.sampled_from([MICRO, Granularity.MILLISECOND]),
+)
+ATTRIBUTE_VALUES = st.recursive(
+    st.one_of(
+        st.floats(),  # nan, +-inf and -0.0 included
+        st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+        st.integers(min_value=-(2**80), max_value=2**80),
+        st.booleans(),
+        st.none(),
+        AWKWARD_TEXT,
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(AWKWARD_TEXT, inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def any_elements(draw) -> Element:
+    """One element of any shape the codec may be asked to spell."""
+    if draw(st.booleans()):
+        vt: Any = draw(STAMPS)
+    else:
+        start = draw(st.one_of(st.just(NEGATIVE_INFINITY), STAMPS))
+        end = draw(st.one_of(st.just(FOREVER), STAMPS))
+        vt = Interval(start, end) if start < end else Interval(start, FOREVER)
+    tt_start = draw(STAMPS)
+    closed = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=2**20)))
+    maps = st.dictionaries(AWKWARD_TEXT, ATTRIBUTE_VALUES, max_size=3)
+    return Element(
+        element_surrogate=draw(st.integers(min_value=0, max_value=2**70)),
+        object_surrogate=draw(
+            st.one_of(
+                AWKWARD_TEXT,
+                st.integers(min_value=-(2**70), max_value=2**70),
+                st.booleans(),
+                st.none(),
+                st.tuples(st.integers(), AWKWARD_TEXT),
+            )
+        ),
+        tt_start=tt_start,
+        vt=vt,
+        tt_stop=FOREVER if closed is None else Timestamp(tt_start.microseconds + closed, MICRO),
+        time_invariant=draw(maps),
+        time_varying=draw(maps),
+        user_times=draw(st.dictionaries(AWKWARD_TEXT, STAMPS, max_size=2)),
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(any_elements())
+def test_the_row_template_is_byte_identical_to_the_reference_encoder(element) -> None:
+    assert codec.element_fragment(element) == row_fragment(element)
+
+
 def _relation(engine=None, name: str = "wire") -> TemporalRelation:
     schema = TemporalSchema(name=name, time_varying=("reading",))
     return TemporalRelation(schema, clock=LogicalClock(start=1_000), engine=engine)
@@ -236,31 +305,30 @@ def _populate(relation: TemporalRelation, count: int) -> None:
 
 
 class _CountingEncoder:
-    """Stands in for ``canonical_json`` (the codec's, which fills rows,
-    and the one protocol re-exports): counts every call, and tells the
-    ones that encoded rows (a run of them, or one)."""
+    """Stands in for the row encoder ``element_fragment`` (the codec's,
+    which ``fill_fragment`` calls, and the one protocol re-exports) and
+    for ``canonical_json``: records the surrogate of every row encoded
+    and counts every ``canonical_json`` call."""
 
     def __init__(self, monkeypatch) -> None:
+        self.encoded: List[int] = []  # surrogates, one per row encode
         self.calls = 0
-        self.runs: List[int] = []  # rows per multi-row call
-        self.singles = 0
-        original = protocol.canonical_json
+        fragment, encode = codec.element_fragment, codec.canonical_json
 
-        def counting(payload: Any) -> bytes:
+        def counting_fragment(element: Element) -> bytes:
+            self.encoded.append(element.element_surrogate)
+            return fragment(element)
+
+        def counting_json(payload: Any) -> bytes:
             self.calls += 1
-            if isinstance(payload, list):
-                self.runs.append(len(payload))
-            elif isinstance(payload, dict) and "surrogate" in payload:
-                self.singles += 1
-            elif isinstance(payload, dict) and isinstance(payload.get("rows"), list):
-                self.runs.append(len(payload["rows"]))  # envelope and rows at once
-            return original(payload)
+            return encode(payload)
 
-        monkeypatch.setattr(protocol, "canonical_json", counting)
-        monkeypatch.setattr(codec, "canonical_json", counting)
+        for module in (protocol, codec):
+            monkeypatch.setattr(module, "element_fragment", counting_fragment)
+            monkeypatch.setattr(module, "canonical_json", counting_json)
 
     def reset(self) -> None:
-        self.calls, self.runs, self.singles = 0, [], 0
+        self.encoded, self.calls = [], 0
 
 
 def test_a_hot_result_from_a_store_is_encoded_once(monkeypatch) -> None:
@@ -272,11 +340,11 @@ def test_a_hot_result_from_a_store_is_encoded_once(monkeypatch) -> None:
     expected = reference_body(envelope, rows)
     encoder = _CountingEncoder(monkeypatch)
     assert protocol.element_rows_body(envelope, rows) == expected
-    assert (encoder.runs, encoder.singles) == ([], 480)
+    assert sorted(encoder.encoded) == sorted(row.element_surrogate for row in rows)
     encoder.reset()
     assert protocol.element_rows_body(envelope, relation.as_of(FOREVER)) == expected
     # Only the envelope: the count, the "count" and the "rows" key.
-    assert (encoder.runs, encoder.singles, encoder.calls) == ([], 0, 3)
+    assert (encoder.encoded, encoder.calls) == ([], 3)
     assert all(row._wire == row_fragment(row) for row in rows)
 
 
@@ -291,8 +359,8 @@ def test_unarmed_rows_are_one_encoder_call_and_retain_nothing(monkeypatch) -> No
         for _ in range(2):
             encoder.reset()
             assert protocol.element_rows_body(envelope, elements) == expected
-            # One call in all, envelope included: what the reference costs.
-            assert (encoder.calls, encoder.runs, encoder.singles) == (1, [480], 0)
+            # One row encoder call per row, on every read.
+            assert sorted(encoder.encoded) == sorted(e.element_surrogate for e in elements)
         assert all(element._wire is None for element in elements)
         monkeypatch.undo()  # the next pass counts afresh
 
@@ -304,14 +372,15 @@ def test_armed_rows_are_encoded_once_and_unarmed_runs_once_per_run(monkeypatch) 
     armed = [element for element in elements if 10 <= element.element_surrogate < 15]
     armed += [element for element in elements if 18 <= element.element_surrogate < 20]
     arm(armed)
+    unarmed = [element.element_surrogate for element in elements if element not in armed]
     envelope = {"count": 30, "epoch": {"tt": 30}}
     expected = reference_body(envelope, elements)
     encoder = _CountingEncoder(monkeypatch)
     assert protocol.element_rows_body(envelope, elements) == expected
-    assert (encoder.runs, encoder.singles) == ([10, 3, 10], len(armed))
+    assert encoder.encoded == list(range(30))  # each row once, in canonical order
     encoder.reset()
     assert protocol.element_rows_body(envelope, elements) == expected
-    assert (encoder.runs, encoder.singles) == ([10, 3, 10], 0)
+    assert encoder.encoded == unarmed  # the filled rows are not encoded again
     assert all((element._wire is not None) == (element in armed) for element in elements)
 
 

@@ -186,3 +186,20 @@ def test_an_armed_row_framed_by_the_engine_is_not_encoded_again(tmp_path, monkey
     assert body == original({"elements": protocol.elements_to_json([row])})
     assert not any(isinstance(p, dict) and "surrogate" in p for p in calls)
     engine.close()
+
+
+def test_an_ack_joins_the_engines_fragment_without_a_row_encode(tmp_path, monkeypatch):
+    engine = LogFileEngine(str(tmp_path / "ack.log"))
+    rows = [
+        Element(element_surrogate=n, object_surrogate="o", tt_start=Timestamp(n), vt=Timestamp(0))
+        for n in (1, 2)
+    ]
+    engine.extend(rows)
+    encoded = []
+    original = codec.element_fragment
+    monkeypatch.setattr(codec, "element_fragment", lambda e: encoded.append(e) or original(e))
+    monkeypatch.setattr(protocol, "element_fragment", lambda e: encoded.append(e) or original(e))
+    body = protocol.element_rows_body({}, rows, key="elements", fill=False)
+    assert body == codec.canonical_json({"elements": protocol.elements_to_json(rows)})
+    assert encoded == []  # the WAL frame's fragments, joined as they are
+    engine.close()

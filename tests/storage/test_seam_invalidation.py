@@ -161,16 +161,16 @@ class TestWireFragmentSeams:
             del filled
 
             encoded = []
-            original = protocol.canonical_json
+            original = codec.element_fragment
 
-            def counting(payload):
-                encoded.append(payload)
-                return original(payload)
+            def counting(element):
+                encoded.append(element)
+                return original(element)
 
-            monkeypatch.setattr(protocol, "canonical_json", counting)
-            monkeypatch.setattr(codec, "canonical_json", counting)
+            monkeypatch.setattr(protocol, "element_fragment", counting)
+            monkeypatch.setattr(codec, "element_fragment", counting)
             assert _fragment_body(relation, FOREVER) == body
-            assert sum(1 for p in encoded if isinstance(p, dict) and "surrogate" in p) == 24
+            assert len(encoded) == 24
 
     def test_a_cold_delete_replaces_the_fragment(self):
         with tempfile.TemporaryDirectory() as tier_dir:
