@@ -48,20 +48,6 @@ def _canonical_order(elements: Sequence[Element]) -> List[Element]:
     return sorted(elements, key=lambda e: (e.tt_start.microseconds, e.element_surrogate))
 
 
-def _in_canonical_order(elements: Sequence[Element]) -> bool:
-    """Is ``tt_start`` strictly increasing over *elements*?  Then they are
-    in canonical order already: an engine read always is, since the store
-    refuses a ``tt_start`` that does not increase (§2: history is
-    append-only in transaction-time order)."""
-    last = float("-inf")
-    for element in elements:
-        stamp = element.tt_start._micro
-        if stamp <= last:
-            return False
-        last = stamp
-    return True
-
-
 def elements_to_json(elements: Sequence[Element]) -> List[Dict[str, Any]]:
     """Canonically ordered wire form of a result set (the reference
     encoder: it sorts whatever it is given)."""
@@ -76,30 +62,29 @@ def element_rows_body(
 ) -> bytes:
     """The body of an element-row response: *envelope* plus *key*.
 
-    Byte-identical to ``canonical_json({**envelope, key:
-    elements_to_json(elements)})`` -- members in sorted-key order, rows
-    in canonical order -- but joined from per-row byte fragments: an
-    element a store holds is armed (``_wire == b""``) and keeps its
+    *elements* come in engine order, ``tt_start`` strictly increasing
+    (the store refuses one that does not increase; §2), which is the
+    canonical order, so they are joined as they come: the body is
+    byte-identical to ``canonical_json({**envelope, key:
+    elements_to_json(elements)})``, joined from per-row byte fragments.
+    An element a store holds is armed (``_wire == b""``) and keeps its
     fragment from first encode on, and the rows a durable engine has
     just written arrive filled.  Every other row is one
     :func:`element_fragment` call and retains nothing.  With
     ``fill=False`` (a write's acknowledgement, whose rows nobody has
-    read) armed rows are encoded like un-armed ones.
-
-    Rows in engine order (strictly increasing ``tt_start``) are not
-    sorted again, and the envelope's members are spliced onto the first
-    and last fragment, so one ``b",".join`` builds the whole body.
+    read) armed rows are encoded like un-armed ones.  The envelope's
+    members are spliced onto the first and last fragment, so one
+    ``b",".join`` builds the whole body.
     """
-    ordered = elements if _in_canonical_order(elements) else _canonical_order(elements)
-    if not ordered:
+    if not elements:
         return canonical_json({**envelope, key: []})
-    fragments: List[bytes] = [element._wire for element in ordered]  # type: ignore[misc]
+    fragments: List[bytes] = [element._wire for element in elements]  # type: ignore[misc]
     if not all(fragments):  # some row un-armed (None) or armed (b"")
         # The snapshot, never a re-read of the slot: a writer may re-arm it.
         fragments = [
             fragment
             or (fill_fragment(element) if fill and fragment == b"" else element_fragment(element))
-            for element, fragment in zip(ordered, fragments)
+            for element, fragment in zip(elements, fragments)
         ]
     members = {name: canonical_json(value) for name, value in envelope.items() if name != key}
     names = sorted([*members, key])

@@ -454,8 +454,9 @@ class SegmentedStore:
         return element
 
     def elements_range(self, lo: int, hi: int) -> List[Element]:
-        """Elements for positions ``[lo, hi)``, cold segments decoded
-        per segment through the tier manager's cache.
+        """Elements for positions ``[lo, hi)``, in position (so
+        transaction-time) order; each cold segment the range touches is
+        one slice of the tier manager's cached rows.
 
         Safe on a reader thread beside a demotion: ``cold_base`` is read
         once, and a hot slot the demotion has cleared since is re-read
@@ -476,14 +477,16 @@ class SegmentedStore:
         size = self.segment_size
         out: List[Element] = []
         while lo < min(hi, cold_base):
-            ordinal = lo // size
-            start = ordinal * size
-            take = min(hi, start + size)
-            segment_elements = tiering.elements(ordinal)  # type: ignore[union-attr]
-            out.extend(segment_elements[lo - start : take - start])
-            lo = take
+            ordinal, local = divmod(lo, size)
+            take = min(hi - lo, size - local)
+            part = tiering.elements(ordinal, local, local + take)  # type: ignore[union-attr]
+            if out:
+                out += part
+            else:
+                out = part  # a one-segment range is the slice itself
+            lo += take
         if lo < hi:
-            out.extend(self.elements_range(lo, hi))
+            out += self.elements_range(lo, hi)
         return out
 
     def fetch_elements(self, base: int, positions: Sequence[int]) -> List[Element]:

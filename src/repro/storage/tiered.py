@@ -146,6 +146,7 @@ class TieredSegment:
         "_reader",
         "_columns",
         "_elements",
+        "_whole",
     )
 
     def __init__(
@@ -161,6 +162,7 @@ class TieredSegment:
         self._reader: Optional[SegmentFileReader] = None
         self._columns: Optional[ColdStampColumns] = None
         self._elements: Optional[List[Optional["Element"]]] = None
+        self._whole = False  # _elements holds every row: a range is one slice
 
     # -- decoded-state lifecycle ----------------------------------------------------
 
@@ -178,6 +180,7 @@ class TieredSegment:
         """
         self._columns = None
         self._elements = None
+        self._whole = False
         if self._reader is not None:
             self._reader.close()
             self._reader = None
@@ -235,22 +238,24 @@ class TieredSegment:
         self._manager._touch(self)
         return [rows[local] or self.element_at(local) for local in locals_]
 
-    def elements(self) -> List["Element"]:
-        """The whole segment materialized (full scans, rehydration)."""
+    def elements(self, lo: int = 0, hi: Optional[int] = None) -> List["Element"]:
+        """Local rows ``[lo, hi)``, one slice of the cached rows.  The first
+        call after a release decodes them all; rows decoded before keep
+        their identity (so their fragments), and patches overlay."""
         self._manager._touch(self)
-        rows = self._elements
-        if rows is None or any(row is None for row in rows):
+        if not self._whole:
             decoded = self.reader().elements()
             arm(decoded)
-            if rows is not None:  # rows decoded before keep their fragments
+            rows = self._elements
+            if rows is not None:
                 for local, row in enumerate(rows):
                     if row is not None:
                         decoded[local] = row
             for local, element in self.patches.items():
                 decoded[local] = element
-            self._elements = list(decoded)
-            return decoded
-        return list(rows)  # type: ignore[arg-type]
+            self._elements = decoded  # type: ignore[assignment]
+            self._whole = True
+        return self._elements[lo:hi]  # type: ignore[index,return-value]
 
     def patch(self, local: int, element: "Element") -> None:
         """Overlay a closed element on a cold row (a logical delete)."""
@@ -505,9 +510,9 @@ class TierManager:
         with self._lock:
             return self.segments[ordinal].elements_at(locals_)
 
-    def elements(self, ordinal: int) -> List["Element"]:
+    def elements(self, ordinal: int, lo: int = 0, hi: Optional[int] = None) -> List["Element"]:
         with self._lock:
-            return self.segments[ordinal].elements()
+            return self.segments[ordinal].elements(lo, hi)
 
     def live_locals(self, ordinal: int) -> Iterator[int]:
         """Local positions of live rows (current-view rebuild feed)."""

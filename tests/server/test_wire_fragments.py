@@ -61,7 +61,7 @@ def row_fragment(element: Element) -> bytes:
 @settings(deadline=None, max_examples=150)
 @given(st.data())
 def test_body_equals_the_reference_encoder_in_every_memo_state(data) -> None:
-    elements = data.draw(wire_elements())
+    elements = _spread(data.draw(wire_elements()))  # engine order
     envelope = data.draw(ENVELOPES)
     states = [data.draw(st.sampled_from([UNARMED, ARMED, FILLED])) for _ in elements]
     for element, state in zip(elements, states):
@@ -74,11 +74,11 @@ def test_body_equals_the_reference_encoder_in_every_memo_state(data) -> None:
     # The reference itself is the stdlib encoder's output, not just ours.
     payload = {**envelope, "rows": protocol.elements_to_json(elements)}
     assert expected == json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    first = Response.json(envelope, rows=elements)
-    second = Response.json(envelope, rows=list(reversed(elements)))
-    assert first.body == expected
-    assert second.body == expected
-    assert first.status == 200 and first.headers == {}
+    # The reference encoder sorts whatever it is given.
+    assert protocol.elements_to_json(list(reversed(elements))) == payload["rows"]
+    response = Response.json(envelope, rows=elements)
+    assert response.body == expected
+    assert response.status == 200 and response.headers == {}
     for element, state in zip(elements, states):
         if state == UNARMED:
             assert element._wire is None
@@ -86,8 +86,8 @@ def test_body_equals_the_reference_encoder_in_every_memo_state(data) -> None:
             assert element._wire == row_fragment(element)
 
 
-#: The orders a body's rows arrive in: an engine read's canonical order,
-#: and every order the fallback sort must repair.
+#: The orders a result's rows may be in: an engine read's canonical
+#: order, and every order the reference encoder sorts back into it.
 ARRANGEMENTS = ("canonical", "shuffled", "reversed", "duplicated", "single")
 
 
@@ -142,9 +142,18 @@ def test_body_equals_the_reference_encoder_in_any_row_order(data) -> None:
             arm((element,))
         if states[id(element)] == FILLED:
             protocol.element_rows_body({}, [element])
-    payload = {**envelope, key: protocol.elements_to_json(rows)}
-    expected = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    assert protocol.element_rows_body(envelope, rows, key=key, fill=fill) == expected
+    rank = {id(element): position for position, element in enumerate(canonical)}
+    ordered = sorted(rows, key=lambda element: rank[id(element)])  # as an engine reads them
+
+    def encoded(wire_rows: List[Dict[str, Any]]) -> bytes:
+        payload = {**envelope, key: wire_rows}
+        return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+
+    expected = encoded([protocol.element_to_json(element) for element in ordered])
+    # The reference encoder sorts any arrangement; the body builder joins
+    # rows in the engine order it is given.
+    assert encoded(protocol.elements_to_json(rows)) == expected
+    assert protocol.element_rows_body(envelope, ordered, key=key, fill=fill) == expected
     served = {id(element) for element in rows}
     for element in canonical:
         state = states[id(element)]
@@ -157,7 +166,7 @@ def test_body_equals_the_reference_encoder_in_any_row_order(data) -> None:
 
 
 class _CountingSort:
-    """Counts the body builder's fallback sorts into canonical order."""
+    """Counts sorts into canonical order (the reference encoder's)."""
 
     def __init__(self, monkeypatch) -> None:
         self.calls = 0
@@ -206,11 +215,11 @@ def test_engine_reads_and_acks_are_joined_without_a_sort(topology, monkeypatch) 
         counts = [json.loads(body)["count"] for body in bodies]
         assert min(counts) >= 2 and counts[3] == 40, counts
         assert sort.calls == 0
-        rows = relation.as_of(FOREVER)
-        expected = reference_body({}, rows)  # the reference encoder always sorts
-        sort.calls = 0
-        assert protocol.element_rows_body({}, rows[1::2] + rows[::2]) == expected
-        assert sort.calls == 1
+        for body in bodies:  # engine order is the wire's: tt_start strictly increases
+            decoded = json.loads(body)
+            stamps = [row["tt_start"] for row in decoded.get("rows", decoded.get("elements"))]
+            assert len(stamps) == decoded["count"]
+            assert all(earlier < later for earlier, later in zip(stamps, stamps[1:])), stamps
     finally:
         topology.close(relation)
 

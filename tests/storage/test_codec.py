@@ -93,9 +93,9 @@ def test_an_insert_record_is_the_canonical_record_around_the_fragment():
 @settings(deadline=None, max_examples=60)
 @given(wire_elements())
 def test_written_rows_are_framed_with_their_ack_fragments(tmp_path_factory, elements):
+    assume(elements)
     path = str(tmp_path_factory.mktemp("log") / "rows.log")
     engine = LogFileEngine(path)
-    assume(elements)
     rows = sorted(elements, key=lambda e: e.tt_start)
     stamped = [
         Element(

@@ -24,7 +24,7 @@ from repro.chronos.timestamp import FOREVER, Timestamp
 from repro.relation.element import Element
 from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
-from repro.storage import segfile
+from repro.storage import codec, segfile
 from repro.storage.columnar import ScanSpec
 from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
@@ -497,3 +497,84 @@ class TestTierManagerHousekeeping:
         monkeypatch.setattr(manager, "_touch", touched.append)
         assert real(1, [0, 1, 2, 3]) == found
         assert touched == [manager.segments[1]]
+
+
+class TestTierRanges:
+    """``TierManager.elements(ordinal, lo, hi)`` is one slice of the
+    segment's cached rows: ``elements(ordinal)[lo:hi]``, the same objects,
+    in every decode state; a whole-decoded segment decodes again only
+    after a release."""
+
+    RANGES = ((0, None), (0, 8), (2, 5), (5, 8), (3, 3), (7, 8))
+    STATES = ("never decoded", "partly decoded", "patched before", "patched after", "evicted")
+
+    @staticmethod
+    def _stores(directory):
+        """A tiered engine (8-row segments, two cached) and a flat twin."""
+        manager = TierManager(str(directory), cache_segments=2)
+        tiered = MemoryEngine(segment_size=8, tier_manager=manager)
+        flat = MemoryEngine(segment_size=8)
+        for i in range(48):
+            tiered.append(make_element(i))
+            flat.append(make_element(i))
+        tiered.store.compact()
+        assert tiered.store._cold >= 3
+        return manager, tiered, flat
+
+    @pytest.mark.parametrize("state", STATES)
+    def test_a_range_is_the_slice_of_the_whole_segment(self, tmp_path, state):
+        for lo, hi in self.RANGES:
+            manager, tiered, flat = self._stores(tmp_path / f"{lo}-{hi}")
+            segment = manager.segments[1]  # positions 8-15
+            kept = []
+            if state == "partly decoded":
+                kept = [manager.element_at(1, 2), *manager.elements_at(1, [4, 5])]
+                for row in kept:
+                    codec.fill_fragment(row)
+            elif state == "patched before":
+                for engine in (tiered, flat):
+                    engine.close_element(11, ts(999))
+            elif state == "patched after":
+                manager.elements(1)
+                for engine in (tiered, flat):
+                    engine.close_element(11, ts(999))
+            elif state == "evicted":  # patches outlive the cached rows
+                manager.elements(1)
+                for engine in (tiered, flat):
+                    engine.close_element(11, ts(999))
+                manager.elements(0)
+                manager.elements(2)  # a third segment in a two-slot cache
+                assert segment._elements is None and segment._reader is None
+            ranged = manager.elements(1, lo, hi)
+            whole = manager.elements(1)
+            assert ranged == whole[lo:hi], (state, lo, hi)
+            assert all(row is cached for row, cached in zip(ranged, whole[lo:hi]))
+            assert whole == flat.store.elements_range(8, 16)
+            for row in kept:  # rows served before keep identity and fragment
+                assert whole[row.element_surrogate - 8] is row
+                assert row._wire == codec.element_fragment(row)
+            if state != "never decoded" and state != "partly decoded":
+                assert whole[3] is segment.patches[3] and not whole[3].is_current
+            # The store's range read is the same slices, across segments too.
+            assert tiered.store.elements_range(8 + 2, 8 + 6) == whole[2:6]
+            assert tiered.store.elements_range(5, 45) == flat.store.elements_range(5, 45)
+
+    def test_a_whole_segment_is_decoded_again_only_after_a_release(self, tmp_path, monkeypatch):
+        manager, _tiered, _flat = self._stores(tmp_path)
+        calls = []
+        real = SegmentFileReader.elements
+        monkeypatch.setattr(
+            SegmentFileReader, "elements", lambda reader: calls.append(reader) or real(reader)
+        )
+        manager.elements_at(1, [0, 6])  # per-row decodes only
+        assert calls == []
+        first = manager.elements(1, 2, 6)
+        assert len(calls) == 1
+        calls.clear()
+        second = manager.elements(1, 2, 6)
+        assert all(row is cached for row, cached in zip(second, first)) and len(second) == 4
+        assert manager.elements(1, 0, 8)[2:6] == first
+        assert calls == []
+        manager.segments[1].release()
+        assert manager.elements(1, 2, 6) == first
+        assert len(calls) == 1
