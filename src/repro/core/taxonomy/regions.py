@@ -123,6 +123,27 @@ class OffsetRegion:
             tt_hi = vt_last - self.lower.offset - (0 if self.lower.closed else 1)
         return tt_lo, tt_hi
 
+    def tt_core(
+        self, vt_first: Optional[int], vt_last: Optional[int]
+    ) -> Optional[Tuple[int, int]]:
+        """The dual of :meth:`tt_window`: the inclusive transaction-time
+        range every element of which has its valid time inside
+        ``[vt_first, vt_last]``; ``None`` when it is empty -- the window
+        is narrower than the band -- or the region or the window is
+        unbounded on a side.
+
+        ``vt = tt + d`` with ``low <= d <= high`` lies in ``[tt + low, tt +
+        high]``, which is inside the window exactly when ``vt_first - low
+        <= tt <= vt_last - high``.
+        """
+        if vt_first is None or vt_last is None or self.lower is None or self.upper is None:
+            return None
+        low = self.lower.offset + (0 if self.lower.closed else 1)
+        high = self.upper.offset - (0 if self.upper.closed else 1)
+        if vt_last - vt_first < high - low:
+            return None
+        return vt_first - low, vt_last - high
+
     @property
     def is_point(self) -> bool:
         """True for degenerate (single-offset) regions."""

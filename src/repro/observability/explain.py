@@ -51,6 +51,9 @@ class ExplainReport:
     #: late-materialization ratio.
     columnar_positions_examined: Optional[int] = None
     columnar_elements_materialized: Optional[int] = None
+    #: Of the materialized, those returned with no valid-time test
+    #: (zone-accepted segments and the declared region's sure-match core).
+    columnar_rows_accepted: Optional[int] = None
     #: Tiered-storage accounting; None unless some scanned segments were
     #: served from the compressed cold tier.
     tier_cold_segments: Optional[int] = None
@@ -77,7 +80,7 @@ class ExplainReport:
                 lines.append(
                     f"columnar  : {self.columnar_positions_examined} positions "
                     f"examined, {self.columnar_elements_materialized} elements "
-                    "materialized"
+                    f"materialized, {self.columnar_rows_accepted} accepted"
                 )
             if self.tier_cold_segments is not None:
                 lines.append(
@@ -182,6 +185,7 @@ def explain_query(
                     segments_pruned=plan.segment_stats.pruned,
                     columnar_positions=plan.segment_stats.positions_examined,
                     columnar_materialized=plan.segment_stats.materialized,
+                    columnar_accepted=plan.segment_stats.accepted,
                 )
                 if plan.segment_stats.cold_segments:
                     operator_span.annotate(
@@ -196,6 +200,7 @@ def explain_query(
         report.segments_pruned = plan.segment_stats.pruned
         report.columnar_positions_examined = plan.segment_stats.positions_examined
         report.columnar_elements_materialized = plan.segment_stats.materialized
+        report.columnar_rows_accepted = plan.segment_stats.accepted
         if plan.segment_stats.cold_segments:
             report.tier_cold_segments = plan.segment_stats.cold_segments
     return report

@@ -39,12 +39,16 @@ class SegmentStats:
     ``materialized`` record how many column rows the kernel tested
     versus how many ``Element`` objects were actually built for the
     answer -- the late-materialization ratio ``explain()`` surfaces.
+    ``accepted`` counts the rows returned with no valid-time test: from
+    segments the zone map proves a match and from the declared region's
+    sure-match core.
     """
 
     scanned: int = 0
     pruned: int = 0
     positions_examined: int = 0
     materialized: int = 0
+    accepted: int = 0
     #: Work units served from the cold tier (compressed segment files)
     #: rather than in-memory state -- the tiered-storage accounting.
     cold_segments: int = 0

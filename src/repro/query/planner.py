@@ -5,7 +5,9 @@ temporal specializations license cheaper access paths.
 
 A specialization is a region of offsets ``d = vt - tt`` (Section 3.1,
 Figure 1), so a query need only look at the transaction-time window
-that region allows.  :func:`windowed` *computes* that window from the
+that region allows -- and, for a window wider than a two-sided band,
+need not test the valid time of the rows in the window's *core*, which
+the region proves match.  :func:`windowed` *computes* both from the
 schema's declared offset region with the algebra in
 :mod:`repro.core.taxonomy.regions` -- for the planner, which hands
 :meth:`MemoryEngine.select <repro.storage.memory.MemoryEngine.select>`
@@ -27,7 +29,7 @@ Rules, in preference order, for a valid timeslice:
 3. interval relation declared *sequential* -- intervals are disjoint
    and ordered; one stab of the interval tree;
 4. any declared bounded region -- the window the region permits (one- or
-   two-sided);
+   two-sided), and inside a two-sided window its sure-match core;
 5. no declaration -- the full range: the engine's valid-time index
    (event index or interval tree), which every engine keeps.
 
@@ -71,7 +73,8 @@ from repro.storage.columnar import NEG_SENTINEL, POS_SENTINEL, ScanSpec
 
 def windowed(schema: TemporalSchema, spec: ScanSpec) -> ScanSpec:
     """*spec* with its tt window narrowed to what *schema*'s declarations
-    allow for its valid-time window -- Figure 1 used as code.
+    allow for its valid-time window, and the window's sure-match core --
+    Figure 1 used as code, to exclude rows and to include them.
 
     An element with offset ``d = vt - tt`` inside the declared region
     and valid time inside the spec's window has ``tt`` inside
@@ -79,7 +82,15 @@ def windowed(schema: TemporalSchema, spec: ScanSpec) -> ScanSpec:
     declaration (``floor(vt) = floor(tt)``, no fixed region) confines
     it to the ticks the window touches.  No guaranteed declaration, an
     interval relation, or an unbounded valid-time side leaves the full
-    range.  Schema-static: thread-safe.
+    range.
+
+    Conversely every element with ``tt`` inside
+    :meth:`OffsetRegion.tt_core` has its valid time inside the window,
+    so the store tests only its existence.  The core needs a region and
+    a window bounded on both sides, and is empty when the window is
+    narrower than the band (a point read has none unless the region is
+    the point ``[0, 0]``).  A hull wider than the declarations only
+    shrinks it.  Schema-static: thread-safe.
     """
     if spec.vt_lo is None or not schema.is_event:
         return spec
@@ -95,7 +106,8 @@ def windowed(schema: TemporalSchema, spec: ScanSpec) -> ScanSpec:
             None if first is None else first - first % tick,
             None if last is None else last - last % tick + tick - 1,
         )
-    return spec
+    core = None if region is None else region.tt_core(first, last)
+    return spec if core is None else spec.cored(*core)
 
 
 @dataclass
@@ -142,6 +154,9 @@ class PlannedQuery:
             )
             registry.counter("query.columnar_elements_materialized").inc(
                 self.segment_stats.materialized
+            )
+            registry.counter("query.columnar_positions_accepted").inc(
+                self.segment_stats.accepted
             )
             if self.segment_stats.cold_segments:
                 registry.counter("query.tier_cold_segments").inc(

@@ -6,8 +6,8 @@ Concurrency model
 All mutations (append / bulk / delete) funnel through one bounded
 ``asyncio.Queue`` drained by a dedicated **writer task**, which applies
 them one at a time through the relation's normal write path (WAL
-validate-write-fsync-apply for log-backed engines) under the server's
-write lock, then refreshes the relation's published
+validate-write-fsync-apply for log-backed engines), then refreshes the
+relation's published
 :class:`~repro.storage.epoch.EpochPin`.  Admission control is the
 queue bound itself: a full queue answers ``429 Too Many Requests``
 with ``Retry-After`` instead of buffering without limit.
@@ -22,10 +22,10 @@ epoch in the body and keys the response cache.  No read goes to a
 thread: under the interpreter lock a pool runs no Python in parallel,
 and its hand-off costs more than a narrowed read (EXPERIMENTS.md E28).
 
-TQL execution, EXPLAIN and standing-view reads issue *live* specs (the
-current-state view, the valid-time indexes) and run under the write
-lock, so TQL reports exactly the strategies the embedded library would
-choose: the differential suite holds the server to that.
+TQL execution, EXPLAIN and standing-view reads issue *live* specs the
+same way, between two commits, so TQL chooses exactly the strategies
+the embedded library would: the differential suite holds the server to
+that.
 
 Graceful shutdown stops accepting connections, drains the writer
 queue, lets in-flight requests finish, and fsyncs every WAL before
@@ -120,7 +120,6 @@ class TemporalServer:
         self._queue: "asyncio.Queue[_WriteOp]" = asyncio.Queue(maxsize=self.config.queue_limit)
         self._writer_gate = asyncio.Event()
         self._writer_gate.set()
-        self._write_lock = asyncio.Lock()
         self._server: Optional[asyncio.AbstractServer] = None
         self._writer_task: Optional["asyncio.Task[None]"] = None
         self._connections: set = set()
@@ -264,25 +263,24 @@ class TemporalServer:
 
     async def _run_write(self, op: _WriteOp) -> None:
         await self._writer_gate.wait()
-        async with self._write_lock:
-            try:
-                elements = self._apply_write(op)
-            except Exception as error:  # noqa: BLE001 - mapped to HTTP status
-                self._writer_metrics(op, error=True)
-                # Without its traceback: the failed write's frames hold `op`,
-                # whose future would hold them back (a reference cycle).
-                outcome: Tuple[Optional[List[Element]], Optional[BaseException]] = (
-                    None,
-                    error.with_traceback(None),
-                )
-            else:
-                relation = self.database.relation(op.relation_name)
-                self._pins[op.relation_name] = relation.pin_epoch()
-                self._writer_metrics(op, error=False)
-                outcome = (elements, None)
-                await self._notify_subscribers(op.relation_name)
-            if not op.future.done():
-                op.future.set_result(outcome)
+        try:
+            elements = self._apply_write(op)
+        except Exception as error:  # noqa: BLE001 - mapped to HTTP status
+            self._writer_metrics(op, error=True)
+            # Without its traceback: the failed write's frames hold `op`,
+            # whose future would hold them back (a reference cycle).
+            outcome: Tuple[Optional[List[Element]], Optional[BaseException]] = (
+                None,
+                error.with_traceback(None),
+            )
+        else:
+            relation = self.database.relation(op.relation_name)
+            self._pins[op.relation_name] = relation.pin_epoch()
+            self._writer_metrics(op, error=False)
+            outcome = (elements, None)
+            await self._notify_subscribers(op.relation_name)
+        if not op.future.done():
+            op.future.set_result(outcome)
 
     def _apply_write(self, op: _WriteOp) -> List[Element]:
         relation = self.database.relation(op.relation_name)
@@ -531,15 +529,14 @@ class TemporalServer:
     async def _handle_create_relation(self, request: Request) -> Response:
         create = protocol.CreateRelationRequest.from_json(request.json())
         body = request.json() or {}
-        async with self._write_lock:
-            # Check the name before building an engine: a duplicate must
-            # not reopen (and replay) the live relation's files.
-            if create.schema.name in self.database:
-                raise SchemaError(f"relation {create.schema.name!r} already exists")
-            engine = self._build_engine(body.get("engine", "memory"), create.schema.name)
-            relation = self.database.create_relation(create.schema, engine=engine)
-            self._pins[create.schema.name] = relation.pin_epoch()
-            self._track_deltas(relation)
+        # Check the name before building an engine: a duplicate must
+        # not reopen (and replay) the live relation's files.
+        if create.schema.name in self.database:
+            raise SchemaError(f"relation {create.schema.name!r} already exists")
+        engine = self._build_engine(body.get("engine", "memory"), create.schema.name)
+        relation = self.database.create_relation(create.schema, engine=engine)
+        self._pins[create.schema.name] = relation.pin_epoch()
+        self._track_deltas(relation)
         return Response.json(
             {"created": create.schema.name, "epoch": self._pins[create.schema.name].to_json()},
             status=200,
@@ -748,10 +745,9 @@ class TemporalServer:
     async def _handle_list_views(self, request: Request, name: str) -> Response:
         relation = self.database.relation(name)
         pin = self._pins[name]
-        async with self._write_lock:
-            registry = relation.views
-            listing = registry.describe()
-            journal = {"floor": registry.journal_floor, "last": registry.last_epoch}
+        registry = relation.views
+        listing = registry.describe()
+        journal = {"floor": registry.journal_floor, "last": registry.last_epoch}
         return Response.json(
             {"views": listing, "journal": journal, "epoch": pin.to_json()}
         )
@@ -759,19 +755,16 @@ class TemporalServer:
     async def _handle_register_view(self, request: Request, name: str) -> Response:
         relation = self.database.relation(name)
         decoded = protocol.RegisterViewRequest.from_json(request.json())
-        # Registration materializes the view from the engine, so it
-        # runs serialized with the writer, like TQL.
-        async with self._write_lock:
-            registry = relation.views
-            if decoded.kind == "current":
-                view = registry.register_current(decoded.name)
-            elif decoded.kind == "timeslice":
-                assert decoded.vt is not None
-                view = registry.register_timeslice(decoded.name, decoded.vt)
-            else:
-                assert decoded.window is not None
-                view = registry.register_overlap(decoded.name, decoded.window)
-            summary = view.describe()
+        registry = relation.views
+        if decoded.kind == "current":
+            view = registry.register_current(decoded.name)
+        elif decoded.kind == "timeslice":
+            assert decoded.vt is not None
+            view = registry.register_timeslice(decoded.name, decoded.vt)
+        else:
+            assert decoded.window is not None
+            view = registry.register_overlap(decoded.name, decoded.window)
+        summary = view.describe()
         return Response.json({"registered": summary, "epoch": self._pins[name].to_json()})
 
     async def _handle_read_view(
@@ -779,12 +772,9 @@ class TemporalServer:
     ) -> Response:
         relation = self.database.relation(name)
         pin = self._pins[name]
-        # Maintained snapshots (and any lazy recompute they trigger)
-        # touch planner-grade engine surfaces -- serialized, like TQL.
-        async with self._write_lock:
-            view = relation.views.get(view_name)
-            elements = view.snapshot()
-            summary = view.describe()
+        view = relation.views.get(view_name)
+        elements = view.snapshot()
+        summary = view.describe()
         return self._rows_response(pin, elements, view=summary)
 
     async def _handle_subscribe(self, request: Request, name: str) -> Response:
@@ -816,8 +806,7 @@ class TemporalServer:
         if _metrics.enabled():
             _metrics.registry().counter("server.subscribe.polls").inc()
         while True:
-            async with self._write_lock:
-                feed = registry.deltas_since(since)
+            feed = registry.deltas_since(since)
             if feed.resync:
                 if _metrics.enabled():
                     _metrics.registry().counter("server.subscribe.resyncs").inc()
@@ -861,21 +850,13 @@ class TemporalServer:
         # is what execute() runs (a TQLError here is the request's 400).
         parsed = _tql.parse(statement.tql)
         target = parsed.relation_name
-        # The planner's strategy surface (current-state views, vt
-        # indexes, columnar kernels) is not pinned-safe, so TQL runs
-        # serialized with the writer -- and chooses exactly the
-        # strategies the embedded library would.
-        async with self._write_lock:
-            # The pin must be read under the lock: the writer advances
-            # pins while holding it, so reading outside could store a
-            # post-write body under a pre-write pin's key.
-            key = None
-            if target in self._pins:
-                key = self._cache_key(target, "query", self._pins[target], statement.tql)
-                cached = self._cache_get(key)
-                if cached is not None:
-                    return cached
-            rows = self.database.execute(parsed)
+        key = None
+        if target in self._pins:
+            key = self._cache_key(target, "query", self._pins[target], statement.tql)
+            cached = self._cache_get(key)
+            if cached is not None:
+                return cached
+        rows = self.database.execute(parsed)
         if _metrics.enabled():
             _metrics.registry().counter("server.rows_served").inc(len(rows))
         if rows and isinstance(rows[0], Element):
@@ -887,8 +868,7 @@ class TemporalServer:
     async def _handle_explain(self, request: Request, name: str) -> Response:
         statement = protocol.StatementRequest.from_json(request.json())
         relation = self.database.relation(name)
-        async with self._write_lock:
-            report = relation.explain(statement.tql, execute=statement.execute)
+        report = relation.explain(statement.tql, execute=statement.execute)
         payload: Dict[str, Any] = {
             "strategy": report.strategy,
             "explanation": report.explanation,

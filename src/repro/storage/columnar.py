@@ -35,6 +35,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.chronos.granularity import Granularity
@@ -75,7 +76,11 @@ class ScanSpec:
     specialization is a region of offsets ``vt - tt``, so a query need
     only look at the transaction-time window that region allows.  The
     planner derives ``[tt_lo, tt_hi]`` (inclusive, on ``tt_start``) from
-    the declared region; the remaining fields are the predicate proper:
+    the declared region, and inside it the *sure-match core*
+    ``[core_lo, core_hi]``: the rows whose ``tt_start`` lies there have
+    a valid time inside the window, so only their existence is tested
+    (empty -- ``core_lo > core_hi`` -- by default, and always inside the
+    tt window).  The remaining fields are the predicate proper:
 
     * ``as_of`` -- ``None`` keeps *live* rows (the current state); an
       integer keeps rows whose existence interval contains it (a
@@ -94,6 +99,8 @@ class ScanSpec:
     as_of: Optional[int] = None
     vt_lo: Optional[int] = None
     vt_hi: Optional[int] = None
+    core_lo: int = POS_SENTINEL
+    core_hi: int = NEG_SENTINEL
 
     @classmethod
     def of(
@@ -129,14 +136,23 @@ class ScanSpec:
 
     def narrowed(self, tt_lo: Optional[int], tt_hi: Optional[int]) -> "ScanSpec":
         """This spec with its transaction-time window intersected with
-        ``[tt_lo, tt_hi]`` (``None`` leaves that side alone)."""
-        return ScanSpec(
-            self.tt_lo if tt_lo is None else max(self.tt_lo, tt_lo),
-            self.tt_hi if tt_hi is None else min(self.tt_hi, tt_hi),
-            self.as_of,
-            self.vt_lo,
-            self.vt_hi,
-        )
+        ``[tt_lo, tt_hi]`` (``None`` leaves that side alone); the core
+        keeps what of it the new window holds."""
+        lo = self.tt_lo if tt_lo is None else max(self.tt_lo, tt_lo)
+        hi = self.tt_hi if tt_hi is None else min(self.tt_hi, tt_hi)
+        spec = ScanSpec(lo, hi, self.as_of, self.vt_lo, self.vt_hi)
+        return spec if self.core_lo > self.core_hi else spec.cored(self.core_lo, self.core_hi)
+
+    def cored(self, core_lo: int, core_hi: int) -> "ScanSpec":
+        """This spec with its sure-match core set to ``[core_lo,
+        core_hi]`` clipped to the tt window (an empty result is the
+        default empty core)."""
+        lo, hi = max(core_lo, self.tt_lo), min(core_hi, self.tt_hi)
+        if lo > hi:
+            lo, hi = POS_SENTINEL, NEG_SENTINEL
+        if lo == self.core_lo and hi == self.core_hi:  # a point read's: no copy
+            return self
+        return ScanSpec(self.tt_lo, self.tt_hi, self.as_of, self.vt_lo, self.vt_hi, lo, hi)
 
     def may_match(self, summary) -> bool:
         """Could any row under *summary* satisfy this spec?
@@ -169,14 +185,17 @@ class ScanSpec:
         for intervals (the zone keeps their exclusive ``end``; ``start <
         end``, so a row between the zone's bounds meets the window).
         """
-        if summary.live != rows:
-            return False
-        if self.as_of is not None and not (
-            min(summary.tt_hi, self.tt_hi) <= self.as_of < POS_SENTINEL
-        ):
-            return False
-        return self.vt_lo is None or (
-            self.vt_lo <= summary.vt_lo and summary.vt_hi < self.vt_hi  # type: ignore[operator]
+        return self.all_exist(summary, rows) and (
+            self.vt_lo is None
+            or self.vt_lo <= summary.vt_lo and summary.vt_hi < self.vt_hi  # type: ignore[operator]
+        )
+
+    def all_exist(self, summary, rows: int) -> bool:
+        """Does every one of a sealed unit's *rows* rows exist under this
+        spec -- the existence half of :meth:`must_match`, which is all a
+        core inside the unit needs."""
+        return summary.live == rows and (
+            self.as_of is None or min(summary.tt_hi, self.tt_hi) <= self.as_of < POS_SENTINEL
         )
 
 
@@ -390,7 +409,7 @@ def positions(
     if as_of is None:
         live = columns.live
         if win_lo is None:
-            return [i for i in range(lo, hi) if live[i]]
+            return list(compress(range(lo, hi), live[lo:hi]))
         vt_start = columns.vt_start
         vt_stop = columns.vt_stop
         return [

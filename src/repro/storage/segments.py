@@ -453,10 +453,12 @@ class SegmentedStore:
             return self.tiering.element_at(ordinal, local)  # type: ignore[union-attr]
         return element
 
-    def elements_range(self, lo: int, hi: int) -> List[Element]:
+    def elements_range(self, lo: int, hi: int, decode_whole: bool = True) -> List[Element]:
         """Elements for positions ``[lo, hi)``, in position (so
         transaction-time) order; each cold segment the range touches is
-        one slice of the tier manager's cached rows.
+        one slice of the tier manager's cached rows; with
+        ``decode_whole=False`` the part of a segment not yet decoded whole
+        decodes only its own rows (:meth:`TierManager.elements`).
 
         Safe on a reader thread beside a demotion: ``cold_base`` is read
         once, and a hot slot the demotion has cleared since is re-read
@@ -479,7 +481,9 @@ class SegmentedStore:
         while lo < min(hi, cold_base):
             ordinal, local = divmod(lo, size)
             take = min(hi - lo, size - local)
-            part = tiering.elements(ordinal, local, local + take)  # type: ignore[union-attr]
+            part = tiering.elements(  # type: ignore[union-attr]
+                ordinal, local, local + take, decode_whole
+            )
             if out:
                 out += part
             else:
@@ -521,34 +525,43 @@ class SegmentedStore:
         were examined -- the one range-shaped read of a tt-indexed store.
 
         Binary search turns the spec's transaction-time window into a
-        position range; sealed segments overlapping it are kept only
-        when ``spec.may_match`` accepts their zone map (a zone map
-        summarises the whole segment, so rejecting one is valid even
-        when the range clips it) and the head is always scanned.  A kept
-        segment whose zone map ``spec.must_match`` accepts -- every row
-        matches, so every position the range leaves of it -- is one
-        :meth:`elements_range` slice; every other unit runs the column
-        kernel, and elements materialize only for the positions it
-        returns.  Both count the unit's positions as examined.  *stats*
-        (a ``SegmentStats``) receives the scanned/pruned counts.
+        position range, and its sure-match core into a sub-range; sealed
+        segments overlapping the window are kept only when
+        ``spec.may_match`` accepts their zone map (a zone map summarises
+        the whole segment, so rejecting one is valid even when the range
+        clips it) and the head is always scanned.  Each kept unit splits
+        into an *accepted* range -- all of it when ``spec.must_match``
+        proves every row a match, else its share of the core -- and the
+        margins either side of it.  The margins run the column kernel,
+        and elements materialize only for the positions it returns.  The
+        accepted range skips the valid-time test: it is one
+        :meth:`elements_range` slice when the zone map proves every row
+        exists (``spec.all_exist``), and otherwise the kernel tests
+        existence alone.  Rows come back margin, accepted range, margin;
+        every position of the unit counts as examined.  *stats* (a
+        ``SegmentStats``) receives the scanned/pruned counts.
 
         Safe on a reader thread beside the single writer when the spec
         is pinned at or below the published epoch: nothing past the
         pin's position is read, and the sealed count is read once, so a
         segment sealing meanwhile is scanned as the head it was.
         """
-        start = bisect.bisect_left(self._tts, spec.tt_lo)
-        stop = bisect.bisect_right(self._tts, spec.tt_hi)
+        tts = self._tts
+        start = bisect.bisect_left(tts, spec.tt_lo)
+        stop = bisect.bisect_right(tts, spec.tt_hi)
         if stop <= start:
             return [], 0
+        core_lo = core_hi = stop
+        if spec.core_lo <= spec.core_hi:
+            core_lo = bisect.bisect_left(tts, spec.core_lo, start, stop)
+            core_hi = bisect.bisect_right(tts, spec.core_hi, core_lo, stop)
         size = self.segment_size
         sealed = len(self._zones)
-        # A unit is (lo, hi, whole, accepted): whole units -- a sealed
+        # A unit is (lo, hi, whole, zone): whole units -- a sealed
         # segment or the head the window did not clip -- recur across
         # queries, so the kernel may answer them from a cached sorted
-        # projection; an accepted unit is a sealed segment whose every
-        # row the zone map proves a match, served as one slice.
-        units: List[Tuple[int, int, bool, bool]] = []
+        # projection; the head has no zone.
+        units: List[Tuple[int, int, bool, Optional[ZoneMap]]] = []
         pruned = 0
         for ordinal in range(start // size, sealed):
             seg_lo = ordinal * size
@@ -557,34 +570,58 @@ class SegmentedStore:
             zone = self._zones[ordinal]
             if spec.may_match(zone):
                 lo, hi = max(start, seg_lo), min(stop, seg_lo + size)
-                units.append((lo, hi, hi - lo == size, spec.must_match(zone, size)))
+                units.append((lo, hi, hi - lo == size, zone))
             else:
                 pruned += 1
         head_lo = max(start, sealed * size)
         if head_lo < stop:
-            units.append((head_lo, stop, head_lo == sealed * size and stop == len(self), False))
+            units.append((head_lo, stop, head_lo == sealed * size and stop == len(self), None))
         matches: List[Element] = []
-        examined = 0
+        examined = accepted = 0
         tiering = self.tiering  # read once: vacuum's detach_tiering may clear it meanwhile
-        for lo, hi, whole, accepted in units:
+        for lo, hi, whole, zone in units:
             examined += hi - lo
-            if accepted:
-                matches.extend(self.elements_range(lo, hi))
-                continue
-            columns, base = self.kernel_view(lo, hi)
-            found = positions(columns, lo - base, hi - base, spec, whole)
-            if isinstance(columns, ColdStampColumns):  # one tier call for the segment's rows
-                matches.extend(tiering.elements_at(base // size, found))  # type: ignore[union-attr]
+            matched = zone is not None and spec.must_match(zone, size)
+            if matched:
+                accept_lo, accept_hi = lo, hi
             else:
-                matches.extend(self.fetch_elements(base, found))
+                accept_lo, accept_hi = max(lo, core_lo), min(hi, core_hi)
+                if accept_lo >= accept_hi:
+                    accept_lo = accept_hi = hi
+            if lo < accept_lo:
+                matches += self._kernel(lo, accept_lo, spec, whole and accept_lo == hi, tiering)
+            if accept_lo < accept_hi:
+                if matched or (zone is not None and spec.all_exist(zone, size)):
+                    # A zone-accepted segment is decoded whole, as later
+                    # reads of it will want; a core only where it lies.
+                    rows = self.elements_range(accept_lo, accept_hi, decode_whole=matched)
+                else:
+                    exist = ScanSpec(as_of=spec.as_of)  # existence alone
+                    rows = self._kernel(accept_lo, accept_hi, exist, False, tiering)
+                accepted += len(rows)
+                matches += rows
+            if accept_hi < hi:
+                matches += self._kernel(accept_hi, hi, spec, False, tiering)
         if stats is not None:
             stats.scanned += len(units)
             stats.pruned += pruned
             stats.positions_examined += examined
             stats.materialized += len(matches)
+            stats.accepted += accepted
             cold_base = self.cold_base
             stats.cold_segments += sum(1 for unit in units if unit[0] < cold_base)
         return matches, examined
+
+    def _kernel(
+        self, lo: int, hi: int, spec: ScanSpec, whole: bool, tiering: Optional[TierManager]
+    ) -> List[Element]:
+        """The rows of positions ``[lo, hi)`` (inside one unit) that the
+        column kernel keeps for *spec*, materialized late."""
+        columns, base = self.kernel_view(lo, hi)
+        found = positions(columns, lo - base, hi - base, spec, whole)
+        if isinstance(columns, ColdStampColumns):  # one tier call for the segment's rows
+            return tiering.elements_at(base // self.segment_size, found)  # type: ignore[union-attr]
+        return self.fetch_elements(base, found)
 
     def __len__(self) -> int:
         return len(self._elements)

@@ -510,9 +510,19 @@ class TierManager:
         with self._lock:
             return self.segments[ordinal].elements_at(locals_)
 
-    def elements(self, ordinal: int, lo: int = 0, hi: Optional[int] = None) -> List["Element"]:
+    def elements(
+        self, ordinal: int, lo: int = 0, hi: Optional[int] = None, decode_whole: bool = True
+    ) -> List["Element"]:
+        """Local rows ``[lo, hi)``, one slice of the cached rows (decoding
+        them all first if need be).  With ``decode_whole=False`` a part
+        of a segment not yet decoded whole decodes only its own rows, as
+        kernel survivors do, and never pays for the rest of it."""
         with self._lock:
-            return self.segments[ordinal].elements(lo, hi)
+            segment = self.segments[ordinal]
+            hi = segment.rows if hi is None else hi
+            if decode_whole or segment._whole or hi - lo == segment.rows:
+                return segment.elements(lo, hi)
+            return segment.elements_at(range(lo, hi))
 
     def live_locals(self, ordinal: int) -> Iterator[int]:
         """Local positions of live rows (current-view rebuild feed)."""

@@ -4,7 +4,8 @@
 come and never sorts them, because the store refuses a ``tt_start``
 that does not strictly increase.  This is the property that trust rests
 on: every producer whose rows a body joins -- the engine read
-(``engine.select``) on each of its paths, the current-state feed
+(``engine.select``) on each of its paths, a sure-match core served
+between the kernel's margins among them, the current-state feed
 (``iter_current``, also after its view is rebuilt), standing-view
 snapshots and a TQL ``WHERE`` result -- returns rows whose ``tt_start``
 strictly increases, on every storage topology, with deletes closing
@@ -77,10 +78,19 @@ def test_every_producer_a_body_trusts_returns_strictly_increasing_tt_start(data)
         relation.append_many(rows(len(starts), later))
 
         engine = relation.engine
+        # A sure-match core over the middle third of history: the store
+        # serves it untested, between the kernel's two margins.  The
+        # store takes a core on trust, so this one need not follow from a
+        # declaration for the order it comes back in to be checked.
+        stamps = [element.tt_start.microseconds for element in relation.as_of(FOREVER)]
+        core = (stamps[len(stamps) // 3], stamps[2 * len(stamps) // 3])
         reads: Dict[str, List[Element]] = {}
         for label, as_of in (("live", None), ("pinned", pin), ("now", relation.pin_epoch().as_of)):
             for kind, vt in (("current", None), ("timeslice", probe), ("overlap", window)):
-                reads[f"{kind} {label}"], _examined = engine.select(ScanSpec.of(vt, as_of))
+                spec = ScanSpec.of(vt, as_of)
+                reads[f"{kind} {label}"], _examined = engine.select(spec)
+                cored = spec.narrowed(stamps[0], stamps[-1]).cored(*core)
+                reads[f"{kind} {label} cored"], _examined = engine.select(cored)
         reads["rollback"] = relation.as_of(pin)
         reads["snapshot slice"] = views.get("slice").snapshot()
         reads["snapshot window"] = views.get("window").snapshot()
