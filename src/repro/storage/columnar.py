@@ -80,7 +80,8 @@ class ScanSpec:
     ``[core_lo, core_hi]``: the rows whose ``tt_start`` lies there have
     a valid time inside the window, so only their existence is tested
     (empty -- ``core_lo > core_hi`` -- by default, and always inside the
-    tt window).  The remaining fields are the predicate proper:
+    tt window; :meth:`cored` sets it last, since :meth:`narrowed` drops
+    it).  The remaining fields are the predicate proper:
 
     * ``as_of`` -- ``None`` keeps *live* rows (the current state); an
       integer keeps rows whose existence interval contains it (a
@@ -136,12 +137,11 @@ class ScanSpec:
 
     def narrowed(self, tt_lo: Optional[int], tt_hi: Optional[int]) -> "ScanSpec":
         """This spec with its transaction-time window intersected with
-        ``[tt_lo, tt_hi]`` (``None`` leaves that side alone); the core
-        keeps what of it the new window holds."""
+        ``[tt_lo, tt_hi]`` (``None`` leaves that side alone) and no core:
+        the core is set last, by :meth:`cored`, on the final window."""
         lo = self.tt_lo if tt_lo is None else max(self.tt_lo, tt_lo)
         hi = self.tt_hi if tt_hi is None else min(self.tt_hi, tt_hi)
-        spec = ScanSpec(lo, hi, self.as_of, self.vt_lo, self.vt_hi)
-        return spec if self.core_lo > self.core_hi else spec.cored(self.core_lo, self.core_hi)
+        return ScanSpec(lo, hi, self.as_of, self.vt_lo, self.vt_hi)
 
     def cored(self, core_lo: int, core_hi: int) -> "ScanSpec":
         """This spec with its sure-match core set to ``[core_lo,

@@ -1,7 +1,7 @@
 """Architecture rules over ``src/``, checked on its syntax tree.
 
 Each rule keeps a simplification from coming back.  A rule matches
-call nodes and identifiers, not source lines, so a reformatted call or
+call nodes, identifiers and string keys, not source lines, so a reformatted call or
 a line break inside one cannot slip past it, and its exceptions name
 qualified functions (``repro.server.protocol._canonical_order``) or
 whole modules and packages (``repro.flow``, ``repro.core.taxonomy``).
@@ -71,8 +71,12 @@ def identifier(node: ast.AST) -> Optional[str]:
 
 
 def reads(node: ast.AST, attribute: str) -> bool:
-    """Does the expression under *node* mention *attribute*?"""
-    return any(identifier(sub) == attribute for sub in ast.walk(node))
+    """Does the expression under *node* mention *attribute*, as a name
+    or as a string (``row["tt_start"]``, ``attrgetter("tt_start")``)?"""
+    return any(
+        identifier(sub) == attribute or isinstance(sub, ast.Constant) and sub.value == attribute
+        for sub in ast.walk(node)
+    )
 
 
 # -- Engine order is wire order ------------------------------------------------------
@@ -202,6 +206,9 @@ def test_no_write_lock_in_the_server() -> None:
             "        e.tt_start.microseconds, e.element_surrogate))\n",
         ),
         (tt_start_sorts, "def f(rows):\n    return max(rows, key=lambda e: e.tt_start)\n"),
+        (tt_start_sorts, "def f(rows):\n    return sorted(rows, key=attrgetter(\"tt_start\"))\n"),
+        (tt_start_sorts, "def f(rows):\n    rows.sort(key=lambda r: r[\"tt_start\"])\n"),
+        (tt_start_sorts, "def f(rows):\n    return sorted(rows, key=itemgetter(\"tt_start\"))\n"),
         (canonical_order_calls, "def body(rows):\n    return join(_canonical_order(rows))\n"),
         (canonical_order_calls, "from repro.server.protocol import _in_canonical_order\n"),
         (
